@@ -88,8 +88,8 @@ std::vector<sim::VmPlan> contention_plans(const sim::WorkloadFactory& rep,
 
 int main(int argc, char** argv) {
   // --stream v1|v2 selects the reference-stream format for every
-  // workload in the figure.  v2 (geometric-skip) exercises the
-  // ref-batch run_vcpu loop end-to-end; the figure's shape checks are
+  // workload in the figure.  v2 (geometric-skip) exercises compiled
+  // stream generation end-to-end; the figure's shape checks are
   // format-independent (v2 compiles the same access sequence), so the
   // same gates apply.  Default v1 output is unchanged.
   StreamVersion stream = StreamVersion::kV1;

@@ -155,8 +155,18 @@ int main(int argc, char** argv) {
   for (const int l : {2, 4}) {
     if (l <= max_lanes) lane_counts.push_back(l);
   }
+  // Each lane count is timed twice back to back and the faster run
+  // kept (outcomes are deterministic, so either run's are the same).
+  // On a shared virtual host the first parallel phase after the other
+  // CPUs sat idle pays a wake-up stall of a few hundred milliseconds —
+  // comparable to a whole quick-mode phase — that the second run
+  // does not.
   std::vector<SweepResult> runs;
-  for (const int lanes : lane_counts) runs.push_back(run_batch(lanes, warmup, measure));
+  for (const int lanes : lane_counts) {
+    SweepResult first = run_batch(lanes, warmup, measure);
+    SweepResult second = run_batch(lanes, warmup, measure);
+    runs.push_back(std::move(second.seconds < first.seconds ? second : first));
+  }
   const SweepResult& serial = runs.front();
   const int host_cpus = ThreadPool::hardware_lanes();
 

@@ -36,12 +36,6 @@
 // private-cache-resident streaming, LLC streaming, and LLC-busting
 // uniform random (the blockie-style disruptor).
 //
-// Beyond the replay cells, a "v2_e2e" section runs whole hypervisor
-// ticks (scheduler + machine + LLC attribution) on the miss-heavy
-// mixes with the ref-batch engine on vs off: the end-to-end win of
-// Machine::run_vcpu consuming geometric-skip refs directly, gated on
-// exact counter agreement between the two consumption modes.
-//
 // A "control_plane" section measures the other end of the tick: mixes
 // built so vCPU execution is nearly free (1 kHz clock — ten cycles
 // per tick) and deep per-core runqueues make pick + credit/cap
@@ -59,8 +53,7 @@
 // least-noise estimate of the same simulation).  --min-mops enforces
 // an absolute floor on the current engine so CI fails on perf
 // regressions; --min-speedup enforces the before/after aggregate
-// ratio; --min-v2-e2e-speedup enforces the end-to-end ref-batch win;
-// --min-control-plane-speedup enforces the branch-light tick win.
+// ratio; --min-control-plane-speedup enforces the branch-light tick win.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -222,10 +215,12 @@ RunStats run_baseline(const Mix& mix, const cache::MemSystemConfig& cfg,
   return stats;
 }
 
-/// Production replay loop: blocked next_batch + hoisted access context
-/// (the same structure Machine::run_vcpu uses).  `stream` selects the
-/// workload stream format (v1 = frozen per-op streams, v2 = compiled
-/// streams); `fused` toggles the fused multi-level miss walk (false
+/// Production replay loop: hoisted access context, with v2 streams
+/// consumed as geometric-skip ref batches (the structure of
+/// Machine::run_vcpu) and v1 streams as blocked next_batch ops (kept
+/// per-op so the v1 rows stay comparable with the frozen baseline
+/// engine).  `stream` selects the workload stream format (v1 = frozen
+/// per-op streams, v2 = compiled streams); `fused` toggles the fused multi-level miss walk (false
 /// reproduces the PR 4 "current" engine exactly).  The v2 loop also
 /// stages upcoming accesses' LLC rows a few ops ahead
 /// (AccessContext::stage), like Machine::run_vcpu.
@@ -450,68 +445,6 @@ ParallelRun run_parallel_ticks(const cache::Topology& topo, int threads, Tick wa
 }
 
 // ------------------------------------------------------------------
-// End-to-end v2 engine: whole hypervisor ticks (XCS scheduler, PMU
-// virtualization, LLC attribution) on one miss-heavy mix per core,
-// consuming the same v2 streams through the ref-batch engine
-// (Machine::run_vcpu_refs) and through the per-op fallback (the PR 5
-// loop: next_batch-expanded ops).  Counters must agree exactly —
-// the consumption format is not allowed to change the simulation —
-// so the only difference is wall-clock time.
-// ------------------------------------------------------------------
-struct E2eRun {
-  double seconds = 0.0;
-  std::uint64_t accesses = 0;
-  std::vector<std::uint64_t> agreement;  // per-VM counters + LLC attribution
-};
-
-E2eRun run_v2_e2e(const Mix& mix, bool ref_batch, Tick warmup, Tick measure) {
-  hv::MachineConfig config;  // scaled Table 1 geometry
-  config.topology = cache::Topology{1, 4};
-  hv::Hypervisor hv(config, std::make_unique<hv::CreditScheduler>());
-  hv.machine().set_ref_batch_engine(ref_batch);
-  for (int core = 0; core < config.topology.total_cores(); ++core) {
-    hv::VmConfig vm_config;
-    vm_config.name = mix.name + "#" + std::to_string(core);
-    vm_config.loop_workload = true;
-    hv.create_vm(vm_config,
-                 make_workload(mix, 42 + static_cast<std::uint64_t>(core),
-                               workloads::StreamVersion::kV2),
-                 core);
-  }
-  hv.run_ticks(warmup);
-  auto total_accesses = [&] {
-    std::uint64_t n = 0;
-    for (int core = 0; core < config.topology.total_cores(); ++core) {
-      n += hv.machine().memory().l1(core).stats().accesses;
-    }
-    return n;
-  };
-  const std::uint64_t before = total_accesses();
-  const auto t0 = std::chrono::steady_clock::now();
-  hv.run_ticks(measure);
-  E2eRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  run.accesses = total_accesses() - before;
-  for (hv::Vm* vm : hv.vms()) {
-    const pmc::CounterSet counters = vm->counters();
-    for (unsigned c = 0; c < pmc::kCounterCount; ++c) {
-      run.agreement.push_back(counters.values[c]);
-    }
-  }
-  const auto& llc = hv.machine().memory().llc(0);
-  run.agreement.push_back(llc.stats().accesses);
-  run.agreement.push_back(llc.stats().hits);
-  run.agreement.push_back(llc.stats().misses);
-  run.agreement.push_back(llc.stats().evictions);
-  for (int vm = 0; vm < hv.vm_count(); ++vm) {
-    run.agreement.push_back(llc.stats_for_vm(vm).misses);
-    run.agreement.push_back(llc.footprint_lines(vm));
-  }
-  return run;
-}
-
-// ------------------------------------------------------------------
 // Control-plane engine: accounting-bound hypervisor ticks.  The clock
 // is 1 kHz (ten cycles per 10 ms tick), so vCPU execution drains in a
 // handful of sub-quanta and nearly the whole tick is pick + credit
@@ -680,7 +613,7 @@ ControlPlaneSection run_control_plane_section(int reps, bool quick,
 }
 
 /// The "control_plane" JSON object (no trailing newline/comma),
-/// shared by the full schema-6 record and the --control-plane-only
+/// shared by the full schema-7 record and the --control-plane-only
 /// mini record.
 void emit_control_plane_json(std::ostream& json, const ControlPlaneSection& s,
                              int host_lanes) {
@@ -713,7 +646,6 @@ int main(int argc, char** argv) {
   double min_mops = 0.0;
   double min_speedup = 0.0;
   double min_v2_speedup = 0.0;
-  double min_v2_e2e_speedup = 0.0;
   double min_parallel_speedup = 0.0;
   double min_control_plane_speedup = 0.0;
   bool control_plane_only = false;
@@ -737,7 +669,6 @@ int main(int argc, char** argv) {
     else if (arg == "--min-mops") min_mops = std::stod(value());
     else if (arg == "--min-speedup") min_speedup = std::stod(value());
     else if (arg == "--min-v2-speedup") min_v2_speedup = std::stod(value());
-    else if (arg == "--min-v2-e2e-speedup") min_v2_e2e_speedup = std::stod(value());
     else if (arg == "--min-parallel-speedup") min_parallel_speedup = std::stod(value());
     else if (arg == "--min-control-plane-speedup") min_control_plane_speedup = std::stod(value());
     else if (arg == "--control-plane-only") control_plane_only = true;
@@ -748,7 +679,7 @@ int main(int argc, char** argv) {
     else if (arg == "--quick") quick = true;
     else {
       std::cerr << "usage: bench_throughput [--json PATH] [--min-mops X] "
-                   "[--min-speedup X] [--min-v2-speedup X] [--min-v2-e2e-speedup X] "
+                   "[--min-speedup X] [--min-v2-speedup X] "
                    "[--min-parallel-speedup X] [--min-control-plane-speedup X] "
                    "[--control-plane-only] [--control-plane-engine both|batched|reference] "
                    "[--threads N] [--reps N] [--ops N] [--quick]\n";
@@ -800,7 +731,7 @@ int main(int argc, char** argv) {
         }
       }
       std::ofstream json(json_path);
-      json << "{\n  \"bench\": \"throughput\",\n  \"schema\": 6,\n"
+      json << "{\n  \"bench\": \"throughput\",\n  \"schema\": 7,\n"
            << "  \"control_plane_only\": true,\n  \"reps\": " << reps
            << ",\n  \"quick\": " << (quick ? "true" : "false") << ",\n";
       emit_control_plane_json(json, cp, lanes);
@@ -985,64 +916,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // End-to-end v2 engine: the ref-batch run_vcpu loop vs the per-op
-  // fallback over whole hypervisor ticks, one miss-heavy mix at a
-  // time.  Exact agreement always gates; the speedup floor is
-  // hardware-adaptive like the other wall-clock gates.
-  const Tick e2e_warmup = 3;
-  const Tick e2e_measure = quick ? 30 : 90;
-  struct E2eCell {
-    std::string mix;
-    E2eRun refs;  // ref-batch engine (production default)
-    E2eRun ops;   // per-op fallback (the PR 5 v2 loop)
-    double speedup() const { return ops.seconds / refs.seconds; }
-  };
-  std::vector<E2eCell> e2e_cells;
-  bool e2e_agree = true;
-  double worst_e2e = 1e30;
-  TextTable e2e_table({"machine", "mix", "engine", "Maccess/s", "seconds", "speedup"});
-  for (const Mix& mix : mixes_for(cache::scaled_mem_system())) {
-    if (mix.name != "random_mem" && mix.name != "stream_llc") continue;
-    E2eCell cell;
-    cell.mix = mix.name;
-    cell.refs = min_over_reps(reps, [&] {
-      return run_v2_e2e(mix, /*ref_batch=*/true, e2e_warmup, e2e_measure);
-    });
-    cell.ops = min_over_reps(reps, [&] {
-      return run_v2_e2e(mix, /*ref_batch=*/false, e2e_warmup, e2e_measure);
-    });
-    e2e_agree &= cell.refs.agreement == cell.ops.agreement;
-    worst_e2e = std::min(worst_e2e, cell.speedup());
-    e2e_table.add_row({"scaled_1x4", mix.name, "per-op",
-                       fmt_double(static_cast<double>(cell.ops.accesses) /
-                                      cell.ops.seconds / 1e6, 2),
-                       fmt_double(cell.ops.seconds, 2), ""});
-    e2e_table.add_row({"scaled_1x4", mix.name, "ref-batch",
-                       fmt_double(static_cast<double>(cell.refs.accesses) /
-                                      cell.refs.seconds / 1e6, 2),
-                       fmt_double(cell.refs.seconds, 2),
-                       fmt_double(cell.speedup(), 2) + "x"});
-    e2e_cells.push_back(std::move(cell));
-  }
-  std::cout << "\n  end-to-end v2 engine (hypervisor ticks, ref-batch vs per-op, "
-            << e2e_measure << " ticks)\n"
-            << e2e_table;
-  all_ok &= bench::check(
-      "v2 e2e: ref-batch and per-op consumption agree exactly "
-      "(per-VM counters, LLC attribution)",
-      e2e_agree);
-  if (min_v2_e2e_speedup > 0.0) {
-    if (host_lanes >= 2) {
-      all_ok &= bench::check(
-          "v2 e2e ref-batch speedup >= " + fmt_double(min_v2_e2e_speedup, 2) +
-              "x vs the per-op loop (miss-heavy mixes)",
-          worst_e2e >= min_v2_e2e_speedup);
-    } else {
-      std::cout << "  (v2 e2e speedup floor skipped: host has " << host_lanes
-                << " cpu(s); measured " << fmt_double(worst_e2e, 2) << "x)\n";
-    }
-  }
-
   // Control-plane engine: branch-light tick accounting vs the
   // pre-rework branchy reference path, over accounting-bound ticks.
   // Exact agreement (per-VM counters + Kyoto quota/punish state)
@@ -1094,10 +967,12 @@ int main(int argc, char** argv) {
   }
 
   // JSON record for the perf trajectory (schema in README.md).
-  // Schema v6 (additive over v5): a top-level "control_plane" object
-  // records the branch-light-vs-reference accounting-bound tick runs.
+  // Schema v7: v6 without the "v2_e2e" object (the per-op vCPU loop it
+  // compared against is gone; one consumption loop remains).  v6 was
+  // additive over v5: a top-level "control_plane" object records the
+  // branch-light-vs-reference accounting-bound tick runs.
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"throughput\",\n  \"schema\": 6,\n"
+  json << "{\n  \"bench\": \"throughput\",\n  \"schema\": 7,\n"
        << "  \"ops_per_mix\": " << ops << ",\n  \"reps\": " << reps
        << ",\n  \"quick\": " << (quick ? "true" : "false")
        << ",\n  \"host_cpus\": " << host_lanes << ",\n  \"runs\": [\n";
@@ -1147,20 +1022,6 @@ int main(int argc, char** argv) {
          << static_cast<std::uint64_t>(static_cast<double>(r.accesses) / r.seconds)
          << ", \"speedup_vs_serial\": " << r.mops() / par_runs.front().mops() << "}"
          << (i + 1 == par_runs.size() ? "\n" : ",\n");
-  }
-  json << "    ]\n  },\n"
-       // Schema v5 (additive): end-to-end ref-batch engine runs.
-       << "  \"v2_e2e\": {\n    \"machine\": \"scaled_1x4\",\n    \"cores\": 4,\n"
-       << "    \"ticks\": " << e2e_measure << ",\n    \"host_cpus\": " << host_lanes
-       << ",\n    \"exact_agreement\": " << (e2e_agree ? "true" : "false")
-       << ",\n    \"worst_speedup\": " << worst_e2e << ",\n    \"runs\": [\n";
-  for (std::size_t i = 0; i < e2e_cells.size(); ++i) {
-    const E2eCell& c = e2e_cells[i];
-    json << "      {\"mix\": \"" << c.mix << "\", \"accesses\": " << c.refs.accesses
-         << ", \"ref_batch_seconds\": " << c.refs.seconds
-         << ", \"per_op_seconds\": " << c.ops.seconds
-         << ", \"speedup\": " << c.speedup() << "}"
-         << (i + 1 == e2e_cells.size() ? "\n" : ",\n");
   }
   json << "    ]\n  },\n";
   // Schema v6 (additive): branch-light control-plane engine runs.

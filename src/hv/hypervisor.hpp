@@ -85,10 +85,9 @@ class Hypervisor {
   void set_execution_threads(int threads);
   int execution_threads() const { return exec_threads_; }
 
-  /// Tick-control-plane engine knob (mirrors set_ref_batch_engine on
-  /// the workload side).  true (default) runs the branch-light engine:
-  /// branchless scheduler accounting, batched per-core PMU deltas and
-  /// the identity-switch fast path.  false restores the pre-rework
+  /// Tick-control-plane engine knob.  true (default) runs the
+  /// branch-light engine: branchless scheduler accounting, batched
+  /// per-core PMU deltas and the identity-switch fast path.  false restores the pre-rework
   /// reference control flow — eager switch-out/in every tick and the
   /// branchy accounting paths — flushing any lazy residents first.
   /// Results are bit-identical either way; the engines may be swapped

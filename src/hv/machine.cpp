@@ -1,7 +1,6 @@
 #include "hv/machine.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 #include "mem/access.hpp"
@@ -33,36 +32,13 @@ Machine::RunResult Machine::run_vcpu(Vcpu& vcpu, int core, Cycles budget,
     result.vcpu_halted = true;
     return result;
   }
-
-  // Engine selection.  v2 workloads with ref storage attached run the
-  // geometric-skip loop; everything else (v1, no storage, leftover
-  // per-op buffer from a mid-run engine switch) runs per-op.  A
-  // non-empty ref buffer is always drained through the ref loop even
-  // with the knob off — the stream position lives in the buffer.
   Vcpu::RefBuffer& rb = vcpu.ref_buffer();
-  const bool v2_refs = rb.refs != nullptr &&
-                       vcpu.workload().stream_version() == workloads::StreamVersion::kV2;
-  if (v2_refs && vcpu.op_buffer().empty() && (ref_batch_engine_ || !rb.empty())) {
-    RunResult result = run_vcpu_refs(vcpu, core, budget, wall_cycle_base);
-    if (ref_batch_engine_ || result.vcpu_halted || result.cycles_used >= budget) {
-      return result;
-    }
-    // Knob switched off mid-run: the buffered refs are drained, finish
-    // the burst per-op.  Progress/PMU accounting is additive, so the
-    // two sub-bursts sum to exactly one burst.
-    const RunResult rest = run_vcpu_ops(vcpu, core, budget - result.cycles_used,
-                                        wall_cycle_base + result.cycles_used);
-    result.cycles_used += rest.cycles_used;
-    result.instructions += rest.instructions;
-    result.llc_misses += rest.llc_misses;
-    result.vcpu_halted = rest.vcpu_halted;
-    return result;
-  }
-  return run_vcpu_ops(vcpu, core, budget, wall_cycle_base);
-}
+  KYOTO_CHECK_MSG(rb.refs != nullptr, "vCPU has no ref storage attached");
 
-Machine::RunResult Machine::run_vcpu_ops(Vcpu& vcpu, int core, Cycles budget,
-                                         std::int64_t wall_cycle_base) {
+  // One consumption loop for both stream formats: the vCPU's
+  // RefBuffer holds AccessRefs pulled via Workload::next_ref_batch,
+  // and each compute gap retires in one add.  Requester/socket/home-
+  // node resolution is hoisted out of the loop.
   RunResult result;
   auto& workload = vcpu.workload();
   const auto& spec = workload.spec();
@@ -70,123 +46,22 @@ Machine::RunResult Machine::run_vcpu_ops(Vcpu& vcpu, int core, Cycles budget,
   const int home_node = space.home_node();
   const int vm_id = vcpu.vm().id();
   const double inv_mlp = 1.0 / spec.mlp;
-  // With mlp == 1 the stall is the raw latency; skip the
-  // floating-point scaling entirely.
   const bool unit_mlp = spec.mlp == 1.0;
   pmc::CorePmu& core_pmu = pmus_[static_cast<std::size_t>(core)];
-
   const Instructions run_length = spec.length;
-
-  // Requester/socket/home-node resolution hoisted out of the per-op
-  // loop; ops are pulled from the workload in blocks (one virtual
-  // dispatch per block).  Leftover ops persist in the vCPU's buffer
-  // across bursts, so the consumed stream is exactly the workload
-  // stream and the executed simulation is identical to per-op
-  // replay.  (Monitors that clone() the live workload mid-run see
-  // its generator up to one block ahead of execution — see the
-  // OpBuffer note in vm.hpp.)
   cache::MemorySystem::AccessContext mem_ctx = memory_->context(core, home_node, vm_id);
-  Vcpu::OpBuffer& ops = vcpu.op_buffer();
+  // Refill bound in instructions (see Vcpu::RefBuffer).
+  const std::size_t lookahead = workload.stream_version() == workloads::StreamVersion::kV1
+                                    ? Vcpu::RefBuffer::kV1MaxOps
+                                    : Vcpu::RefBuffer::kMaxOps;
 
-  // Lookahead staging: the op buffer knows the reference stream a
+  // Lookahead staging: the ref buffer knows the reference stream a
   // block ahead, so pull the LLC metadata rows of the access a few
-  // ops out toward the host core while the current one simulates
+  // refs out toward the host core while the current one simulates
   // (AccessContext::stage is semantically a no-op).  Only for
   // workloads that spill past the private caches — ILC-resident
   // streams never probe the LLC and staging would only pollute the
   // host cache.
-  constexpr std::uint32_t kStageAhead = 8;
-  const bool stage_ahead = spec.working_set > config_.mem.l2.size;
-
-  while (result.cycles_used < budget) {
-    if (ops.empty()) {
-      std::size_t want = Vcpu::OpBuffer::kBlock;
-      if (run_length > 0) {
-        // Never generate past the end of the current run: completion
-        // restarts looping workloads, and a finite workload's stream
-        // must not be advanced beyond its length.
-        const Instructions remaining =
-            run_length - (vcpu.retired_in_run() + result.instructions);
-        want = std::min<std::size_t>(want, static_cast<std::size_t>(remaining));
-      }
-      ops.len = static_cast<std::uint32_t>(workload.next_batch(ops.ops.data(), want));
-      ops.pos = 0;
-      KYOTO_DCHECK(ops.len > 0);
-    }
-    const mem::Op op = ops.ops[ops.pos++];
-    Cycles cost = 1;
-    if (op.kind != mem::OpKind::kCompute) {
-      if (stage_ahead && ops.pos + kStageAhead < ops.len) {
-        const mem::Op& ahead = ops.ops[ops.pos + kStageAhead];
-        if (ahead.kind != mem::OpKind::kCompute) {
-          mem_ctx.stage(space.translate(ahead.addr));
-        }
-      }
-      // Workload offsets are already inside the VM's address space
-      // (patterns emit < working_set, the VM constructor enforces
-      // working_set <= memory), so no wrap-around modulo is needed —
-      // the old per-op 64-bit division was purely defensive and is
-      // now a DCHECK inside translate().
-      const Address addr = space.translate(op.addr);
-      const cache::AccessResult access =
-          mem_ctx.access(addr, op.kind == mem::OpKind::kStore,
-                         wall_cycle_base + result.cycles_used);
-      // Memory-level parallelism: the core hides part of the latency
-      // behind independent work (out-of-order window + prefetchers).
-      // round_half_up == std::lround for these small positive values,
-      // without the libm call.
-      cost = unit_mlp ? std::max<Cycles>(1, access.latency)
-                      : std::max<Cycles>(
-                            1, static_cast<Cycles>(
-                                   static_cast<double>(access.latency) * inv_mlp + 0.5));
-      // Branchless event accounting: adding 0 is a no-op, and the
-      // llc_reference/llc_miss flags are data-random in miss-heavy
-      // mixes — branching on them mispredicts on a large fraction of
-      // accesses.
-      core_pmu.add(pmc::Counter::kLlcReferences,
-                   static_cast<std::uint64_t>(access.llc_reference) +
-                       access.prefetch_llc_references);
-      core_pmu.add(pmc::Counter::kLlcMisses,
-                   static_cast<std::uint64_t>(access.llc_miss) + access.prefetch_llc_misses);
-      result.llc_misses +=
-          static_cast<std::uint64_t>(access.llc_miss) + access.prefetch_llc_misses;
-    }
-    result.cycles_used += cost;
-    ++result.instructions;
-
-    if (run_length > 0 && vcpu.retired_in_run() + result.instructions >= run_length) {
-      // Completion bookkeeping needs retired_in_run to be current.
-      vcpu.note_progress(result.instructions, result.cycles_used);
-      core_pmu.add(pmc::Counter::kInstructions,
-                   static_cast<std::uint64_t>(result.instructions));
-      core_pmu.add(pmc::Counter::kUnhaltedCycles,
-                   static_cast<std::uint64_t>(result.cycles_used));
-      vcpu.note_run_complete(wall_cycle_base + result.cycles_used);
-      result.vcpu_halted = vcpu.done();
-      return result;
-    }
-  }
-
-  vcpu.note_progress(result.instructions, result.cycles_used);
-  core_pmu.add(pmc::Counter::kInstructions, static_cast<std::uint64_t>(result.instructions));
-  core_pmu.add(pmc::Counter::kUnhaltedCycles, static_cast<std::uint64_t>(result.cycles_used));
-  return result;
-}
-
-Machine::RunResult Machine::run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
-                                          std::int64_t wall_cycle_base) {
-  RunResult result;
-  auto& workload = vcpu.workload();
-  const auto& spec = workload.spec();
-  auto& space = vcpu.vm().address_space();
-  const int home_node = space.home_node();
-  const int vm_id = vcpu.vm().id();
-  const double inv_mlp = 1.0 / spec.mlp;
-  const bool unit_mlp = spec.mlp == 1.0;
-  pmc::CorePmu& core_pmu = pmus_[static_cast<std::size_t>(core)];
-  const Instructions run_length = spec.length;
-  cache::MemorySystem::AccessContext mem_ctx = memory_->context(core, home_node, vm_id);
-  Vcpu::RefBuffer& rb = vcpu.ref_buffer();
   constexpr std::uint32_t kStageAhead = 8;
   const bool stage_ahead = spec.working_set > config_.mem.l2.size;
 
@@ -201,10 +76,11 @@ Machine::RunResult Machine::run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
   std::uint64_t pmu_llc_refs = 0;  // PMU deltas accumulate here and
   std::uint64_t pmu_llc_miss = 0;  // flush once per burst (same sums)
 
-  // Identical completion bookkeeping to the per-op loop.  Refills are
-  // clamped to the remaining run length, so completion can only land
-  // exactly at the end of a batched add — checking after each add is
-  // therefore equivalent to the per-op check after every instruction.
+  // Completion bookkeeping.  Refills are clamped to the remaining run
+  // length (never generating past the end of a finite run: completion
+  // restarts looping workloads), so completion can only land exactly
+  // at the end of a batched add — checking after each add is
+  // therefore equivalent to a per-op check after every instruction.
   const auto run_completed = [&]() -> bool {
     if (run_length == 0 || vcpu.retired_in_run() + instructions < run_length) {
       return false;
@@ -224,8 +100,7 @@ Machine::RunResult Machine::run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
 
   while (used < budget) {
     if (rb.empty()) {
-      if (!ref_batch_engine_) break;  // knob off mid-run: caller finishes per-op
-      std::size_t want_ops = Vcpu::RefBuffer::kMaxOps;
+      std::size_t want_ops = lookahead;
       if (run_length > 0) {
         const Instructions remaining = run_length - (vcpu.retired_in_run() + instructions);
         want_ops = std::min<std::size_t>(want_ops, static_cast<std::size_t>(remaining));
@@ -248,8 +123,8 @@ Machine::RunResult Machine::run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
       const workloads::AccessRef ref = refs[pos];
       if (const std::uint32_t gap_remaining = ref.gap - gap_done; gap_remaining > 0) {
         // The whole compute run retires in one add: gap one-cycle
-        // instructions, clipped to the cycle budget (the per-op loop
-        // executes compute ops only while cycles_used < budget).
+        // instructions, clipped to the cycle budget (compute ops
+        // execute only while cycles remain).
         const Cycles take =
             std::min<Cycles>(static_cast<Cycles>(gap_remaining), budget - used);
         used += take;
@@ -263,14 +138,24 @@ Machine::RunResult Machine::run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
       if (stage_ahead && pos + kStageAhead < len) {
         mem_ctx.stage(space.translate(refs[pos + kStageAhead].addr));
       }
+      // Workload offsets are already inside the VM's address space
+      // (patterns emit < working_set, the VM constructor enforces
+      // working_set <= memory): translate() only DCHECKs the bound.
       const Address addr = space.translate(ref.addr);
       const cache::AccessResult access =
           mem_ctx.access(addr, ref.write, wall_cycle_base + used);
+      // Memory-level parallelism: the core hides part of the latency
+      // behind independent work (out-of-order window + prefetchers).
+      // round_half_up == std::lround for these small positive values,
+      // without the libm call; with mlp == 1 the stall is the raw
+      // latency.
       const Cycles cost =
           unit_mlp ? std::max<Cycles>(1, access.latency)
                    : std::max<Cycles>(
                          1, static_cast<Cycles>(
                                 static_cast<double>(access.latency) * inv_mlp + 0.5));
+      // Branchless event accounting: the llc_reference/llc_miss flags
+      // are data-random in miss-heavy mixes.
       pmu_llc_refs +=
           static_cast<std::uint64_t>(access.llc_reference) + access.prefetch_llc_references;
       pmu_llc_miss +=

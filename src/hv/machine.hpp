@@ -79,36 +79,16 @@ class Machine {
   /// Runs `vcpu` on `core` for at most `budget` cycles (the final
   /// instruction may overshoot by its own latency, as on real
   /// hardware).  `wall_cycle_base` is the virtual wall-clock cycle at
-  /// which the burst starts, used to timestamp run completion.
+  /// which the burst starts, used to timestamp run completion.  Both
+  /// stream formats are consumed as geometric-skip ref batches through
+  /// the vCPU's RefBuffer (storage attached by the hypervisor); the
+  /// simulation equals a per-op replay of the same stream exactly.
   RunResult run_vcpu(Vcpu& vcpu, int core, Cycles budget, std::int64_t wall_cycle_base);
 
-  /// Engine knob for equivalence tests and benches: when false, v2
-  /// workloads are consumed through the per-op path (next_batch) even
-  /// though ref storage is attached.  Counters are bit-identical
-  /// either way — the ref-batch loop is a consumption format, not a
-  /// different simulation — which tests/workloads/
-  /// stream_equivalence_test.cpp asserts over full scenarios.  A ref
-  /// buffer left non-empty by a mid-run toggle is always drained
-  /// through the ref loop first, so the stream position never skips.
-  void set_ref_batch_engine(bool enabled) { ref_batch_engine_ = enabled; }
-  bool ref_batch_engine() const { return ref_batch_engine_; }
-
  private:
-  /// The per-op engine (the frozen v1 path and the v2 fallback):
-  /// pulls ops through the vCPU's OpBuffer one instruction at a time.
-  RunResult run_vcpu_ops(Vcpu& vcpu, int core, Cycles budget,
-                         std::int64_t wall_cycle_base);
-  /// Geometric-skip execution burst: consumes the vCPU's RefBuffer,
-  /// charging each AccessRef's compute gap in one add.  Only entered
-  /// for v2 workloads with ref storage attached and an empty OpBuffer;
-  /// bit-identical to the per-op loop by construction.
-  RunResult run_vcpu_refs(Vcpu& vcpu, int core, Cycles budget,
-                          std::int64_t wall_cycle_base);
-
   MachineConfig config_;
   std::unique_ptr<cache::MemorySystem> memory_;
   std::vector<pmc::CorePmu> pmus_;
-  bool ref_batch_engine_ = true;
 };
 
 }  // namespace kyoto::hv

@@ -92,10 +92,9 @@ class Scheduler {
     kyoto_demoted_ = demoted;
   }
 
-  /// Engine knob for equivalence tests and benches, mirroring
-  /// Machine::set_ref_batch_engine: when true, schedulers that grew a
-  /// branch-light pick/accounting engine fall back to their reference
-  /// (pre-rework, branchy) control flow.  State layout is shared, so
+  /// Engine knob for equivalence tests and benches: when true,
+  /// schedulers that grew a branch-light pick/accounting engine fall
+  /// back to their reference (pre-rework, branchy) control flow.  State layout is shared, so
   /// the two paths are interchangeable mid-run; results are
   /// bit-identical either way, which tests/hv/accounting_oracle_test
   /// and bench_throughput's control_plane agreement gate enforce.

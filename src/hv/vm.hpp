@@ -10,7 +10,6 @@
 // vCPUs).
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,42 +99,34 @@ class Vcpu {
   void note_run_complete(std::int64_t wall_cycle);
 
   /// Block buffer between this vCPU's workload and the execution
-  /// engine.  The Machine refills it via Workload::next_batch (one
-  /// virtual dispatch per block, not per instruction); ops left over
-  /// when a cycle budget expires persist here, so the *consumed* op
-  /// sequence is exactly the workload stream regardless of burst
-  /// boundaries.  Refills never outrun a finite workload's run length,
-  /// so the buffer is always drained when a run completes.
+  /// engine: AccessRef records pulled via Workload::next_ref_batch (one
+  /// virtual dispatch per block, not per instruction), so the
+  /// machine's loop advances the cycle clock by whole compute gaps
+  /// instead of iterating per-op.  Refs left over when a cycle budget
+  /// expires persist here, so the *consumed* instruction sequence is
+  /// exactly the workload stream regardless of burst boundaries.  Each
+  /// refill is capped at a lookahead bound in *instructions* (refs plus
+  /// their gaps) and never outruns a finite workload's run length, so
+  /// the buffer is always drained when a run completes.  `refs` storage
+  /// is attached externally — the hypervisor carves it from its bump
+  /// arena at create_vm time.
   ///
-  /// Caveat: between bursts the workload's generator sits up to
-  /// kBlock ops ahead of execution, so pin-style sampling that
+  /// Caveat: between bursts the workload's generator sits up to one
+  /// lookahead bound ahead of execution, so pin-style sampling that
   /// clone()s the live workload (McSimMonitor / PinTracer) captures a
   /// window starting at the generator position, not the execution
-  /// position.  At the monitors' 150k-instruction samples a <=256-op
-  /// shift is far inside sampling noise, which is why the replay
-  /// monitor keeps the simple clone() attach point.
-  struct OpBuffer {
-    static constexpr std::size_t kBlock = 256;
-    std::array<mem::Op, kBlock> ops;
-    std::uint32_t pos = 0;  // next op to consume
-    std::uint32_t len = 0;  // ops valid in `ops`
-    bool empty() const { return pos == len; }
-  };
-  OpBuffer& op_buffer() { return op_buffer_; }
-
-  /// Geometric-skip twin of OpBuffer: AccessRef records pulled via
-  /// Workload::next_ref_batch for v2 workloads, so the machine's fast
-  /// loop advances the cycle clock by whole compute gaps instead of
-  /// iterating per-op.  Refills are clamped to the lookahead bound
-  /// kMaxOps *instructions* (refs plus their gaps), which keeps the
-  /// clone()-attach shift bounded exactly like OpBuffer's kBlock; the
-  /// same run-length clamp guarantees the buffer drains precisely at
-  /// run completion.  `refs` storage is attached externally — the
-  /// hypervisor carves it from its bump arena at create_vm time — and
-  /// the machine falls back to the per-op engine while it is null.
+  /// position.  At the monitors' 150k-instruction samples that shift
+  /// is far inside sampling noise, which is why the replay monitor
+  /// keeps the simple clone() attach point.  The v1 bound,
+  /// kV1MaxOps = 256, is the block size of the retired per-op engine:
+  /// at every burst boundary a v1 generator sits exactly where that
+  /// engine left it, so clone() sees the same future and v1 outcomes
+  /// (McSim jobs included) stay byte-identical to the seed behavior.
+  /// v2 has no such history to keep and refills by kMaxOps.
   struct RefBuffer {
-    static constexpr std::size_t kBlock = 256;    // max refs per refill
-    static constexpr std::size_t kMaxOps = 4096;  // lookahead bound, in instructions
+    static constexpr std::size_t kBlock = 256;       // max refs per refill
+    static constexpr std::size_t kV1MaxOps = 256;    // v1 lookahead, in instructions
+    static constexpr std::size_t kMaxOps = 4096;     // v2 lookahead, in instructions
     workloads::AccessRef* refs = nullptr;
     std::uint32_t pos = 0;       // next ref to consume
     std::uint32_t len = 0;       // refs valid in `refs`
@@ -154,7 +145,6 @@ class Vcpu {
   std::unique_ptr<workloads::Workload> workload_;
   int pinned_core_ = -1;
   pmc::VirtualCounters counters_;
-  OpBuffer op_buffer_;
   RefBuffer ref_buffer_;
 
   Instructions retired_in_run_ = 0;

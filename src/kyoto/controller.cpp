@@ -35,8 +35,10 @@ void PollutionController::vm_removed(hv::Vm& vm) {
   const auto id = static_cast<std::size_t>(vm.id());
   if (id < states_.size()) {
     // The slot survives as the departed tenant's final accounting
-    // record (state_by_id), but punishment must stop ticking.
+    // record (state_by_id): punishment stops ticking and slice_end
+    // stops refilling its quota.
     set_punished(id, false);
+    live_words_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
   }
 }
 
@@ -45,7 +47,9 @@ PollutionController::VmState& PollutionController::slot(const hv::Vm& vm) {
   if (states_.size() <= id) {
     states_.resize(id + 1);
     punished_words_.resize((states_.size() + 63) / 64, 0);
+    live_words_.resize(punished_words_.size(), 0);
   }
+  live_words_[id >> 6] |= std::uint64_t{1} << (id & 63);
   VmState& st = states_[id];
   if (st.booked == 0.0 && vm.config().llc_cap > 0.0) {
     st.booked = vm.config().llc_cap;
@@ -93,26 +97,31 @@ void PollutionController::account(hv::Vcpu& vcpu, const hv::RunReport& report) {
 
 void PollutionController::slice_end() {
   const double slice_ms = static_cast<double>(kTickMs * kTicksPerSlice);
-  if (reference_engine_) {
-    for (std::size_t id = 0; id < states_.size(); ++id) {
+  // Both engines walk the live-VM bitset: a departed tenant's record
+  // is frozen, and the per-slice cost tracks the live population, not
+  // the churn history.
+  for (std::size_t w = 0; w < live_words_.size(); ++w) {
+    std::uint64_t word = live_words_[w];
+    while (word != 0) {
+      const std::size_t id = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      word &= word - 1;
       VmState& st = states_[id];
-      if (st.booked <= 0.0) continue;
-      const double earn = st.booked * slice_ms;
-      st.quota = std::min(st.quota + earn, params_.bank_slices * earn);
-      if (st.punished && st.quota >= 0.0) set_punished(id, false);
+      if (reference_engine_) {
+        if (st.booked <= 0.0) continue;
+        const double earn = st.booked * slice_ms;
+        st.quota = std::min(st.quota + earn, params_.bank_slices * earn);
+        if (st.punished && st.quota >= 0.0) set_punished(id, false);
+        continue;
+      }
+      const bool booked = st.booked > 0.0;
+      const double earn = booked ? st.booked * slice_ms : 0.0;
+      const double replenished = st.quota + earn;
+      const double bank = params_.bank_slices * earn;
+      const double clamped = replenished < bank ? replenished : bank;
+      st.quota = booked ? clamped : st.quota;
+      const bool lift = st.punished & booked & (st.quota >= 0.0);
+      set_punished(id, st.punished & !lift);
     }
-    return;
-  }
-  for (std::size_t id = 0; id < states_.size(); ++id) {
-    VmState& st = states_[id];
-    const bool booked = st.booked > 0.0;
-    const double earn = booked ? st.booked * slice_ms : 0.0;
-    const double replenished = st.quota + earn;
-    const double bank = params_.bank_slices * earn;
-    const double clamped = replenished < bank ? replenished : bank;
-    st.quota = booked ? clamped : st.quota;
-    const bool lift = st.punished & booked & (st.quota >= 0.0);
-    set_punished(id, st.punished & !lift);
   }
 }
 

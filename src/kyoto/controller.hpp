@@ -84,7 +84,8 @@ class PollutionController {
   /// Scheduler accounting hook: debit pollution for one burst.
   void account(hv::Vcpu& vcpu, const hv::RunReport& report);
 
-  /// Scheduler slice-end hook: earn quota, lift expired punishments.
+  /// Scheduler slice-end hook: live VMs earn quota, expired
+  /// punishments lift.
   void slice_end();
 
   /// Schedulability predicate for the owning scheduler.  In kDemote
@@ -140,6 +141,9 @@ class PollutionController {
   /// Bit per VM id, set iff states_[id].punished — the schedulers'
   /// gate masks point here (grown in lockstep with states_).
   std::vector<std::uint64_t> punished_words_;
+  /// Bit per VM id, set from the VM's first accounting (slot()) until
+  /// it departs (vm_removed()) — the set slice_end walks.
+  std::vector<std::uint64_t> live_words_;
   bool reference_engine_ = false;
 };
 

@@ -31,64 +31,25 @@ ReplayResult ReplaySimulator::replay_live(const workloads::Workload& live, Instr
 
 namespace {
 
-/// Block size of the batched replay loop (same batching idea as
-/// Machine::run_vcpu: one virtual workload dispatch per block).
+/// Refs per refill of the replay loop (one virtual workload dispatch
+/// per block).
 constexpr std::size_t kReplayBlock = 256;
 
-/// Replays blocks of ops delivered by `fill(buf, max)` against a
-/// fresh hierarchy, counting only the post-warmup region.
-template <typename FillBlock>
-ReplayResult replay_ops(const cache::MemSystemConfig& mem_config, std::uint64_t seed,
-                        double warmup_fraction, const workloads::WorkloadSpec& spec,
-                        Instructions n, FillBlock&& fill) {
+/// Geometric-skip replay of `n` instructions delivered as AccessRefs
+/// by `next_refs` (the Workload::next_ref_batch contract) against a
+/// fresh hierarchy, counting only the post-warmup region.  Each
+/// compute gap is charged in one addition; a gap (or trailing run)
+/// that straddles the warmup boundary is split arithmetically — only
+/// the instructions at index >= warmup count — so the counters equal a
+/// per-op replay of the same stream bit-for-bit.
+template <typename NextRefs>
+ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t seed,
+                         double warmup_fraction, const workloads::WorkloadSpec& spec,
+                         Instructions n, NextRefs&& next_refs) {
   // A fresh single-core hierarchy per replay: the simulator's caches
   // start cold, exactly like McSimA+ replaying a sampled window.
   cache::MemorySystem memory(cache::Topology{1, 1}, mem_config, seed);
   auto ctx = memory.context(/*core=*/0, /*home_node=*/0, /*vm=*/0);
-  const double inv_mlp = 1.0 / std::max(1.0, spec.mlp);
-  const Bytes ws = std::max<Bytes>(spec.working_set, mem::kLineBytes);
-  const Instructions warmup = static_cast<Instructions>(
-      warmup_fraction * static_cast<double>(n));
-
-  ReplayResult result;
-  mem::Op block[kReplayBlock];
-  for (Instructions i = 0; i < n;) {
-    const std::size_t len =
-        fill(block, std::min<std::size_t>(kReplayBlock, static_cast<std::size_t>(n - i)));
-    for (std::size_t b = 0; b < len; ++b, ++i) {
-      const mem::Op op = block[b];
-      const bool counted = i >= warmup;
-      Cycles cost = 1;
-      if (op.kind != mem::OpKind::kCompute) {
-        const auto access =
-            ctx.access((1ull << 30) + op.addr % ws, op.kind == mem::OpKind::kStore);
-        cost = std::max<Cycles>(
-            1, static_cast<Cycles>(std::lround(static_cast<double>(access.latency) * inv_mlp)));
-        if (counted && access.llc_reference) {
-          ++result.llc_references;
-          if (access.llc_miss) ++result.llc_misses;
-        }
-      }
-      if (counted) {
-        result.cycles += cost;
-        ++result.instructions;
-      }
-    }
-  }
-  return result;
-}
-
-/// Geometric-skip replay of a v2 clone: pulls AccessRefs instead of
-/// expanded Ops and charges each compute gap in one addition.  A gap
-/// (or trailing run) that straddles the warmup boundary is split
-/// arithmetically — only the instructions at index >= warmup count —
-/// so the counters match replay_ops bit-for-bit on the same stream.
-ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t seed,
-                         double warmup_fraction, workloads::Workload& clone,
-                         Instructions n) {
-  cache::MemorySystem memory(cache::Topology{1, 1}, mem_config, seed);
-  auto ctx = memory.context(/*core=*/0, /*home_node=*/0, /*vm=*/0);
-  const workloads::WorkloadSpec& spec = clone.spec();
   const double inv_mlp = 1.0 / std::max(1.0, spec.mlp);
   const Bytes ws = std::max<Bytes>(spec.working_set, mem::kLineBytes);
   const Instructions warmup = static_cast<Instructions>(
@@ -106,9 +67,9 @@ ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t
   workloads::AccessRef refs[kReplayBlock];
   for (Instructions i = 0; i < n;) {
     std::uint32_t trailing = 0;
-    const auto batch = clone.next_ref_batch(
-        refs, kReplayBlock, static_cast<std::size_t>(n - i), &trailing);
-    if (batch.ops == 0) break;  // exhausted finite stream
+    const workloads::Workload::RefBatch batch =
+        next_refs(refs, kReplayBlock, static_cast<std::size_t>(n - i), &trailing);
+    if (batch.ops == 0) break;  // exhausted stream
     for (std::size_t r = 0; r < batch.refs; ++r) {
       const workloads::AccessRef ref = refs[r];
       const Instructions gap = ref.gap;
@@ -143,27 +104,23 @@ ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t
 }  // namespace
 
 ReplayResult ReplaySimulator::run(workloads::Workload& clone, Instructions n) {
-  if (ref_batch_engine_ && clone.stream_version() == workloads::StreamVersion::kV2) {
-    return replay_refs(mem_config_, seed_, warmup_fraction_, clone, n);
-  }
-  return replay_ops(mem_config_, seed_, warmup_fraction_, clone.spec(), n,
-                    [&clone](mem::Op* buf, std::size_t max) {
-                      return clone.next_batch(buf, max);
-                    });
+  return replay_refs(mem_config_, seed_, warmup_fraction_, clone.spec(), n,
+                     [&clone](workloads::AccessRef* out, std::size_t max_refs,
+                              std::size_t max_ops, std::uint32_t* trailing) {
+                       return clone.next_ref_batch(out, max_refs, max_ops, trailing);
+                     });
 }
 
 ReplayResult ReplaySimulator::replay_trace(const std::vector<mem::Op>& trace,
                                            const workloads::WorkloadSpec& spec) {
   std::size_t cursor = 0;
-  return replay_ops(mem_config_, seed_, warmup_fraction_, spec,
-                    static_cast<Instructions>(trace.size()),
-                    [&trace, &cursor](mem::Op* buf, std::size_t max) {
-                      const std::size_t len = std::min(max, trace.size() - cursor);
-                      std::copy_n(trace.begin() + static_cast<std::ptrdiff_t>(cursor), len,
-                                  buf);
-                      cursor += len;
-                      return len;
-                    });
+  return replay_refs(mem_config_, seed_, warmup_fraction_, spec,
+                     static_cast<Instructions>(trace.size()),
+                     [&trace, &cursor](workloads::AccessRef* out, std::size_t max_refs,
+                                       std::size_t max_ops, std::uint32_t* trailing) {
+                       return workloads::compress_ops([&] { return trace[cursor++]; }, out,
+                                                      max_refs, max_ops, trailing);
+                     });
 }
 
 }  // namespace kyoto::mcsim

@@ -11,7 +11,8 @@
 // mid-run captures its exact future reference stream.  PinTracer
 // materializes a bounded trace; ReplaySimulator runs either a live
 // clone or a captured trace through a private single-core cache
-// hierarchy with the same geometry as the production machine.
+// hierarchy with the same geometry as the production machine, both
+// consumed as geometric-skip ref batches by one replay loop.
 #pragma once
 
 #include <memory>
@@ -74,15 +75,6 @@ class ReplaySimulator {
 
   KHz freq_khz() const { return freq_khz_; }
 
-  /// Engine knob mirroring Machine::set_ref_batch_engine: when false,
-  /// v2 clones are replayed through the per-op loop (next_batch) even
-  /// though they could serve geometric-skip refs.  Counters are
-  /// bit-identical either way — the ref loop charges each compute gap
-  /// in one addition and splits gaps that straddle the warmup
-  /// boundary arithmetically instead of iterating them.
-  void set_ref_batch_engine(bool enabled) { ref_batch_engine_ = enabled; }
-  bool ref_batch_engine() const { return ref_batch_engine_; }
-
  private:
   ReplayResult run(workloads::Workload& clone, Instructions n);
 
@@ -90,7 +82,6 @@ class ReplaySimulator {
   KHz freq_khz_;
   std::uint64_t seed_;
   double warmup_fraction_;
-  bool ref_batch_engine_ = true;
 };
 
 }  // namespace kyoto::mcsim

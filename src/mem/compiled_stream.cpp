@@ -1,6 +1,11 @@
 #include "mem/compiled_stream.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/check.hpp"
 #include "mem/access.hpp"
@@ -63,24 +68,42 @@ void UniformStream::fill(Bytes* out, std::size_t n) {
   }
 }
 
-ZipfStream::ZipfStream(std::shared_ptr<const std::vector<double>> cdf,
+std::shared_ptr<const ZipfTable> shared_zipf_table(std::uint64_t lines, double exponent) {
+  KYOTO_CHECK_MSG(lines > 0, "zipf table needs at least one line");
+  KYOTO_CHECK_MSG(exponent >= 0.0, "zipf exponent must be non-negative");
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const ZipfTable>> memo;
+  const Key key{lines, std::bit_cast<std::uint64_t>(exponent)};
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& slot = memo[key];
+  if (slot == nullptr) {
+    auto table = std::make_shared<ZipfTable>();
+    table->cdf.resize(lines);
+    double total = 0.0;
+    for (std::uint64_t r = 0; r < lines; ++r) {
+      total += 1.0 / std::pow(static_cast<double>(r + 1), exponent);
+      table->cdf[r] = total;
+    }
+    for (auto& c : table->cdf) c /= total;
+    table->quantile = QuantileIndex(table->cdf);
+    slot = std::move(table);
+  }
+  return slot;
+}
+
+ZipfStream::ZipfStream(std::shared_ptr<const ZipfTable> table,
                        std::shared_ptr<const std::vector<std::uint32_t>> perm,
                        std::uint64_t seed)
-    : cdf_(std::move(cdf)), perm_(std::move(perm)), seed_(seed), rng_(seed) {
-  KYOTO_CHECK(cdf_ != nullptr && perm_ != nullptr && cdf_->size() == perm_->size());
-  quantile_ = QuantileIndex(*cdf_);
+    : table_(std::move(table)), perm_(std::move(perm)), seed_(seed), rng_(seed) {
+  KYOTO_CHECK(table_ != nullptr && perm_ != nullptr && table_->cdf.size() == perm_->size());
 }
 
 void ZipfStream::fill(Bytes* out, std::size_t n) {
-  const auto& cdf = *cdf_;
-  const auto& perm = *perm_;
-  const std::uint64_t lines = cdf.size();
+  const ZipfTable& table = *table_;
+  const std::uint32_t* perm = perm_->data();
   for (std::size_t i = 0; i < n; ++i) {
-    const double u = rng_.uniform();
-    // Same mapping as ZipfPattern::next_offset's full lower_bound
-    // (the quantile index restricts the scan, never the answer).
-    const std::uint64_t rank = quantile_.lookup(cdf, u);
-    out[i] = static_cast<Bytes>(perm[std::min(rank, lines - 1)]) * kLineBytes;
+    out[i] = static_cast<Bytes>(perm[table.rank(rng_.uniform())]) * kLineBytes;
   }
 }
 

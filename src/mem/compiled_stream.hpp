@@ -5,7 +5,7 @@
 // per simulated memory access plus, for the stochastic patterns, one
 // or more RNG draws and a CDF search.  At the access-engine's
 // throughput those per-op costs are pure overhead: the replay loops
-// consume offsets in blocks anyway (Workload::next_batch, the op
+// consume offsets in blocks anyway (Workload::next_ref_batch, the ref
 // buffer in Machine::run_vcpu).  A CompiledStream is the
 // block-generated form of a pattern's reference stream:
 //
@@ -16,9 +16,8 @@
 //    dependent next_[cursor] loads become a linear scan of the
 //    unrolled cycle);
 //  * stochastic draws (uniform, Zipf) compile into batched draws from
-//    the same distribution — Zipf keeps the exact inverse-CDF mapping
-//    of ZipfPattern::next_offset but jumps into the CDF through a
-//    quantile index instead of binary-searching all of it;
+//    the same distribution — Zipf shares ZipfPattern's table and its
+//    exact quantile-indexed inverse-CDF mapping;
 //  * PhasedPattern composes its children's compiled streams,
 //    preserving the per-phase access budgets.
 //
@@ -31,6 +30,7 @@
 // chi-square agreement with their v1 counterparts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -41,12 +41,15 @@
 namespace kyoto::mem {
 
 /// Quantile index over a monotone CDF: maps the top bits of a
-/// uniform draw to the narrow CDF segment containing its inverse, so
-/// an exact inverse-CDF lookup scans one or two entries instead of
-/// binary-searching (and cache-missing through) the whole table.
-/// Shared by the Zipf offset stream below and the geometric-skip gap
-/// sampler in workloads/pattern_workload.hpp — one mechanism, one
-/// set of edge semantics.
+/// uniform draw to the CDF segment containing its inverse, so an exact
+/// inverse-CDF lookup binary-searches that segment instead of the
+/// whole table.  On the scaled machines a segment is one or two
+/// entries; on paper-geometry Zipf tables the hot head of the
+/// distribution packs dozens of ranks into the first segments, which
+/// is why the search inside a segment is binary rather than linear.
+/// Shared by the Zipf tables below and the geometric-skip gap sampler
+/// in workloads/pattern_workload.hpp — one mechanism, one set of edge
+/// semantics.
 class QuantileIndex {
  public:
   QuantileIndex() = default;
@@ -70,16 +73,33 @@ class QuantileIndex {
   std::uint32_t lookup(const std::vector<double>& cdf, double u) const {
     const auto j = std::min<std::size_t>(
         static_cast<std::size_t>(u * static_cast<double>(kQuantiles)), kQuantiles - 1);
-    std::uint32_t k = index_[j];
-    const std::uint32_t limit = index_[j + 1];
-    while (k < limit && cdf[k] < u) ++k;
-    return k;
+    const double* first = cdf.data() + index_[j];
+    const double* last = cdf.data() + index_[j + 1];
+    return static_cast<std::uint32_t>(std::lower_bound(first, last, u) - cdf.data());
   }
 
  private:
   static constexpr std::size_t kQuantiles = 1024;
   std::vector<std::uint32_t> index_;
 };
+
+/// The seed-independent half of a Zipf pattern: the popularity CDF by
+/// rank (rank r has weight 1/(r+1)^s, normalized) and its quantile
+/// index.  A pure function of (lines, exponent), so every pattern,
+/// clone and compiled stream with the same key shares one instance.
+struct ZipfTable {
+  std::vector<double> cdf;  // cumulative popularity by rank
+  QuantileIndex quantile;
+
+  /// Inverse CDF: the rank whose popularity bucket holds `u` in [0, 1).
+  std::uint32_t rank(double u) const { return quantile.lookup(cdf, u); }
+};
+
+/// The table for (lines, exponent), built on first request and memoized
+/// for the life of the process (thread-safe).  Keys compare the
+/// exponent's bit pattern, so the table is exactly what the per-call
+/// construction would produce.
+std::shared_ptr<const ZipfTable> shared_zipf_table(std::uint64_t lines, double exponent);
 
 /// Block generator over a pattern's reference stream.  Value-type
 /// semantics via clone() (the McSim replay monitor clones workloads
@@ -173,16 +193,14 @@ class UniformStream final : public CompiledStream {
 };
 
 /// Zipf-popular lines via the exact inverse-CDF mapping of
-/// ZipfPattern (same CDF, same rank->line permutation), accelerated
-/// by a quantile index: the top bits of the uniform draw select a
-/// narrow CDF segment and the binary search runs inside it, touching
-/// a couple of cache lines instead of O(log lines) cold ones.
+/// ZipfPattern: same shared table, same rank->line permutation, a
+/// different (v2) RNG stream.
 class ZipfStream final : public CompiledStream {
  public:
-  /// `cdf` and `perm` are shared with (copied from) the owning
-  /// ZipfPattern so both versions draw from the identical
-  /// distribution over the identical line layout.
-  ZipfStream(std::shared_ptr<const std::vector<double>> cdf,
+  /// `table` and `perm` are shared with the owning ZipfPattern so
+  /// both versions draw from the identical distribution over the
+  /// identical line layout.
+  ZipfStream(std::shared_ptr<const ZipfTable> table,
              std::shared_ptr<const std::vector<std::uint32_t>> perm, std::uint64_t seed);
   void fill(Bytes* out, std::size_t n) override;
   void reset() override { rng_.reseed(seed_); }
@@ -191,9 +209,8 @@ class ZipfStream final : public CompiledStream {
   }
 
  private:
-  std::shared_ptr<const std::vector<double>> cdf_;
+  std::shared_ptr<const ZipfTable> table_;
   std::shared_ptr<const std::vector<std::uint32_t>> perm_;
-  QuantileIndex quantile_;
   std::uint64_t seed_ = 0;
   Rng rng_;
 };

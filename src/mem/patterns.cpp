@@ -1,6 +1,5 @@
 #include "mem/patterns.hpp"
 
-#include <cmath>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -61,34 +60,17 @@ Bytes UniformRandomPattern::next_offset(Rng& rng) {
 }
 
 ZipfPattern::ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed)
-    : lines_(lines_for(working_set)) {
-  KYOTO_CHECK_MSG(exponent >= 0.0, "zipf exponent must be non-negative");
-  auto cdf = std::make_shared<std::vector<double>>(lines_);
-  auto perm = std::make_shared<std::vector<std::uint32_t>>(lines_);
-  double total = 0.0;
-  for (std::uint64_t r = 0; r < lines_; ++r) {
-    total += 1.0 / std::pow(static_cast<double>(r + 1), exponent);
-    (*cdf)[r] = total;
-  }
-  for (auto& c : *cdf) c /= total;
+    : lines_(lines_for(working_set)), table_(shared_zipf_table(lines_, exponent)) {
   // Spread popularity ranks over lines so hot lines do not cluster in
   // the low sets of the cache.
+  auto perm = std::make_shared<std::vector<std::uint32_t>>(lines_);
   std::iota(perm->begin(), perm->end(), 0u);
   Rng rng(seed);
   for (std::uint64_t i = lines_; i > 1; --i) {
     const std::uint64_t j = rng.below(i);
     std::swap((*perm)[i - 1], (*perm)[j]);
   }
-  cdf_ = std::move(cdf);
   perm_ = std::move(perm);
-}
-
-Bytes ZipfPattern::next_offset(Rng& rng) {
-  const double u = rng.uniform();
-  const auto& cdf = *cdf_;
-  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-  const auto rank = static_cast<std::uint64_t>(it - cdf.begin());
-  return static_cast<Bytes>((*perm_)[std::min(rank, lines_ - 1)]) * kLineBytes;
 }
 
 PhasedPattern::PhasedPattern(std::vector<Phase> phases) : phases_(std::move(phases)) {
@@ -145,7 +127,7 @@ std::unique_ptr<CompiledStream> UniformRandomPattern::compile(std::uint64_t seed
 }
 
 std::unique_ptr<CompiledStream> ZipfPattern::compile(std::uint64_t seed) const {
-  return std::make_unique<ZipfStream>(cdf_, perm_, seed);
+  return std::make_unique<ZipfStream>(table_, perm_, seed);
 }
 
 std::unique_ptr<CompiledStream> PhasedPattern::compile(std::uint64_t seed) const {

@@ -147,22 +147,29 @@ class ZipfPattern final : public Pattern {
  public:
   ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed);
 
-  Bytes next_offset(Rng& rng) override;
+  Bytes next_offset(Rng& rng) override { return offset_for(rng.uniform()); }
   void reset() override {}
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<ZipfPattern>(*this);
   }
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  /// Shares this pattern's CDF and permutation with the stream, so
+  /// Shares this pattern's table and permutation with the stream, so
   /// both formats draw from the identical distribution over the
   /// identical line layout.
   std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
+  /// The inverse-CDF mapping next_offset applies to its uniform draw
+  /// `u` in [0, 1): the line of rank lower_bound(cdf, u).
+  Bytes offset_for(double u) const {
+    return static_cast<Bytes>((*perm_)[table_->rank(u)]) * kLineBytes;
+  }
+
  private:
   std::uint64_t lines_ = 0;
-  // Shared immutable tables: clones (and compiled streams) reference
-  // the same CDF/permutation instead of copying megabyte arrays.
-  std::shared_ptr<const std::vector<double>> cdf_;   // cumulative popularity by rank
+  // Shared immutable tables: the CDF is process-wide per (lines,
+  // exponent) (shared_zipf_table); the seed-dependent permutation is
+  // shared by clones and compiled streams instead of copied.
+  std::shared_ptr<const ZipfTable> table_;
   std::shared_ptr<const std::vector<std::uint32_t>> perm_;  // rank -> line
 };
 

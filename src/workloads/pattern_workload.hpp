@@ -8,9 +8,11 @@
 //
 //  * v1 (default) — the frozen per-op generator: uniform() Bernoulli
 //    draws for the instruction mix, one pattern->next_offset per
-//    memory op.  This path is bit-identical to the seed behavior and
+//    memory op.  This stream is bit-identical to the seed behavior and
 //    must stay that way (tests/workloads/stream_equivalence_test.cpp
-//    pins it with hard-coded checksums).
+//    pins it with hard-coded checksums).  next_ref_batch serves it
+//    natively, making the identical draws but counting compute runs
+//    as gaps instead of materializing Ops.
 //  * v2 — the compiled generator: *geometric-skip* op generation.
 //    Instead of one Bernoulli draw per instruction, the run of
 //    compute instructions before each memory reference is drawn in
@@ -146,9 +148,7 @@ class PatternWorkload final : public Workload {
 
   RefBatch next_ref_batch(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
                           std::uint32_t* trailing_gap) override {
-    if (compiled_ == nullptr) {
-      return Workload::next_ref_batch(out, max_refs, max_ops, trailing_gap);
-    }
+    if (compiled_ == nullptr) return next_ref_batch_v1(out, max_refs, max_ops, trailing_gap);
     // Geometric-skip fast path: one loop iteration per memory
     // reference; compute runs are emitted as gap counts, never
     // iterated.
@@ -272,6 +272,35 @@ class PatternWorkload final : public Workload {
     op.addr = ref_addr_;
     have_ref_ = false;
     return op;
+  }
+
+  /// v1 ref batches: the same draws in the same order as next() — the
+  /// mem_ratio Bernoulli per instruction, then for a memory op the
+  /// store/load draw and the pattern offset — with compute runs
+  /// counted into gaps instead of written out as Ops.  The RNG lives
+  /// in a local for the batch so the compute-run draws stay in
+  /// registers across the pattern's virtual next_offset.
+  RefBatch next_ref_batch_v1(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
+                             std::uint32_t* trailing_gap) {
+    const double mem_ratio = spec_.mem_ratio;
+    const double write_ratio = spec_.write_ratio;
+    mem::Pattern* pattern = pattern_.get();
+    Rng rng = rng_;
+    RefBatch batch;
+    std::uint32_t gap = 0;
+    while (batch.ops < max_ops && batch.refs < max_refs) {
+      ++batch.ops;
+      if (!rng.chance(mem_ratio)) {
+        ++gap;
+        continue;
+      }
+      const bool write = rng.chance(write_ratio);
+      out[batch.refs++] = AccessRef{pattern->next_offset(rng), gap, write};
+      gap = 0;
+    }
+    rng_ = rng;
+    *trailing_gap = gap;
+    return batch;
   }
 
   void refill_offsets() {

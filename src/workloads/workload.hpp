@@ -80,11 +80,11 @@ class Workload {
   virtual mem::Op next() = 0;
 
   /// Fills `out` with the next `n` operations of the stream and
-  /// returns `n`.  Non-virtual on purpose: replay loops (the machine's
-  /// execution engine, the McSim simulator) pull ops in fixed-size
-  /// blocks so they pay one virtual dispatch per block instead of one
-  /// per simulated instruction.  The produced stream is identical to
-  /// `n` calls of next().
+  /// returns `n` — the materialized per-op form, for trace capture
+  /// (PinTracer) and stream tests.  Non-virtual on purpose: one
+  /// virtual dispatch per block instead of one per simulated
+  /// instruction.  The produced stream is identical to `n` calls of
+  /// next().
   std::size_t next_batch(mem::Op* out, std::size_t n) { return do_next_batch(out, n); }
 
   /// Geometric-skip form: advances the stream by up to `max_ops`
@@ -95,32 +95,16 @@ class Workload {
   /// instructions are part of `ops` but belong to no ref).  The
   /// described instruction stream is identical to next_batch over the
   /// same window — this is a consumption format, not a different
-  /// stream.  The default implementation compresses do_next_batch
-  /// output; PatternWorkload's v2 engine overrides it to skip Op
-  /// materialization entirely.
+  /// stream — and it is the only one the execution engines (the
+  /// machine's vCPU loop, the McSim replay) consume.  The default
+  /// implementation compresses next(); PatternWorkload serves both
+  /// stream formats natively.
   struct RefBatch {
     std::size_t ops = 0;
     std::size_t refs = 0;
   };
   virtual RefBatch next_ref_batch(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
-                                  std::uint32_t* trailing_gap) {
-    RefBatch batch;
-    std::uint32_t gap = 0;
-    mem::Op op;
-    while (batch.ops < max_ops && batch.refs < max_refs) {
-      op = next();
-      ++batch.ops;
-      if (op.kind == mem::OpKind::kCompute) {
-        ++gap;
-        continue;
-      }
-      out[batch.refs++] =
-          AccessRef{op.addr, gap, op.kind == mem::OpKind::kStore};
-      gap = 0;
-    }
-    *trailing_gap = gap;
-    return batch;
-  }
+                                  std::uint32_t* trailing_gap);
 
   /// Restarts the application from the beginning (including RNG).
   virtual void reset() = 0;
@@ -144,5 +128,33 @@ class Workload {
     return n;
   }
 };
+
+/// Compresses a per-op stream into AccessRefs with the
+/// Workload::next_ref_batch contract; `next_op()` yields one
+/// instruction per call and is called exactly `ops` times.
+template <typename NextOp>
+Workload::RefBatch compress_ops(NextOp&& next_op, AccessRef* out, std::size_t max_refs,
+                                std::size_t max_ops, std::uint32_t* trailing_gap) {
+  Workload::RefBatch batch;
+  std::uint32_t gap = 0;
+  while (batch.ops < max_ops && batch.refs < max_refs) {
+    const mem::Op op = next_op();
+    ++batch.ops;
+    if (op.kind == mem::OpKind::kCompute) {
+      ++gap;
+      continue;
+    }
+    out[batch.refs++] = AccessRef{op.addr, gap, op.kind == mem::OpKind::kStore};
+    gap = 0;
+  }
+  *trailing_gap = gap;
+  return batch;
+}
+
+inline Workload::RefBatch Workload::next_ref_batch(AccessRef* out, std::size_t max_refs,
+                                                   std::size_t max_ops,
+                                                   std::uint32_t* trailing_gap) {
+  return compress_ops([this] { return next(); }, out, max_refs, max_ops, trailing_gap);
+}
 
 }  // namespace kyoto::workloads

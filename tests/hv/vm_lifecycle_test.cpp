@@ -264,6 +264,38 @@ struct TwinPair {
   }
 };
 
+TEST(VmLifecycle, DepartedBookedTenantQuotaIsFrozen) {
+  // The controller keeps a departed tenant's slot as its final
+  // accounting record: after destroy_vm its quota must stop earning
+  // at slice ends, in both control-plane engines, while the live
+  // booked tenant's accounting carries on.
+  for (const bool batched : {true, false}) {
+    const MachineConfig machine = test::test_machine();
+    Hypervisor hv(machine, std::make_unique<core::Ks4Xen>());
+    hv.set_control_plane_engine(batched);
+    VmConfig polluter = looping("polluter");
+    polluter.llc_cap = 1.0;  // tight: driven into debt within a few slices
+    VmConfig neighbor = looping("neighbor");
+    neighbor.llc_cap = 5000.0;  // generous: keeps running and being debited
+    const int departing = hv.create_vm(polluter, app("mcf", machine, 1), 0).id();
+    const int staying = hv.create_vm(neighbor, app("lbm", machine, 2), 1).id();
+    hv.run_ticks(12);
+    const auto& kyoto = static_cast<core::Ks4Xen&>(hv.scheduler()).kyoto();
+    ASSERT_GT(kyoto.state_by_id(departing).booked, 0.0);
+    ASSERT_LT(kyoto.state_by_id(departing).quota, 0.0) << "polluter never went into debt";
+
+    hv.destroy_vm(departing);
+    const double frozen_quota = kyoto.state_by_id(departing).quota;
+    const std::int64_t frozen_ticks = kyoto.state_by_id(departing).punished_ticks;
+    const double staying_before = kyoto.state_by_id(staying).debited_total;
+    hv.run_ticks(3 * static_cast<int>(kTicksPerSlice));
+    EXPECT_EQ(kyoto.state_by_id(departing).quota, frozen_quota) << "batched=" << batched;
+    EXPECT_EQ(kyoto.state_by_id(departing).punished_ticks, frozen_ticks);
+    EXPECT_FALSE(kyoto.state_by_id(departing).punished);
+    EXPECT_GT(kyoto.state_by_id(staying).debited_total, staying_before);
+  }
+}
+
 TEST(IdentitySwitch, DestroyVmMidSteadyStateFlushesLazyDelta) {
   TwinPair twins;
   twins.spawn("resident", "mcf", 1, 0);

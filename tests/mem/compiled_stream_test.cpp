@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "cache/config.hpp"
 #include "common/rng.hpp"
 #include "mem/patterns.hpp"
 
@@ -121,22 +125,99 @@ TEST(CompiledStream, ZipfMatchesPatternDistribution) {
   EXPECT_LT(chi_square_per_dof(a, b, lines), 1.5);
 }
 
+/// Inverse CDF by binary search over the whole table — the mapping
+/// ZipfPattern::next_offset used before the quantile index.
+std::uint64_t full_lower_bound(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return std::min<std::uint64_t>(static_cast<std::uint64_t>(it - cdf.begin()), cdf.size() - 1);
+}
+
 TEST(CompiledStream, ZipfQuantileIndexMatchesFullLowerBound) {
   // The stream's quantile-indexed inverse CDF must be the *same
-  // function* of the uniform draw as the pattern's full lower_bound:
-  // seed the stream and an Rng identically and replay the pattern's
-  // mapping on the same draws.
-  const std::uint64_t lines = 1000;
-  ZipfPattern pattern(lines * kLineBytes, 0.8, 17);
-  const std::uint64_t seed = 23;
-  const auto compiled = pattern.compile(seed);
-  std::vector<Bytes> got(50'000);
-  compiled->fill(got.data(), got.size());
-  Rng replay(seed);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const Bytes expect = pattern.next_offset(replay);
-    ASSERT_EQ(got[i], expect) << i;
+  // function* of the uniform draw as the pattern's: seed the stream
+  // and an Rng identically and replay the pattern's mapping on the
+  // same draws.
+  {
+    const std::uint64_t lines = 1000;
+    ZipfPattern pattern(lines * kLineBytes, 0.8, 17);
+    const std::uint64_t seed = 23;
+    const auto compiled = pattern.compile(seed);
+    std::vector<Bytes> got(50'000);
+    compiled->fill(got.data(), got.size());
+    Rng replay(seed);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Bytes expect = pattern.next_offset(replay);
+      ASSERT_EQ(got[i], expect) << i;
+    }
   }
+
+  // And the pattern's own v1 mapping must be exactly the full-table
+  // lower_bound over the CDF and permutation rebuilt from their
+  // definitions, on the catalog's Zipf geometries (gcc, omnetpp,
+  // soplex, xalan) at paper scale (1) and at scale 64 — including
+  // draws exactly on every quantile edge j/1024 and on CDF entries,
+  // where lower_bound's tie semantics decide the rank.
+  struct Geometry {
+    double llc_frac;
+    double exponent;
+  };
+  const Geometry zipfs[] = {{0.45, 0.9}, {0.85, 0.75}, {1.20, 0.8}, {0.70, 1.1}};
+  for (const cache::MemSystemConfig& mem :
+       {cache::paper_mem_system(), cache::scaled_mem_system()}) {
+    for (const Geometry& z : zipfs) {
+      const std::uint64_t seed = 41;
+      const Bytes ws = static_cast<Bytes>(z.llc_frac * static_cast<double>(mem.llc.size));
+      ZipfPattern pattern(ws, z.exponent, seed);
+      const std::uint64_t lines = pattern.working_set() / kLineBytes;
+      std::vector<double> cdf(lines);
+      double total = 0.0;
+      for (std::uint64_t r = 0; r < lines; ++r) {
+        total += 1.0 / std::pow(static_cast<double>(r + 1), z.exponent);
+        cdf[r] = total;
+      }
+      for (auto& c : cdf) c /= total;
+      std::vector<std::uint32_t> perm(lines);
+      std::iota(perm.begin(), perm.end(), 0u);
+      Rng shuffle(seed);
+      for (std::uint64_t i = lines; i > 1; --i) {
+        std::swap(perm[i - 1], perm[shuffle.below(i)]);
+      }
+      const auto oracle = [&](double u) {
+        return static_cast<Bytes>(perm[full_lower_bound(cdf, u)]) * kLineBytes;
+      };
+      const std::string where = std::to_string(lines) + " lines, s=" + std::to_string(z.exponent);
+
+      std::vector<double> draws;
+      for (int j = 0; j < 1024; ++j) {
+        const double edge = static_cast<double>(j) / 1024.0;
+        draws.insert(draws.end(), {edge, std::nextafter(edge, 0.0), std::nextafter(edge, 1.0)});
+      }
+      for (std::uint64_t k = 0; k < lines; k += 1 + k / 8) {
+        draws.insert(draws.end(), {cdf[k], std::nextafter(cdf[k], 0.0)});
+      }
+      draws.push_back(std::nextafter(1.0, 0.0));
+      for (const double u : draws) {
+        if (u >= 1.0) continue;
+        ASSERT_EQ(pattern.offset_for(u), oracle(u)) << where << " u=" << u;
+      }
+      Rng a(7), b(7);
+      for (int i = 0; i < 20'000; ++i) {
+        ASSERT_EQ(pattern.next_offset(a), oracle(b.uniform())) << where << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(CompiledStream, ZipfTablesAreSharedPerKey) {
+  // One table per (lines, exponent bit pattern): patterns with
+  // different seeds share it, a different exponent gets its own.
+  const auto a = shared_zipf_table(777, 0.9);
+  const auto b = shared_zipf_table(777, 0.9);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_NE(a.get(), shared_zipf_table(777, std::nextafter(0.9, 1.0)).get());
+  EXPECT_NE(a.get(), shared_zipf_table(778, 0.9).get());
+  ASSERT_EQ(a->cdf.size(), 777u);
+  EXPECT_EQ(a->cdf.back(), 1.0);
 }
 
 TEST(CompiledStream, ZipfSharesHotLineLayoutWithPattern) {

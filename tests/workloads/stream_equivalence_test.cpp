@@ -9,8 +9,11 @@
 //    statistically equivalent: same instruction mix, same per-line
 //    reference distribution, and — replayed through the memory
 //    system on the fig-1 mixes — miss rates within tolerance of v1.
-//  * All v2 consumption forms (next, next_batch, next_ref_batch)
-//    must describe one identical stream, and clones must continue it.
+//  * All consumption forms (next, next_batch, next_ref_batch) of
+//    either format must describe one identical stream, and clones
+//    must continue it.  The run_vcpu / McSim consumption of that
+//    stream is pinned against the frozen per-op engines in
+//    tests/hv/per_op_oracle_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,10 +22,7 @@
 
 #include "cache/memory_system.hpp"
 #include "cache/topology.hpp"
-#include "kyoto/ks4xen.hpp"
-#include "mcsim/replay.hpp"
 #include "mem/patterns.hpp"
-#include "sim/experiment.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/pattern_workload.hpp"
 
@@ -146,35 +146,39 @@ TEST(StreamV2, NextAndBatchAndRefBatchDescribeOneStream) {
 }
 
 TEST(StreamV1, DefaultRefBatchCompressesTheOpStream) {
-  // The base-class next_ref_batch (used by v1 workloads) must
-  // describe the same instruction stream as next().
-  const auto a = make_app("gcc", kMem, 31);
-  const auto b = make_app("gcc", kMem, 31);
-  std::vector<mem::Op> ops;
-  for (int i = 0; i < 3000; ++i) ops.push_back(a->next());
-  std::vector<AccessRef> refs(64);
-  std::size_t at = 0;
-  while (at < ops.size()) {
-    std::uint32_t trailing = 0;
-    const auto batch = b->next_ref_batch(refs.data(), refs.size(), ops.size() - at, &trailing);
-    ASSERT_GT(batch.ops, 0u);
-    for (std::size_t r = 0; r < batch.refs; ++r) {
-      for (std::uint32_t g = 0; g < refs[r].gap; ++g) {
-        ASSERT_EQ(ops[at].kind, mem::OpKind::kCompute) << at;
+  // PatternWorkload's native v1 next_ref_batch (the form the machine
+  // and the McSim replay consume) must describe the same instruction
+  // stream as next(), across every pattern kind.
+  for (const char* app : {"gcc", "soplex", "mcf", "blockie", "lbm"}) {
+    const auto a = make_app(app, kMem, 31);
+    const auto b = make_app(app, kMem, 31);
+    std::vector<mem::Op> ops;
+    for (int i = 0; i < 3000; ++i) ops.push_back(a->next());
+    std::vector<AccessRef> refs(64);
+    std::size_t at = 0;
+    while (at < ops.size()) {
+      std::uint32_t trailing = 0;
+      const auto batch =
+          b->next_ref_batch(refs.data(), refs.size(), ops.size() - at, &trailing);
+      ASSERT_GT(batch.ops, 0u);
+      for (std::size_t r = 0; r < batch.refs; ++r) {
+        for (std::uint32_t g = 0; g < refs[r].gap; ++g) {
+          ASSERT_EQ(ops[at].kind, mem::OpKind::kCompute) << app << " @" << at;
+          ++at;
+        }
+        ASSERT_EQ(ops[at].kind,
+                  refs[r].write ? mem::OpKind::kStore : mem::OpKind::kLoad)
+            << app << " @" << at;
+        ASSERT_EQ(ops[at].addr, refs[r].addr) << app << " @" << at;
         ++at;
       }
-      ASSERT_EQ(ops[at].kind,
-                refs[r].write ? mem::OpKind::kStore : mem::OpKind::kLoad)
-          << at;
-      ASSERT_EQ(ops[at].addr, refs[r].addr) << at;
-      ++at;
+      for (std::uint32_t g = 0; g < trailing; ++g) {
+        ASSERT_EQ(ops[at].kind, mem::OpKind::kCompute) << app << " @" << at;
+        ++at;
+      }
     }
-    for (std::uint32_t g = 0; g < trailing; ++g) {
-      ASSERT_EQ(ops[at].kind, mem::OpKind::kCompute) << at;
-      ++at;
-    }
+    EXPECT_EQ(at, ops.size()) << app;
   }
-  EXPECT_EQ(at, ops.size());
 }
 
 TEST(StreamV2, CloneContinuesIdentically) {
@@ -323,135 +327,6 @@ TEST(StreamV2, MissRatesAgreeWithV1OnFig1Mixes) {
     } else {
       EXPECT_NEAR(miss_a, miss_b, 0.01) << mix.name;
     }
-  }
-}
-
-// --- run_vcpu-level v2 consumption gate ---------------------------------
-//
-// The ref-batch engine (Machine::run_vcpu_refs) is a consumption
-// format, not a different simulation: a full scenario must produce
-// bit-equal metrics — per-VM cycles, instructions, PMU-derived LLC
-// references/misses, and every Kyoto decision folded into them —
-// whichever loop consumes the v2 stream.  These tests run identical
-// scenarios with the engine knob on (default) and off (per-op
-// fallback) and require exact RunOutcome equality.
-
-struct EngineMix {
-  const char* name;
-  Bytes ws;
-  double mem_ratio;
-  bool sequential;
-  double mlp;
-};
-
-std::unique_ptr<PatternWorkload> make_engine_mix(const EngineMix& mix,
-                                                 StreamVersion stream,
-                                                 std::uint64_t seed) {
-  WorkloadSpec spec;
-  spec.name = mix.name;
-  spec.mem_ratio = mix.mem_ratio;
-  spec.write_ratio = 0.3;
-  spec.mlp = mix.mlp;
-  spec.stream = stream;
-  std::unique_ptr<mem::Pattern> pattern;
-  if (mix.sequential) {
-    pattern = std::make_unique<mem::SequentialPattern>(mix.ws);
-  } else {
-    pattern = std::make_unique<mem::UniformRandomPattern>(mix.ws);
-  }
-  return std::make_unique<PatternWorkload>(spec, std::move(pattern), seed);
-}
-
-std::vector<sim::VmPlan> engine_plans(const cache::MemSystemConfig& mem, int cores,
-                                      StreamVersion stream) {
-  const EngineMix mixes[] = {
-      {"stream_l1", mem.l1.size / 2, 0.6, true, 2.0},
-      {"stream_llc", mem.llc.size / 2, 0.6, true, 2.0},
-      {"random_mem", mem.llc.size * 3, 0.8, false, 1.0},
-      {"stream_l2", mem.l2.size / 2, 0.6, true, 2.0},
-  };
-  std::vector<sim::VmPlan> plans;
-  for (int core = 0; core < cores; ++core) {
-    const EngineMix mix = mixes[core % 4];
-    sim::VmPlan plan;
-    plan.config.name = mix.name;
-    plan.pinned_cores = {core};
-    plan.workload = [mix, stream](std::uint64_t seed) {
-      return make_engine_mix(mix, stream, seed);
-    };
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
-
-sim::RunOutcome run_with_engine(const sim::RunSpec& spec,
-                                const std::vector<sim::VmPlan>& plans, bool ref_batch) {
-  return sim::run_scenario(spec, plans, [ref_batch](hv::Hypervisor& h) {
-    h.machine().set_ref_batch_engine(ref_batch);
-  });
-}
-
-TEST(RefBatchEngine, ScenarioMetricsBitEqualAcrossConsumptionModes) {
-  // Scaled table-1 machine, one fig-1 mix per core, XCS.
-  sim::RunSpec spec;
-  spec.warmup_ticks = 2;
-  spec.measure_ticks = 8;
-  const auto plans = engine_plans(kMem, 4, StreamVersion::kV2);
-  const auto refs = run_with_engine(spec, plans, true);
-  const auto ops = run_with_engine(spec, plans, false);
-  ASSERT_EQ(refs.vms.size(), ops.vms.size());
-  for (std::size_t i = 0; i < refs.vms.size(); ++i) {
-    EXPECT_EQ(refs.vms[i], ops.vms[i]) << plans[i].config.name;
-  }
-  EXPECT_EQ(refs, ops);
-  // Sanity: the streams really were v2 (the gate is vacuous on v1).
-  EXPECT_EQ(plans[0].workload(1)->stream_version(), StreamVersion::kV2);
-}
-
-TEST(RefBatchEngine, PaperGeometryAndKyotoStateBitEqual) {
-  // Paper-fidelity memory geometry at the scaled clock, KS4Xen with a
-  // tight permit on the disruptor: covers the Kyoto punish path (cap
-  // bookkeeping, demotions) on the second machine geometry.
-  sim::RunSpec spec;
-  spec.machine.topology = cache::Topology{1, 2};
-  spec.machine.mem = cache::paper_mem_system();
-  spec.warmup_ticks = 2;
-  spec.measure_ticks = 9;
-  spec.scheduler = [] { return std::make_unique<core::Ks4Xen>(); };
-  auto plans = engine_plans(spec.machine.mem, 2, StreamVersion::kV2);
-  plans[1].config.llc_cap = 1.0;  // random-mem disruptor: punished fast
-  const auto refs = run_with_engine(spec, plans, true);
-  const auto ops = run_with_engine(spec, plans, false);
-  EXPECT_EQ(refs, ops);
-}
-
-TEST(RefBatchEngine, V1StreamsUnaffectedByKnob) {
-  // v1 workloads never enter the ref loop; the knob must be inert.
-  sim::RunSpec spec;
-  spec.warmup_ticks = 2;
-  spec.measure_ticks = 6;
-  const auto plans = engine_plans(kMem, 4, StreamVersion::kV1);
-  EXPECT_EQ(run_with_engine(spec, plans, true), run_with_engine(spec, plans, false));
-}
-
-TEST(RefBatchEngine, ReplaySimulatorBitEqualAcrossConsumptionModes) {
-  const EngineMix mixes[] = {
-      {"stream_llc", kMem.llc.size / 2, 0.6, true, 2.0},
-      {"random_mem", kMem.llc.size * 3, 0.8, false, 1.0},
-      {"stream_l2", kMem.l2.size / 2, 0.6, true, 2.0},
-  };
-  for (const auto& mix : mixes) {
-    const auto live = make_engine_mix(mix, StreamVersion::kV2, 23);
-    mcsim::ReplaySimulator sim(kMem, /*freq_khz=*/43'750);
-    ASSERT_TRUE(sim.ref_batch_engine());
-    const auto refs = sim.replay_live(*live, 400'000);
-    sim.set_ref_batch_engine(false);
-    const auto ops = sim.replay_live(*live, 400'000);
-    EXPECT_EQ(refs.instructions, ops.instructions) << mix.name;
-    EXPECT_EQ(refs.cycles, ops.cycles) << mix.name;
-    EXPECT_EQ(refs.llc_references, ops.llc_references) << mix.name;
-    EXPECT_EQ(refs.llc_misses, ops.llc_misses) << mix.name;
-    EXPECT_GT(refs.instructions, 0u) << mix.name;
   }
 }
 
