@@ -107,7 +107,7 @@ MemorySystem::AccessContext MemorySystem::context(int core, int home_node, int v
   ctx.req_ = Requester{core, vm};
   ctx.remote_ = home_node != topology_.node_of(core);
   ctx.miss_extras_ = config_.bus.enabled || config_.prefetch.enabled;
-  if (fused_enabled_ && fused_ok_) {
+  if (fused_ok_) {
     ctx.fused_ = true;
     ctx.line_shift_ = ctx.l1_->line_shift();
     ctx.l1_mask_ = ctx.l1_->geometry().sets() - 1;

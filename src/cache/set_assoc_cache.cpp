@@ -235,64 +235,6 @@ void SetAssocCache::reset_lru_order5() {
   }
 }
 
-void SetAssocCache::set_fill_fast_paths(bool enabled) {
-  fast_fill_allowed_ = enabled;
-  if (!enabled) {
-    fast_fill_ = false;
-    nibble_lru_ = false;
-    order5_lru_ = false;
-    return;
-  }
-  fast_fill_ = replacement_ == ReplacementKind::kLru && partitions_.empty();
-  const bool want_nibble = replacement_ == ReplacementKind::kLru && ways_ <= 16;
-  const bool want_order5 =
-      replacement_ == ReplacementKind::kLru && ways_ > 16 && ways_ <= 24;
-  if (want_nibble && !nibble_lru_) {
-    // Rebuild the nibble order from the authoritative stamps: ways
-    // sorted by descending stamp (unique when nonzero), stable by way
-    // index for the untouched ones — order among those is never
-    // consulted (a full set has every way touched).
-    lru_order_.resize(sets_);
-    for (unsigned set = 0; set < sets_; ++set) {
-      const std::uint64_t* stamps = &stamps_[line_index(set, 0)];
-      unsigned order[16];
-      for (unsigned w = 0; w < ways_; ++w) order[w] = w;
-      std::stable_sort(order, order + ways_,
-                       [stamps](unsigned a, unsigned b) { return stamps[a] > stamps[b]; });
-      std::uint64_t word = 0xFEDCBA9876543210ull;  // unused high nibbles keep ids >= ways
-      for (unsigned pos = 0; pos < ways_; ++pos) {
-        word &= ~(0xFull << (pos * 4));
-        word |= static_cast<std::uint64_t>(order[pos]) << (pos * 4);
-      }
-      lru_order_[set] = word;
-    }
-  }
-  if (want_order5 && !order5_lru_) {
-    // Same stamp-order rebuild for the two-word 5-bit layout.
-    lru_order5_.resize(static_cast<std::size_t>(sets_) * 2);
-    for (unsigned set = 0; set < sets_; ++set) {
-      const std::uint64_t* stamps = &stamps_[line_index(set, 0)];
-      unsigned order[24];
-      for (unsigned w = 0; w < ways_; ++w) order[w] = w;
-      std::stable_sort(order, order + ways_,
-                       [stamps](unsigned a, unsigned b) { return stamps[a] > stamps[b]; });
-      std::uint64_t word0 = 0;
-      for (unsigned p = 0; p < 12; ++p) {
-        word0 |= static_cast<std::uint64_t>(p < ways_ ? order[p] : 0x1Fu) << (p * 5);
-      }
-      std::uint64_t word1 = 0;
-      for (unsigned p = 12; p < 24; ++p) {
-        word1 |= static_cast<std::uint64_t>(p < ways_ ? order[p] : 0x1Fu)
-                 << ((p - 12) * 5);
-      }
-      lru_order5_[static_cast<std::size_t>(set) * 2] = word0;
-      lru_order5_[static_cast<std::size_t>(set) * 2 + 1] = word1;
-    }
-  }
-  nibble_lru_ = want_nibble;
-  order5_lru_ = want_order5;
-}
-
 void SetAssocCache::invalidate_all() {
   if (nibble_lru_) reset_lru_order();
   if (order5_lru_) reset_lru_order5();
@@ -390,7 +332,7 @@ void SetAssocCache::set_partition(int vm, unsigned first_way, unsigned n_ways) {
 
 void SetAssocCache::clear_partitions() {
   partitions_.clear();
-  fast_fill_ = fast_fill_allowed_ && replacement_ == ReplacementKind::kLru;
+  fast_fill_ = replacement_ == ReplacementKind::kLru;
 }
 
 void SetAssocCache::grow_core_slots(int core) {

@@ -32,9 +32,9 @@
 // accounting is an LLC concept.
 //
 // The pre-overhaul engine is preserved verbatim in
-// reference_cache.hpp as a behavioral oracle; golden tests assert
-// both produce identical hit/miss/eviction sequences for every
-// replacement policy.
+// tests/support/reference_cache.hpp as a behavioral oracle; golden
+// tests assert both produce identical hit/miss/eviction sequences for
+// every replacement policy.
 #pragma once
 
 #include <bit>
@@ -203,15 +203,6 @@ class SetAssocCache {
   /// True when fills run the compile-time-pruned LRU path (LRU
   /// replacement, no way partitions).  Exposed for tests.
   bool fast_fill() const { return fast_fill_; }
-
-  /// Engine knob for benches and equivalence tests: disables (or
-  /// re-enables) the fill fast paths — the compile-time-pruned LRU
-  /// fill and the nibble-order O(1) victim — so the cache executes
-  /// the general miss_fill_impl<false, *> bodies, exactly the PR 4
-  /// fill code.  Results are bit-identical either way (that is what
-  /// the knob lets tests assert).  Re-enabling rebuilds the nibble
-  /// order from the stamps, so it is valid at any point in a run.
-  void set_fill_fast_paths(bool enabled);
 
   /// Set index of a *line number* (addr >> line-shift).  Only valid
   /// for power-of-two geometries (set_mask() below); the fused walk
@@ -608,11 +599,6 @@ class SetAssocCache {
   /// installed (maintained by the constructor and set_partition/
   /// clear_partitions).
   bool fast_fill_ = false;
-  /// User knob (set_fill_fast_paths): when false, the fast paths stay
-  /// off regardless of policy/partition state — set_partition/
-  /// clear_partitions recompute fast_fill_ from BOTH, so clearing a
-  /// partition cannot silently re-enable a disabled engine mode.
-  bool fast_fill_allowed_ = true;
   /// Plain-LRU caches with <= 16 ways mirror recency into per-set
   /// nibble-order words (lru_order_), so full-set victim selection is
   /// two ALU ops instead of an O(ways) stamp scan.  Stamps stay

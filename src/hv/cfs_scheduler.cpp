@@ -73,13 +73,9 @@ double CfsScheduler::min_vruntime(int core) const {
 Vcpu* CfsScheduler::pick(int core, Tick /*now*/) {
   if (static_cast<std::size_t>(core) >= runqueue_.size()) return nullptr;
   const auto& queue = runqueue_[static_cast<std::size_t>(core)];
-  return reference_engine_ ? pick_reference(queue) : pick_batched(queue);
-}
-
-Vcpu* CfsScheduler::pick_batched(const std::vector<int>& queue) {
   // Branch-light running min over (band, vruntime): eligibility and
   // demotion are 0/1 words, the two band minima advance by select —
-  // strict `<` keeps the reference engine's first-minimum tie-break.
+  // strict `<` keeps the first minimum in queue order on ties.
   int best_id = -1;
   double best_vr = std::numeric_limits<double>::max();
   int best_dem_id = -1;
@@ -99,30 +95,6 @@ Vcpu* CfsScheduler::pick_batched(const std::vector<int>& queue) {
   }
   const int chosen = best_id >= 0 ? best_id : best_dem_id;
   return chosen >= 0 ? vcpu_[static_cast<std::size_t>(chosen)] : nullptr;
-}
-
-Vcpu* CfsScheduler::pick_reference(const std::vector<int>& queue) {
-  // The pre-rework branchy scan, kept verbatim over the SoA state.
-  Vcpu* best = nullptr;
-  double best_vr = std::numeric_limits<double>::max();
-  Vcpu* best_demoted = nullptr;
-  double best_demoted_vr = std::numeric_limits<double>::max();
-  for (int qid : queue) {
-    const auto id = static_cast<std::size_t>(qid);
-    if (vcpu_[id] == nullptr || vcpu_[id]->done() || vm_blocked(vm_id_[id])) continue;
-    if (vm_demoted(vm_id_[id])) {
-      if (vruntime_[id] < best_demoted_vr) {
-        best_demoted_vr = vruntime_[id];
-        best_demoted = vcpu_[id];
-      }
-      continue;
-    }
-    if (vruntime_[id] < best_vr) {
-      best_vr = vruntime_[id];
-      best = vcpu_[id];
-    }
-  }
-  return best != nullptr ? best : best_demoted;
 }
 
 void CfsScheduler::account(Vcpu& vcpu, const RunReport& report) {

@@ -8,11 +8,11 @@
 // way CFS bandwidth control throttles cgroups.
 //
 // Hot per-task state is struct-of-arrays (parallel arrays by vCPU id,
-// sized at admission); the default pick engine is a branch-light
-// lexicographic running-min over (band, vruntime) with select
-// arithmetic and mask-tested Kyoto gates, with the pre-rework branchy
-// scan kept verbatim as the reference engine — bit-identical by the
-// accounting oracle test.
+// sized at admission); pick is a branch-light lexicographic
+// running-min over (band, vruntime) with select arithmetic and
+// mask-tested Kyoto gates.  The pre-rework branchy scan survives only
+// as a frozen test oracle (tests/support/reference_control_plane.hpp),
+// bit-identical by the accounting oracle test.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +44,6 @@ class CfsScheduler : public Scheduler {
   std::size_t checked_id(const Vcpu& vcpu) const;
   double min_vruntime(int core) const;
   void ensure_capacity(std::size_t id);
-
-  Vcpu* pick_batched(const std::vector<int>& queue);
-  Vcpu* pick_reference(const std::vector<int>& queue);
 
   /// Hot per-task state, struct-of-arrays by vCPU id.  `done_` caches
   /// Vcpu::done() (refreshed at admission and every account(); exact

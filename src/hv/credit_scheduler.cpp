@@ -84,24 +84,12 @@ Cycles CreditScheduler::slice_cap_budget(const Vcpu& vcpu) const {
   return slice_cycles * cap / 100;
 }
 
-bool CreditScheduler::runnable(const Vcpu& vcpu) const {
-  if (vcpu.done()) return false;
-  if (vm_blocked(vcpu.vm().id())) return false;
-  const auto id = static_cast<std::size_t>(vcpu.id());
-  if (capped_[id] != 0 && cap_budget_[id] <= 0) return false;
-  return true;
-}
-
 Vcpu* CreditScheduler::pick(int core, Tick /*now*/) {
   if (static_cast<std::size_t>(core) >= runqueue_.size()) return nullptr;
   auto& queue = runqueue_[static_cast<std::size_t>(core)];
   if (cursors_.size() < runqueue_.size()) cursors_.resize(runqueue_.size());
   CoreCursor& cursor = cursors_[static_cast<std::size_t>(core)];
-  return reference_engine_ ? pick_reference(queue, cursor, core)
-                           : pick_batched(queue, cursor, core);
-}
 
-Vcpu* CreditScheduler::pick_batched(std::vector<int>& queue, CoreCursor& cursor, int core) {
   // Slice stickiness: keep the incumbent for up to one full 30 ms
   // slice while it stays runnable, UNDER and undemoted — evaluated as
   // one fused 0/1 predicate over the SoA state.
@@ -125,7 +113,7 @@ Vcpu* CreditScheduler::pick_batched(std::vector<int>& queue, CoreCursor& cursor,
   // Band selection over compact runnable bitmasks: one pass builds
   // UNDER/OVER/DEMOTED masks keyed by queue position (chunks of 64),
   // then the winner is the lowest set bit of the first non-empty band
-  // — exactly the reference engine's first-in-queue-order scan, with
+  // — the first runnable vCPU in queue order within that band, with
   // no per-entry branching.
   const std::size_t n = queue.size();
   int first_under = -1;
@@ -170,65 +158,16 @@ Vcpu* CreditScheduler::pick_batched(std::vector<int>& queue, CoreCursor& cursor,
   return vcpu_[static_cast<std::size_t>(id)];
 }
 
-Vcpu* CreditScheduler::pick_reference(std::vector<int>& queue, CoreCursor& cursor, int core) {
-  // The pre-rework branchy control flow, kept verbatim over the SoA
-  // state as the reference engine.
-  if (cursor.current >= 0 && cursor.consecutive < static_cast<int>(kTicksPerSlice)) {
-    const auto cid = static_cast<std::size_t>(cursor.current);
-    Vcpu* cv = vcpu_[cid];
-    if (cv != nullptr && cv->pinned_core() == core && runnable(*cv) &&
-        remain_credit_[cid] > 0 && !vm_demoted(vm_id_[cid])) {
-      ++cursor.consecutive;
-      return cv;
-    }
-  }
-  cursor.current = -1;
-  cursor.consecutive = 0;
-
-  enum class Band { kUnder, kOver, kDemoted };
-  auto select = [&](Band band) -> Vcpu* {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const auto id = static_cast<std::size_t>(queue[i]);
-      KYOTO_DCHECK(vcpu_[id] != nullptr);
-      if (!runnable(*vcpu_[id])) continue;
-      const bool demoted = vm_demoted(vm_id_[id]);
-      const bool under = remain_credit_[id] > 0;
-      const Band mine = demoted ? Band::kDemoted : (under ? Band::kUnder : Band::kOver);
-      if (mine != band) continue;
-      const int chosen = queue[i];
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-      queue.push_back(chosen);
-      return vcpu_[id];
-    }
-    return nullptr;
-  };
-
-  Vcpu* chosen = select(Band::kUnder);
-  if (chosen == nullptr) chosen = select(Band::kOver);
-  if (chosen == nullptr) chosen = select(Band::kDemoted);
-  if (chosen != nullptr) {
-    cursor.current = chosen->id();
-    cursor.consecutive = 1;
-  }
-  return chosen;
-}
-
 void CreditScheduler::account(Vcpu& vcpu, const RunReport& report) {
   const std::size_t id = checked_id(vcpu);
   // The burn formula's double rounding is part of the pinned behavior
-  // (golden traces): both engines keep the exact expression.
+  // (golden traces): keep the exact expression.
   const int burnt = static_cast<int>(
       std::lround(static_cast<double>(kCreditPerTick) * static_cast<double>(report.ran) /
                   static_cast<double>(cycles_per_tick_)));
-  if (reference_engine_) {
-    remain_credit_[id] -= burnt;
-    remain_credit_[id] = std::max(remain_credit_[id], -kCreditPerSlice);
-    if (capped_[id] != 0) cap_budget_[id] -= report.ran;
-  } else {
-    const int debited = remain_credit_[id] - burnt;
-    remain_credit_[id] = debited > -kCreditPerSlice ? debited : -kCreditPerSlice;
-    cap_budget_[id] -= report.ran * static_cast<Cycles>(capped_[id]);
-  }
+  const int debited = remain_credit_[id] - burnt;
+  remain_credit_[id] = debited > -kCreditPerSlice ? debited : -kCreditPerSlice;
+  cap_budget_[id] -= report.ran * static_cast<Cycles>(capped_[id]);
   done_[id] = vcpu.done() ? 1 : 0;
 }
 
@@ -240,14 +179,6 @@ Cycles CreditScheduler::max_burst(const Vcpu& vcpu, Cycles tick_budget) {
 }
 
 void CreditScheduler::slice_end(Tick /*now*/) {
-  if (reference_engine_) {
-    slice_end_reference();
-  } else {
-    slice_end_batched();
-  }
-}
-
-void CreditScheduler::slice_end_batched() {
   // Xen's accounting: each pCPU contributes one slice worth of credit
   // (kCreditPerSlice) distributed among the vCPUs competing for that
   // pCPU proportionally to their weights, with no vCPU earning more
@@ -279,28 +210,6 @@ void CreditScheduler::slice_end_batched() {
           (static_cast<unsigned>(done_[id]) ^ 1u));
       remain_credit_[id] += (clamped - remain_credit_[id]) * active;
       cap_budget_[id] = active != 0 ? cap_refill_[id] : cap_budget_[id];
-    }
-  }
-}
-
-void CreditScheduler::slice_end_reference() {
-  for (std::size_t core = 0; core < runqueue_.size(); ++core) {
-    long long total_weight = 0;
-    for (int qid : runqueue_[core]) {
-      const auto id = static_cast<std::size_t>(qid);
-      if (vcpu_[id] != nullptr && !vcpu_[id]->done()) {
-        total_weight += weight_[id];
-      }
-    }
-    if (total_weight == 0) continue;
-    for (int qid : runqueue_[core]) {
-      const auto id = static_cast<std::size_t>(qid);
-      if (vcpu_[id] == nullptr || vcpu_[id]->done()) continue;
-      const long long share =
-          static_cast<long long>(kCreditPerSlice) * weight_[id] / total_weight;
-      const int earn = static_cast<int>(std::min<long long>(share, kCreditPerSlice));
-      remain_credit_[id] = std::min(remain_credit_[id] + earn, std::max(earn, 1));
-      cap_budget_[id] = cap_refill_[id];
     }
   }
 }

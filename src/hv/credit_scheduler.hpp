@@ -17,10 +17,10 @@
 // UNDER/OVER/DEMOTED runnable bitmasks and takes the lowest set bit
 // of the first non-empty band; credit burn, cap decrement and the
 // Kyoto gates are mask/select arithmetic.  The pre-rework branchy
-// control flow is kept verbatim as the reference engine
-// (set_reference_engine(true)) — both paths share the same state and
-// produce bit-identical decisions, which the accounting oracle test
-// and the throughput bench's control-plane agreement gate enforce.
+// control flow lives on only as a frozen test oracle
+// (tests/support/reference_control_plane.hpp); the accounting oracle
+// test runs it side by side with this engine and demands
+// bit-identical decisions.
 //
 // KS4Xen (kyoto/ks4xen.hpp) extends this class exactly where the
 // paper patched Xen: the punish gate bitmasks (set_kyoto_gates) and
@@ -62,10 +62,6 @@ class CreditScheduler : public Scheduler {
   /// Fraction of the last slice's cap budget left (1.0 if uncapped).
   double cap_budget_fraction(const Vcpu& vcpu) const;
 
- protected:
-  /// True if the vCPU may be handed a core right now.
-  bool runnable(const Vcpu& vcpu) const;
-
  private:
   /// Per-core stickiness: Xen runs the chosen vCPU for a full 30 ms
   /// scheduling slice (not one 10 ms tick) unless it stops being
@@ -79,8 +75,9 @@ class CreditScheduler : public Scheduler {
   Cycles slice_cap_budget(const Vcpu& vcpu) const;
   void ensure_capacity(std::size_t id);
 
-  /// runnable(), as a 0/1 word over the SoA state: not done, not
-  /// Kyoto-blocked, and (if capped) cap budget left.
+  /// True if the vCPU may be handed a core right now, as a 0/1 word
+  /// over the SoA state: not done, not Kyoto-blocked, and (if capped)
+  /// cap budget left.
   unsigned runnable_bit(std::size_t id) const {
     const unsigned not_done = static_cast<unsigned>(done_[id]) ^ 1u;
     const unsigned allowed = static_cast<unsigned>(vm_blocked(vm_id_[id])) ^ 1u;
@@ -88,11 +85,6 @@ class CreditScheduler : public Scheduler {
                              static_cast<unsigned>(cap_budget_[id] <= 0)) ^ 1u;
     return not_done & allowed & cap_ok;
   }
-
-  Vcpu* pick_batched(std::vector<int>& queue, CoreCursor& cursor, int core);
-  Vcpu* pick_reference(std::vector<int>& queue, CoreCursor& cursor, int core);
-  void slice_end_batched();
-  void slice_end_reference();
 
   /// Hot per-vCPU state, struct-of-arrays by vCPU id.  `vcpu_` doubles
   /// as the registration flag (null = never added or removed); ids are

@@ -147,18 +147,6 @@ void Hypervisor::flush_resident(int core) {
   res = nullptr;
 }
 
-void Hypervisor::set_control_plane_engine(bool batched) {
-  KYOTO_CHECK_MSG(!in_tick_execution_, "engine switch during tick execution");
-  if (!batched) {
-    // Going eager: materialize every lazy resident so the reference
-    // prologue's unconditional switch_in starts from a clean slate.
-    const int cores = machine_->topology().total_cores();
-    for (int core = 0; core < cores; ++core) flush_resident(core);
-  }
-  batched_control_plane_ = batched;
-  scheduler_->set_reference_engine(!batched);
-}
-
 void Hypervisor::run_ticks(Tick n) {
   run_until([] { return false; }, n);
 }
@@ -230,21 +218,17 @@ void Hypervisor::run_one_tick() {
     slot.vcpu = v;
     slot.remaining = scheduler_->max_burst(*v, cpt);
     tick_pmu_base_[static_cast<std::size_t>(core)] = machine_->pmu(core).read();
-    if (batched_control_plane_) {
-      // Identity-switch fast path: the same vCPU picked again stays
-      // switched in — its in-flight PMU delta keeps accruing and is
-      // materialized at the next real switch (or read exactly via
-      // VirtualCounters::read in the meantime).
-      Vcpu*& res = resident_[static_cast<std::size_t>(core)];
-      if (res == v) {
-        ++identity_switch_ticks_;
-      } else {
-        if (res != nullptr) res->counters().switch_out(machine_->pmu(core));
-        v->counters().switch_in(machine_->pmu(core));
-        res = v;
-      }
+    // Identity-switch fast path: the same vCPU picked again stays
+    // switched in — its in-flight PMU delta keeps accruing and is
+    // materialized at the next real switch (or read exactly via
+    // VirtualCounters::read in the meantime).
+    Vcpu*& res = resident_[static_cast<std::size_t>(core)];
+    if (res == v) {
+      ++identity_switch_ticks_;
     } else {
+      if (res != nullptr) res->counters().switch_out(machine_->pmu(core));
       v->counters().switch_in(machine_->pmu(core));
+      res = v;
     }
     ++sched_tick_count_[static_cast<std::size_t>(v->id())];
   }
@@ -284,9 +268,6 @@ void Hypervisor::run_one_tick() {
   for (int core = 0; core < cores; ++core) {
     auto& slot = slots_[static_cast<std::size_t>(core)];
     if (slot.vcpu == nullptr) continue;
-    // Reference engine: eager switch-out every tick (the fast path
-    // leaves the vCPU resident instead — see the prologue).
-    if (!batched_control_plane_) slot.vcpu->counters().switch_out(machine_->pmu(core));
     RunReport report;
     report.core = core;
     report.tick = now_;

@@ -85,19 +85,9 @@ class Hypervisor {
   void set_execution_threads(int threads);
   int execution_threads() const { return exec_threads_; }
 
-  /// Tick-control-plane engine knob.  true (default) runs the
-  /// branch-light engine: branchless scheduler accounting, batched
-  /// per-core PMU deltas and the identity-switch fast path.  false restores the pre-rework
-  /// reference control flow — eager switch-out/in every tick and the
-  /// branchy accounting paths — flushing any lazy residents first.
-  /// Results are bit-identical either way; the engines may be swapped
-  /// mid-run (tests/hv/accounting_oracle_test.cpp enforces this).
-  void set_control_plane_engine(bool batched);
-  bool batched_control_plane() const { return batched_control_plane_; }
-
   /// Ticks on which a scheduled core kept its resident vCPU and the
   /// switch-out/switch-in pair was skipped (identity-switch fast
-  /// path).  Stays 0 under the reference engine.
+  /// path).
   std::int64_t identity_switch_ticks() const { return identity_switch_ticks_; }
 
   /// Advances virtual time.
@@ -215,10 +205,13 @@ class Hypervisor {
   std::vector<std::int64_t> idle_ticks_;        // per core
   std::vector<std::int64_t> sched_tick_count_;  // per vcpu id
   std::vector<CoreSlot> slots_;                 // per core, reused every tick
-  /// Per core: vCPU still switched in from an earlier tick (batched
-  /// engine only).  Any event that invalidates the pairing — a
-  /// different pick, migrate, destroy_vm, engine switch — flushes it
-  /// through VirtualCounters::switch_out before proceeding.
+  /// Per core: vCPU still switched in from an earlier tick.  Any
+  /// event that invalidates the pairing — a different pick, migrate,
+  /// destroy_vm — flushes it through VirtualCounters::switch_out
+  /// before proceeding.  Its semantics are those of an eager
+  /// switch-out/in every tick: each VM's counters equal the sum of
+  /// its per-tick RunReport deltas (tests/support/counter_ledger.hpp
+  /// checks exactly that).
   std::vector<Vcpu*> resident_;
   /// Batched PMU virtualization: prologue snapshot and epilogue delta
   /// per core, flushed in one straight-line fixed-core-order pass so
@@ -226,7 +219,6 @@ class Hypervisor {
   /// PMU reads with branchy scheduler work.
   std::vector<pmc::CounterSet> tick_pmu_base_;
   std::vector<pmc::CounterSet> tick_pmu_delta_;
-  bool batched_control_plane_ = true;
   std::int64_t identity_switch_ticks_ = 0;
   int exec_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // non-null only when partitions run concurrently

@@ -92,15 +92,6 @@ class Scheduler {
     kyoto_demoted_ = demoted;
   }
 
-  /// Engine knob for equivalence tests and benches: when true,
-  /// schedulers that grew a branch-light pick/accounting engine fall
-  /// back to their reference (pre-rework, branchy) control flow.  State layout is shared, so
-  /// the two paths are interchangeable mid-run; results are
-  /// bit-identical either way, which tests/hv/accounting_oracle_test
-  /// and bench_throughput's control_plane agreement gate enforce.
-  virtual void set_reference_engine(bool on) { reference_engine_ = on; }
-  bool reference_engine() const { return reference_engine_; }
-
  protected:
   static bool test_vm_bit(const std::vector<std::uint64_t>* words, int vm_id) {
     if (words == nullptr) return false;
@@ -114,7 +105,6 @@ class Scheduler {
   Hypervisor* hv_ = nullptr;
   const std::vector<std::uint64_t>* kyoto_blocked_ = nullptr;
   const std::vector<std::uint64_t>* kyoto_demoted_ = nullptr;
-  bool reference_engine_ = false;
 };
 
 }  // namespace kyoto::hv

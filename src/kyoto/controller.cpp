@@ -1,6 +1,5 @@
 #include "kyoto/controller.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
@@ -69,21 +68,8 @@ void PollutionController::account(hv::Vcpu& vcpu, const hv::RunReport& report) {
   VmState& st = slot(vcpu.vm());
   st.last_rate = rate;
 
-  if (reference_engine_) {
-    if (st.booked <= 0.0) return;  // no permit booked: never punished
-    const double ran_ms = cycles_to_ms(report.ran, hv_->machine().freq_khz());
-    const double debit = rate * ran_ms;
-    st.quota -= debit;
-    st.debited_total += debit;
-    if (st.quota < 0.0 && !st.punished) {
-      set_punished(id, true);
-      ++st.punish_events;
-    }
-    return;
-  }
-
-  // Branch-light path: the unbooked case and the punish transition
-  // are select arithmetic (subtracting 0.0 preserves every quota bit
+  // The unbooked case and the punish transition are select
+  // arithmetic (subtracting 0.0 preserves every quota bit
   // pattern that can occur here).
   const bool booked = st.booked > 0.0;
   const double ran_ms = cycles_to_ms(report.ran, hv_->machine().freq_khz());
@@ -97,22 +83,15 @@ void PollutionController::account(hv::Vcpu& vcpu, const hv::RunReport& report) {
 
 void PollutionController::slice_end() {
   const double slice_ms = static_cast<double>(kTickMs * kTicksPerSlice);
-  // Both engines walk the live-VM bitset: a departed tenant's record
-  // is frozen, and the per-slice cost tracks the live population, not
-  // the churn history.
+  // Walk the live-VM bitset: a departed tenant's record is frozen,
+  // and the per-slice cost tracks the live population, not the churn
+  // history.
   for (std::size_t w = 0; w < live_words_.size(); ++w) {
     std::uint64_t word = live_words_[w];
     while (word != 0) {
       const std::size_t id = (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
       word &= word - 1;
       VmState& st = states_[id];
-      if (reference_engine_) {
-        if (st.booked <= 0.0) continue;
-        const double earn = st.booked * slice_ms;
-        st.quota = std::min(st.quota + earn, params_.bank_slices * earn);
-        if (st.punished && st.quota >= 0.0) set_punished(id, false);
-        continue;
-      }
       const bool booked = st.booked > 0.0;
       const double earn = booked ? st.booked * slice_ms : 0.0;
       const double replenished = st.quota + earn;
@@ -158,12 +137,6 @@ const PollutionController::VmState& PollutionController::state_by_id(int vm_id) 
 
 void PollutionController::on_tick(hv::Hypervisor& hv, Tick now) {
   monitor_->on_tick(hv, now);
-  if (reference_engine_) {
-    for (VmState& st : states_) {
-      if (st.punished) ++st.punished_ticks;
-    }
-    return;
-  }
   // Walk the punished bitset instead of polling every (mostly dead,
   // under churn) VM slot: the words mirror the punished flags exactly.
   for (std::size_t w = 0; w < punished_words_.size(); ++w) {

@@ -112,11 +112,6 @@ class PollutionController {
     return params_.punish_mode == PunishMode::kDemote ? &punished_words_ : nullptr;
   }
 
-  /// Engine knob (see Scheduler::set_reference_engine): true restores
-  /// the pre-rework branchy debit/earn/punish control flow; results
-  /// are bit-identical either way.
-  void set_reference_engine(bool on) { reference_engine_ = on; }
-
   const VmState& state(const hv::Vm& vm) const;
   /// Same, by id — valid for departed tenants too (churn metrics read
   /// the final accounting record after the Vm object is gone).
@@ -144,7 +139,6 @@ class PollutionController {
   /// Bit per VM id, set from the VM's first accounting (slot()) until
   /// it departs (vm_removed()) — the set slice_end walks.
   std::vector<std::uint64_t> live_words_;
-  bool reference_engine_ = false;
 };
 
 }  // namespace kyoto::core

@@ -39,11 +39,6 @@ class Ks4Linux final : public hv::CfsScheduler {
     controller_.slice_end();
   }
 
-  void set_reference_engine(bool on) override {
-    hv::CfsScheduler::set_reference_engine(on);
-    controller_.set_reference_engine(on);
-  }
-
   PollutionController& kyoto() { return controller_; }
   const PollutionController& kyoto() const { return controller_; }
 

@@ -41,11 +41,6 @@ class Ks4Pisces final : public hv::PiscesScheduler {
     controller_.slice_end();
   }
 
-  void set_reference_engine(bool on) override {
-    hv::PiscesScheduler::set_reference_engine(on);
-    controller_.set_reference_engine(on);
-  }
-
   PollutionController& kyoto() { return controller_; }
   const PollutionController& kyoto() const { return controller_; }
 

@@ -47,11 +47,6 @@ class Ks4Xen final : public hv::CreditScheduler {
     controller_.slice_end();
   }
 
-  void set_reference_engine(bool on) override {
-    hv::CreditScheduler::set_reference_engine(on);
-    controller_.set_reference_engine(on);
-  }
-
   PollutionController& kyoto() { return controller_; }
   const PollutionController& kyoto() const { return controller_; }
 

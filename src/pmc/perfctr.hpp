@@ -64,8 +64,8 @@ class VirtualCounters {
   /// Forgets history (used when a monitoring window starts).  A
   /// resident vCPU's in-flight delta belongs to the *old* window, so
   /// the snapshot re-anchors at the current counts; while descheduled
-  /// this matches the eager engine exactly (nothing runs between the
-  /// epilogue's switch-out and the next prologue's switch-in).
+  /// this matches an eager switch-out/in every tick exactly (nothing
+  /// runs between the epilogue and the next prologue).
   void reset() {
     accumulated_.clear();
     if (running_) snapshot_ = core_->read();

@@ -1,5 +1,6 @@
 // Property-style randomized oracle: the SoA SetAssocCache must equal
-// the frozen pre-overhaul engine (reference_cache.hpp) on *arbitrary*
+// the frozen pre-overhaul engine (tests/support/reference_cache.hpp)
+// on *arbitrary*
 // configurations, not just the hand-picked shapes of the PR 1 golden
 // suite.
 //
@@ -12,6 +13,10 @@
 // address, aggregate and per-core/per-VM statistics, per-VM
 // footprints and occupancy.  Any divergence prints the config tuple
 // so the shape can be frozen into the golden suite.
+//
+// Two further sections: MemorySystem's multi-level walks against an
+// independent serial walk (tests/support/serial_walk.hpp), and the
+// 20-way order5 victim layout against the frozen engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,11 +25,12 @@
 #include <vector>
 
 #include "cache/memory_system.hpp"
-#include "cache/reference_cache.hpp"
 #include "cache/set_assoc_cache.hpp"
 #include "cache/topology.hpp"
 #include "common/rng.hpp"
 #include "mem/access.hpp"
+#include "support/reference_cache.hpp"
+#include "support/serial_walk.hpp"
 
 namespace kyoto::cache {
 namespace {
@@ -297,29 +303,26 @@ TEST(RandomizedOracle, IncrementalCountersMatchRecountUnderDisruptions) {
 
 // --- multi-level engine equivalence ------------------------------------
 //
-// The fused miss walk (access_line_multilevel) and the fill fast
-// paths must be *bit-identical* to the serial three-call walk with
-// the general fills (the PR 4 engine).  Random multi-core op streams
-// — mixed loads/stores, several VMs, LLC partitions installed
-// mid-run, occasional invalidations, bus+prefetcher on for some
-// configs — are replayed through three MemorySystem engine modes and
-// every observable is compared exactly.
+// MemorySystem runs the fused miss walk (access_line_multilevel, with
+// the fill fast paths) on power-of-two geometries and its own serial
+// walk otherwise.  Both must be *bit-identical* to an independent
+// serial walk over the public per-cache API (tests/support/
+// serial_walk.hpp).  Random multi-core op streams — mixed loads/stores,
+// several VMs, LLC partitions installed mid-run, occasional
+// invalidations, bus+prefetcher on for some configs — are replayed
+// through both and every observable is compared exactly.
 namespace {
 
-struct EngineRun {
-  std::vector<std::uint64_t> observables;
-};
-
-EngineRun run_engine(const MemSystemConfig& cfg, const Topology& topo, bool fused,
-                     bool fast_fills, std::uint64_t stream_seed, bool partition_mid_run) {
-  MemorySystem memory(topo, cfg, /*seed=*/7);
-  memory.set_fused_miss_path(fused);
-  memory.set_fill_fast_paths(fast_fills);
+template <class Memory>
+std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemConfig& cfg,
+                                              const Topology& topo,
+                                              std::uint64_t stream_seed,
+                                              bool partition_mid_run) {
   const int cores = topo.total_cores();
   const int vms = 4;
   memory.reserve_vm_slots(vms);
   Rng rng(stream_seed);
-  EngineRun run;
+  std::vector<std::uint64_t> observables;
   const Bytes span = cfg.llc.size * 3;
   const std::uint64_t lines = span / cfg.llc.line;
   std::int64_t now = 0;
@@ -331,60 +334,62 @@ EngineRun run_engine(const MemSystemConfig& cfg, const Topology& topo, bool fuse
     const int home = static_cast<int>(rng.below(static_cast<std::uint64_t>(topo.sockets)));
     const AccessResult result = memory.access(core, addr, write, home, vm, now);
     now += result.latency;
-    run.observables.push_back(static_cast<std::uint64_t>(result.level));
-    run.observables.push_back(static_cast<std::uint64_t>(result.latency));
-    run.observables.push_back(result.llc_reference);
-    run.observables.push_back(result.llc_miss);
-    run.observables.push_back(result.prefetch_llc_references);
-    run.observables.push_back(result.prefetch_llc_misses);
+    observables.push_back(static_cast<std::uint64_t>(result.level));
+    observables.push_back(static_cast<std::uint64_t>(result.latency));
+    observables.push_back(result.llc_reference);
+    observables.push_back(result.llc_miss);
+    observables.push_back(result.prefetch_llc_references);
+    observables.push_back(result.prefetch_llc_misses);
     if (partition_mid_run && op == 30'000) {
       // UCP-style partition installed mid-run: the fast fills must
-      // step aside and the engines must keep agreeing.
+      // step aside and the walks must keep agreeing.
       memory.llc(0).set_partition(/*vm=*/1, /*first_way=*/0,
                                   /*n_ways=*/cfg.llc.ways / 2);
     }
     if (op % 9973 == 0) memory.invalidate_private(core);
   }
-  auto record_cache = [&run, vms](const SetAssocCache& c) {
+  auto record_cache = [&observables, vms](const SetAssocCache& c) {
     const CacheStats& stats = c.stats();
-    run.observables.insert(run.observables.end(),
-                           {stats.accesses, stats.hits, stats.misses, stats.evictions,
-                            stats.writebacks});
+    observables.insert(observables.end(), {stats.accesses, stats.hits, stats.misses,
+                                           stats.evictions, stats.writebacks});
     for (int vm = 0; vm < vms; ++vm) {
       const CacheStats& vm_stats = c.stats_for_vm(vm);
-      run.observables.insert(run.observables.end(),
-                             {vm_stats.accesses, vm_stats.misses, vm_stats.evictions,
-                              c.footprint_lines(vm)});
+      observables.insert(observables.end(), {vm_stats.accesses, vm_stats.misses,
+                                             vm_stats.evictions, c.footprint_lines(vm)});
       const VmPollution& pollution = c.pollution_for_vm(vm);
-      run.observables.insert(
-          run.observables.end(),
-          {pollution.cross_evictions_inflicted, pollution.cross_evictions_suffered,
-           pollution.contention_misses});
+      observables.insert(observables.end(),
+                         {pollution.cross_evictions_inflicted,
+                          pollution.cross_evictions_suffered, pollution.contention_misses});
     }
   };
   for (int core = 0; core < cores; ++core) {
     record_cache(memory.l1(core));
     record_cache(memory.l2(core));
-    run.observables.push_back(memory.prefetches_issued(core));
+    observables.push_back(memory.prefetches_issued(core));
   }
   for (int socket = 0; socket < topo.sockets; ++socket) {
     record_cache(memory.llc(socket));
-    run.observables.push_back(static_cast<std::uint64_t>(memory.bus_queue_cycles(socket)));
+    observables.push_back(static_cast<std::uint64_t>(memory.bus_queue_cycles(socket)));
   }
-  return run;
+  return observables;
 }
 
 }  // namespace
 
-TEST(RandomizedOracle, MultilevelFusedWalkMatchesSerialAndPr4Engines) {
+TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
   Rng master(0xF0CE5ull);
+  int fused_rounds = 0;
+  int serial_rounds = 0;
   for (int round = 0; round < 12; ++round) {
     MemSystemConfig cfg = scaled_mem_system();
-    // Vary geometry: shrink/grow the LLC, flip replacement for some
+    // Vary geometry: a 64-set LLC, or a non-power-of-two 96-set LLC
+    // that forces the library's serial walk; flip replacement for some
     // rounds (non-LRU exercises the general fills under fusion), and
     // enable the bus/prefetcher extensions for others (the
     // miss-extras path).
-    if (round % 3 == 1) cfg.llc.size /= 2;  // 64-set LLC variant
+    const bool pow2 = round % 3 != 2;
+    if (round % 3 == 1) cfg.llc.size /= 2;
+    if (!pow2) cfg.llc.size = 96ull * cfg.llc.ways * cfg.llc.line;
     if (round % 4 == 2) cfg.llc_replacement = ReplacementKind::kDip;
     if (round % 4 == 3) cfg.private_replacement = ReplacementKind::kPlru;
     cfg.prefetch.enabled = round % 2 == 1;
@@ -393,15 +398,18 @@ TEST(RandomizedOracle, MultilevelFusedWalkMatchesSerialAndPr4Engines) {
     const std::uint64_t stream_seed = master();
     const bool partition_mid_run = round % 3 == 0;
 
-    const EngineRun fused = run_engine(cfg, topo, /*fused=*/true, /*fast_fills=*/true,
-                                       stream_seed, partition_mid_run);
-    const EngineRun serial = run_engine(cfg, topo, /*fused=*/false, /*fast_fills=*/true,
-                                        stream_seed, partition_mid_run);
-    const EngineRun pr4 = run_engine(cfg, topo, /*fused=*/false, /*fast_fills=*/false,
-                                     stream_seed, partition_mid_run);
-    ASSERT_EQ(fused.observables, serial.observables) << "round " << round;
-    ASSERT_EQ(fused.observables, pr4.observables) << "round " << round;
+    MemorySystem library(topo, cfg, /*seed=*/7);
+    ASSERT_EQ(library.context(0, 0, 0).fused(), pow2) << "round " << round;
+    (pow2 ? fused_rounds : serial_rounds) += 1;
+    test::SerialWalk oracle(topo, cfg, /*seed=*/7);
+    const auto got =
+        replay_observables(library, cfg, topo, stream_seed, partition_mid_run);
+    const auto want =
+        replay_observables(oracle, cfg, topo, stream_seed, partition_mid_run);
+    ASSERT_EQ(want, got) << "round " << round << (pow2 ? " (fused)" : " (serial)");
   }
+  EXPECT_EQ(fused_rounds, 8);
+  EXPECT_EQ(serial_rounds, 4);
 }
 
 // --- 20-way order5 victim golden ----------------------------------------
@@ -413,8 +421,7 @@ TEST(RandomizedOracle, MultilevelFusedWalkMatchesSerialAndPr4Engines) {
 // frozen reference engine with every disruption the layout must
 // survive: partitions installed mid-run (fast victim steps aside,
 // mirrors keep tracking), partitions cleared again (fast victim
-// resumes on mirrors that never stopped), the fast-path knob toggled
-// off and back on (order rebuilt from recency stamps), and single-line
+// resumes on mirrors that never stopped), and single-line
 // invalidations throughout.
 
 TEST(RandomizedOracle, TwentyWayOrder5MatchesReferenceUnderDisruptions) {
@@ -426,8 +433,8 @@ TEST(RandomizedOracle, TwentyWayOrder5MatchesReferenceUnderDisruptions) {
     Rng stream(0x20aa5eedull + sets);
     const std::uint64_t span_lines = static_cast<std::uint64_t>(sets) * 20 * 3 + 1;
     constexpr std::size_t kOps = 40'000;
-    // Disruption schedule: partition on, partition off, fast paths
-    // off, fast paths on (rebuild), all with plenty of traffic between.
+    // Disruption schedule: partition on, then off again, with plenty
+    // of traffic between.
     for (std::size_t i = 0; i < kOps; ++i) {
       const Address addr = stream.below(span_lines) * geom.line;
       const Requester req{static_cast<int>(stream.below(2)),
@@ -450,8 +457,6 @@ TEST(RandomizedOracle, TwentyWayOrder5MatchesReferenceUnderDisruptions) {
         current.clear_partitions();
         reference.clear_partitions();
       }
-      if (i == 3 * kOps / 5) current.set_fill_fast_paths(false);
-      if (i == 4 * kOps / 5) current.set_fill_fast_paths(true);
     }
     EXPECT_EQ(reference.stats().accesses, current.stats().accesses) << sets;
     EXPECT_EQ(reference.stats().hits, current.stats().hits) << sets;

@@ -5,9 +5,9 @@
 #include <set>
 #include <vector>
 
-#include "cache/reference_cache.hpp"
 #include "common/rng.hpp"
 #include "mem/access.hpp"
+#include "support/reference_cache.hpp"
 
 namespace kyoto::cache {
 namespace {
@@ -292,7 +292,7 @@ TEST(Replacement, DipTracksBetterPolicyUnderThrash) {
 // The SoA rewrite must be *behaviorally invisible*: for every
 // replacement policy, the hit/miss/eviction sequence over a recorded
 // op trace must match the original array-of-structs engine line for
-// line (reference_cache.hpp keeps that engine frozen).  These tests
+// line (tests/support/reference_cache.hpp keeps that engine frozen).  These tests
 // are the license to keep optimizing the hot path.
 
 struct GoldenOp {
@@ -461,24 +461,20 @@ TEST(Replacement, LipInsertsAtLruPosition) {
   EXPECT_EQ(*r.evicted, line(0, 9));
 }
 
-TEST(FillFastPaths, KnobStaysStickyAcrossPartitionChanges) {
-  // set_fill_fast_paths(false) puts the cache in PR 4 engine mode;
-  // installing and clearing a partition must not silently re-enable
-  // the pruned fills (the knob is what lets benches attribute timing
-  // to an engine).
-  SetAssocCache c("knob", CacheGeometry{8 * 64 * 4, 4}, ReplacementKind::kLru);
-  EXPECT_TRUE(c.fast_fill());
-  c.set_fill_fast_paths(false);
-  EXPECT_FALSE(c.fast_fill());
-  c.set_partition(0, 0, 2);
-  c.clear_partitions();
-  EXPECT_FALSE(c.fast_fill());  // still the PR 4 engine
-  c.set_fill_fast_paths(true);
-  EXPECT_TRUE(c.fast_fill());
-  c.set_partition(0, 0, 2);
-  EXPECT_FALSE(c.fast_fill());  // partitions always force the general fill
-  c.clear_partitions();
-  EXPECT_TRUE(c.fast_fill());
+TEST(FillFastPaths, SelectedByPolicyAndPartitionState) {
+  // The pruned LRU fill runs exactly when the cache is plain LRU with
+  // no partition installed; installing a partition drops to the
+  // general fill and clearing it re-arms the fast path.
+  SetAssocCache lru("lru", CacheGeometry{8 * 64 * 4, 4}, ReplacementKind::kLru);
+  EXPECT_TRUE(lru.fast_fill());
+  lru.set_partition(0, 0, 2);
+  EXPECT_FALSE(lru.fast_fill());
+  lru.clear_partitions();
+  EXPECT_TRUE(lru.fast_fill());
+  SetAssocCache plru("plru", CacheGeometry{8 * 64 * 4, 4}, ReplacementKind::kPlru);
+  EXPECT_FALSE(plru.fast_fill());
+  plru.clear_partitions();
+  EXPECT_FALSE(plru.fast_fill());
 }
 
 }  // namespace

@@ -2,19 +2,20 @@
 // analogue of tests/cache/random_oracle_test.cpp.
 //
 // The branch-light engines (branchless credit/CFS accounting, mask
-// Kyoto gates, batched PMU deltas, identity-switch fast path) claim
-// bit-identity with the pre-rework control flow.  That pre-rework
-// code is kept verbatim in-tree as the reference engine
-// (Hypervisor::set_control_plane_engine(false) selects it everywhere
-// at once: eager switch-out/in plus the branchy scheduler and
-// controller paths).  This suite drives both engines — and a third
-// instance that flips engines mid-run — through ~100 randomized tick
-// sequences (random VM mixes, weights, caps, llc_cap bookings, punish
-// modes, migrations, churn departures and arrivals) and compares the
-// full observable accounting state word-for-word after every step:
-// virtualized counters, sched/idle ticks, credit/vruntime state, cap
-// budgets and the controller's quota/punish records, doubles compared
-// by bit pattern.
+// Kyoto gates, the select-arithmetic pollution controller) claim
+// bit-identity with the pre-rework control flow.  That code is kept
+// as self-contained frozen schedulers in
+// tests/support/reference_control_plane.hpp.  This suite runs one
+// hypervisor on the library schedulers and one on the reference
+// schedulers through ~100 randomized tick sequences (random VM mixes,
+// weights, caps, llc_cap bookings, punish modes, migrations, churn
+// departures and arrivals) and compares the full observable
+// accounting state word-for-word after every step: virtualized
+// counters, sched/idle ticks, credit/vruntime state, cap budgets and
+// the controller's quota/punish records, doubles compared by bit
+// pattern.  (The identity-switch PMU path is common to both sides; its
+// own invariant is checked by the counter ledger in
+// tests/hv/vm_lifecycle_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -31,6 +32,7 @@
 #include "kyoto/ks4linux.hpp"
 #include "kyoto/ks4pisces.hpp"
 #include "kyoto/ks4xen.hpp"
+#include "support/reference_control_plane.hpp"
 #include "test_util.hpp"
 #include "workloads/catalog.hpp"
 
@@ -42,97 +44,106 @@ enum class Kind { kCredit, kCfs, kKs4Xen, kKs4XenDemote, kKs4Linux, kKs4Pisces }
 bool is_kyoto(Kind k) { return k != Kind::kCredit && k != Kind::kCfs; }
 bool is_pisces(Kind k) { return k == Kind::kKs4Pisces; }
 
-std::unique_ptr<Scheduler> make_scheduler(Kind kind) {
-  core::KyotoParams params;
-  switch (kind) {
-    case Kind::kCredit: return std::make_unique<CreditScheduler>();
-    case Kind::kCfs: return std::make_unique<CfsScheduler>();
-    case Kind::kKs4Xen:
-      return std::make_unique<core::Ks4Xen>(std::make_unique<core::DirectPmcMonitor>(),
-                                            params);
-    case Kind::kKs4XenDemote:
-      params.punish_mode = core::PunishMode::kDemote;
-      return std::make_unique<core::Ks4Xen>(std::make_unique<core::DirectPmcMonitor>(),
-                                            params);
-    case Kind::kKs4Linux:
-      return std::make_unique<core::Ks4Linux>(std::make_unique<core::DirectPmcMonitor>(),
-                                              params);
-    case Kind::kKs4Pisces:
-      return std::make_unique<core::Ks4Pisces>(std::make_unique<core::DirectPmcMonitor>(),
-                                               params);
-  }
-  return nullptr;
-}
-
-const core::PollutionController* controller_of(Kind kind, Hypervisor& hv) {
-  switch (kind) {
-    case Kind::kKs4Xen:
-    case Kind::kKs4XenDemote:
-      return &static_cast<core::Ks4Xen&>(hv.scheduler()).kyoto();
-    case Kind::kKs4Linux:
-      return &static_cast<core::Ks4Linux&>(hv.scheduler()).kyoto();
-    case Kind::kKs4Pisces:
-      return &static_cast<core::Ks4Pisces&>(hv.scheduler()).kyoto();
-    default: return nullptr;
-  }
-}
-
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
-/// Everything the control plane computes, serialized word-for-word.
-std::vector<std::uint64_t> snapshot(Kind kind, Hypervisor& hv) {
-  std::vector<std::uint64_t> out;
-  out.push_back(static_cast<std::uint64_t>(hv.now()));
-  const int cores = hv.machine().topology().total_cores();
-  for (int core = 0; core < cores; ++core) {
-    out.push_back(static_cast<std::uint64_t>(hv.idle_ticks(core)));
+/// One control-plane implementation: the scheduler classes a Kind maps
+/// to, and how to read their accounting state.  Instantiated once for
+/// the library and once for the frozen reference engines.
+template <class Credit, class Cfs, class Xen, class Linux, class Pisces>
+struct Family {
+  static std::unique_ptr<Scheduler> make(Kind kind) {
+    core::KyotoParams params;
+    switch (kind) {
+      case Kind::kCredit: return std::make_unique<Credit>();
+      case Kind::kCfs: return std::make_unique<Cfs>();
+      case Kind::kKs4Xen:
+        return std::make_unique<Xen>(std::make_unique<core::DirectPmcMonitor>(), params);
+      case Kind::kKs4XenDemote:
+        params.punish_mode = core::PunishMode::kDemote;
+        return std::make_unique<Xen>(std::make_unique<core::DirectPmcMonitor>(), params);
+      case Kind::kKs4Linux:
+        return std::make_unique<Linux>(std::make_unique<core::DirectPmcMonitor>(), params);
+      case Kind::kKs4Pisces:
+        return std::make_unique<Pisces>(std::make_unique<core::DirectPmcMonitor>(), params);
+    }
+    return nullptr;
   }
-  for (int id = 0; id < hv.vm_count(); ++id) {
-    Vm* vm = hv.find_vm(id);
-    out.push_back(vm != nullptr ? 1u : 0u);
-    if (vm == nullptr) continue;
-    const pmc::CounterSet counters = vm->counters();
-    for (const std::uint64_t v : counters.values) out.push_back(v);
-    for (const auto& vcpu : vm->vcpus()) {
-      out.push_back(static_cast<std::uint64_t>(hv.sched_ticks(*vcpu)));
-      out.push_back(static_cast<std::uint64_t>(vcpu->cpu_cycles()));
-      switch (kind) {
-        case Kind::kCredit:
-        case Kind::kKs4Xen:
-        case Kind::kKs4XenDemote: {
-          const auto& cs = static_cast<const CreditScheduler&>(hv.scheduler());
-          out.push_back(static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(cs.remain_credit(*vcpu))));
-          out.push_back(cs.in_over(*vcpu) ? 1u : 0u);
-          out.push_back(bits(cs.cap_budget_fraction(*vcpu)));
-          break;
+
+  static const core::PollutionController::VmState* vm_state(Kind kind, Hypervisor& hv,
+                                                             int vm_id) {
+    switch (kind) {
+      case Kind::kKs4Xen:
+      case Kind::kKs4XenDemote:
+        return &static_cast<Xen&>(hv.scheduler()).kyoto().state_by_id(vm_id);
+      case Kind::kKs4Linux:
+        return &static_cast<Linux&>(hv.scheduler()).kyoto().state_by_id(vm_id);
+      case Kind::kKs4Pisces:
+        return &static_cast<Pisces&>(hv.scheduler()).kyoto().state_by_id(vm_id);
+      default: return nullptr;
+    }
+  }
+
+  /// Everything the control plane computes, serialized word-for-word.
+  static std::vector<std::uint64_t> snapshot(Kind kind, Hypervisor& hv) {
+    std::vector<std::uint64_t> out;
+    out.push_back(static_cast<std::uint64_t>(hv.now()));
+    const int cores = hv.machine().topology().total_cores();
+    for (int core = 0; core < cores; ++core) {
+      out.push_back(static_cast<std::uint64_t>(hv.idle_ticks(core)));
+    }
+    for (int id = 0; id < hv.vm_count(); ++id) {
+      Vm* vm = hv.find_vm(id);
+      out.push_back(vm != nullptr ? 1u : 0u);
+      if (vm == nullptr) continue;
+      const pmc::CounterSet counters = vm->counters();
+      for (const std::uint64_t v : counters.values) out.push_back(v);
+      for (const auto& vcpu : vm->vcpus()) {
+        out.push_back(static_cast<std::uint64_t>(hv.sched_ticks(*vcpu)));
+        out.push_back(static_cast<std::uint64_t>(vcpu->cpu_cycles()));
+        switch (kind) {
+          case Kind::kCredit:
+          case Kind::kKs4Xen:
+          case Kind::kKs4XenDemote: {
+            const auto& cs = static_cast<const Credit&>(hv.scheduler());
+            out.push_back(static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(cs.remain_credit(*vcpu))));
+            out.push_back(cs.in_over(*vcpu) ? 1u : 0u);
+            out.push_back(bits(cs.cap_budget_fraction(*vcpu)));
+            break;
+          }
+          case Kind::kCfs:
+          case Kind::kKs4Linux: {
+            const auto& cfs = static_cast<const Cfs&>(hv.scheduler());
+            out.push_back(bits(cfs.vruntime(*vcpu)));
+            break;
+          }
+          case Kind::kKs4Pisces: break;
         }
-        case Kind::kCfs:
-        case Kind::kKs4Linux: {
-          const auto& cfs = static_cast<const CfsScheduler&>(hv.scheduler());
-          out.push_back(bits(cfs.vruntime(*vcpu)));
-          break;
-        }
-        case Kind::kKs4Pisces: break;
       }
     }
-  }
-  if (const core::PollutionController* ctl = controller_of(kind, hv)) {
-    // state_by_id is valid for departed tenants too — the frozen final
-    // record must match across engines as well.
-    for (int id = 0; id < hv.vm_count(); ++id) {
-      const auto& st = ctl->state_by_id(id);
-      out.push_back(bits(st.booked));
-      out.push_back(bits(st.quota));
-      out.push_back(bits(st.last_rate));
-      out.push_back(bits(st.debited_total));
-      out.push_back(st.punished ? 1u : 0u);
-      out.push_back(static_cast<std::uint64_t>(st.punish_events));
-      out.push_back(static_cast<std::uint64_t>(st.punished_ticks));
+    if (is_kyoto(kind)) {
+      // state_by_id is valid for departed tenants too — the frozen
+      // final record must match as well.
+      for (int id = 0; id < hv.vm_count(); ++id) {
+        const auto& st = *vm_state(kind, hv, id);
+        out.push_back(bits(st.booked));
+        out.push_back(bits(st.quota));
+        out.push_back(bits(st.last_rate));
+        out.push_back(bits(st.debited_total));
+        out.push_back(st.punished ? 1u : 0u);
+        out.push_back(static_cast<std::uint64_t>(st.punish_events));
+        out.push_back(static_cast<std::uint64_t>(st.punished_ticks));
+      }
     }
+    return out;
   }
-  return out;
-}
+};
+
+using Library = Family<CreditScheduler, CfsScheduler, core::Ks4Xen, core::Ks4Linux,
+                       core::Ks4Pisces>;
+using Reference = Family<test::ReferenceCreditScheduler, test::ReferenceCfsScheduler,
+                         test::ReferenceKs4Xen, test::ReferenceKs4Linux,
+                         test::ReferenceKs4Pisces>;
 
 struct VmPlanOracle {
   std::string app;
@@ -198,9 +209,9 @@ VmPlanOracle random_plan(std::mt19937_64& rng, Kind kind, int core) {
   return plan;
 }
 
-/// One randomized round: identical initial placements, an identical
-/// event script, three instances (reference / batched / mid-run
-/// toggler), snapshots compared after every step.
+/// One randomized round: identical initial placements and an
+/// identical event script on a library and a reference hypervisor,
+/// snapshots compared after every step.
 void run_round(Kind kind, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   const int cores = test::test_machine().topology.total_cores();
@@ -238,36 +249,19 @@ void run_round(Kind kind, std::uint64_t seed) {
     script.push_back(step);
   }
 
-  Hypervisor reference(test::test_machine(), make_scheduler(kind));
-  Hypervisor batched(test::test_machine(), make_scheduler(kind));
-  Hypervisor toggler(test::test_machine(), make_scheduler(kind));
-  reference.set_control_plane_engine(false);
-  ASSERT_FALSE(reference.batched_control_plane());
-  ASSERT_TRUE(batched.batched_control_plane());
-
+  Hypervisor reference(test::test_machine(), Reference::make(kind));
+  Hypervisor library(test::test_machine(), Library::make(kind));
   for (const VmPlanOracle& plan : initial) {
     spawn(reference, plan);
-    spawn(batched, plan);
-    spawn(toggler, plan);
+    spawn(library, plan);
   }
 
-  bool toggle = false;
   for (std::size_t i = 0; i < script.size(); ++i) {
     apply(reference, script[i]);
-    apply(batched, script[i]);
-    // The engines share state and may be swapped at any tick
-    // boundary; the toggler flips every step and must still match.
-    toggler.set_control_plane_engine(toggle);
-    toggle = !toggle;
-    apply(toggler, script[i]);
-
-    const auto want = snapshot(kind, reference);
-    ASSERT_EQ(want, snapshot(kind, batched))
-        << "batched diverged: seed " << seed << " step " << i;
-    ASSERT_EQ(want, snapshot(kind, toggler))
-        << "toggler diverged: seed " << seed << " step " << i;
+    apply(library, script[i]);
+    ASSERT_EQ(Reference::snapshot(kind, reference), Library::snapshot(kind, library))
+        << "library diverged: seed " << seed << " step " << i;
   }
-  EXPECT_EQ(reference.identity_switch_ticks(), 0);
 }
 
 TEST(AccountingOracle, CreditMatchesFrozenReference) {
@@ -298,24 +292,6 @@ TEST(AccountingOracle, Ks4PiscesMatchesFrozenReference) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     run_round(Kind::kKs4Pisces, 0x25'0000 + seed);
   }
-}
-
-TEST(AccountingOracle, FastPathEngagesInSteadyState) {
-  // A single looping VM keeps its core every tick: every pick after
-  // the first is an identity switch under the batched engine, and
-  // never under the reference engine.
-  Hypervisor batched(test::test_machine(), std::make_unique<CreditScheduler>());
-  Hypervisor reference(test::test_machine(), std::make_unique<CreditScheduler>());
-  reference.set_control_plane_engine(false);
-  VmConfig config{.name = "steady"};
-  config.loop_workload = true;
-  batched.create_vm(config, workloads::make_app("gcc", test::test_machine().mem, 1), 0);
-  reference.create_vm(config, workloads::make_app("gcc", test::test_machine().mem, 1), 0);
-  batched.run_ticks(12);
-  reference.run_ticks(12);
-  EXPECT_EQ(batched.identity_switch_ticks(), 11);
-  EXPECT_EQ(reference.identity_switch_ticks(), 0);
-  EXPECT_EQ(batched.vm(0).counters(), reference.vm(0).counters());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "kyoto/ks4xen.hpp"
 #include "kyoto/monitor.hpp"
 #include "sim/churn_engine.hpp"
+#include "support/counter_ledger.hpp"
 #include "test_util.hpp"
 #include "workloads/catalog.hpp"
 
@@ -224,172 +225,150 @@ TEST(VmLifecycle, RunScenarioToleratesMidWindowChurn) {
 
 // --- identity-switch fast path edge cases ----------------------------
 //
-// The batched control plane leaves a steady-state vCPU switched in
-// across ticks (lazy PMU delta).  Every event that consumes or
-// invalidates that delta — destroy_vm, migrate, a monitor-style
-// counter read, a churn arrival onto the vacated core — must see
-// exactly the state the eager reference engine would produce.  Each
-// test runs a batched instance against an eager twin executing the
-// same script and compares counters bitwise, using
-// identity_switch_ticks() to prove the fast path was actually
-// engaged (not vacuously skipped).
+// The hypervisor leaves a steady-state vCPU switched in across ticks
+// (lazy PMU delta).  Every event that consumes or invalidates that
+// delta — destroy_vm, migrate, a monitor-style counter read, a churn
+// arrival onto the vacated core — must leave each VM's counters equal
+// to the sum of the per-tick deltas it was charged.  A CounterLedger
+// checks that at every tick boundary and at every destroy_vm; the
+// tests add checks around migrate and use identity_switch_ticks() to
+// prove the fast path was actually engaged (not vacuously skipped).
 
-/// Builds one batched + one eager-reference hypervisor pair running
-/// the same initial VMs.
-struct TwinPair {
-  Hypervisor batched;
-  Hypervisor eager;
-  TwinPair()
-      : batched(test::test_machine(), std::make_unique<CreditScheduler>()),
-        eager(test::test_machine(), std::make_unique<CreditScheduler>()) {
-    eager.set_control_plane_engine(false);
+/// A hypervisor with a counter ledger attached from tick 0.
+struct LedgeredHost {
+  Hypervisor hv;
+  test::CounterLedger ledger;
+  explicit LedgeredHost(std::unique_ptr<Scheduler> scheduler =
+                            std::make_unique<CreditScheduler>())
+      : hv(test::test_machine(), std::move(scheduler)), ledger(hv) {}
+  Vm& spawn(const VmConfig& config, const char* workload, std::uint64_t seed, int core) {
+    return hv.create_vm(config, app(workload, test::test_machine(), seed), core);
   }
-  void spawn(const std::string& name, const char* workload, std::uint64_t seed, int core) {
-    const MachineConfig machine = test::test_machine();
-    batched.create_vm(looping(name), app(workload, machine, seed), core);
-    eager.create_vm(looping(name), app(workload, machine, seed), core);
+  Vm& spawn(const std::string& name, const char* workload, std::uint64_t seed, int core) {
+    return spawn(looping(name), workload, seed, core);
   }
-  void run(Tick n) {
-    batched.run_ticks(n);
-    eager.run_ticks(n);
-  }
-  void expect_counters_equal(const char* what) {
-    ASSERT_EQ(batched.vm_count(), eager.vm_count());
-    for (int id = 0; id < batched.vm_count(); ++id) {
-      Vm* b = batched.find_vm(id);
-      Vm* e = eager.find_vm(id);
-      ASSERT_EQ(b == nullptr, e == nullptr) << what << ": vm " << id;
-      if (b != nullptr) EXPECT_EQ(b->counters(), e->counters()) << what << ": vm " << id;
-    }
+  void expect_ledger_held() const {
+    const auto& bad = ledger.violations();
+    EXPECT_TRUE(bad.empty()) << bad.size() << " violation(s), first: " << bad.front();
   }
 };
 
 TEST(VmLifecycle, DepartedBookedTenantQuotaIsFrozen) {
   // The controller keeps a departed tenant's slot as its final
   // accounting record: after destroy_vm its quota must stop earning
-  // at slice ends, in both control-plane engines, while the live
-  // booked tenant's accounting carries on.
-  for (const bool batched : {true, false}) {
-    const MachineConfig machine = test::test_machine();
-    Hypervisor hv(machine, std::make_unique<core::Ks4Xen>());
-    hv.set_control_plane_engine(batched);
-    VmConfig polluter = looping("polluter");
-    polluter.llc_cap = 1.0;  // tight: driven into debt within a few slices
-    VmConfig neighbor = looping("neighbor");
-    neighbor.llc_cap = 5000.0;  // generous: keeps running and being debited
-    const int departing = hv.create_vm(polluter, app("mcf", machine, 1), 0).id();
-    const int staying = hv.create_vm(neighbor, app("lbm", machine, 2), 1).id();
-    hv.run_ticks(12);
-    const auto& kyoto = static_cast<core::Ks4Xen&>(hv.scheduler()).kyoto();
-    ASSERT_GT(kyoto.state_by_id(departing).booked, 0.0);
-    ASSERT_LT(kyoto.state_by_id(departing).quota, 0.0) << "polluter never went into debt";
+  // at slice ends, while the live booked tenant's accounting carries
+  // on.
+  const MachineConfig machine = test::test_machine();
+  Hypervisor hv(machine, std::make_unique<core::Ks4Xen>());
+  VmConfig polluter = looping("polluter");
+  polluter.llc_cap = 1.0;  // tight: driven into debt within a few slices
+  VmConfig neighbor = looping("neighbor");
+  neighbor.llc_cap = 5000.0;  // generous: keeps running and being debited
+  const int departing = hv.create_vm(polluter, app("mcf", machine, 1), 0).id();
+  const int staying = hv.create_vm(neighbor, app("lbm", machine, 2), 1).id();
+  hv.run_ticks(12);
+  const auto& kyoto = static_cast<core::Ks4Xen&>(hv.scheduler()).kyoto();
+  ASSERT_GT(kyoto.state_by_id(departing).booked, 0.0);
+  ASSERT_LT(kyoto.state_by_id(departing).quota, 0.0) << "polluter never went into debt";
 
-    hv.destroy_vm(departing);
-    const double frozen_quota = kyoto.state_by_id(departing).quota;
-    const std::int64_t frozen_ticks = kyoto.state_by_id(departing).punished_ticks;
-    const double staying_before = kyoto.state_by_id(staying).debited_total;
-    hv.run_ticks(3 * static_cast<int>(kTicksPerSlice));
-    EXPECT_EQ(kyoto.state_by_id(departing).quota, frozen_quota) << "batched=" << batched;
-    EXPECT_EQ(kyoto.state_by_id(departing).punished_ticks, frozen_ticks);
-    EXPECT_FALSE(kyoto.state_by_id(departing).punished);
-    EXPECT_GT(kyoto.state_by_id(staying).debited_total, staying_before);
-  }
+  hv.destroy_vm(departing);
+  const double frozen_quota = kyoto.state_by_id(departing).quota;
+  const std::int64_t frozen_ticks = kyoto.state_by_id(departing).punished_ticks;
+  const double staying_before = kyoto.state_by_id(staying).debited_total;
+  hv.run_ticks(3 * static_cast<int>(kTicksPerSlice));
+  EXPECT_EQ(kyoto.state_by_id(departing).quota, frozen_quota);
+  EXPECT_EQ(kyoto.state_by_id(departing).punished_ticks, frozen_ticks);
+  EXPECT_FALSE(kyoto.state_by_id(departing).punished);
+  EXPECT_GT(kyoto.state_by_id(staying).debited_total, staying_before);
+}
+
+TEST(IdentitySwitch, FastPathEngagesInSteadyState) {
+  // A single looping VM keeps its core every tick: every pick after
+  // the first is an identity switch.
+  LedgeredHost host;
+  host.spawn("steady", "gcc", 1, 0);
+  host.hv.run_ticks(12);
+  EXPECT_EQ(host.hv.identity_switch_ticks(), 11);
+  EXPECT_EQ(host.ledger.checks(), 12u);
+  host.expect_ledger_held();
 }
 
 TEST(IdentitySwitch, DestroyVmMidSteadyStateFlushesLazyDelta) {
-  TwinPair twins;
-  twins.spawn("resident", "mcf", 1, 0);
-  twins.spawn("bystander", "gcc", 2, 1);
-  twins.run(8);
-  ASSERT_GT(twins.batched.identity_switch_ticks(), 0);
+  LedgeredHost host;
+  host.spawn("resident", "mcf", 1, 0);
+  host.spawn("bystander", "gcc", 2, 1);
+  host.hv.run_ticks(8);
+  ASSERT_GT(host.hv.identity_switch_ticks(), 0);
   // Destroy while resident: the multi-tick in-flight delta must land
-  // in the final accounting record, not evaporate.
-  twins.batched.destroy_vm(0);
-  twins.eager.destroy_vm(0);
-  twins.expect_counters_equal("after destroy");
-  twins.run(5);
-  twins.expect_counters_equal("after post-destroy ticks");
+  // in the final accounting record (checked by the ledger's
+  // vm-removed hook), not evaporate.
+  host.hv.destroy_vm(0);
+  host.hv.run_ticks(5);
+  host.expect_ledger_held();
 }
 
 TEST(IdentitySwitch, MigrateAfterIdentityTicksFlushesAgainstOldCore) {
-  TwinPair twins;
-  twins.spawn("mover", "mcf", 1, 0);
-  twins.run(7);
-  const auto before = twins.batched.identity_switch_ticks();
+  LedgeredHost host;
+  Vm& mover = host.spawn("mover", "mcf", 1, 0);
+  host.hv.run_ticks(7);
+  const auto before = host.hv.identity_switch_ticks();
   ASSERT_GT(before, 0);
   // Migrate off the fast-path core: the lazy delta folds against the
   // OLD core's PMU before the pin changes.
-  twins.batched.migrate(twins.batched.vm(0).vcpu(0), 2);
-  twins.eager.migrate(twins.eager.vm(0).vcpu(0), 2);
-  twins.expect_counters_equal("right after migrate");
-  twins.run(7);
-  twins.expect_counters_equal("after re-settling");
+  host.ledger.check("before migrate");
+  host.hv.migrate(mover.vcpu(0), 2);
+  host.ledger.check("right after migrate");
+  host.hv.run_ticks(7);
+  host.expect_ledger_held();
   // The vCPU re-enters the fast path on its new core.
-  EXPECT_GT(twins.batched.identity_switch_ticks(), before);
+  EXPECT_GT(host.hv.identity_switch_ticks(), before);
 }
 
 TEST(IdentitySwitch, CounterReadsSeeInFlightLazyDelta) {
-  TwinPair twins;
-  twins.spawn("watched", "mcf", 1, 0);
-  // Read mid-steady-state every tick, exactly where monitors read
-  // (tick boundaries): the resident vCPU's delta spans several ticks
-  // but Vm::counters() must match the eager engine at every boundary.
-  for (int i = 0; i < 9; ++i) {
-    twins.run(1);
-    twins.expect_counters_equal("tick boundary read");
-  }
-  EXPECT_GT(twins.batched.identity_switch_ticks(), 0);
+  // The ledger reads Vm::counters() at every tick boundary — exactly
+  // where monitors read — while the resident vCPU's delta spans
+  // several ticks.
+  LedgeredHost host;
+  host.spawn("watched", "mcf", 1, 0);
+  host.hv.run_ticks(9);
+  EXPECT_EQ(host.ledger.checks(), 9u);
+  EXPECT_GT(host.hv.identity_switch_ticks(), 0);
+  host.expect_ledger_held();
 }
 
 TEST(IdentitySwitch, ChurnArrivalOntoFastPathCore) {
-  TwinPair twins;
-  twins.spawn("incumbent", "mcf", 1, 0);
-  twins.spawn("neighbor", "gcc", 2, 1);
-  twins.run(8);
-  ASSERT_GT(twins.batched.identity_switch_ticks(), 0);
+  LedgeredHost host;
+  host.spawn("incumbent", "mcf", 1, 0);
+  host.spawn("neighbor", "gcc", 2, 1);
+  host.hv.run_ticks(8);
+  ASSERT_GT(host.hv.identity_switch_ticks(), 0);
   // Churn: the incumbent departs, a new tenant lands on the same core
   // (the scheduler now alternates picks on core 0 while the arrival
   // warms up — a real switch, then steady state again).
-  twins.batched.destroy_vm(0);
-  twins.eager.destroy_vm(0);
-  twins.spawn("arrival", "gcc", 3, 0);
-  const auto at_arrival = twins.batched.identity_switch_ticks();
-  twins.run(8);
-  twins.expect_counters_equal("after arrival settles");
+  host.hv.destroy_vm(0);
+  host.spawn("arrival", "gcc", 3, 0);
+  const auto at_arrival = host.hv.identity_switch_ticks();
+  host.hv.run_ticks(8);
+  host.expect_ledger_held();
   // The arrival reaches the fast path too.
-  EXPECT_GT(twins.batched.identity_switch_ticks(), at_arrival);
+  EXPECT_GT(host.hv.identity_switch_ticks(), at_arrival);
 }
 
-TEST(IdentitySwitch, KyotoPunishStateUnaffectedByLazyResidency) {
-  // A Ks4Xen twin pair with a tightly booked polluter: quota debits
-  // and punish transitions (computed from per-tick RunReports, not
-  // the lazy accumulation) must agree bitwise while the fast path is
-  // engaged on both cores.
-  const MachineConfig machine = test::test_machine();
-  Hypervisor batched(machine, std::make_unique<core::Ks4Xen>());
-  Hypervisor eager(machine, std::make_unique<core::Ks4Xen>());
-  eager.set_control_plane_engine(false);
-  for (Hypervisor* hv : {&batched, &eager}) {
-    VmConfig booked = looping("polluter");
-    booked.llc_cap = 1.0;  // tight: punish oscillation within a few slices
-    hv->create_vm(booked, app("mcf", machine, 1), 0);
-    hv->create_vm(looping("victim"), app("gcc", machine, 2), 1);
-  }
-  batched.run_ticks(18);
-  eager.run_ticks(18);
-  ASSERT_GT(batched.identity_switch_ticks(), 0);
-  const auto& bk = static_cast<core::Ks4Xen&>(batched.scheduler()).kyoto();
-  const auto& ek = static_cast<core::Ks4Xen&>(eager.scheduler()).kyoto();
-  for (int id = 0; id < 2; ++id) {
-    const auto& bs = bk.state_by_id(id);
-    const auto& es = ek.state_by_id(id);
-    EXPECT_EQ(bs.quota, es.quota) << id;
-    EXPECT_EQ(bs.debited_total, es.debited_total) << id;
-    EXPECT_EQ(bs.punished, es.punished) << id;
-    EXPECT_EQ(bs.punish_events, es.punish_events) << id;
-    EXPECT_EQ(bs.punished_ticks, es.punished_ticks) << id;
-  }
-  EXPECT_GT(bk.state_by_id(0).punish_events, 0) << "polluter never punished; gate vacuous";
+TEST(IdentitySwitch, KyotoPunishmentKeepsTheLedger) {
+  // KS4Xen with a tightly booked polluter: punish transitions block
+  // and release the polluter's core while the fast path is engaged on
+  // both cores, and the per-tick deltas the controller was charged
+  // must still sum to the counters.
+  LedgeredHost host(std::make_unique<core::Ks4Xen>());
+  VmConfig booked = looping("polluter");
+  booked.llc_cap = 1.0;  // tight: punish oscillation within a few slices
+  host.spawn(booked, "mcf", 1, 0);
+  host.spawn("victim", "gcc", 2, 1);
+  host.hv.run_ticks(18);
+  ASSERT_GT(host.hv.identity_switch_ticks(), 0);
+  const auto& kyoto = static_cast<core::Ks4Xen&>(host.hv.scheduler()).kyoto();
+  EXPECT_GT(kyoto.state_by_id(0).punish_events, 0) << "polluter never punished; gate vacuous";
+  host.expect_ledger_held();
 }
 
 }  // namespace

@@ -66,11 +66,9 @@ void append_cache_stats(std::vector<std::uint64_t>& blob, const cache::CacheStat
 
 /// Runs `scenario` with the given engine width and serializes
 /// everything an experiment could ever read into one flat word blob.
-std::vector<std::uint64_t> run_trace(const Scenario& scenario, int threads,
-                                     bool batched_control_plane = true) {
+std::vector<std::uint64_t> run_trace(const Scenario& scenario, int threads) {
   auto hv = std::make_unique<hv::Hypervisor>(scenario.machine, scenario.scheduler());
   hv->set_execution_threads(threads);
-  hv->set_control_plane_engine(batched_control_plane);
 
   // One single-vCPU VM per core, mixing sensitive and disruptive
   // apps so LLC contention, punishment and migration all trigger.
@@ -246,30 +244,6 @@ TEST(ParallelEquivalence, BusAndPrefetcherExtensions) {
   scenario.scheduler = credit_factory();
   scenario.ticks = 6;
   expect_identical(scenario, "bus+prefetch");
-}
-
-TEST(ParallelEquivalence, ControlPlaneEnginesCrossThreads) {
-  // The identity-switch fast path and batched accounting live in the
-  // serial prologue/epilogue, orthogonal to the execution partitions:
-  // every (threads, engine) combination must produce the same trace
-  // blob — including the per-tick Vm::counters() reads, which land on
-  // in-flight lazy deltas under the batched engine.
-  Scenario scenario;
-  scenario.machine = table1_machine(2);
-  scenario.scheduler = [] {
-    return std::unique_ptr<hv::Scheduler>(std::make_unique<core::Ks4Xen>());
-  };
-  scenario.kyoto = true;
-  scenario.ticks = 12;
-  const std::vector<std::uint64_t> want = run_trace(scenario, 1, /*batched=*/false);
-  ASSERT_FALSE(want.empty());
-  for (const int threads : {1, 2, 4}) {
-    for (const bool batched : {false, true}) {
-      if (threads == 1 && !batched) continue;  // the reference trace itself
-      const std::vector<std::uint64_t> got = run_trace(scenario, threads, batched);
-      EXPECT_EQ(want, got) << "threads=" << threads << " batched=" << batched;
-    }
-  }
 }
 
 TEST(ParallelEquivalence, ThreadsExceedingSocketsClampCleanly) {
