@@ -38,15 +38,13 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
       sets_(geometry.sets()),
       ways_(geometry.ways),
       track_attribution_(track_attribution),
-      rng_(seed),
-      displaced_pool_(std::make_unique<PoolResource>()),
-      displaced_(0, std::hash<Address>{}, std::equal_to<Address>{},
-                 PoolAllocator<std::pair<const Address, std::uint64_t>>(
-                     displaced_pool_.get())) {
+      rng_(seed) {
   KYOTO_CHECK_MSG(geometry_.ways >= 1, "cache must have at least one way");
   KYOTO_CHECK_MSG(geometry_.ways <= 64,
                   "associativity above 64 not supported (per-set bitmask words)");
   const std::size_t lines = static_cast<std::size_t>(sets_) * ways_;
+  fp_stride_ = (ways_ + 15) / 16 * 16;
+  fp_.resize((static_cast<std::size_t>(sets_) * fp_stride_ + 63) / 64);
   tags_.assign(lines, 0);
   stamps_.assign(lines, 0);
   owners_.assign(lines, -1);
@@ -70,6 +68,7 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
     line_shift_ = static_cast<unsigned>(
         std::countr_zero(static_cast<std::uint64_t>(geometry_.line)));
     set_mask_ = sets_ - 1;
+    fp_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
   }
 
   per_core_.resize(static_cast<std::size_t>(std::max(slots.cores, 1)));
@@ -278,17 +277,8 @@ void SetAssocCache::invalidate(Address addr) {
 std::uint64_t SetAssocCache::release_vm(int vm) {
   if (!track_attribution_ || vm < 0) return 0;
   // Purge the VM's bits from the displaced-line index first: a dead
-  // VM can never re-miss, so its entries would only pin pool nodes.
-  if (vm < kPollutionVmTracked && !displaced_.empty()) {
-    const std::uint64_t vm_bit = 1ull << vm;
-    for (auto it = displaced_.begin(); it != displaced_.end();) {
-      if ((it->second &= ~vm_bit) == 0) {
-        it = displaced_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  // VM can never re-miss, so its entries would only lengthen probes.
+  if (vm < kPollutionVmTracked) displaced_.clear_bits(1ull << vm);
   if (footprint_lines(vm) == 0) return 0;
   // Per-line teardown, exactly invalidate()'s bookkeeping.  The LRU
   // mirrors are deliberately untouched (same contract as invalidate():

@@ -8,16 +8,26 @@
 // way-partitioning ablation).
 //
 // Hot-path design.  Millions of simulated accesses per figure funnel
-// through this class, so the engine is built around four ideas:
+// through this class, so the engine is built around five ideas:
 //
 //  * structure-of-arrays: line metadata lives in parallel arrays
 //    (tags / stamps / owners, row-major by set) plus one valid and
 //    one dirty bitmask word per set, so a probe touches contiguous
 //    words instead of `ways` 32-byte structs;
-//  * branch-free scans: tag matching builds a match bitmask and
-//    victim selection uses conditional-move min-reduction, so random
-//    hit/victim positions do not train-wreck the host branch
-//    predictor;
+//  * fingerprint probes: each set also has a row of one-byte tag
+//    fingerprints padded to 16/32/48/64 bytes.  A probe compares the
+//    row with SSE2 pcmpeqb/pmovmskb, masks the candidates with the
+//    valid word and confirms each with its full tag — one or two
+//    vector compares instead of `ways` 64-bit ones.  (A 4 x u64
+//    vector compare looks equivalent but needs SSE4.1 pcmpeqq; at the
+//    baseline x86-64 ISA GCC -O2 scalarizes it into per-way
+//    cmp/sete/neg/movq/punpck steps, about 250 executed instructions
+//    for a 20-way set against about 20 here.)  Only the fill writes a
+//    fingerprint; invalid ways' stale bytes are screened by the valid
+//    mask, so invalidation never touches the row;
+//  * branch-free victim selection: conditional-move min-reduction
+//    and O(1) recency-order words, so random victim positions do not
+//    train-wreck the host branch predictor;
 //  * inline hit path: `access_hot` (hit test + stats + recency) lives
 //    in the header and returns a bare bool; the miss path is one
 //    out-of-line call.  The full LookupResult (evicted address as
@@ -31,23 +41,27 @@
 // them — hardware PMCs count LLC events only, and pollution
 // accounting is an LLC concept.
 //
+// The LLC's contention-miss bookkeeping lives in a flat
+// open-addressed table (cache/displaced_index.hpp) touched only on
+// the miss path.
+//
 // The pre-overhaul engine is preserved verbatim in
 // tests/support/reference_cache.hpp as a behavioral oracle; golden
 // tests assert both produce identical hit/miss/eviction sequences for
 // every replacement policy.
 #pragma once
 
+#include <emmintrin.h>
+
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/config.hpp"
+#include "cache/displaced_index.hpp"
 #include "cache/stats.hpp"
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -148,6 +162,14 @@ class SetAssocCache {
   /// change, no statistics.
   unsigned probe_way(unsigned set, Address tag) const { return find(set, tag); }
 
+  /// One-byte probe fingerprint of a tag (a line number): the tag
+  /// bits just above the set index (its low byte for non-power-of-two
+  /// geometries), so up to 256 consecutive lines mapping to one set
+  /// never share a byte.  Public so tests can build colliding tags.
+  std::uint8_t fingerprint(Address tag) const {
+    return static_cast<std::uint8_t>(tag >> fp_shift_);
+  }
+
   /// Completes a hit found by probe_way: statistics + dirty + recency.
   void commit_hit(unsigned set, unsigned way, bool write, const Requester& requester) {
     ++total_.accesses;
@@ -222,15 +244,13 @@ class SetAssocCache {
   void prefetch_set(Address addr) const { prefetch_row(set_index(addr)); }
 
   /// Same, from a precomputed set index (the fused walk's form).
-  /// Covers the *whole* tags/stamps rows — 8 entries per host line,
-  /// so a 20-way row spans three lines and the probe/victim scan
-  /// touches all of them.
+  /// Stages what the probe reads: the fingerprint row (one host line
+  /// for up to 64 ways) and the valid word.  The tags/stamps rows are
+  /// not staged: a hit or fill touches one entry of each, and staging
+  /// their whole rows (three host lines each for 20 ways) measured
+  /// slower end to end than letting that one line miss.
   void prefetch_row(unsigned set) const {
-    const std::size_t row = line_index(set, 0);
-    for (unsigned d = 0; d < ways_; d += 8) {
-      __builtin_prefetch(&tags_[row + d]);
-      __builtin_prefetch(&stamps_[row + d]);
-    }
+    __builtin_prefetch(fp_row(set));
     __builtin_prefetch(&valid_[set]);
   }
 
@@ -360,53 +380,51 @@ class SetAssocCache {
     return pow2_geometry_ ? addr >> line_shift_ : addr / geometry_.line;
   }
 
-  /// Four-lane vector of tag words (GCC/Clang vector extension: lowers
-  /// to AVX2/SSE/NEON where available, scalar otherwise — the computed
-  /// match mask is identical either way).
-  typedef Address TagVec __attribute__((vector_size(4 * sizeof(Address))));
-
-  /// Word-wise branch-free tag probe with a compile-time way count:
-  /// each step compares four tag words at once, converts the lane
-  /// compare result (~0 per equal lane) into that lane's way bit while
-  /// still in the vector domain, and OR-accumulates — one horizontal
-  /// reduction at the end yields the same match bitmask the scalar
-  /// loop builds (at most one bit: a set never holds a tag twice).
-  template <unsigned W>
-  static unsigned find_fixed(const Address* tags, std::uint64_t valid, Address tag) {
-    static_assert(W % 4 == 0 && W <= 64, "vector probe needs a multiple of 4 ways");
-    const TagVec splat = {tag, tag, tag, tag};
-    TagVec acc = {0, 0, 0, 0};
-    for (unsigned w = 0; w < W; w += 4) {
-      TagVec row;
-      __builtin_memcpy(&row, tags + w, sizeof(row));  // rows are 8-byte aligned only
-      const TagVec lane_bit = {1ull << w, 2ull << w, 4ull << w, 8ull << w};
-      acc |= TagVec(row == splat) & lane_bit;  // lane compare reinterpreted unsigned
-    }
-    std::uint64_t match = (acc[0] | acc[1]) | (acc[2] | acc[3]);
-    match &= valid;
-    return match != 0 ? static_cast<unsigned>(std::countr_zero(match)) : kNoWay;
+  /// Fingerprint row of `set`: fp_stride_ bytes, 16-byte aligned.
+  const std::uint8_t* fp_row(unsigned set) const {
+    return reinterpret_cast<const std::uint8_t*>(fp_.data()) +
+           static_cast<std::size_t>(set) * fp_stride_;
+  }
+  std::uint8_t* fp_row(unsigned set) {
+    return reinterpret_cast<std::uint8_t*>(fp_.data()) +
+           static_cast<std::size_t>(set) * fp_stride_;
   }
 
-  /// Way holding (set, tag), or kNoWay.  Branch-free: builds a match
-  /// bitmask over the contiguous tag row (a set never holds the same
-  /// tag twice, so the mask has at most one bit).  Dispatches to a
-  /// constant-way specialization for the common associativities.
-  unsigned find(unsigned set, Address tag) const {
+  /// Fingerprint probe over a row of kChunks 16-byte blocks: SSE2
+  /// pcmpeqb/pmovmskb turn each block into 16 candidate bits, the
+  /// valid mask drops padding and stale bytes, and each surviving
+  /// candidate's full tag is checked (a set never holds a tag twice,
+  /// so the first full match is the only one).  The chunk count is a
+  /// template parameter: a runtime-stride loop does not unroll.
+  template <unsigned kChunks>
+  unsigned find_fixed(unsigned set, Address tag) const {
+    const std::uint8_t* row = fp_row(set);
+    const __m128i splat = _mm_set1_epi8(static_cast<char>(fingerprint(tag)));
+    std::uint64_t candidates = 0;
+    for (unsigned c = 0; c < kChunks; ++c) {
+      const __m128i bytes = _mm_load_si128(reinterpret_cast<const __m128i*>(row + 16 * c));
+      const auto bits = static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(bytes, splat)));
+      candidates |= static_cast<std::uint64_t>(bits) << (16 * c);
+    }
+    candidates &= valid_[set];
     const Address* tags = &tags_[line_index(set, 0)];
-    const std::uint64_t valid = valid_[set];
-    switch (ways_) {
-      case 4: return find_fixed<4>(tags, valid, tag);
-      case 8: return find_fixed<8>(tags, valid, tag);
-      case 16: return find_fixed<16>(tags, valid, tag);
-      case 20: return find_fixed<20>(tags, valid, tag);
-      default: break;
+    while (candidates != 0) {
+      const auto way = static_cast<unsigned>(std::countr_zero(candidates));
+      if (tags[way] == tag) return way;
+      candidates &= candidates - 1;
     }
-    std::uint64_t match = 0;
-    for (unsigned w = 0; w < ways_; ++w) {
-      match |= static_cast<std::uint64_t>(tags[w] == tag) << w;
+    return kNoWay;
+  }
+
+  /// Way holding (set, tag), or kNoWay.  Dispatches on the row
+  /// stride (16/32/48/64 bytes) to a compile-time chunk count.
+  unsigned find(unsigned set, Address tag) const {
+    switch (fp_stride_) {
+      case 16: return find_fixed<1>(set, tag);
+      case 32: return find_fixed<2>(set, tag);
+      case 48: return find_fixed<3>(set, tag);
+      default: return find_fixed<4>(set, tag);
     }
-    match &= valid;
-    return match != 0 ? static_cast<unsigned>(std::countr_zero(match)) : kNoWay;
   }
 
   /// Marks `way` most recently used (policy-dependent).
@@ -587,6 +605,17 @@ class SetAssocCache {
   Address set_mask_ = 0;      // sets-1 when pow2_geometry_
 
   // SoA line state, row-major by set.
+  /// Tag fingerprints: one byte per way, rows padded to fp_stride_
+  /// (16/32/48/64) bytes, written only by the fill next to tags_.
+  /// Bytes of invalid ways go stale; the valid mask screens them.
+  /// Stored as host-line-aligned blocks so a 16-, 32- or 64-byte row
+  /// never straddles two host cache lines.
+  struct alignas(64) FpBlock {
+    std::uint8_t bytes[64];
+  };
+  std::vector<FpBlock> fp_;
+  unsigned fp_stride_ = 16;
+  unsigned fp_shift_ = 0;  // log2(sets) when pow2_geometry_, else 0
   std::vector<Address> tags_;
   std::vector<std::uint64_t> stamps_;   // recency (LRU) or MRU bit (PLRU)
   std::vector<std::int32_t> owners_;    // owning vm id, -1 = unowned
@@ -621,19 +650,12 @@ class SetAssocCache {
   // VMs (< kPollutionVmTracked) whose copy of that line was displaced
   // by another requester and not yet re-referenced: an entry proves a
   // later miss by that VM on that line is contention-induced, not
-  // intrinsic.  Touched only on the out-of-line miss path, and only
-  // by the socket partition that owns this cache, so it follows the
-  // same threading contract as every other per-LLC structure.
-  // The map's nodes and bucket arrays come from a per-cache pool
-  // resource (common/arena.hpp): insert/erase churn on the contention
-  // path recycles freed nodes instead of hitting the host heap, so a
-  // warmed-up tick loop performs no allocations here.
-  using DisplacedMap =
-      std::unordered_map<Address, std::uint64_t, std::hash<Address>, std::equal_to<Address>,
-                         PoolAllocator<std::pair<const Address, std::uint64_t>>>;
+  // intrinsic.  Touched only on the miss path, and only by the socket
+  // partition that owns this cache, so it follows the same threading
+  // contract as every other per-LLC structure.  A flat table that
+  // never shrinks: a warmed-up tick loop performs no allocations here.
   std::vector<VmPollution> vm_pollution_;  // by vm id
-  std::unique_ptr<PoolResource> displaced_pool_;  // stable across cache moves
-  DisplacedMap displaced_;                 // tag -> victim-vm bits
+  DisplacedIndex displaced_;               // tag -> victim-vm bits
 
   // DIP set-dueling state: a handful of leader sets are pinned to LRU
   // and to BIP; a saturating counter tracks which leader family
@@ -679,16 +701,9 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
       // Ground-truth miss classification: if another requester
       // displaced this VM's copy of the line since it last held it,
       // this re-miss is contention-induced, not intrinsic.
-      if (requester.vm < kPollutionVmTracked && !displaced_.empty()) {
-        const auto it = displaced_.find(tag);
-        if (it != displaced_.end()) {
-          const std::uint64_t vm_bit = 1ull << requester.vm;
-          if (it->second & vm_bit) {
-            ++pollution_slot(requester.vm).contention_misses;
-            it->second &= ~vm_bit;
-            if (it->second == 0) displaced_.erase(it);
-          }
-        }
+      if (requester.vm < kPollutionVmTracked &&
+          displaced_.take(tag, 1ull << requester.vm)) {
+        ++pollution_slot(requester.vm).contention_misses;
       }
     }
   }
@@ -768,7 +783,7 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
             ++pollution_slot(requester.vm).cross_evictions_inflicted;
           }
           if (old_vm < kPollutionVmTracked) {
-            displaced_[info.evicted_tag] |= 1ull << old_vm;
+            displaced_.add(info.evicted_tag, 1ull << old_vm);
           }
         }
       }
@@ -779,6 +794,7 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
 
   // Fill.
   tags_[idx] = tag;
+  fp_row(set)[victim] = fingerprint(tag);
   valid_[set] |= bit;
   dirty_[set] = write ? (dirty_[set] | bit) : (dirty_[set] & ~bit);
   if constexpr (kAttr) {

@@ -1,29 +1,23 @@
-// Bump-arena and pooled allocation for hot simulator state.
+// Bump-arena allocation for hot simulator state.
 //
 // The tick loop must not touch the host heap in steady state: a
 // figure-scale sweep executes millions of ticks, and a single
 // malloc/free pair per tick (or worse, per LLC miss) shows up directly
 // in the end-to-end wall clock and serializes otherwise independent
-// sweep lanes through the allocator.  Two building blocks enforce
-// this:
+// sweep lanes through the allocator.  BumpArena is a chunked bump
+// allocator for buffers whose lifetime is "as long as the owning
+// component" — the hypervisor's per-vCPU ref-batch blocks, which it
+// recycles across VM churn.  Allocation is a pointer bump; memory is
+// reclaimed only when the arena dies with its owner.
 //
-//  * BumpArena — a chunked bump allocator for buffers whose lifetime
-//    is "as long as the owning component": per-vCPU ref-batch buffers,
-//    per-partition scratch.  Allocation is a pointer bump; memory is
-//    reclaimed only when the arena dies with its owner.
-//
-//  * PoolResource / PoolAllocator — an STL-compatible allocator that
-//    recycles freed blocks through per-size-class free lists backed by
-//    a BumpArena.  Node containers on top of it (the LLC's displaced-
-//    line map) stop heap-allocating once their high-water mark is
-//    reached: every insert after that pops a previously freed node.
-//
-// tests/hv/zero_alloc_test.cpp pins the resulting invariant with a
-// counting operator new: after warmup, whole ticks run with zero heap
-// allocations.
+// The other hot containers reach the same state without an allocator:
+// they are flat vectors sized at admission time or grown to a
+// high-water mark and never shrunk (the LLC's displaced-line index,
+// cache/displaced_index.hpp, is one).  tests/hv/zero_alloc_test.cpp
+// pins the resulting invariant with a counting operator new: after
+// warmup, whole ticks run with zero heap allocations.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -91,73 +85,6 @@ class BumpArena {
   std::size_t cursor_ = 0;
   std::size_t used_ = 0;
   std::size_t reserved_ = 0;
-};
-
-/// Size-class free lists over a BumpArena.  allocate() rounds the
-/// request up to a power of two (min 16 bytes, so freed blocks can
-/// hold the free-list link) and serves it from the matching free list,
-/// falling back to the arena when the list is empty.  deallocate()
-/// pushes the block back on its list — nothing is ever returned to the
-/// host heap before the resource itself dies.
-class PoolResource {
- public:
-  PoolResource() = default;
-  PoolResource(const PoolResource&) = delete;
-  PoolResource& operator=(const PoolResource&) = delete;
-
-  void* allocate(std::size_t bytes) {
-    const unsigned c = size_class(bytes);
-    void*& head = free_[c];
-    if (head != nullptr) {
-      void* p = head;
-      head = *static_cast<void**>(p);
-      return p;
-    }
-    return arena_.allocate_bytes(std::size_t{1} << c, alignof(std::max_align_t));
-  }
-
-  void deallocate(void* p, std::size_t bytes) {
-    const unsigned c = size_class(bytes);
-    *static_cast<void**>(p) = free_[c];
-    free_[c] = p;
-  }
-
-  std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
-
- private:
-  static unsigned size_class(std::size_t bytes) {
-    const unsigned w = static_cast<unsigned>(std::bit_width(bytes - 1));
-    return w < 4 ? 4 : w;  // minimum block: 16 bytes (free-list link + alignment)
-  }
-
-  static constexpr unsigned kClasses = 48;  // 16 B .. 128 TB, plenty
-  void* free_[kClasses] = {};
-  BumpArena arena_;
-};
-
-/// STL allocator face of PoolResource.  Rebind-friendly: node
-/// containers allocate their internal node type and bucket arrays
-/// through rebound copies, all funneling into the same resource.
-template <typename T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(PoolResource* resource) noexcept : resource_(resource) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other) noexcept : resource_(other.resource()) {}
-
-  T* allocate(std::size_t n) { return static_cast<T*>(resource_->allocate(n * sizeof(T))); }
-  void deallocate(T* p, std::size_t n) noexcept { resource_->deallocate(p, n * sizeof(T)); }
-
-  PoolResource* resource() const noexcept { return resource_; }
-
-  friend bool operator==(const PoolAllocator& a, const PoolAllocator& b) noexcept {
-    return a.resource_ == b.resource_;
-  }
-
- private:
-  PoolResource* resource_;
 };
 
 }  // namespace kyoto

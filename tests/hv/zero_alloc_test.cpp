@@ -3,7 +3,7 @@
 //
 // Everything hot is pre-sized at admission time — ref-batch storage
 // from the hypervisor's bump arena, per-VM cache attribution slots,
-// the displaced-tag map's nodes and buckets from its PoolResource,
+// the LLC's flat displaced-line table at its high-water capacity,
 // scheduler runqueues within vector capacity — so a steady-state tick
 // is pure compute over already-owned memory.  This test replaces the
 // global allocation functions with counting shims (this TU links into
@@ -124,8 +124,9 @@ TEST(ZeroAlloc, SteadyStateTickLoopDoesNotTouchTheHeap) {
 
   // One VM per core, mixing both stream formats and both access
   // patterns: the v2 VMs drive the ref-batch engine (arena storage),
-  // the random ones churn the LLC's displaced-tag map (pool storage),
-  // and four runnable vCPUs keep the scheduler's runqueues rotating.
+  // the random ones churn the LLC's displaced-line table (a flat
+  // table at its high-water capacity), and four runnable vCPUs keep
+  // the scheduler's runqueues rotating.
   hv.create_vm(VmConfig{.name = "rand_v2"},
                endless_mix("rand_v2", mem.llc.size * 3, 0.8, false,
                            workloads::StreamVersion::kV2, 5),
@@ -143,9 +144,10 @@ TEST(ZeroAlloc, SteadyStateTickLoopDoesNotTouchTheHeap) {
                            workloads::StreamVersion::kV1, 8),
                /*core=*/3);
 
-  // Warm-up: long enough for the displaced-tag window to reach its
-  // steady span (insert + prune per miss), every runqueue rotation to
-  // have happened, and all lazily-grown stat storage to exist.
+  // Warm-up: long enough for the displaced-line table to reach its
+  // high-water capacity (insert + prune per miss), every runqueue
+  // rotation to have happened, and all lazily-grown stat storage to
+  // exist.
   hv.run_ticks(40);
 
   g_allocations.store(0);
@@ -166,8 +168,8 @@ TEST(ZeroAlloc, SteadyStateTickLoopDoesNotTouchTheHeap) {
 // Churn gate: admit/evict cycles recycle the destroyed vCPUs'
 // arena ref-blocks, so once the live-VM high-water mark is reached
 // the exec arena stops growing — and a quiesced tick loop after heavy
-// churn history is still allocation-free (the displaced-tag pool and
-// per-id vectors reached their steady span).
+// churn history is still allocation-free (the displaced-line table and
+// per-id vectors reached their high-water sizes).
 TEST(ZeroAlloc, SteadyStateChurnStopsGrowingTheArena) {
   const MachineConfig machine = scaled_machine();
   const cache::MemSystemConfig& mem = machine.mem;
