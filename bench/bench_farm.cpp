@@ -1,23 +1,23 @@
 // BENCH farm — process-farm sweep execution (not a paper figure).
 //
-// Engineering harness for sim::FarmRunner, the distributed form of
-// the sweep: a batch of scenario jobs executes across sweep_worker
+// Engineering harness for sim::Farm, the distributed form of the
+// sweep: a batch of scenario jobs executes across sweep_worker
 // processes and must reproduce the in-process SweepRunner outcomes
-// *byte for byte* — at every worker count, with a worker SIGKILLed
-// mid-batch, and across a checkpoint interrupt/resume split.  All
-// three agreements always gate (they are determinism claims, not perf
-// claims, so they hold on any host and any build type); wall-clock
-// throughput per worker count is recorded in the JSON for the
-// trajectory but never gated — process spawn + pipe framing overhead
-// on tiny jobs is expected and documented.
+// *byte for byte*.  Phases 1-3 use local pipe hosts: every worker
+// count, a worker SIGKILLed mid-batch, and a checkpoint
+// interrupt/resume split.  All three agreements always gate (they are
+// determinism claims, not perf claims, so they hold on any host and
+// any build type); wall-clock throughput per worker count is recorded
+// in the JSON for the trajectory but never gated — process spawn +
+// pipe framing overhead on tiny jobs is expected and documented.
 //
-// Phase 4 is the multi-host drill: the same batch through
-// sim::HostFarm across four simulated hosts — one killed mid-shard,
-// one corrupting its result files, one hung past the shard deadline,
-// one healthy — must converge byte-identical through quarantine and
-// shard redistribution.  Its per-host attempt/quarantine counters land
-// in the JSON (schema 2) and the structured farm report can be saved
-// with --report for CI artifacts.
+// Phase 4 is the multi-host drill: the same batch through the same
+// Farm across four simulated file-transport hosts — one killed
+// mid-shard, one corrupting its result files, one hung past the
+// dispatch deadline, one healthy — must converge byte-identical
+// through quarantine and redistribution.  Its per-host
+// attempt/quarantine counters land in the JSON (schema 2) and the
+// structured farm report can be saved with --report for CI artifacts.
 #include <sys/stat.h>
 
 #include <chrono>
@@ -30,8 +30,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "sim/farm_runner.hpp"
-#include "sim/host_farm.hpp"
+#include "sim/farm.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -93,8 +92,7 @@ struct FarmResult {
 FarmResult run_farm(const std::vector<std::pair<std::string, std::string>>& jobs,
                     sim::FarmOptions options) {
   FarmResult result;
-  result.workers = options.workers;
-  sim::FarmRunner farm(std::move(options));
+  sim::Farm farm(std::move(options));
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const auto t0 = std::chrono::steady_clock::now();
   result.outcomes = farm.run();
@@ -102,7 +100,7 @@ FarmResult run_farm(const std::vector<std::pair<std::string, std::string>>& jobs
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   result.respawns = farm.worker_respawns();
   result.retries = farm.job_retries();
-  result.in_process = farm.ran_in_process();
+  result.in_process = farm.degraded();
   return result;
 }
 
@@ -111,7 +109,7 @@ FarmResult run_farm(const std::vector<std::pair<std::string, std::string>>& jobs
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_farm.json";
   std::string report_path;
-  std::string worker = sim::FarmRunner::default_worker_path(argv[0]);
+  std::string worker = sim::Farm::default_worker_path(argv[0]);
   bool quick = bench::quick_mode();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -162,9 +160,9 @@ int main(int argc, char** argv) {
   // Phase 1: worker counts {1, 2, 4}.
   for (const int workers : {1, 2, 4}) {
     sim::FarmOptions options;
-    options.workers = workers;
-    options.worker_path = have_worker ? worker : "";
+    if (have_worker) options.hosts = sim::local_workers(workers, worker);
     FarmResult r = run_farm(jobs, std::move(options));
+    r.workers = workers;
     const bool agree = r.outcomes == expected;
     all_ok &= agree;
     table.add_row({std::to_string(workers) + (r.in_process ? " (in-proc)" : ""),
@@ -181,9 +179,7 @@ int main(int argc, char** argv) {
   int kill_respawns = 0;
   if (have_worker) {
     sim::FarmOptions options;
-    options.workers = 2;
-    options.worker_path = worker;
-    options.worker_args = {"--fault-kill-after", "2"};
+    options.hosts = sim::local_workers(2, worker, {"--fault-kill-after", "2"});
     // A worker that dies on every 2nd job can tax one retry per
     // interleaved completion before a fresh respawn absorbs the job;
     // budget one retry per job so the drill gates convergence, not
@@ -206,12 +202,11 @@ int main(int argc, char** argv) {
   int restored = 0;
   {
     sim::FarmOptions options;
-    options.workers = 2;
-    options.worker_path = have_worker ? worker : "";
+    if (have_worker) options.hosts = sim::local_workers(2, worker);
     options.checkpoint_path = ckpt;
     options.checkpoint_every = 1;
     options.abort_after_completed = 3;
-    sim::FarmRunner farm(options);
+    sim::Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     try {
       farm.run();
@@ -221,15 +216,15 @@ int main(int argc, char** argv) {
   }
   {
     sim::FarmOptions options;
-    options.workers = 2;
-    options.worker_path = have_worker ? worker : "";
+    if (have_worker) options.hosts = sim::local_workers(2, worker);
     options.checkpoint_path = ckpt;
-    sim::FarmRunner farm(options);
+    sim::Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     const auto outcomes = farm.run();
     restored = farm.jobs_restored();
     resume_agree = resume_agree && outcomes == expected && restored >= 3 &&
-                   restored + farm.jobs_executed() == static_cast<int>(jobs.size());
+                   restored + farm.jobs_executed() + farm.jobs_in_process() ==
+                       static_cast<int>(jobs.size());
     all_ok &= resume_agree;
   }
   std::remove(ckpt.c_str());
@@ -246,19 +241,20 @@ int main(int argc, char** argv) {
   if (have_worker) {
     const std::string host_dir = json_path + ".farm_hosts";
     ::mkdir(host_dir.c_str(), 0755);
-    sim::HostFarmOptions options;
+    sim::FarmOptions options;
     options.work_dir = host_dir;
     options.jobs_per_shard = 1;
     options.host_failure_budget = 1;
     options.max_quarantines = 1;
     options.backoff.base_s = 0.02;
-    options.shard_timeout_s = quick ? 1.5 : 4.0;
-    options.hosts.push_back(sim::HostSpec{"h-kill", worker, {"--fault-kill-after", "1"}});
+    options.timeout_s = quick ? 1.5 : 4.0;
+    const auto files = sim::Transport::kFiles;
+    options.hosts.push_back(sim::HostSpec{"h-kill", worker, {"--fault-kill-after", "1"}, files});
     options.hosts.push_back(
-        sim::HostSpec{"h-corrupt", worker, {"--fault-corrupt-results", "bitflip"}});
-    options.hosts.push_back(sim::HostSpec{"h-hang", worker, {"--fault-hang-after", "1"}});
-    options.hosts.push_back(sim::HostSpec{"h-ok", worker, {}});
-    sim::HostFarm hosts(options);
+        sim::HostSpec{"h-corrupt", worker, {"--fault-corrupt-results", "bitflip"}, files});
+    options.hosts.push_back(sim::HostSpec{"h-hang", worker, {"--fault-hang-after", "1"}, files});
+    options.hosts.push_back(sim::HostSpec{"h-ok", worker, {}, files});
+    sim::Farm hosts(options);
     for (const auto& [label, text] : jobs) hosts.add(text, label);
     const auto t0 = std::chrono::steady_clock::now();
     const auto outcomes = hosts.run();
@@ -273,7 +269,7 @@ int main(int argc, char** argv) {
     if (multi_agree) std::filesystem::remove_all(host_dir);  // keep shards on failure
     table.add_row({"4 hosts + faults", fmt_double(seconds, 2),
                    fmt_double(static_cast<double>(jobs.size()) / seconds, 2),
-                   std::to_string(hosts.shard_attempts()),
+                   std::to_string(hosts.dispatches()),
                    std::to_string(multi_host_failures),
                    multi_agree ? "exact" : "MISMATCH"});
   }

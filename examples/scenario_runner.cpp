@@ -10,10 +10,11 @@
 //
 // Every scenario file is an independent job.  A multi-file invocation
 // runs as a sharded sweep (sim::SweepRunner, one private hypervisor
-// per lane) or — with --workers — as a process farm (sim::FarmRunner,
-// one `sweep_worker` process per worker, with retries and optional
-// checkpoint/resume).  Reports print in argument order and are
-// byte-identical under either executor at any lane/worker count.
+// per lane) or — with --workers or --hosts — as a process farm
+// (sim::Farm: N local pipe workers, or N simulated file-transport
+// hosts, with retries, host health and optional checkpoint/resume).
+// Reports print in argument order and are byte-identical under every
+// executor at any lane/worker/host count.
 //
 // Without an argument it writes a demonstration scenario next to the
 // binary, prints it, and runs it — so the example is self-contained.
@@ -25,14 +26,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "sim/farm_runner.hpp"
-#include "sim/host_farm.hpp"
+#include "sim/farm.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/shard_splitter.hpp"
 #include "sim/sweep_runner.hpp"
@@ -116,8 +117,8 @@ measure_ticks = 90
 
 int main(int argc, char** argv) {
   int lanes = ThreadPool::hardware_lanes();
-  int workers = 0;  // 0 = in-process SweepRunner; > 0 = process farm
-  int hosts = 0;    // > 0 = simulated multi-host farm (sim::HostFarm)
+  int workers = 0;  // > 0 = farm over local pipe workers
+  int hosts = 0;    // > 0 = farm over simulated file-transport hosts
   std::string checkpoint;
   std::string split_dir;
   std::string merge_dir;
@@ -164,18 +165,22 @@ int main(int argc, char** argv) {
              "  --lanes N       execution lanes for the in-process sharded sweep\n"
              "                  (default: host CPU count; values < 1 clamp to 1 =\n"
              "                  plain serial loop).\n"
-             "  --workers N     run the files as a process farm instead: N\n"
-             "                  `sweep_worker` processes pull jobs over the wire\n"
-             "                  protocol, with dead-worker respawn and bounded\n"
-             "                  retries.  Finds the worker via $KYOTO_SWEEP_WORKER\n"
-             "                  or next to this binary; degrades to in-process\n"
-             "                  execution (same results) when neither exists.\n"
-             "  --hosts N       run the files as a simulated multi-host farm: the\n"
-             "                  batch is split into shards, each executed by a\n"
-             "                  `sweep_worker --jobs F --results G` process posing\n"
-             "                  as one of N hosts, with per-host retry budgets,\n"
-             "                  quarantine/backoff and shard redistribution.\n"
-             "                  Prints the farm report after the run.\n"
+             "  --workers N     run the files as a process farm instead, over N\n"
+             "                  pipe hosts: long-lived `sweep_worker --stdio`\n"
+             "                  processes fed one job at a time, respawned after\n"
+             "                  a death.\n"
+             "  --hosts N       run the files as a farm over N simulated\n"
+             "                  file-transport hosts: each dispatch is one\n"
+             "                  `sweep_worker --jobs F --results G` process\n"
+             "                  running a shard.  Not with --workers.\n"
+             "                  Either farm finds the worker via\n"
+             "                  $KYOTO_SWEEP_WORKER or next to this binary and\n"
+             "                  degrades to in-process execution (same results)\n"
+             "                  when neither exists.  Failed dispatches charge the\n"
+             "                  host (hold-back, quarantine, retirement) and are\n"
+             "                  retried elsewhere; a job that keeps killing\n"
+             "                  workers fails the run by name.  Prints the farm\n"
+             "                  report after the run.\n"
              "  --split-jobs DIR\n"
              "                  with --hosts N: do not run anything; write one job\n"
              "                  file per shard plus manifest.kyfm into DIR and\n"
@@ -191,12 +196,13 @@ int main(int argc, char** argv) {
              "                  scenario files must be passed again (the manifest\n"
              "                  fingerprint binds the exact batch).\n"
              "  --checkpoint F  with --workers or --hosts: periodically checkpoint\n"
-             "                  completed outcomes to F; re-running the same\n"
-             "                  invocation after an interruption resumes instead\n"
-             "                  of re-simulating.  With --hosts the checkpoint\n"
-             "                  also records shard owners, so a resume first\n"
-             "                  re-collects result files finished while the\n"
-             "                  coordinator was down.\n"
+             "                  completed outcomes to F; re-running with the same\n"
+             "                  scenario files after an interruption resumes\n"
+             "                  instead of re-simulating.  Shard files live in\n"
+             "                  F.shards/, and the checkpoint records which host\n"
+             "                  owns each in-flight shard, so a resume (with\n"
+             "                  --workers or --hosts) first re-collects result\n"
+             "                  files finished while the coordinator was down.\n"
              "\n"
              "Each scenario file runs on its own private hypervisor, so reports\n"
              "are byte-identical at any lane or worker count and always print in\n"
@@ -208,6 +214,14 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(arg);
     }
+  }
+  if (workers > 0 && hosts > 0) {
+    std::cerr << "--workers and --hosts are mutually exclusive\n";
+    return 2;
+  }
+  if (!checkpoint.empty() && workers < 1 && hosts < 1) {
+    std::cerr << "--checkpoint requires --workers or --hosts\n";
+    return 2;
   }
   if (paths.empty()) {
     const std::string path = "demo_scenario.kyoto";
@@ -296,65 +310,54 @@ int main(int argc, char** argv) {
       std::cout << merged.summary() << '\n';
       if (!merged.complete) return 1;
       outcomes = merged.outcomes;
-    } else if (hosts > 0) {
-      const std::string worker = sim::FarmRunner::default_worker_path(argv[0]);
-      sim::HostFarmOptions options;
+    } else if (workers > 0 || hosts > 0) {
+      const bool files = hosts > 0;
+      const int count = files ? hosts : workers;
+      const std::string worker = sim::Farm::default_worker_path(argv[0]);
+      sim::FarmOptions options;
       if (worker.empty()) {
         std::cout << "note: no sweep_worker found ($KYOTO_SWEEP_WORKER or next to this "
                      "binary); running in-process\n";
-      } else {
-        for (int h = 0; h < hosts; ++h) {
+      } else if (files) {
+        for (int h = 0; h < count; ++h) {
           options.hosts.push_back(
-              sim::HostSpec{"host" + std::to_string(h), worker, {}});
+              sim::HostSpec{"host" + std::to_string(h), worker, {}, sim::Transport::kFiles});
         }
+      } else {
+        options.hosts = sim::local_workers(count, worker);
       }
-      char work_template[] = "/tmp/scenario_runner_farm.XXXXXX";
-      const char* work = ::mkdtemp(work_template);
-      if (work == nullptr) {
-        std::cerr << "error: cannot create farm work dir: " << std::strerror(errno) << '\n';
-        return 1;
+      // Shard files live next to the checkpoint, so a resume finds the
+      // result files its owner frames name; without a checkpoint they
+      // go to a private temp dir, removed at exit.
+      struct TempDir {
+        std::string path;
+        ~TempDir() {
+          if (!path.empty()) std::filesystem::remove_all(path);
+        }
+      } temp_dir;
+      if (!checkpoint.empty()) {
+        options.work_dir = checkpoint + ".shards";
+        if (::mkdir(options.work_dir.c_str(), 0755) != 0 && errno != EEXIST) {
+          std::cerr << "error: cannot create " << options.work_dir << ": "
+                    << std::strerror(errno) << '\n';
+          return 1;
+        }
+      } else if (files) {
+        char work_template[] = "/tmp/scenario_runner_farm.XXXXXX";
+        if (::mkdtemp(work_template) == nullptr) {
+          std::cerr << "error: cannot create farm work dir: " << std::strerror(errno) << '\n';
+          return 1;
+        }
+        options.work_dir = temp_dir.path = work_template;
       }
-      options.work_dir = work;
       options.checkpoint_path = checkpoint;
-      sim::HostFarm farm(options);
-      const std::vector<sim::farm::FarmJob> jobs = build_jobs();
-      for (const sim::farm::FarmJob& job : jobs) farm.add(job.scenario_text, job.label);
-      std::cout << "Running " << paths.size() << " scenario(s) across " << hosts
-                << " simulated host(s) (shards under " << options.work_dir << ")...\n";
+      sim::Farm farm(options);
+      for (const sim::farm::FarmJob& job : build_jobs()) farm.add(job.scenario_text, job.label);
+      std::cout << "Running " << paths.size() << " scenario(s) across " << count
+                << (files ? " simulated host(s)" : " worker process(es)") << "...\n";
       outcomes = farm.run();
       std::cout << '\n' << farm.report() << '\n';
-    } else if (workers > 0) {
-      sim::FarmOptions options;
-      options.workers = workers;
-      options.worker_path = sim::FarmRunner::default_worker_path(argv[0]);
-      options.checkpoint_path = checkpoint;
-      sim::FarmRunner farm(options);
-      for (const std::string& path : paths) {
-        // The farm ships the raw file text: the worker re-parses it,
-        // deterministically reproducing this process's job.
-        std::ifstream in(path);
-        if (!in.good()) throw std::runtime_error("cannot open scenario file: " + path);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        scenarios.push_back(sim::parse_scenario(text));
-        farm.add(std::move(text), path);
-      }
-      std::cout << "Running " << paths.size() << " scenario(s) over " << workers
-                << " worker process(es)...\n";
-      outcomes = farm.run();
-      if (farm.jobs_restored() > 0) {
-        std::cout << farm.jobs_restored() << " job(s) restored from checkpoint '"
-                  << checkpoint << "', " << farm.jobs_executed() << " simulated\n";
-      }
-      if (farm.ran_in_process()) {
-        std::cout << "note: ran in-process (" << farm.degrade_reason() << ")\n";
-      }
-      std::cout << '\n';
     } else {
-      if (!checkpoint.empty()) {
-        std::cerr << "--checkpoint requires --workers\n";
-        return 2;
-      }
       sim::SweepRunner sweep(lanes);
       for (const std::string& path : paths) {
         scenarios.push_back(sim::load_scenario_file(path));

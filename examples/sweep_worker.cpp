@@ -1,21 +1,23 @@
 // sweep_worker: the farm's worker process.
 //
-// Two transports, one protocol (sim/farm_codec.hpp, wire format v1):
+// Two transports, one protocol (sim/farm_codec.hpp, wire format v1);
+// sim::Farm (sim/farm.hpp) drives either, chosen per host:
 //
 //   sweep_worker --stdio
-//       Pull loop for sim::FarmRunner.  Job frames arrive on stdin,
-//       one outcome (or error) frame is written to stdout per job,
-//       EOF on stdin ends the worker.  The worker holds no queue
+//       Pipe transport (Transport::kPipe).  Job frames arrive on
+//       stdin, one outcome (or error) frame is written to stdout per
+//       job, EOF on stdin ends the worker.  The worker holds no queue
 //       state: the coordinator owns ordering, retries and timeouts.
 //
 //   sweep_worker --jobs FILE --results FILE
-//       File-pair transport for hosts that only share files: reads a
-//       job file, executes every job, writes the result file.  In
-//       this mode the result file IS the reply stream: a
-//       deterministic job failure becomes an error frame *inside* the
-//       result file (exit 0), so a multi-host coordinator
-//       (sim/host_farm.hpp) can tell "this job is poisoned" from
-//       "this host is broken".
+//       File transport (Transport::kFiles) for hosts that only share
+//       files: reads a job file, executes every job, writes the
+//       result file.  In this mode the result file IS the reply
+//       stream: a deterministic job failure becomes an error frame
+//       *inside* the result file (exit 0), so the coordinator can
+//       tell "this job is poisoned" from "this host is broken".
+//       The same command runs a shard by hand
+//       (`scenario_runner --split-jobs`).
 //
 // The --fault-* flags inject failures for the farm's fault-tolerance
 // tests (tests/sim/farm_fault_test.cpp, farm_host_test.cpp);
@@ -208,7 +210,10 @@ void usage(const char* argv0) {
                "usage: %s --stdio [fault flags]\n"
                "       %s --jobs FILE --results FILE [fault flags]\n"
                "\n"
-               "Farm worker for sim::FarmRunner (wire format v%u).\n"
+               "Farm worker for sim::Farm (wire format v%u): --stdio serves a pipe\n"
+               "host one job frame at a time; --jobs/--results runs one shard file\n"
+               "(a file-transport host, or a shard from scenario_runner --split-jobs).\n"
+               "\n"
                "Fault-injection flags (tests only):\n"
                "  --fault-kill-after N     SIGKILL self on the Nth handled job\n"
                "  --fault-garbage-after N  reply to the Nth handled job with garbage\n"

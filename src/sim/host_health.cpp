@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "sim/farm_codec.hpp"
 
 namespace kyoto::sim {
@@ -42,7 +41,6 @@ HostHealthTracker::HostHealthTracker(std::vector<std::string> host_ids, int fail
     : failure_budget_(std::max(failure_budget, 1)),
       max_quarantines_(std::max(max_quarantines, 0)),
       backoff_(backoff) {
-  KYOTO_CHECK_MSG(!host_ids.empty(), "HostHealthTracker needs at least one host");
   hosts_.reserve(host_ids.size());
   for (std::string& id : host_ids) {
     HostStats h;
@@ -57,13 +55,14 @@ bool HostHealthTracker::usable(int host, double t_s) {
     h.state = HostState::kHealthy;
     note(t_s, h.id, "readmit", "quarantine expired; budget refreshed");
   }
-  return h.state == HostState::kHealthy;
+  return h.state == HostState::kHealthy && t_s >= h.held_until_s;
 }
 
 double HostHealthTracker::next_available_s() const {
   double t = std::numeric_limits<double>::infinity();
   for (const HostStats& h : hosts_) {
     if (h.state == HostState::kQuarantined) t = std::min(t, h.quarantined_until_s);
+    if (h.state == HostState::kHealthy && h.held_until_s > 0.0) t = std::min(t, h.held_until_s);
   }
   return t;
 }
@@ -82,6 +81,7 @@ int HostHealthTracker::quarantine_count() const {
 void HostHealthTracker::record_dispatch(int host, double t_s, const std::string& shard) {
   HostStats& h = hosts_[static_cast<std::size_t>(host)];
   ++h.shards_dispatched;
+  h.held_until_s = 0.0;
   note(t_s, h.id, "dispatch", shard);
 }
 
@@ -91,6 +91,7 @@ void HostHealthTracker::record_success(int host, double t_s, const std::string& 
   ++h.shards_completed;
   h.jobs_completed += jobs;
   h.consecutive_failures = 0;  // a completed shard proves the host healthy
+  h.held_until_s = 0.0;
   note(t_s, h.id, "complete", shard + " (" + std::to_string(jobs) + " job(s))");
 }
 
@@ -100,25 +101,32 @@ HostState HostHealthTracker::record_failure(int host, double t_s, const std::str
   ++h.consecutive_failures;
   h.last_failure = reason;
   note(t_s, h.id, "failure", reason);
-  if (h.consecutive_failures >= failure_budget_) {
-    h.consecutive_failures = 0;
-    if (h.quarantines >= max_quarantines_) {
-      h.state = HostState::kRetired;
-      note(t_s, h.id, "retire",
-           "burned " + std::to_string(h.quarantines + 1) + " budget(s); out for this run");
-      return h.state;
-    }
-    // Quarantine length escalates with each burned budget; jitter is
-    // keyed on the host id so a fleet never thunders back as a herd.
-    const double delay = backoff_.delay_s(h.quarantines, farm::fnv1a(h.id));
-    ++h.quarantines;
-    h.state = HostState::kQuarantined;
-    h.quarantined_until_s = t_s + delay;
-    std::ostringstream oss;
-    oss << "budget of " << failure_budget_ << " burned; backing off " << delay << "s (until t="
-        << h.quarantined_until_s << "s)";
-    note(t_s, h.id, "quarantine", oss.str());
+  // Jitter is keyed on the host id so a fleet never thunders back as
+  // a herd.
+  const std::uint64_t key = farm::fnv1a(h.id);
+  if (h.consecutive_failures < failure_budget_) {
+    // Under budget: hold the host back one backoff step, so a
+    // crash-looping worker is not restarted in a tight loop.
+    h.held_until_s = t_s + backoff_.delay_s(h.consecutive_failures - 1, key);
+    return h.state;
   }
+  h.consecutive_failures = 0;
+  h.held_until_s = 0.0;
+  if (h.quarantines >= max_quarantines_) {
+    h.state = HostState::kRetired;
+    note(t_s, h.id, "retire",
+         "burned " + std::to_string(h.quarantines + 1) + " budget(s); out for this run");
+    return h.state;
+  }
+  // Quarantine length escalates with each burned budget.
+  const double delay = backoff_.delay_s(h.quarantines, key);
+  ++h.quarantines;
+  h.state = HostState::kQuarantined;
+  h.quarantined_until_s = t_s + delay;
+  std::ostringstream oss;
+  oss << "budget of " << failure_budget_ << " burned; backing off " << delay << "s (until t="
+      << h.quarantined_until_s << "s)";
+  note(t_s, h.id, "quarantine", oss.str());
   return h.state;
 }
 

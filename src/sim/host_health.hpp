@@ -64,6 +64,9 @@ struct HostStats {
   int consecutive_failures = 0;
   int quarantines = 0;
   double quarantined_until_s = 0.0;
+  /// Hold-back after a failure that did not burn the budget: a healthy
+  /// host is not usable before this instant (0 = no hold-back pending).
+  double held_until_s = 0.0;
   std::string last_failure;
 };
 
@@ -76,9 +79,9 @@ struct FarmEvent {
   std::string detail;
 };
 
-/// Tracks health for a fixed host set.  Pure bookkeeping — the
-/// coordinator decides *what* to do; this class decides *who is
-/// allowed to do it* and remembers every transition.
+/// Tracks health for a fixed (possibly empty) host set.  Pure
+/// bookkeeping — the coordinator decides *what* to do; this class
+/// decides *who is allowed to do it* and remembers every transition.
 class HostHealthTracker {
  public:
   /// `failure_budget`: consecutive failures tolerated before a
@@ -93,11 +96,12 @@ class HostHealthTracker {
 
   /// True when the host may take a shard at `t_s`.  Crossing a
   /// quarantine expiry re-admits the host (state returns to healthy,
-  /// with a "readmit" event) — callers never re-admit manually.
+  /// with a "readmit" event) — callers never re-admit manually.  A
+  /// pending hold-back (see record_failure) also blocks the host.
   bool usable(int host, double t_s);
 
-  /// Earliest instant a quarantined host becomes usable again; +inf
-  /// when no host is quarantined (all healthy or all retired).
+  /// Earliest instant a quarantined or held-back host becomes usable
+  /// again; +inf when there is none (all healthy or all retired).
   double next_available_s() const;
 
   bool all_retired() const;
@@ -105,8 +109,10 @@ class HostHealthTracker {
 
   void record_dispatch(int host, double t_s, const std::string& shard);
   void record_success(int host, double t_s, const std::string& shard, int jobs);
-  /// Charges one failed attempt; may quarantine (with the next backoff
-  /// delay) or retire the host.  Returns the state after charging.
+  /// Charges one failed attempt.  Under budget, the host is held back
+  /// for delay_s(consecutive_failures - 1); a burned budget
+  /// quarantines it (with the next quarantine delay) or retires it.
+  /// Returns the state after charging.
   HostState record_failure(int host, double t_s, const std::string& reason);
 
   /// Coordinator-level event (redistribution, degradation, resume).

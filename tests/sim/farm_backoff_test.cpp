@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "sim/farm_codec.hpp"
-#include "sim/farm_runner.hpp"
+#include "sim/farm.hpp"
 #include "sim/host_health.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/sweep_runner.hpp"
@@ -103,7 +103,7 @@ TEST(HostHealthTracker, BudgetQuarantineReadmitRetireLifecycle) {
   EXPECT_NE(report.find("host solid"), std::string::npos);
 }
 
-// ---------------------------------------------------------------- FarmRunner
+// ---------------------------------------------------------------- Farm
 
 std::string worker_path() {
   if (const char* env = std::getenv("KYOTO_SWEEP_WORKER"); env != nullptr && env[0] != '\0') {
@@ -137,7 +137,7 @@ std::string tiny_scenario(const std::string& app, int seed) {
       "seed = " + std::to_string(seed) + "\n";
 }
 
-TEST(FarmRunnerBackoff, RespawnsAreDelayedByTheSchedule) {
+TEST(FarmBackoff, RespawnsAreDelayedByTheSchedule) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   std::vector<std::pair<std::string, std::string>> jobs;
   for (int i = 0; i < 4; ++i) {
@@ -151,15 +151,13 @@ TEST(FarmRunnerBackoff, RespawnsAreDelayedByTheSchedule) {
   const std::vector<RunOutcome> reference = sweep.run();
 
   FarmOptions options;
-  options.workers = 1;
-  options.worker_path = worker_path();
   // Every worker process completes one job, then is killed on its
-  // second: 3 deaths for 4 jobs, each a fresh slot-attempt-0 backoff.
-  options.worker_args = {"--fault-kill-after", "2"};
+  // second: 3 deaths for 4 jobs, each a fresh host-attempt-0 backoff.
+  options.hosts = local_workers(1, worker_path(), {"--fault-kill-after", "2"});
   options.max_retries = 4;
-  options.respawn_backoff.base_s = 0.2;
-  options.respawn_backoff.jitter_frac = 0.0;
-  FarmRunner farm(options);
+  options.backoff.base_s = 0.2;
+  options.backoff.jitter_frac = 0.0;
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -167,7 +165,7 @@ TEST(FarmRunnerBackoff, RespawnsAreDelayedByTheSchedule) {
   const double elapsed = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - t0).count();
 
-  EXPECT_FALSE(farm.ran_in_process());
+  EXPECT_FALSE(farm.degraded());
   EXPECT_GE(farm.worker_respawns(), 3);
   // 3 respawns at >= 0.2s apiece must dominate the wall clock.
   EXPECT_GE(elapsed, 0.55) << "respawn backoff was not applied";
@@ -177,21 +175,19 @@ TEST(FarmRunnerBackoff, RespawnsAreDelayedByTheSchedule) {
   }
 }
 
-TEST(FarmRunnerBackoff, ZeroBaseKeepsTheOldFastPath) {
+TEST(FarmBackoff, ZeroBaseKeepsTheOldFastPath) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   FarmOptions options;
-  options.workers = 2;
-  options.worker_path = worker_path();
-  options.worker_args = {"--fault-kill-after", "2"};
+  options.hosts = local_workers(2, worker_path(), {"--fault-kill-after", "2"});
   options.max_retries = 4;
-  options.respawn_backoff.base_s = 0.0;  // disabled
-  FarmRunner farm(options);
+  options.backoff.base_s = 0.0;  // disabled
+  Farm farm(options);
   for (int i = 0; i < 4; ++i) {
     farm.add(tiny_scenario(i % 2 ? "mcf" : "gcc", 20 + i), "job" + std::to_string(i));
   }
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes.size(), 4u);
-  EXPECT_FALSE(farm.ran_in_process());
+  EXPECT_FALSE(farm.degraded());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/farm_runner.hpp"
+#include "sim/farm.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -88,13 +88,11 @@ class FarmFault : public ::testing::Test {
 
   FarmOptions options(std::vector<std::string> fault_args) {
     FarmOptions o;
-    o.workers = 2;
-    o.worker_path = worker_path();
-    o.worker_args = std::move(fault_args);
+    o.hosts = local_workers(2, worker_path(), fault_args);
     return o;
   }
 
-  std::vector<RunOutcome> run_jobs(FarmRunner& farm,
+  std::vector<RunOutcome> run_jobs(Farm& farm,
                                    const std::vector<std::pair<std::string, std::string>>& jobs) {
     for (const auto& [label, text] : jobs) farm.add(text, label);
     return farm.run();
@@ -102,14 +100,20 @@ class FarmFault : public ::testing::Test {
 };
 
 TEST_F(FarmFault, SigkillMidJobRetriesToIdenticalResult) {
-  // Every worker process is SIGKILLed on its 2nd job, so each job
-  // fails at most once and the batch converges through respawns.
+  // Every worker process is SIGKILLed on its 2nd job, so the batch
+  // converges through respawns.  A retried job may land as the 2nd
+  // job of another live worker and die again, so a job can fail more
+  // than once; but every death follows its process's first completed
+  // job, and each job completes exactly once, so deaths <= jobs — a
+  // budget of jobs.size() retries can never be exhausted.
   const auto jobs = small_batch();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmRunner farm(options({"--fault-kill-after", "2"}));
+  FarmOptions o = options({"--fault-kill-after", "2"});
+  o.max_retries = static_cast<int>(jobs.size());
+  Farm farm(o);
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
-  EXPECT_FALSE(farm.ran_in_process());
+  EXPECT_FALSE(farm.degraded());
   EXPECT_GE(farm.worker_respawns(), 1);
   EXPECT_GE(farm.job_retries(), 1);
 }
@@ -117,10 +121,14 @@ TEST_F(FarmFault, SigkillMidJobRetriesToIdenticalResult) {
 TEST_F(FarmFault, GarbageFramesAreDetectedAndRetried) {
   // A worker answering its 2nd job with non-protocol bytes is a
   // protocol violation: killed, respawned, job retried — and the
-  // final outcomes are still the reference bytes.
+  // final outcomes are still the reference bytes.  Retry budget as in
+  // SigkillMidJob: every garbage reply follows its process's first
+  // completed job, so failures <= jobs.
   const auto jobs = small_batch();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmRunner farm(options({"--fault-garbage-after", "2"}));
+  FarmOptions o = options({"--fault-garbage-after", "2"});
+  o.max_retries = static_cast<int>(jobs.size());
+  Farm farm(o);
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
   EXPECT_GE(farm.worker_respawns(), 1);
@@ -135,8 +143,8 @@ TEST_F(FarmFault, TransientHangTimesOutAndRetries) {
   jobs.resize(4);
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   FarmOptions o = options({"--fault-hang-after", "2"});
-  o.job_timeout_s = 2.0;
-  FarmRunner farm(o);
+  o.timeout_s = 2.0;
+  Farm farm(o);
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
   EXPECT_GE(farm.worker_respawns(), 1);
@@ -151,7 +159,7 @@ TEST_F(FarmFault, PoisonedJobExhaustsRetriesDiagnosably) {
   jobs[3].first = "poisoned-job";
   FarmOptions o = options({"--fault-kill-on-label", "poisoned-job"});
   o.max_retries = 1;
-  FarmRunner farm(o);
+  Farm farm(o);
   try {
     run_jobs(farm, jobs);
     FAIL() << "expected the poisoned job to fail the batch";
@@ -168,8 +176,8 @@ TEST_F(FarmFault, PoisonedHangExhaustsRetriesDiagnosably) {
   jobs[1].first = "poisoned-hang";
   FarmOptions o = options({"--fault-hang-on-label", "poisoned-hang"});
   o.max_retries = 1;
-  o.job_timeout_s = 1.0;
-  FarmRunner farm(o);
+  o.timeout_s = 1.0;
+  Farm farm(o);
   try {
     run_jobs(farm, jobs);
     FAIL() << "expected the hanging job to fail the batch";
@@ -186,7 +194,7 @@ TEST_F(FarmFault, WorkerErrorFrameFailsBatchImmediately) {
   // fails at once, without burning retries.
   auto jobs = small_batch();
   jobs[2].first = "deterministic-failure";
-  FarmRunner farm(options({"--fault-error-on-label", "deterministic-failure"}));
+  Farm farm(options({"--fault-error-on-label", "deterministic-failure"}));
   try {
     run_jobs(farm, jobs);
     FAIL() << "expected the error frame to fail the batch";
@@ -209,7 +217,7 @@ TEST_F(FarmFault, RealDeterministicFailureNamesTheScenarioProblem) {
   ASSERT_NE(pos, std::string::npos);
   bad.replace(pos, 10, "scale = 48");  // size % (line*ways) != 0
   jobs[1] = {"bad-geometry", bad};
-  FarmRunner farm(options({}));
+  Farm farm(options({}));
   try {
     run_jobs(farm, jobs);
     FAIL() << "expected the invalid geometry to fail the batch";

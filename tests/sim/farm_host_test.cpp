@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "sim/farm_codec.hpp"
-#include "sim/host_farm.hpp"
+#include "sim/farm.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/shard_splitter.hpp"
 #include "sim/sweep_runner.hpp"
@@ -86,14 +86,14 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-HostFarmOptions base_options(const std::string& work_dir) {
-  HostFarmOptions options;
+FarmOptions base_options(const std::string& work_dir) {
+  FarmOptions options;
   options.work_dir = work_dir;
   options.jobs_per_shard = 1;  // fine-grained redistribution
   options.host_failure_budget = 1;
   options.max_quarantines = 1;
   options.backoff.base_s = 0.02;
-  options.shard_timeout_s = 5.0;
+  options.timeout_s = 5.0;
   return options;
 }
 
@@ -105,20 +105,20 @@ void expect_identical(const std::vector<RunOutcome>& outcomes,
   }
 }
 
-TEST(HostFarm, CleanHostsMatchSweepByteForByte) {
+TEST(FarmFileHosts, CleanHostsMatchSweepByteForByte) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(6);
-  HostFarmOptions options = base_options(fresh_dir("hostfarm_clean"));
+  FarmOptions options = base_options(fresh_dir("hostfarm_clean"));
   options.jobs_per_shard = 0;  // one balanced shard per host
   for (const char* id : {"h0", "h1", "h2"}) {
-    options.hosts.push_back(HostSpec{id, worker_path(), {}});
+    options.hosts.push_back(HostSpec{id, worker_path(), {}, Transport::kFiles});
   }
-  HostFarm farm(options);
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   expect_identical(outcomes, sweep_reference(jobs));
   EXPECT_EQ(farm.jobs_executed(), 6);
-  EXPECT_EQ(farm.shard_attempts(), 3);
+  EXPECT_EQ(farm.dispatches(), 3);
   EXPECT_EQ(farm.host_failure_count(), 0);
   EXPECT_FALSE(farm.degraded());
   for (int h = 0; h < 3; ++h) {
@@ -129,17 +129,19 @@ TEST(HostFarm, CleanHostsMatchSweepByteForByte) {
 // The acceptance drill: one host killed mid-shard, one emitting
 // corrupt result files, one hung past its budget, one healthy.  The
 // batch must converge through quarantine + redistribution.
-TEST(HostFarm, FaultDrillConvergesByteIdentical) {
+TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(6);
-  HostFarmOptions options = base_options(fresh_dir("hostfarm_drill"));
-  options.shard_timeout_s = 1.0;  // the hung host must burn out quickly
-  options.hosts.push_back(HostSpec{"h-kill", worker_path(), {"--fault-kill-after", "1"}});
+  FarmOptions options = base_options(fresh_dir("hostfarm_drill"));
+  options.timeout_s = 1.0;  // the hung host must burn out quickly
   options.hosts.push_back(
-      HostSpec{"h-corrupt", worker_path(), {"--fault-corrupt-results", "bitflip"}});
-  options.hosts.push_back(HostSpec{"h-hang", worker_path(), {"--fault-hang-after", "1"}});
-  options.hosts.push_back(HostSpec{"h-ok", worker_path(), {}});
-  HostFarm farm(options);
+      HostSpec{"h-kill", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{
+      "h-corrupt", worker_path(), {"--fault-corrupt-results", "bitflip"}, Transport::kFiles});
+  options.hosts.push_back(
+      HostSpec{"h-hang", worker_path(), {"--fault-hang-after", "1"}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h-ok", worker_path(), {}, Transport::kFiles});
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   expect_identical(outcomes, sweep_reference(jobs));
@@ -150,7 +152,7 @@ TEST(HostFarm, FaultDrillConvergesByteIdentical) {
   EXPECT_EQ(farm.jobs_in_process(), 0);
   EXPECT_FALSE(farm.degraded());
   EXPECT_GE(farm.host_failure_count(), 3);  // each faulty host failed at least once
-  EXPECT_GT(farm.shard_attempts(), 6);      // failures forced re-dispatches
+  EXPECT_GT(farm.dispatches(), 6);      // failures forced re-dispatches
   EXPECT_EQ(farm.health()->stats(3).state, HostState::kHealthy);  // h-ok
   EXPECT_GE(farm.health()->quarantine_count(), 1);
 
@@ -161,14 +163,16 @@ TEST(HostFarm, FaultDrillConvergesByteIdentical) {
   EXPECT_NE(report.find("corrupt result file"), std::string::npos);
 }
 
-TEST(HostFarm, AllHostsOutDegradesToInProcess) {
+TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(4);
-  HostFarmOptions options = base_options(fresh_dir("hostfarm_degrade"));
+  FarmOptions options = base_options(fresh_dir("hostfarm_degrade"));
   options.max_quarantines = 0;  // first budget burn retires
-  options.hosts.push_back(HostSpec{"d0", worker_path(), {"--fault-kill-after", "1"}});
-  options.hosts.push_back(HostSpec{"d1", worker_path(), {"--fault-kill-after", "1"}});
-  HostFarm farm(options);
+  options.hosts.push_back(
+      HostSpec{"d0", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
+  options.hosts.push_back(
+      HostSpec{"d1", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   expect_identical(outcomes, sweep_reference(jobs));
@@ -182,12 +186,12 @@ TEST(HostFarm, AllHostsOutDegradesToInProcess) {
 // Randomized (but seeded) fault schedules: any mix of kill / corrupt
 // / garbage / healthy hosts must still produce byte-identical
 // outcomes — possibly via full degradation when every host is bad.
-TEST(HostFarm, RandomizedFaultSchedulesStayByteIdentical) {
+TEST(FarmFileHosts, RandomizedFaultSchedulesStayByteIdentical) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(5);
   const std::vector<RunOutcome> reference = sweep_reference(jobs);
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    HostFarmOptions options =
+    FarmOptions options =
         base_options(fresh_dir("hostfarm_rand" + std::to_string(seed)));
     options.max_quarantines = 0;  // keep worst-case wall clock bounded
     for (int h = 0; h < 3; ++h) {
@@ -199,9 +203,9 @@ TEST(HostFarm, RandomizedFaultSchedulesStayByteIdentical) {
         case 3: args = {"--fault-garbage-after", "1"}; break;
       }
       options.hosts.push_back(
-          HostSpec{"r" + std::to_string(h), worker_path(), std::move(args)});
+          HostSpec{"r" + std::to_string(h), worker_path(), std::move(args), Transport::kFiles});
     }
-    HostFarm farm(options);
+    Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     const std::vector<RunOutcome> outcomes = farm.run();
     expect_identical(outcomes, reference);
@@ -209,13 +213,13 @@ TEST(HostFarm, RandomizedFaultSchedulesStayByteIdentical) {
   }
 }
 
-TEST(HostFarm, DeterministicJobFailureNamesTheJobNotTheHost) {
+TEST(FarmFileHosts, DeterministicJobFailureNamesTheJobNotTheHost) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(3);
-  HostFarmOptions options = base_options(fresh_dir("hostfarm_poison"));
+  FarmOptions options = base_options(fresh_dir("hostfarm_poison"));
   options.hosts.push_back(
-      HostSpec{"p0", worker_path(), {"--fault-error-on-label", "job1"}});
-  HostFarm farm(options);
+      HostSpec{"p0", worker_path(), {"--fault-error-on-label", "job1"}, Transport::kFiles});
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   try {
     farm.run();
@@ -233,14 +237,14 @@ TEST(HostFarm, DeterministicJobFailureNamesTheJobNotTheHost) {
 // jobs and one outstanding shard owned by a (now gone) host whose
 // result file exists.  The resume must restore 2, re-collect 2, and
 // dispatch nothing.
-TEST(HostFarm, ResumeRecollectsOwnedShardsWithoutRerunning) {
+TEST(FarmFileHosts, ResumeRecollectsOwnedShardsWithoutRerunning) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(4);
   const std::vector<RunOutcome> reference = sweep_reference(jobs);
   const std::string dir = fresh_dir("hostfarm_recollect");
   const std::string checkpoint = dir + "/farm.ckpt";
 
-  // The exact FarmJob batch a HostFarm would build from add() calls.
+  // The exact FarmJob batch a Farm would build from add() calls.
   std::vector<farm::FarmJob> farm_jobs;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     farm::FarmJob job;
@@ -272,17 +276,17 @@ TEST(HostFarm, ResumeRecollectsOwnedShardsWithoutRerunning) {
     farm::write_result_file(dir + "/owned.results.kyfm", results);
   }
 
-  HostFarmOptions options = base_options(dir);
+  FarmOptions options = base_options(dir);
   options.checkpoint_path = checkpoint;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
-  HostFarm farm(options);
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   expect_identical(outcomes, reference);
   EXPECT_EQ(farm.jobs_restored(), 2);
   EXPECT_EQ(farm.jobs_recollected(), 2);
   EXPECT_EQ(farm.jobs_executed(), 0);   // nothing re-ran
-  EXPECT_EQ(farm.shard_attempts(), 0);  // nothing was even dispatched
+  EXPECT_EQ(farm.dispatches(), 0);  // nothing was even dispatched
   EXPECT_NE(farm.report().find("recollect"), std::string::npos);
 }
 
@@ -290,23 +294,23 @@ TEST(HostFarm, ResumeRecollectsOwnedShardsWithoutRerunning) {
 // its workers alive; they finish their result files; the resumed
 // coordinator re-collects whatever they completed and re-runs only
 // the rest.
-TEST(HostFarm, InterruptWithOrphansResumesViaRecollect) {
+TEST(FarmFileHosts, InterruptWithOrphansResumesViaRecollect) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(4);
   const std::vector<RunOutcome> reference = sweep_reference(jobs);
   const std::string dir = fresh_dir("hostfarm_orphan");
   const std::string checkpoint = dir + "/farm.ckpt";
 
-  HostFarmOptions options = base_options(dir);
+  FarmOptions options = base_options(dir);
   options.checkpoint_path = checkpoint;
-  options.abort_after_shards = 1;
+  options.abort_after_completed = 1;
   options.orphan_on_abort = true;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
-  options.hosts.push_back(HostSpec{"h1", worker_path(), {}});
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h1", worker_path(), {}, Transport::kFiles});
   {
-    HostFarm farm(options);
+    Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
-    EXPECT_THROW(farm.run(), HostFarmInterrupted);
+    EXPECT_THROW(farm.run(), FarmInterrupted);
   }
 
   // Read the owner frames out of the interrupt checkpoint, then wait
@@ -338,9 +342,9 @@ TEST(HostFarm, InterruptWithOrphansResumesViaRecollect) {
     }
   }
 
-  options.abort_after_shards = -1;
+  options.abort_after_completed = -1;
   options.orphan_on_abort = false;
-  HostFarm resumed(options);
+  Farm resumed(options);
   for (const auto& [label, text] : jobs) resumed.add(text, label);
   const std::vector<RunOutcome> outcomes = resumed.run();
   expect_identical(outcomes, reference);
@@ -351,7 +355,7 @@ TEST(HostFarm, InterruptWithOrphansResumesViaRecollect) {
   EXPECT_EQ(resumed.jobs_executed(), 4 - restored_in_checkpoint - owned_jobs);
 }
 
-TEST(HostFarm, ForeignOrCorruptCheckpointRestartsCleanly) {
+TEST(FarmFileHosts, ForeignOrCorruptCheckpointRestartsCleanly) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(2);
   const std::string dir = fresh_dir("hostfarm_badckpt");
@@ -360,10 +364,10 @@ TEST(HostFarm, ForeignOrCorruptCheckpointRestartsCleanly) {
     std::ofstream out(checkpoint, std::ios::binary);
     out << "not a checkpoint at all";
   }
-  HostFarmOptions options = base_options(dir);
+  FarmOptions options = base_options(dir);
   options.checkpoint_path = checkpoint;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
-  HostFarm farm(options);
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   expect_identical(outcomes, sweep_reference(jobs));

@@ -1,10 +1,11 @@
-// FarmRunner acceptance gate: process-farm execution must be
-// *byte-identical* to the in-process SweepRunner — same RunOutcomes,
-// same submission order — at every worker count, through the in-process
-// degradation path, and across a checkpoint interrupt/resume split.
+// Farm acceptance gate over local pipe workers: process-farm execution
+// must be *byte-identical* to the in-process SweepRunner — same
+// RunOutcomes, same submission order — at every worker count, through
+// the in-process degradation path, and across a checkpoint
+// interrupt/resume split.
 // Exact equality by design; never weaken to tolerances.
 // (Fault-injection coverage lives in farm_fault_test.cpp.)
-#include "sim/farm_runner.hpp"
+#include "sim/farm.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -91,55 +92,53 @@ std::string temp_path(const char* name) {
   return testing::TempDir() + "farm_runner_" + name + "_" + std::to_string(::getpid()) + ".ckpt";
 }
 
-TEST(FarmRunner, MatchesSweepRunnerAtEveryWorkerCount) {
+TEST(FarmPipeHosts, MatchesSweepRunnerAtEveryWorkerCount) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   for (const int workers : {1, 2, 4}) {
     FarmOptions options;
-    options.workers = workers;
-    options.worker_path = worker_path();
-    FarmRunner farm(options);
+    options.hosts = local_workers(workers, worker_path());
+    Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     const std::vector<RunOutcome> outcomes = farm.run();
     EXPECT_EQ(outcomes, expected) << "workers=" << workers;
-    EXPECT_FALSE(farm.ran_in_process()) << "workers=" << workers;
+    EXPECT_FALSE(farm.degraded()) << "workers=" << workers;
     EXPECT_EQ(farm.jobs_executed(), static_cast<int>(jobs.size()));
     EXPECT_EQ(farm.worker_respawns(), 0);
     EXPECT_EQ(farm.job_retries(), 0);
   }
 }
 
-TEST(FarmRunner, InProcessFallbackMatches) {
-  // An empty worker_path is the explicit "no distribution" form; the
-  // outcomes must be the same bytes.
+TEST(FarmPipeHosts, InProcessFallbackMatches) {
+  // No hosts is the explicit "no distribution" form; the outcomes must
+  // be the same bytes.
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmRunner farm(FarmOptions{});
+  Farm farm(FarmOptions{});
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.pending(), jobs.size());
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
-  EXPECT_TRUE(farm.ran_in_process());
+  EXPECT_TRUE(farm.degraded());
   EXPECT_EQ(farm.pending(), 0u);  // batch cleared on success
 }
 
-TEST(FarmRunner, MissingWorkerBinaryDegradesGracefully) {
+TEST(FarmPipeHosts, MissingWorkerBinaryDegradesGracefully) {
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   FarmOptions options;
-  options.workers = 3;
-  options.worker_path = "/nonexistent/path/to/sweep_worker";
-  FarmRunner farm(options);
+  options.hosts = local_workers(3, "/nonexistent/path/to/sweep_worker");
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
-  EXPECT_TRUE(farm.ran_in_process());
+  EXPECT_TRUE(farm.degraded());
   EXPECT_FALSE(farm.degrade_reason().empty());
 }
 
-TEST(FarmRunner, AddRejectsMalformedScenarios) {
-  FarmRunner farm(FarmOptions{});
+TEST(FarmPipeHosts, AddRejectsMalformedScenarios) {
+  Farm farm(FarmOptions{});
   EXPECT_THROW(farm.add("this is not a scenario"), std::exception);
   EXPECT_THROW(farm.add("[machine]\ntopology = 1x2\n"), std::exception);  // no [vm]
   EXPECT_EQ(farm.pending(), 0u);
@@ -173,7 +172,7 @@ TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
   interrupted.checkpoint_every = 1;
   interrupted.abort_after_completed = kInterruptAfter;
   {
-    FarmRunner farm(interrupted);
+    Farm farm(interrupted);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     try {
       farm.run();
@@ -188,20 +187,20 @@ TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
   // the uninterrupted result, byte for byte.
   FarmOptions resumed;
   resumed.checkpoint_path = ckpt_;
-  FarmRunner farm(resumed);
+  Farm farm(resumed);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
   EXPECT_EQ(farm.jobs_restored(), kInterruptAfter);
-  EXPECT_EQ(farm.jobs_executed(), total - kInterruptAfter);
+  EXPECT_EQ(farm.jobs_in_process(), total - kInterruptAfter);
 
   // Phase 3: the post-success checkpoint is complete — a third run
   // restores everything and simulates nothing.
-  FarmRunner again(resumed);
+  Farm again(resumed);
   for (const auto& [label, text] : jobs) again.add(text, label);
   EXPECT_EQ(again.run(), expected);
   EXPECT_EQ(again.jobs_restored(), total);
-  EXPECT_EQ(again.jobs_executed(), 0);
+  EXPECT_EQ(again.jobs_in_process(), 0);
 }
 
 TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
@@ -211,20 +210,19 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
 
   FarmOptions interrupted;
-  interrupted.workers = 2;
-  interrupted.worker_path = worker_path();
+  interrupted.hosts = local_workers(2, worker_path());
   interrupted.checkpoint_path = ckpt_;
   interrupted.checkpoint_every = 1;
   interrupted.abort_after_completed = 2;
   {
-    FarmRunner farm(interrupted);
+    Farm farm(interrupted);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     EXPECT_THROW(farm.run(), FarmInterrupted);
   }
 
   FarmOptions resumed = interrupted;
   resumed.abort_after_completed = -1;
-  FarmRunner farm(resumed);
+  Farm farm(resumed);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   // With 2 workers the interrupt point is nondeterministic in *which*
@@ -232,6 +230,53 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
   // exactly once.
   EXPECT_GE(farm.jobs_restored(), 2);
   EXPECT_EQ(farm.jobs_restored() + farm.jobs_executed(), static_cast<int>(jobs.size()));
+}
+
+TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
+  // A job the simulator rejects (scale = 48: cache size not a multiple
+  // of line * ways) on the in-process path: the error names the job,
+  // and the jobs finished before it are checkpointed first, so the
+  // next run restores them instead of simulating them again.
+  ckpt_ = temp_path("inproc_failure");
+  auto jobs = batch_jobs();
+  jobs.resize(3);
+  std::string bad = jobs[2].second;
+  const auto pos = bad.find("scale = 64");
+  ASSERT_NE(pos, std::string::npos);
+  bad.replace(pos, 10, "scale = 48");
+  jobs[2] = {"bad-geometry", bad};
+  const std::vector<RunOutcome> expected =
+      sweep_reference({jobs.begin(), jobs.begin() + 2});
+
+  FarmOptions options;
+  options.checkpoint_path = ckpt_;
+  for (const int attempt : {0, 1}) {
+    Farm farm(options);
+    for (const auto& [label, text] : jobs) farm.add(text, label);
+    try {
+      farm.run();
+      FAIL() << "expected the invalid geometry to fail the batch";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad-geometry"), std::string::npos) << what;
+      EXPECT_NE(what.find("cache size"), std::string::npos) << what;
+    }
+    EXPECT_EQ(farm.jobs_restored(), attempt == 0 ? 0 : 2) << "attempt " << attempt;
+    EXPECT_EQ(farm.jobs_in_process(), attempt == 0 ? 2 : 0) << "attempt " << attempt;
+  }
+
+  // The checkpoint holds exactly the two finished outcomes.
+  std::vector<RunOutcome> saved(2);
+  int outcome_frames = 0;
+  for (const farm::Frame& frame : farm::read_frame_file(ckpt_)) {
+    if (frame.type != farm::FrameType::kOutcome) continue;
+    const farm::FarmOutcome outcome = farm::decode_outcome(frame.payload);
+    ASSERT_LT(outcome.id, 2u);
+    saved[outcome.id] = outcome.outcome;
+    ++outcome_frames;
+  }
+  EXPECT_EQ(outcome_frames, 2);
+  EXPECT_EQ(saved, expected);
 }
 
 TEST_F(FarmCheckpoint, CorruptCheckpointMeansCleanRestart) {
@@ -244,12 +289,12 @@ TEST_F(FarmCheckpoint, CorruptCheckpointMeansCleanRestart) {
   }
   FarmOptions options;
   options.checkpoint_path = ckpt_;
-  FarmRunner farm(options);
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
   EXPECT_EQ(farm.jobs_restored(), 0);
-  EXPECT_EQ(farm.jobs_executed(), static_cast<int>(jobs.size()));
+  EXPECT_EQ(farm.jobs_in_process(), static_cast<int>(jobs.size()));
   EXPECT_NE(farm.degrade_reason().find("checkpoint ignored"), std::string::npos)
       << farm.degrade_reason();
 }
@@ -262,7 +307,7 @@ TEST_F(FarmCheckpoint, TruncatedCheckpointMeansCleanRestart) {
   FarmOptions options;
   options.checkpoint_path = ckpt_;
   {
-    FarmRunner farm(options);
+    Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     farm.run();
   }
@@ -274,7 +319,7 @@ TEST_F(FarmCheckpoint, TruncatedCheckpointMeansCleanRestart) {
     std::ofstream out(ckpt_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 7));
   }
-  FarmRunner farm(options);
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   EXPECT_EQ(farm.jobs_restored(), 0);
@@ -288,14 +333,14 @@ TEST_F(FarmCheckpoint, ForeignBatchCheckpointIsIgnored) {
   {
     FarmOptions options;
     options.checkpoint_path = ckpt_;
-    FarmRunner farm(options);
+    Farm farm(options);
     farm.add(tiny_scenario("hmmer", 4, 99), "other-batch");
     farm.run();
   }
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   FarmOptions options;
   options.checkpoint_path = ckpt_;
-  FarmRunner farm(options);
+  Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   EXPECT_EQ(farm.jobs_restored(), 0);  // fingerprint mismatch: nothing restored
