@@ -1,10 +1,9 @@
-// Shared plumbing for the figure/table reproduction benches.
+// Shared plumbing for bench_reproduce's figures and the perf benches.
 //
-// Every binary prints: a header identifying the paper artifact it
+// Every figure prints: a header identifying the paper artifact it
 // regenerates and the expected shape, the reproduced rows/series as
 // an ASCII table (plus bars where the paper uses bar charts), and a
-// PASS/CHECK verdict line per acceptance criterion so EXPERIMENTS.md
-// can quote results directly.
+// PASS/CHECK verdict line per acceptance criterion.
 //
 // Set KYOTO_BENCH_QUICK=1 to shrink measurement windows ~3x (CI mode).
 #pragma once
@@ -40,8 +39,7 @@ inline bool check(const std::string& what, bool ok) {
   return ok;
 }
 
-/// Common exit: 0 when all checks passed (keeps `for b in bench/*`
-/// loops honest).
+/// Common exit: 0 when all checks passed, 1 otherwise.
 inline int verdict(bool all_ok) {
   std::cout << (all_ok ? "\nAll shape checks passed.\n" : "\nSome shape checks FAILED.\n");
   return all_ok ? 0 : 1;

@@ -5,22 +5,9 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "kyoto/controller.hpp"
-#include "kyoto/ks4linux.hpp"
-#include "kyoto/ks4pisces.hpp"
-#include "kyoto/ks4xen.hpp"
+#include "kyoto/kyoto_scheduler.hpp"
 
 namespace kyoto::sim {
-namespace {
-
-const core::PollutionController* find_controller(hv::Hypervisor& hv) {
-  if (auto* ks = dynamic_cast<core::Ks4Xen*>(&hv.scheduler())) return &ks->kyoto();
-  if (auto* ks = dynamic_cast<core::Ks4Linux*>(&hv.scheduler())) return &ks->kyoto();
-  if (auto* ks = dynamic_cast<core::Ks4Pisces*>(&hv.scheduler())) return &ks->kyoto();
-  return nullptr;
-}
-
-}  // namespace
-
 ChurnEngine::ChurnEngine(hv::Hypervisor& hv, ChurnPlan plan, std::uint64_t seed)
     : hv_(hv), plan_(std::move(plan)), seed_state_(seed) {
   KYOTO_CHECK_MSG(!plan_.apps.empty(), "churn plan needs at least one app factory");
@@ -36,7 +23,7 @@ ChurnEngine::ChurnEngine(hv::Hypervisor& hv, ChurnPlan plan, std::uint64_t seed)
                                                  << plan_.apps.size() << ")");
   trace_ = plan_.explicit_trace.empty() ? generate_churn_trace(plan_.trace)
                                         : plan_.explicit_trace;
-  controller_ = find_controller(hv_);
+  controller_ = core::kyoto_controller(hv_.scheduler());
 
   // Cores already pinned by the surrounding scenario belong to its
   // static VMs forever — tenants only churn through the rest.

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "kyoto/ks4linux.hpp"
-#include "kyoto/ks4pisces.hpp"
-#include "kyoto/ks4xen.hpp"
+#include "kyoto/kyoto_scheduler.hpp"
 #include "kyoto/pollution.hpp"
 #include "sim/churn_engine.hpp"
 
@@ -88,13 +86,7 @@ RunOutcome run_scenario(const RunSpec& spec, const std::vector<VmPlan>& plans,
   std::vector<char> present(ids_at_start, 0);
   std::vector<std::int64_t> punish_before(ids_at_start, 0);
   std::vector<std::int64_t> punished_ticks_before(ids_at_start, 0);
-  const auto* controller = [&]() -> const core::PollutionController* {
-    // Expose Kyoto introspection when the scheduler is a Kyoto one.
-    if (auto* ks = dynamic_cast<core::Ks4Xen*>(&hv->scheduler())) return &ks->kyoto();
-    if (auto* ks = dynamic_cast<core::Ks4Linux*>(&hv->scheduler())) return &ks->kyoto();
-    if (auto* ks = dynamic_cast<core::Ks4Pisces*>(&hv->scheduler())) return &ks->kyoto();
-    return nullptr;
-  }();
+  const core::PollutionController* controller = core::kyoto_controller(hv->scheduler());
   for (hv::Vm* vm : hv->vms()) {
     const auto id = static_cast<std::size_t>(vm->id());
     before[id] = vm_counters(*vm);
@@ -127,11 +119,6 @@ RunOutcome run_scenario(const RunSpec& spec, const std::vector<VmPlan>& plans,
     outcome.vms.push_back(std::move(m));
   }
   return outcome;
-}
-
-double run_to_completion_ms(const RunSpec& spec, const std::vector<VmPlan>& plans,
-                            std::size_t target, Tick max_ticks) {
-  return run_to_completion(spec, plans, target, max_ticks).completion_ms;
 }
 
 RunOutcome run_to_completion(const RunSpec& spec, const std::vector<VmPlan>& plans,

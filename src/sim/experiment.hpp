@@ -128,16 +128,11 @@ RunOutcome run_scenario(const RunSpec& spec, const std::vector<VmPlan>& plans,
                         const HvObserver& observe);
 
 /// Runs until VM index `target` completes one workload run (or
-/// `max_ticks` elapse); returns its execution time in virtual ms
-/// (negative if it never completed).
-double run_to_completion_ms(const RunSpec& spec, const std::vector<VmPlan>& plans,
-                            std::size_t target, Tick max_ticks);
-
-/// Completion-mode outcome form of run_to_completion_ms: `vms` stays
-/// empty, `completion_wall_cycles`/`completion_ms` carry the target's
-/// first-completion instant (-1 if it never completed).  This is the
-/// job shape SweepRunner::add_completion executes, so run-to-
-/// completion figures (8 and 12) batch exactly like windowed ones.
+/// `max_ticks` elapse).  `vms` stays empty; `completion_wall_cycles`
+/// / `completion_ms` carry the target's first-completion instant (-1
+/// if it never completed).  This is the job shape
+/// SweepRunner::add_completion executes, so run-to-completion figures
+/// (8 and 12) batch exactly like windowed ones.
 RunOutcome run_to_completion(const RunSpec& spec, const std::vector<VmPlan>& plans,
                              std::size_t target, Tick max_ticks);
 

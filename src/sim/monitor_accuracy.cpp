@@ -5,8 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "kyoto/ks4linux.hpp"
-#include "kyoto/ks4pisces.hpp"
 #include "kyoto/ks4xen.hpp"
 
 namespace kyoto::sim {
@@ -101,15 +99,7 @@ MonitorAccuracy score_monitor_accuracy(const std::vector<std::vector<Sample>>& s
 HvObserver shadow_observer(std::unique_ptr<core::GroundTruthShadow>* slot) {
   KYOTO_CHECK_MSG(slot != nullptr, "shadow_observer needs a slot");
   return [slot](hv::Hypervisor& hv) {
-    const core::PollutionController* controller = nullptr;
-    if (auto* ks = dynamic_cast<core::Ks4Xen*>(&hv.scheduler())) {
-      controller = &ks->kyoto();
-    } else if (auto* ksl = dynamic_cast<core::Ks4Linux*>(&hv.scheduler())) {
-      controller = &ksl->kyoto();
-    } else if (auto* ksp = dynamic_cast<core::Ks4Pisces*>(&hv.scheduler())) {
-      controller = &ksp->kyoto();
-    }
-    *slot = std::make_unique<core::GroundTruthShadow>(hv, controller);
+    *slot = std::make_unique<core::GroundTruthShadow>(hv, core::kyoto_controller(hv.scheduler()));
   };
 }
 

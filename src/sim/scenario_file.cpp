@@ -130,6 +130,7 @@ Scenario parse_scenario(const std::string& text) {
   hv::MachineConfig machine;  // defaults: scaled Table-1 machine
   long scale = 64;
   bool scale_set = false;
+  bool freq_set = false;
   SchedulerChoice sched;
 
   struct PendingVm {
@@ -232,6 +233,7 @@ Scenario parse_scenario(const std::string& text) {
         } else if (key == "freq_khz") {
           machine.freq_khz = parse_int(value, line_no);
           if (machine.freq_khz <= 0) fail(line_no, "freq_khz must be positive");
+          freq_set = true;
         } else if (key == "llc_replacement") {
           machine.mem.llc_replacement = parse_replacement(value, line_no);
         } else if (key == "prefetch") {
@@ -373,7 +375,8 @@ Scenario parse_scenario(const std::string& text) {
   }
 
   // Apply machine scaling (geometry + clock together, like
-  // scaled_machine()).
+  // scaled_machine()); an explicit freq_khz wins over the scaled clock,
+  // whatever the key order.
   if (scale_set) {
     hv::MachineConfig base;
     base.topology = machine.topology;
@@ -382,7 +385,7 @@ Scenario parse_scenario(const std::string& text) {
     base.mem.prefetch = machine.mem.prefetch;
     base.mem.bus = machine.mem.bus;
     base.seed = machine.seed;
-    base.freq_khz = 2'800'000 / scale;
+    base.freq_khz = freq_set ? machine.freq_khz : 2'800'000 / scale;
     base.mem = scale == 1 ? base.mem : base.mem.scaled(static_cast<unsigned>(scale));
     machine = base;
   }

@@ -7,6 +7,8 @@
 //   [machine]
 //   topology = 1x4            # sockets x cores-per-socket
 //   scale = 64                # geometric scale of the Table-1 machine
+//                             # (cache geometry, and clock 2.8 GHz / scale)
+//   freq_khz = 43750          # core clock; wins over scale's, in any order
 //   prefetch = off            # off | on[:degree]
 //   bus = off                 # off | on[:transfer_cycles]
 //   llc_replacement = LRU     # LRU|PLRU|random|LIP|BIP|DIP

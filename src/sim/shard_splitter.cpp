@@ -18,42 +18,9 @@ bool file_exists(const std::string& path) {
 
 }  // namespace
 
-namespace {
-
-/// Largest-remainder apportionment of `total` jobs over `weights`:
-/// floors first, then the leftover goes to the largest fractional
-/// parts, ties broken by host order.  Deterministic, sums to total.
-std::vector<std::size_t> weighted_quotas(std::size_t total,
-                                         const std::vector<double>& weights) {
-  double sum = 0.0;
-  for (const double w : weights) sum += w;
-  std::vector<std::size_t> quota(weights.size(), 0);
-  std::vector<double> remainder(weights.size(), 0.0);
-  std::size_t assigned = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double exact = static_cast<double>(total) * weights[i] / sum;
-    quota[i] = static_cast<std::size_t>(exact);
-    remainder[i] = exact - static_cast<double>(quota[i]);
-    assigned += quota[i];
-  }
-  while (assigned < total) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < weights.size(); ++i) {
-      if (remainder[i] > remainder[best]) best = i;
-    }
-    ++quota[best];
-    remainder[best] = -1.0;
-    ++assigned;
-  }
-  return quota;
-}
-
-}  // namespace
-
 farm::ShardManifest split_batch(const std::vector<farm::FarmJob>& jobs,
                                 const std::vector<std::string>& host_ids,
-                                int jobs_per_shard,
-                                const std::vector<double>& host_weights) {
+                                int jobs_per_shard) {
   KYOTO_CHECK_MSG(!jobs.empty(), "split_batch: empty batch");
   KYOTO_CHECK_MSG(!host_ids.empty(), "split_batch: no hosts");
   for (std::size_t i = 0; i < host_ids.size(); ++i) {
@@ -61,16 +28,6 @@ farm::ShardManifest split_batch(const std::vector<farm::FarmJob>& jobs,
     for (std::size_t j = i + 1; j < host_ids.size(); ++j) {
       KYOTO_CHECK_MSG(host_ids[i] != host_ids[j],
                       "split_batch: duplicate host id " << host_ids[i]);
-    }
-  }
-  if (!host_weights.empty()) {
-    KYOTO_CHECK_MSG(host_weights.size() == host_ids.size(),
-                    "split_batch: " << host_weights.size() << " weight(s) for "
-                                    << host_ids.size() << " host(s)");
-    KYOTO_CHECK_MSG(jobs_per_shard == 0,
-                    "split_batch: host weights require the one-shard-per-host split");
-    for (const double w : host_weights) {
-      KYOTO_CHECK_MSG(w > 0.0, "split_batch: host weight must be positive, got " << w);
     }
   }
   const std::size_t total = jobs.size();
@@ -93,20 +50,6 @@ farm::ShardManifest split_batch(const std::vector<farm::FarmJob>& jobs,
     }
     manifest.shards.push_back(std::move(shard));
   };
-
-  if (!host_weights.empty()) {
-    // Capability-weighted split: one contiguous slice per host, sized
-    // by its weight share.  A host too slow to earn a single job gets
-    // no shard (and therefore no file to come back late with).
-    const std::vector<std::size_t> quota = weighted_quotas(total, host_weights);
-    std::size_t next = 0;
-    for (std::size_t h = 0; h < host_ids.size(); ++h) {
-      if (quota[h] == 0) continue;
-      emit_shard(host_ids[h], next, quota[h]);
-      next += quota[h];
-    }
-    return manifest;
-  }
 
   std::size_t per = jobs_per_shard > 0
                         ? static_cast<std::size_t>(jobs_per_shard)

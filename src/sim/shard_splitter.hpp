@@ -33,19 +33,9 @@ namespace kyoto::sim {
 /// remainder after a checkpoint restore — splits just as well as a
 /// full one.  Shard file names are shard<k>.jobs.kyfm /
 /// shard<k>.results.kyfm, relative to the manifest's directory.
-///
-/// `host_weights` (optional; one entry per host, all > 0) sizes each
-/// host's single shard proportionally to its capability, so a slow
-/// host gets a smaller contiguous slice: quotas are apportioned by
-/// largest remainder (deterministic, host-order tie-break) and a host
-/// whose quota rounds to zero is omitted from the manifest.  Weights
-/// require the one-shard-per-host split (jobs_per_shard == 0); the
-/// default empty vector is the pre-existing even split, byte-for-byte
-/// (golden manifests stay valid).
 farm::ShardManifest split_batch(const std::vector<farm::FarmJob>& jobs,
                                 const std::vector<std::string>& host_ids,
-                                int jobs_per_shard = 0,
-                                const std::vector<double>& host_weights = {});
+                                int jobs_per_shard = 0);
 
 /// Writes every shard's job file plus the manifest (manifest.kyfm)
 /// into `dir` (which must exist).  `jobs` must be the same batch the

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
-
-#include "common/csv.hpp"
 
 namespace kyoto {
 namespace {
@@ -61,22 +58,6 @@ TEST(AsciiBar, ProportionalLength) {
 TEST(AsciiBar, DegenerateInputs) {
   EXPECT_EQ(ascii_bar(1.0, 0.0, 10), "");
   EXPECT_EQ(ascii_bar(1.0, 10.0, 0), "");
-}
-
-TEST(CsvEscape, PlainFieldUntouched) { EXPECT_EQ(csv_escape("abc"), "abc"); }
-
-TEST(CsvEscape, QuotesFieldsWithSpecials) {
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("a\"b"), "\"a\"\"b\"");
-  EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
-}
-
-TEST(CsvWriter, WritesRows) {
-  std::ostringstream oss;
-  CsvWriter w(oss);
-  w.row({"h1", "h2"});
-  w.row({"a,b", "2"});
-  EXPECT_EQ(oss.str(), "h1,h2\n\"a,b\",2\n");
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ TEST(RunToCompletion, ReturnsExecutionTime) {
   plan.config.name = "hmmer";
   plan.workload = test::app_factory("hmmer", spec.machine);
   plan.pinned_cores = {0};
-  const double ms = run_to_completion_ms(spec, {plan}, 0, 20'000);
+  const double ms = run_to_completion(spec, {plan}, 0, 20'000).completion_ms;
   EXPECT_GT(ms, 0.0);
   // hmmer: ~6M instructions at IPC ~0.5-1 on a 43.75 cycles/us core.
   EXPECT_LT(ms, 2'000.0);
@@ -92,7 +92,7 @@ TEST(RunToCompletion, TimesOutGracefully) {
   plan.config.name = "milc";  // far too long for 5 ticks
   plan.workload = test::app_factory("milc", spec.machine);
   plan.pinned_cores = {0};
-  EXPECT_LT(run_to_completion_ms(spec, {plan}, 0, 5), 0.0);
+  EXPECT_LT(run_to_completion(spec, {plan}, 0, 5).completion_ms, 0.0);
 }
 
 TEST(RunToCompletion, EndlessWorkloadRejected) {
@@ -104,7 +104,7 @@ TEST(RunToCompletion, EndlessWorkloadRejected) {
     return workloads::micro_representative(workloads::MicroClass::kC2, mem, seed);
   };
   plan.pinned_cores = {0};
-  EXPECT_THROW(run_to_completion_ms(spec, {plan}, 0, 10), std::logic_error);
+  EXPECT_THROW(run_to_completion(spec, {plan}, 0, 10), std::logic_error);
 }
 
 TEST(TimelineSampler, RecordsPerTickSeries) {

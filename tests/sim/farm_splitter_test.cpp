@@ -300,77 +300,5 @@ TEST(ShardSplitter, CollectRejectsDuplicateIds) {
   EXPECT_NE(collect.detail.find("twice"), std::string::npos);
 }
 
-TEST(ShardSplitter, HostWeightsSizeShardsProportionally) {
-  const std::vector<farm::FarmJob> jobs = small_batch(12);
-  // fast is 2x the capability of each slow host: 6 / 3 / 3.
-  const farm::ShardManifest manifest =
-      split_batch(jobs, {"fast", "slow-a", "slow-b"}, 0, {2.0, 1.0, 1.0});
-  ASSERT_EQ(manifest.shards.size(), 3u);
-  EXPECT_EQ(manifest.shards[0].host_id, "fast");
-  EXPECT_EQ(manifest.shards[0].job_ids.size(), 6u);
-  EXPECT_EQ(manifest.shards[1].job_ids.size(), 3u);
-  EXPECT_EQ(manifest.shards[2].job_ids.size(), 3u);
-  // Slices stay contiguous and cover every job exactly once.
-  std::uint64_t next = 0;
-  for (const farm::HostShard& shard : manifest.shards) {
-    for (const std::uint64_t id : shard.job_ids) EXPECT_EQ(id, next++);
-  }
-  EXPECT_EQ(next, 12u);
-}
-
-TEST(ShardSplitter, HostWeightsApportionRemaindersDeterministically) {
-  // 7 jobs at 3:2:2 — exact shares 3.0/2.0/2.0; and 8 jobs at weights
-  // with equal fractional parts break ties in host order.
-  const std::vector<farm::FarmJob> jobs = small_batch(7);
-  const farm::ShardManifest manifest =
-      split_batch(jobs, {"a", "b", "c"}, 0, {3.0, 2.0, 2.0});
-  ASSERT_EQ(manifest.shards.size(), 3u);
-  EXPECT_EQ(manifest.shards[0].job_ids.size(), 3u);
-  EXPECT_EQ(manifest.shards[1].job_ids.size(), 2u);
-  EXPECT_EQ(manifest.shards[2].job_ids.size(), 2u);
-}
-
-TEST(ShardSplitter, ZeroQuotaHostGetsNoShard) {
-  // A host far too slow to earn one job is omitted entirely — no file
-  // for it to come back late with.
-  const std::vector<farm::FarmJob> jobs = small_batch(4);
-  const farm::ShardManifest manifest =
-      split_batch(jobs, {"fast", "glacial"}, 0, {100.0, 0.001});
-  ASSERT_EQ(manifest.shards.size(), 1u);
-  EXPECT_EQ(manifest.shards[0].host_id, "fast");
-  EXPECT_EQ(manifest.shards[0].job_ids.size(), 4u);
-}
-
-TEST(ShardSplitter, WeightedManifestMergesLikeAnyOther) {
-  // The weighted split changes only slice sizes: the files, manifest
-  // and validate-all-before-apply merge are the same machinery, and
-  // the merged outcomes equal the in-process sweep byte for byte.
-  const std::vector<farm::FarmJob> jobs = small_batch(5);
-  const farm::ShardManifest manifest = split_batch(jobs, {"big", "small"}, 0, {4.0, 1.0});
-  ASSERT_EQ(manifest.shards.size(), 2u);
-  EXPECT_EQ(manifest.shards[0].job_ids.size(), 4u);
-  EXPECT_EQ(manifest.shards[1].job_ids.size(), 1u);
-  const std::string dir = testing::TempDir() + "splitter_weighted";
-  ::mkdir(dir.c_str(), 0755);
-  write_shard_files(dir, manifest, jobs);
-  for (const farm::HostShard& shard : manifest.shards) run_shard(dir, shard, jobs);
-  const MergeReport report = merge_results(manifest, dir);
-  ASSERT_TRUE(report.complete) << report.summary();
-  const std::vector<RunOutcome> want = sweep_reference(jobs);
-  ASSERT_EQ(report.outcomes.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(report.outcomes[i], want[i]) << "job " << i;
-  }
-}
-
-TEST(ShardSplitter, WeightValidation) {
-  const std::vector<farm::FarmJob> jobs = small_batch(3);
-  // Count mismatch, non-positive weight, and combining weights with
-  // an explicit shard size are all configuration errors.
-  EXPECT_THROW(split_batch(jobs, {"a", "b"}, 0, {1.0}), std::logic_error);
-  EXPECT_THROW(split_batch(jobs, {"a", "b"}, 0, {1.0, 0.0}), std::logic_error);
-  EXPECT_THROW(split_batch(jobs, {"a", "b"}, 2, {1.0, 1.0}), std::logic_error);
-}
-
 }  // namespace
 }  // namespace kyoto::sim

@@ -119,6 +119,18 @@ TEST(ScenarioFile, MachineFeatures) {
   EXPECT_EQ(s.spec.machine.mem.llc_replacement, cache::ReplacementKind::kDip);
 }
 
+TEST(ScenarioFile, ExplicitFreqWinsOverScaleInEitherOrder) {
+  for (const char* keys : {"scale = 64\nfreq_khz = 10\n", "freq_khz = 10\nscale = 64\n"}) {
+    const Scenario s =
+        parse_scenario(std::string("[machine]\n") + keys + "[vm a]\napp = gcc\n");
+    EXPECT_EQ(s.spec.machine.freq_khz, 10) << keys;
+    EXPECT_EQ(s.spec.machine.mem.llc.size, hv::scaled_machine().mem.llc.size) << keys;
+  }
+  // Without an explicit clock, scale still sets it.
+  EXPECT_EQ(parse_scenario("[machine]\nscale = 64\n[vm a]\napp = gcc\n").spec.machine.freq_khz,
+            hv::scaled_machine().freq_khz);
+}
+
 struct BadCase {
   const char* name;
   const char* text;
