@@ -56,22 +56,44 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound).  bound == 0 is undefined.
-  constexpr std::uint64_t below(std::uint64_t bound) {
-    // Lemire's multiply-shift rejection-free mapping is fine here: the
-    // simulator does not need perfectly unbiased draws, only fast and
-    // well-spread ones.
-    const unsigned __int128 m =
-        static_cast<unsigned __int128>(operator()()) * static_cast<unsigned __int128>(bound);
-    return static_cast<std::uint64_t>(m >> 64);
-  }
+  constexpr std::uint64_t below(std::uint64_t bound) { return bounded(operator()(), bound); }
 
   /// Uniform double in [0, 1).
-  constexpr double uniform() {
-    return static_cast<double>(operator()() >> 11) * 0x1.0p-53;
-  }
+  constexpr double uniform() { return unit(operator()()); }
 
   /// Bernoulli draw with probability p (clamped to [0,1]).
   constexpr bool chance(double p) { return uniform() < p; }
+
+  // The mappings above, applied to one raw output.  Generators that
+  // draw ahead into a buffer apply them to buffered words, so their
+  // streams equal those of the per-draw calls.
+
+  /// below()'s mapping of `draw` into [0, bound).  Lemire's
+  /// multiply-shift rejection-free mapping is fine here: the simulator
+  /// does not need perfectly unbiased draws, only fast and well-spread
+  /// ones.
+  static constexpr std::uint64_t bounded(std::uint64_t draw, std::uint64_t bound) {
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(draw) * static_cast<unsigned __int128>(bound);
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
+  /// uniform()'s mapping of `draw` into [0, 1).
+  static constexpr double unit(std::uint64_t draw) {
+    return static_cast<double>(draw >> 11) * 0x1.0p-53;
+  }
+
+  /// chance(p) as an integer compare: `(draw >> 11) < chance_threshold(p)`
+  /// exactly when `unit(draw) < p`.  unit(draw) is m * 2^-53 for the
+  /// integer m = draw >> 11, and m < p * 2^53 (exact: a power-of-two
+  /// scale) holds iff m < ceil(p * 2^53).
+  static constexpr std::uint64_t chance_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return 1ull << 53;
+    const double scaled = p * 0x1.0p53;
+    const auto whole = static_cast<std::uint64_t>(scaled);
+    return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -146,14 +146,9 @@ Machine::RunResult Machine::run_vcpu(Vcpu& vcpu, int core, Cycles budget,
           mem_ctx.access(addr, ref.write, wall_cycle_base + used);
       // Memory-level parallelism: the core hides part of the latency
       // behind independent work (out-of-order window + prefetchers).
-      // round_half_up == std::lround for these small positive values,
-      // without the libm call; with mlp == 1 the stall is the raw
-      // latency.
-      const Cycles cost =
-          unit_mlp ? std::max<Cycles>(1, access.latency)
-                   : std::max<Cycles>(
-                         1, static_cast<Cycles>(
-                                static_cast<double>(access.latency) * inv_mlp + 0.5));
+      // With mlp == 1 the stall is the raw latency.
+      const Cycles cost = unit_mlp ? std::max<Cycles>(1, access.latency)
+                                   : workloads::mlp_stall(access.latency, inv_mlp);
       // Branchless event accounting: the llc_reference/llc_miss flags
       // are data-random in miss-heavy mixes.
       pmu_llc_refs +=

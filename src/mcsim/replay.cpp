@@ -1,7 +1,6 @@
 #include "mcsim/replay.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cache/topology.hpp"
 #include "common/check.hpp"
@@ -79,8 +78,7 @@ ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t
       i += gap;
       const bool counted = i >= warmup;
       const auto access = ctx.access((1ull << 30) + ref.addr % ws, ref.write);
-      const Cycles cost = std::max<Cycles>(
-          1, static_cast<Cycles>(std::lround(static_cast<double>(access.latency) * inv_mlp)));
+      const Cycles cost = workloads::mlp_stall(access.latency, inv_mlp);
       if (counted) {
         if (access.llc_reference) {
           ++result.llc_references;

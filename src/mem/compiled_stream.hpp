@@ -1,9 +1,9 @@
 // Compiled reference streams: block generation for the v2 workload
 // stream format.
 //
-// A Pattern's per-op interface (next_offset) costs one virtual call
-// per simulated memory access plus, for the stochastic patterns, one
-// or more RNG draws and a CDF search.  At the access-engine's
+// A Pattern's per-op interface (step) costs one virtual call per
+// simulated memory access plus, for the stochastic patterns, one RNG
+// draw and a CDF search.  At the access-engine's
 // throughput those per-op costs are pure overhead: the replay loops
 // consume offsets in blocks anyway (Workload::next_ref_batch, the ref
 // buffer in Machine::run_vcpu).  A CompiledStream is the
@@ -30,6 +30,8 @@
 // chi-square agreement with their v1 counterparts.
 #pragma once
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -40,66 +42,84 @@
 
 namespace kyoto::mem {
 
-/// Quantile index over a monotone CDF: maps the top bits of a
-/// uniform draw to the CDF segment containing its inverse, so an exact
-/// inverse-CDF lookup binary-searches that segment instead of the
-/// whole table.  On the scaled machines a segment is one or two
-/// entries; on paper-geometry Zipf tables the hot head of the
-/// distribution packs dozens of ranks into the first segments, which
-/// is why the search inside a segment is binary rather than linear.
-/// Shared by the Zipf tables below and the geometric-skip gap sampler
-/// in workloads/pattern_workload.hpp — one mechanism, one set of edge
-/// semantics.
+/// Exact inverse CDF: lookup(u) is lower_bound(cdf, u) — the smallest
+/// k with cdf[k] >= u, clamped to the last entry — for u in [0, 1).
+/// A guide table of kQuantiles entries maps the top bits of the draw
+/// to the CDF segment holding the answer: for u in [j/K, (j+1)/K) it
+/// lies in [index_[j], index_[j+1]].  When every segment spans at most
+/// kWindow entries (the Zipf tables of the scaled machines), a lookup
+/// counts the entries below u in a fixed window of kWindow doubles
+/// starting at the segment — no data-dependent branch.  The CDF is
+/// padded with +inf so the window never reads past it.  Tables with a
+/// wider segment (paper-geometry Zipf, the geometric gap tables, whose
+/// last segment holds the long saturating tail) binary-search the
+/// segment instead.  The path is chosen once per table, at
+/// construction: a per-lookup branch on the segment length would
+/// mispredict.  Shared by the Zipf tables below and the
+/// geometric-skip gap sampler in workloads/pattern_workload.hpp — one
+/// mechanism, one set of edge semantics.
 class QuantileIndex {
  public:
-  QuantileIndex() = default;
+  static constexpr std::size_t kQuantiles = 4096;  // guide entries
+  static constexpr std::size_t kWindow = 8;        // compares per windowed lookup (even)
 
-  /// `cdf` must be non-decreasing; index_[j] = lower_bound(cdf, j/K),
-  /// clamped to the last entry.
-  explicit QuantileIndex(const std::vector<double>& cdf) {
-    index_.resize(kQuantiles + 1);
-    std::uint32_t k = 0;
-    for (std::size_t j = 0; j <= kQuantiles; ++j) {
-      const double edge = static_cast<double>(j) / static_cast<double>(kQuantiles);
-      while (k + 1 < cdf.size() && cdf[k] < edge) ++k;
-      index_[j] = k;
+  /// `cdf` must be non-empty and non-decreasing.
+  explicit QuantileIndex(std::vector<double> cdf);
+
+  std::uint32_t lookup(double u) const {
+    // Signed conversion: one cvttsd2si, where an unsigned one branches.
+    const auto j = static_cast<std::size_t>(std::min<std::int64_t>(
+        static_cast<std::int64_t>(u * static_cast<double>(kQuantiles)), kQuantiles - 1));
+    const std::uint32_t first = index_[j];
+    const double* cdf = cdf_.data();
+    if (windowed_) {
+      // Each all-ones compare lane is -1: subtracting the masks
+      // counts the window entries below u.
+      const __m128d splat = _mm_set1_pd(u);
+      __m128i below = _mm_setzero_si128();
+      for (std::size_t t = 0; t < kWindow; t += 2) {
+        below = _mm_sub_epi64(
+            below, _mm_castpd_si128(_mm_cmplt_pd(_mm_loadu_pd(cdf + first + t), splat)));
+      }
+      const auto count = static_cast<std::uint32_t>(
+          _mm_cvtsi128_si64(below) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(below, below)));
+      return std::min(first + count, last_);
     }
+    return static_cast<std::uint32_t>(
+        std::lower_bound(cdf + first, cdf + index_[j + 1], u) - cdf);
   }
 
-  /// Exactly lower_bound(cdf, u) — the smallest k with cdf[k] >= u
-  /// (clamped to the last entry) — restricted to the draw's segment:
-  /// for u in [j/K, (j+1)/K) the answer lies in
-  /// [index_[j], index_[j+1]].
-  std::uint32_t lookup(const std::vector<double>& cdf, double u) const {
-    const auto j = std::min<std::size_t>(
-        static_cast<std::size_t>(u * static_cast<double>(kQuantiles)), kQuantiles - 1);
-    const double* first = cdf.data() + index_[j];
-    const double* last = cdf.data() + index_[j + 1];
-    return static_cast<std::uint32_t>(std::lower_bound(first, last, u) - cdf.data());
-  }
+  /// The CDF entries, without the padding.
+  std::size_t size() const { return static_cast<std::size_t>(last_) + 1; }
+  double cdf(std::size_t k) const { return cdf_[k]; }
+
+  /// Whether lookups take the fixed-window path.
+  bool windowed() const { return windowed_; }
 
  private:
-  static constexpr std::size_t kQuantiles = 1024;
-  std::vector<std::uint32_t> index_;
+  std::vector<double> cdf_;            // padded with kWindow - 1 entries of +inf
+  std::vector<std::uint32_t> index_;   // index_[j] = lower_bound(cdf, j/K), clamped
+  std::uint32_t last_ = 0;             // index of the last real entry
+  bool windowed_ = false;
 };
 
-/// The seed-independent half of a Zipf pattern: the popularity CDF by
-/// rank (rank r has weight 1/(r+1)^s, normalized) and its quantile
-/// index.  A pure function of (lines, exponent), so every pattern,
-/// clone and compiled stream with the same key shares one instance.
-struct ZipfTable {
-  std::vector<double> cdf;  // cumulative popularity by rank
-  QuantileIndex quantile;
+// The tables below are pure functions of their parameters, built on
+// first request and memoized for the life of the process
+// (thread-safe), so every pattern, workload, clone and compiled stream
+// with the same key shares one instance.  Keys compare the parameters'
+// bit patterns, so a table is exactly what a per-call construction
+// would produce.
 
-  /// Inverse CDF: the rank whose popularity bucket holds `u` in [0, 1).
-  std::uint32_t rank(double u) const { return quantile.lookup(cdf, u); }
-};
+/// The seed-independent half of a Zipf pattern: the quantile index
+/// over the popularity CDF by rank (rank r has weight 1/(r+1)^s,
+/// normalized), whose lookup(u) is the rank whose popularity bucket
+/// holds `u`.
+std::shared_ptr<const QuantileIndex> shared_zipf_table(std::uint64_t lines, double exponent);
 
-/// The table for (lines, exponent), built on first request and memoized
-/// for the life of the process (thread-safe).  Keys compare the
-/// exponent's bit pattern, so the table is exactly what the per-call
-/// construction would produce.
-std::shared_ptr<const ZipfTable> shared_zipf_table(std::uint64_t lines, double exponent);
+/// The geometric gap distribution P(gap = k) = (1-p)^k p, k >= 0, for
+/// p in (0, 1): the CDF until it saturates to 1.0 in double precision
+/// (a few hundred entries even for the smallest in-tree p).
+std::shared_ptr<const QuantileIndex> shared_geometric_table(double p);
 
 /// Block generator over a pattern's reference stream.  Value-type
 /// semantics via clone() (the McSim replay monitor clones workloads
@@ -200,7 +220,7 @@ class ZipfStream final : public CompiledStream {
   /// `table` and `perm` are shared with the owning ZipfPattern so
   /// both versions draw from the identical distribution over the
   /// identical line layout.
-  ZipfStream(std::shared_ptr<const ZipfTable> table,
+  ZipfStream(std::shared_ptr<const QuantileIndex> table,
              std::shared_ptr<const std::vector<std::uint32_t>> perm, std::uint64_t seed);
   void fill(Bytes* out, std::size_t n) override;
   void reset() override { rng_.reseed(seed_); }
@@ -209,7 +229,7 @@ class ZipfStream final : public CompiledStream {
   }
 
  private:
-  std::shared_ptr<const ZipfTable> table_;
+  std::shared_ptr<const QuantileIndex> table_;
   std::shared_ptr<const std::vector<std::uint32_t>> perm_;
   std::uint64_t seed_ = 0;
   Rng rng_;

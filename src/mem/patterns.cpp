@@ -26,18 +26,19 @@ PointerChasePattern::PointerChasePattern(Bytes working_set, std::uint64_t seed)
   }
 }
 
-Bytes PointerChasePattern::next_offset(Rng& /*rng*/) {
+Pattern::Step PointerChasePattern::step(std::uint64_t /*draw*/) {
   const Bytes offset = static_cast<Bytes>(cursor_) * kLineBytes;
   cursor_ = next_[cursor_];
-  return offset;
+  return Step{offset, false};
 }
 
 SequentialPattern::SequentialPattern(Bytes working_set) : lines_(lines_for(working_set)) {}
 
-Bytes SequentialPattern::next_offset(Rng& /*rng*/) {
+Pattern::Step SequentialPattern::step(std::uint64_t /*draw*/) {
   const Bytes offset = cursor_ * kLineBytes;
-  cursor_ = (cursor_ + 1) % lines_;
-  return offset;
+  ++cursor_;
+  cursor_ = cursor_ == lines_ ? 0 : cursor_;
+  return Step{offset, false};
 }
 
 StridedPattern::StridedPattern(Bytes working_set, std::uint64_t stride_lines)
@@ -45,18 +46,22 @@ StridedPattern::StridedPattern(Bytes working_set, std::uint64_t stride_lines)
   // A stride sharing a factor with the line count would visit only a
   // subset of the working set; nudge it to be coprime-ish.
   while (lines_ > 1 && std::gcd(stride_, lines_) != 1) ++stride_;
+  // Reduced once here, the wrap is a conditional subtract:
+  // a + s mod n == a + (s mod n) mod n.
+  stride_ %= lines_;
 }
 
-Bytes StridedPattern::next_offset(Rng& /*rng*/) {
+Pattern::Step StridedPattern::step(std::uint64_t /*draw*/) {
   const Bytes offset = cursor_ * kLineBytes;
-  cursor_ = (cursor_ + stride_) % lines_;
-  return offset;
+  cursor_ += stride_;
+  cursor_ = cursor_ >= lines_ ? cursor_ - lines_ : cursor_;
+  return Step{offset, false};
 }
 
 UniformRandomPattern::UniformRandomPattern(Bytes working_set) : lines_(lines_for(working_set)) {}
 
-Bytes UniformRandomPattern::next_offset(Rng& rng) {
-  return static_cast<Bytes>(rng.below(lines_)) * kLineBytes;
+Pattern::Step UniformRandomPattern::step(std::uint64_t draw) {
+  return Step{static_cast<Bytes>(Rng::bounded(draw, lines_)) * kLineBytes, true};
 }
 
 ZipfPattern::ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed)
@@ -93,13 +98,13 @@ PhasedPattern::PhasedPattern(const PhasedPattern& other)
   }
 }
 
-Bytes PhasedPattern::next_offset(Rng& rng) {
+Pattern::Step PhasedPattern::step(std::uint64_t draw) {
   if (remaining_ == 0) {
     current_ = (current_ + 1) % phases_.size();
     remaining_ = phases_[current_].accesses;
   }
   --remaining_;
-  return phases_[current_].pattern->next_offset(rng);
+  return phases_[current_].pattern->step(draw);
 }
 
 void PhasedPattern::reset() {

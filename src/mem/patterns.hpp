@@ -25,12 +25,33 @@
 namespace kyoto::mem {
 
 /// Interface for working-set reference generators.
+///
+/// A pattern consumes at most one RNG output per offset.  step() takes
+/// that output by value — the workload draws its stream ahead into a
+/// buffer and hands the pattern the next buffered word — and reports
+/// whether it used it, so the generator's state never escapes into
+/// the pattern's call.
 class Pattern {
  public:
   virtual ~Pattern() = default;
 
-  /// Returns the next byte offset (within [0, working_set())).
-  virtual Bytes next_offset(Rng& rng) = 0;
+  struct Step {
+    Bytes offset = 0;   // within [0, working_set())
+    bool drew = false;  // whether `draw` was consumed
+  };
+
+  /// Advances to the next offset; `draw` is the next raw output of
+  /// the stream's RNG.
+  virtual Step step(std::uint64_t draw) = 0;
+
+  /// The next offset, drawing from `rng` only if the pattern consumes
+  /// a draw: the stream step() describes, one offset at a time.
+  Bytes next_offset(Rng& rng) {
+    Rng ahead = rng;
+    const Step s = step(ahead());
+    if (s.drew) rng = ahead;
+    return s.offset;
+  }
 
   /// Restarts the stream from its initial state.
   virtual void reset() = 0;
@@ -66,7 +87,7 @@ class PointerChasePattern final : public Pattern {
   /// the chain layout.
   PointerChasePattern(Bytes working_set, std::uint64_t seed);
 
-  Bytes next_offset(Rng& rng) override;
+  Step step(std::uint64_t draw) override;
   void reset() override { cursor_ = 0; }
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<PointerChasePattern>(*this);
@@ -88,7 +109,7 @@ class SequentialPattern final : public Pattern {
  public:
   explicit SequentialPattern(Bytes working_set);
 
-  Bytes next_offset(Rng& rng) override;
+  Step step(std::uint64_t draw) override;
   void reset() override { cursor_ = 0; }
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<SequentialPattern>(*this);
@@ -107,7 +128,7 @@ class StridedPattern final : public Pattern {
  public:
   StridedPattern(Bytes working_set, std::uint64_t stride_lines);
 
-  Bytes next_offset(Rng& rng) override;
+  Step step(std::uint64_t draw) override;
   void reset() override { cursor_ = 0; }
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<StridedPattern>(*this);
@@ -117,7 +138,7 @@ class StridedPattern final : public Pattern {
 
  private:
   std::uint64_t lines_ = 0;
-  std::uint64_t stride_ = 1;
+  std::uint64_t stride_ = 1;  // coprime with lines_, reduced mod lines_
   std::uint64_t cursor_ = 0;
 };
 
@@ -128,7 +149,7 @@ class UniformRandomPattern final : public Pattern {
  public:
   explicit UniformRandomPattern(Bytes working_set);
 
-  Bytes next_offset(Rng& rng) override;
+  Step step(std::uint64_t draw) override;
   void reset() override {}
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<UniformRandomPattern>(*this);
@@ -147,7 +168,9 @@ class ZipfPattern final : public Pattern {
  public:
   ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed);
 
-  Bytes next_offset(Rng& rng) override { return offset_for(rng.uniform()); }
+  Step step(std::uint64_t draw) override {
+    return Step{offset_for(Rng::unit(draw)), true};
+  }
   void reset() override {}
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<ZipfPattern>(*this);
@@ -158,10 +181,11 @@ class ZipfPattern final : public Pattern {
   /// identical line layout.
   std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
-  /// The inverse-CDF mapping next_offset applies to its uniform draw
-  /// `u` in [0, 1): the line of rank lower_bound(cdf, u).
+  /// The inverse-CDF mapping step applies to its draw read as a
+  /// uniform `u` in [0, 1) (Rng::uniform): the line of rank
+  /// lower_bound(cdf, u).
   Bytes offset_for(double u) const {
-    return static_cast<Bytes>((*perm_)[table_->rank(u)]) * kLineBytes;
+    return static_cast<Bytes>((*perm_)[table_->lookup(u)]) * kLineBytes;
   }
 
  private:
@@ -169,7 +193,7 @@ class ZipfPattern final : public Pattern {
   // Shared immutable tables: the CDF is process-wide per (lines,
   // exponent) (shared_zipf_table); the seed-dependent permutation is
   // shared by clones and compiled streams instead of copied.
-  std::shared_ptr<const ZipfTable> table_;
+  std::shared_ptr<const QuantileIndex> table_;
   std::shared_ptr<const std::vector<std::uint32_t>> perm_;  // rank -> line
 };
 
@@ -187,7 +211,7 @@ class PhasedPattern final : public Pattern {
   PhasedPattern(const PhasedPattern& other);
   PhasedPattern& operator=(const PhasedPattern&) = delete;
 
-  Bytes next_offset(Rng& rng) override;
+  Step step(std::uint64_t draw) override;
   void reset() override;
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<PhasedPattern>(*this);

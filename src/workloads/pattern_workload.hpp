@@ -6,13 +6,19 @@
 //
 // Stream formats (WorkloadSpec::stream):
 //
-//  * v1 (default) — the frozen per-op generator: uniform() Bernoulli
-//    draws for the instruction mix, one pattern->next_offset per
-//    memory op.  This stream is bit-identical to the seed behavior and
-//    must stay that way (tests/workloads/stream_equivalence_test.cpp
-//    pins it with hard-coded checksums).  next_ref_batch serves it
-//    natively, making the identical draws but counting compute runs
-//    as gaps instead of materializing Ops.
+//  * v1 (default) — the frozen per-op stream: one uniform() Bernoulli
+//    draw per instruction for the instruction mix, then for a memory
+//    op the store/load draw and the pattern's offset.  This stream is
+//    bit-identical to the seed behavior and must stay that way
+//    (tests/workloads/stream_equivalence_test.cpp pins it with
+//    hard-coded checksums).  It is generated a word buffer at a time:
+//    the RNG's raw outputs are drawn ahead kDrawAhead at a time, with
+//    a mask of the words that, read as the instruction-mix draw, make
+//    a memory op (the exact integer form of `uniform() < p`).  Every
+//    consumption form scans that mask with countr_zero — a compute
+//    run costs one count, not one data-random branch per instruction
+//    — and takes the store/load and pattern draws from the same
+//    buffer in the per-op order.
 //  * v2 — the compiled generator: *geometric-skip* op generation.
 //    Instead of one Bernoulli draw per instruction, the run of
 //    compute instructions before each memory reference is drawn in
@@ -29,6 +35,9 @@
 //    their seeds while v2 runs are decorrelated from them.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -43,50 +52,27 @@ namespace kyoto::workloads {
 /// Exact inverse-CDF sampler for the geometric gap distribution
 /// P(gap = k) = (1-p)^k p, k >= 0 — the length of the compute run
 /// before the next memory reference when each instruction is a
-/// memory op with probability p.  The CDF is precomputed until it
-/// saturates to 1.0 in double precision (a few hundred entries even
-/// for the smallest in-tree p) and a mem::QuantileIndex maps the top
-/// bits of the uniform draw to a one- or two-entry search range, so
-/// a draw is O(1) with no transcendental math.
+/// memory op with probability p.  The table
+/// (mem::shared_geometric_table) is shared per p, and its quantile
+/// index maps the top bits of the uniform draw to a short search
+/// range, so a draw is O(1) with no transcendental math.
 class GeometricGap {
  public:
   GeometricGap() = default;
 
   /// `p` is the per-instruction memory probability in (0, 1]; p >= 1
   /// degenerates to gap == 0 without consuming draws.
-  explicit GeometricGap(double p) {
-    if (p >= 1.0) {
-      always_zero_ = true;
-      return;
-    }
-    KYOTO_CHECK_MSG(p > 0.0, "geometric gap needs p in (0, 1]");
-    const double q = 1.0 - p;
-    double f = 0.0;   // F(k-1)
-    double qk = 1.0;  // q^k
-    while (f < 1.0) {
-      qk *= q;
-      const double next = 1.0 - qk;  // F(k)
-      cdf_.push_back(next <= f ? 1.0 : next);  // force progress at saturation
-      if (cdf_.back() >= 1.0) cdf_.back() = 1.0;
-      f = cdf_.back();
-      if (cdf_.size() > 1u << 20) {  // paranoia bound; unreachable for real p
-        cdf_.back() = 1.0;
-        break;
-      }
-    }
-    quantile_ = mem::QuantileIndex(cdf_);
-  }
+  explicit GeometricGap(double p)
+      : quantile_(p < 1.0 ? mem::shared_geometric_table(p) : nullptr) {}
 
   /// Draws a gap; consumes exactly one RNG word (none when p >= 1).
   std::uint32_t draw(Rng& rng) const {
-    if (always_zero_) return 0;
-    return quantile_.lookup(cdf_, rng.uniform());
+    if (quantile_ == nullptr) return 0;
+    return quantile_->lookup(rng.uniform());
   }
 
  private:
-  std::vector<double> cdf_;  // cdf_[k] = P(gap <= k)
-  mem::QuantileIndex quantile_;
-  bool always_zero_ = false;
+  std::shared_ptr<const mem::QuantileIndex> quantile_;
 };
 
 class PatternWorkload final : public Workload {
@@ -106,6 +92,8 @@ class PatternWorkload final : public Workload {
                     "write_ratio in [0,1]");
     KYOTO_CHECK_MSG(spec_.mlp >= 1.0, "mlp must be >= 1");
     spec_.working_set = pattern_->working_set();
+    mem_chance_ = Rng::chance_threshold(spec_.mem_ratio);
+    write_chance_ = Rng::chance_threshold(spec_.write_ratio);
     if (spec_.stream == StreamVersion::kV2) {
       compiled_ = spec_.mem_ratio > 0.0 ? pattern_->compile(v2_stream_seed()) : nullptr;
       if (compiled_ == nullptr) {
@@ -124,6 +112,11 @@ class PatternWorkload final : public Workload {
         pattern_(other.pattern_->clone()),
         seed_(other.seed_),
         rng_(other.rng_),
+        mem_chance_(other.mem_chance_),
+        write_chance_(other.write_chance_),
+        draws_(other.draws_),
+        mem_mask_(other.mem_mask_),
+        draw_pos_(other.draw_pos_),
         compiled_(other.compiled_ != nullptr ? other.compiled_->clone() : nullptr),
         gap_dist_(other.gap_dist_),
         write_threshold_(other.write_threshold_),
@@ -137,18 +130,18 @@ class PatternWorkload final : public Workload {
   PatternWorkload& operator=(const PatternWorkload&) = delete;
 
   mem::Op next() override {
-    if (compiled_ != nullptr) return next_v2();
     mem::Op op;
-    if (rng_.chance(spec_.mem_ratio)) {
-      op.kind = rng_.chance(spec_.write_ratio) ? mem::OpKind::kStore : mem::OpKind::kLoad;
-      op.addr = pattern_->next_offset(rng_);
-    }
+    do_next_batch(&op, 1);
     return op;
   }
 
   RefBatch next_ref_batch(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
                           std::uint32_t* trailing_gap) override {
-    if (compiled_ == nullptr) return next_ref_batch_v1(out, max_refs, max_ops, trailing_gap);
+    if (compiled_ == nullptr) {
+      return scan_v1(max_refs, max_ops, trailing_gap,
+                     [out](std::size_t ref, std::size_t /*op*/, std::uint32_t gap, Bytes addr,
+                           bool write) { out[ref] = AccessRef{addr, gap, write}; });
+    }
     // Geometric-skip fast path: one loop iteration per memory
     // reference; compute runs are emitted as gap counts, never
     // iterated.
@@ -182,20 +175,16 @@ class PatternWorkload final : public Workload {
       for (std::size_t i = 0; i < n; ++i) out[i] = next_v2();
       return n;
     }
-    // v1: same draws in the same order as next(), with the per-op
-    // virtual dispatch and the spec_ field reloads hoisted out of the
-    // loop.
-    const double mem_ratio = spec_.mem_ratio;
-    const double write_ratio = spec_.write_ratio;
-    mem::Pattern* pattern = pattern_.get();
-    for (std::size_t i = 0; i < n; ++i) {
-      mem::Op op;
-      if (rng_.chance(mem_ratio)) {
-        op.kind = rng_.chance(write_ratio) ? mem::OpKind::kStore : mem::OpKind::kLoad;
-        op.addr = pattern->next_offset(rng_);
-      }
-      out[i] = op;
-    }
+    // Every slot starts as a compute op; the scan then writes only the
+    // memory ops.
+    std::fill_n(out, n, mem::Op{});
+    std::uint32_t trailing = 0;
+    scan_v1(n, n, &trailing,
+            [out](std::size_t /*ref*/, std::size_t op, std::uint32_t /*gap*/, Bytes addr,
+                  bool write) {
+              out[op].kind = write ? mem::OpKind::kStore : mem::OpKind::kLoad;
+              out[op].addr = addr;
+            });
     return n;
   }
 
@@ -211,6 +200,7 @@ class PatternWorkload final : public Workload {
       have_ref_ = false;
     } else {
       rng_.reseed(seed_);
+      draw_pos_ = kDrawAhead;
     }
   }
 
@@ -274,31 +264,80 @@ class PatternWorkload final : public Workload {
     return op;
   }
 
-  /// v1 ref batches: the same draws in the same order as next() — the
-  /// mem_ratio Bernoulli per instruction, then for a memory op the
-  /// store/load draw and the pattern offset — with compute runs
-  /// counted into gaps instead of written out as Ops.  The RNG lives
-  /// in a local for the batch so the compute-run draws stay in
-  /// registers across the pattern's virtual next_offset.
-  RefBatch next_ref_batch_v1(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
-                             std::uint32_t* trailing_gap) {
-    const double mem_ratio = spec_.mem_ratio;
-    const double write_ratio = spec_.write_ratio;
-    mem::Pattern* pattern = pattern_.get();
+  /// Draws the next kDrawAhead raw outputs into draws_ and returns
+  /// their memory-op mask: bit i is set iff draws_[i], read as the
+  /// instruction-mix draw, is a memory op.  The RNG lives in a local
+  /// for the refill, so its state stays in registers.
+  std::uint64_t refill_draws() {
     Rng rng = rng_;
+    const std::uint64_t mem_chance = mem_chance_;
+    std::uint64_t mask = 0;
+    for (unsigned i = 0; i < kDrawAhead; ++i) {
+      const std::uint64_t x = rng();
+      draws_[i] = x;
+      mask |= static_cast<std::uint64_t>((x >> 11) < mem_chance) << i;
+    }
+    rng_ = rng;
+    return mask;
+  }
+
+  /// The v1 stream, up to `max_ops` instructions and `max_refs`
+  /// memory ops, with the Workload::next_ref_batch contract.  Per
+  /// instruction the stream reads one buffered word as the
+  /// instruction-mix draw; for a memory op the next word is the
+  /// store/load draw and the one after it is handed to the pattern,
+  /// consumed only if the pattern draws.  Compute runs are found by
+  /// countr_zero over the memory-op mask.  `emit(ref, op, gap, offset,
+  /// write)` receives each memory op: its index among the batch's refs
+  /// and among its instructions, and its preceding compute run.  The
+  /// cursor and mask stay in locals: the pattern's virtual step() can
+  /// neither see nor spill them.
+  template <typename Emit>
+  RefBatch scan_v1(std::size_t max_refs, std::size_t max_ops, std::uint32_t* trailing_gap,
+                   Emit&& emit) {
+    const std::uint64_t write_chance = write_chance_;
+    mem::Pattern* const pattern = pattern_.get();
+    unsigned pos = draw_pos_;
+    std::uint64_t mask = mem_mask_;
+    const auto refill_if_empty = [&] {
+      if (pos == kDrawAhead) {
+        mask = refill_draws();
+        pos = 0;
+      }
+    };
     RefBatch batch;
     std::uint32_t gap = 0;
     while (batch.ops < max_ops && batch.refs < max_refs) {
-      ++batch.ops;
-      if (!rng.chance(mem_ratio)) {
-        ++gap;
-        continue;
+      refill_if_empty();
+      // Compute instructions before the next memory op; all the rest
+      // of the buffer when it holds none.
+      const std::uint64_t ahead = mask >> pos;
+      const std::size_t run =
+          ahead != 0 ? static_cast<std::size_t>(std::countr_zero(ahead)) : kDrawAhead - pos;
+      const std::size_t budget = max_ops - batch.ops;
+      if (run >= budget) {
+        gap += static_cast<std::uint32_t>(budget);
+        pos += static_cast<unsigned>(budget);
+        batch.ops = max_ops;
+        break;
       }
-      const bool write = rng.chance(write_ratio);
-      out[batch.refs++] = AccessRef{pattern->next_offset(rng), gap, write};
+      gap += static_cast<std::uint32_t>(run);
+      pos += static_cast<unsigned>(run);
+      batch.ops += run;
+      if (ahead == 0) continue;
+      ++pos;  // the memory op's instruction-mix draw
+      refill_if_empty();
+      const bool write = (draws_[pos++] >> 11) < write_chance;
+      refill_if_empty();
+      const mem::Pattern::Step step = pattern->step(draws_[pos]);
+      pos += step.drew ? 1u : 0u;
+      emit(batch.refs, batch.ops, gap, step.offset, write);
+      ++batch.ops;
+      ++batch.refs;
       gap = 0;
     }
-    rng_ = rng;
+    draw_pos_ = pos;
+    mem_mask_ = mask;
     *trailing_gap = gap;
     return batch;
   }
@@ -313,6 +352,17 @@ class PatternWorkload final : public Workload {
   std::unique_ptr<mem::Pattern> pattern_;
   std::uint64_t seed_;
   Rng rng_;
+
+  // v1 state.  The draw-ahead buffer is part of the stream state:
+  // clones copy it, reset() empties it.  At 32 words refills stay rare
+  // and each workload (the churn engine creates thousands) stays small.
+  static constexpr unsigned kDrawAhead = 32;
+  static_assert(kDrawAhead <= 64, "the memory-op mask is one 64-bit word");
+  std::uint64_t mem_chance_ = 0;    // Rng::chance_threshold(mem_ratio)
+  std::uint64_t write_chance_ = 0;  // Rng::chance_threshold(write_ratio)
+  std::array<std::uint64_t, kDrawAhead> draws_{};  // raw outputs drawn ahead of the stream
+  std::uint64_t mem_mask_ = 0;                     // memory-op mask of draws_ (refill_draws)
+  unsigned draw_pos_ = kDrawAhead;                 // next unread word; kDrawAhead = empty
 
   // v2 state (null/unused under v1).
   std::unique_ptr<mem::CompiledStream> compiled_;

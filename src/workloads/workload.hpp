@@ -12,6 +12,7 @@
 // — clone() is the "pin tool" attach point.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +69,18 @@ struct WorkloadSpec {
   /// Requested reference-stream format (see StreamVersion).
   StreamVersion stream = StreamVersion::kV1;
 };
+
+/// The stall of an access with `latency` cycles on a core that hides
+/// the rest behind independent work: latency * inv_mlp (inv_mlp =
+/// 1/mlp) rounded half up, and at least one cycle.  Equal to
+/// max(1, lround(latency * inv_mlp)) without the libm call: for these
+/// non-negative values the two roundings differ only below 0.5, where
+/// both clamp to 1.  One definition for both execution engines, the
+/// machine's vCPU loop and the McSim replay.
+inline Cycles mlp_stall(Cycles latency, double inv_mlp) {
+  return std::max<Cycles>(
+      1, static_cast<Cycles>(static_cast<double>(latency) * inv_mlp + 0.5));
+}
 
 /// One application instance.  Implementations are not thread-safe;
 /// each vCPU owns one workload.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -84,6 +85,42 @@ TEST(Rng, ChanceExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
+  }
+}
+
+TEST(Rng, WordMappingsMatchTheDrawingCalls) {
+  // below(), uniform() and chance() are their static mappings applied
+  // to one raw output, so a buffer of raw outputs replays them.
+  Rng live(8), raw(8);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(live.below(777), Rng::bounded(raw(), 777));
+    EXPECT_EQ(live.uniform(), Rng::unit(raw()));
+  }
+}
+
+TEST(Rng, ChanceThresholdIsExactlyChance) {
+  // (draw >> 11) < chance_threshold(p) must agree with unit(draw) < p
+  // for every draw, including draws whose uniform sits exactly on p
+  // or one step either side of it.
+  const double ps[] = {0.0,  1e-300, 0x1.0p-53, 0.12, 0.2,  0.25,
+                       0.3,  0.33,   0.35,      0.5,  0.55, std::nextafter(1.0, 0.0),
+                       1.0,  1.5,    -0.5};
+  Rng rng(12);
+  for (const double p : ps) {
+    const std::uint64_t threshold = Rng::chance_threshold(p);
+    std::vector<std::uint64_t> draws;
+    for (int i = 0; i < 2000; ++i) draws.push_back(rng());
+    if (p > 0.0 && p < 1.0) {
+      const auto at = static_cast<std::uint64_t>(p * 0x1.0p53);  // unit() of at << 11 is <= p
+      for (const std::uint64_t m : {at - 1, at, at + 1}) {
+        if (m < (1ull << 53)) draws.push_back(m << 11 | 0x7ff);
+      }
+    }
+    draws.push_back(0);
+    draws.push_back(~0ull);
+    for (const std::uint64_t x : draws) {
+      EXPECT_EQ((x >> 11) < threshold, Rng::unit(x) < p) << "p=" << p << " draw=" << x;
+    }
   }
 }
 

@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/memory_system.hpp"
@@ -178,6 +181,117 @@ TEST(StreamV1, DefaultRefBatchCompressesTheOpStream) {
       }
     }
     EXPECT_EQ(at, ops.size()) << app;
+  }
+}
+
+/// Appends `refs`/`trailing` from one next_ref_batch call to `ops` as
+/// the instruction stream they describe.
+void expand_refs(const std::vector<AccessRef>& refs, std::size_t count, std::uint32_t trailing,
+                 std::vector<mem::Op>& ops) {
+  for (std::size_t r = 0; r < count; ++r) {
+    ops.insert(ops.end(), refs[r].gap, mem::Op{});
+    mem::Op op;
+    op.kind = refs[r].write ? mem::OpKind::kStore : mem::OpKind::kLoad;
+    op.addr = refs[r].addr;
+    ops.push_back(op);
+  }
+  ops.insert(ops.end(), trailing, mem::Op{});
+}
+
+TEST(StreamV1, MixedFormsAndMidBufferCloneResetContinueOneStream) {
+  // One workload consumed through interleaved next(), next_batch()
+  // and next_ref_batch() calls with small random budgets, cloned and
+  // reset at arbitrary points — which lands mid draw-ahead buffer —
+  // must emit the stream a twin emits through next() alone.
+  using Factory = std::function<std::unique_ptr<Workload>()>;
+  std::vector<std::pair<std::string, Factory>> subjects;
+  for (const auto& profile : app_profiles()) {
+    subjects.emplace_back(profile.name, [&profile] { return make_app(profile, kMem, 77); });
+  }
+  for (const MicroClass cls : {MicroClass::kC1, MicroClass::kC2, MicroClass::kC3}) {
+    const std::string id = std::to_string(static_cast<int>(cls));
+    subjects.emplace_back("rep" + id, [cls] { return micro_representative(cls, kMem, 77); });
+    subjects.emplace_back("dis" + id, [cls] { return micro_disruptive(cls, kMem, 77); });
+  }
+
+  for (const auto& [name, make] : subjects) {
+    std::unique_ptr<Workload> w = make();
+    ASSERT_EQ(w->stream_version(), StreamVersion::kV1) << name;
+    const std::unique_ptr<Workload> twin = make();
+    std::vector<mem::Op> expected;  // twin's stream from its start, by next()
+    const auto expect_from = [&](std::size_t at, const std::vector<mem::Op>& got,
+                                 const std::string& how) {
+      while (expected.size() < at + got.size()) expected.push_back(twin->next());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].kind, expected[at + i].kind) << name << " " << how << " @" << at + i;
+        ASSERT_EQ(got[i].addr, expected[at + i].addr) << name << " " << how << " @" << at + i;
+      }
+    };
+    // Consumes a random window of `subject` through a random form.
+    Rng dice(0xD1CE ^ std::hash<std::string>{}(name));
+    std::vector<AccessRef> refs(300);
+    std::vector<mem::Op> block(300);
+    const auto consume = [&](Workload& subject) {
+      std::vector<mem::Op> got;
+      std::string how;
+      switch (dice.below(3)) {
+        case 0:
+          how = "next";
+          got.push_back(subject.next());
+          break;
+        case 1: {
+          const std::size_t n = 1 + dice.below(300);
+          how = "next_batch(" + std::to_string(n) + ")";
+          EXPECT_EQ(subject.next_batch(block.data(), n), n);
+          got.assign(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(n));
+          break;
+        }
+        default: {
+          const std::size_t max_refs = 1 + dice.below(300);
+          const std::size_t max_ops = 1 + dice.below(300);
+          how = "next_ref_batch(" + std::to_string(max_refs) + ", " + std::to_string(max_ops) + ")";
+          std::uint32_t trailing = 0;
+          const auto batch = subject.next_ref_batch(refs.data(), max_refs, max_ops, &trailing);
+          EXPECT_LE(batch.refs, max_refs) << name << " " << how;
+          EXPECT_TRUE(batch.ops == max_ops || batch.refs == max_refs) << name << " " << how;
+          expand_refs(refs, batch.refs, trailing, got);
+          EXPECT_EQ(got.size(), batch.ops) << name << " " << how;
+          if (batch.refs == max_refs) {
+            EXPECT_EQ(trailing, 0u) << name << " " << how;
+          }
+        }
+      }
+      return std::make_pair(got, how);
+    };
+
+    std::size_t at = 0;  // position of `w` in the stream
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t action = dice.below(10);
+      if (action == 0) {
+        // Reset: the stream restarts from its first instruction.
+        w->reset();
+        at = 0;
+      } else if (action == 1) {
+        // Clone: the clone continues from here; the original, consumed
+        // afterwards, must be undisturbed.  Either may carry on.
+        std::unique_ptr<Workload> clone = w->clone();
+        std::size_t clone_at = at;
+        for (int k = 0; k < 3; ++k) {
+          const auto [got, how] = consume(*clone);
+          expect_from(clone_at, got, "clone " + how);
+          clone_at += got.size();
+        }
+        if (dice.below(2) == 0) {
+          w = std::move(clone);
+          at = clone_at;
+        }
+      } else {
+        const auto [got, how] = consume(*w);
+        expect_from(at, got, how);
+        at += got.size();
+      }
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
