@@ -1,6 +1,8 @@
 #include "mem/patterns.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -14,32 +16,21 @@ std::uint64_t lines_for(Bytes working_set) {
 }  // namespace
 
 PointerChasePattern::PointerChasePattern(Bytes working_set, std::uint64_t seed)
-    : lines_(lines_for(working_set)), next_(lines_) {
+    : lines_(lines_for(working_set)) {
   // Sattolo's algorithm produces a uniformly random single cycle, so a
   // walk visits every line exactly once per lap — the defining
   // property of the Drepper chase.
-  std::iota(next_.begin(), next_.end(), 0u);
+  auto next = std::make_shared<std::vector<std::uint32_t>>(lines_);
+  std::iota(next->begin(), next->end(), 0u);
   Rng rng(seed);
   for (std::uint64_t i = lines_ - 1; i > 0; --i) {
     const std::uint64_t j = rng.below(i);  // j in [0, i)
-    std::swap(next_[i], next_[j]);
+    std::swap((*next)[i], (*next)[j]);
   }
-}
-
-Pattern::Step PointerChasePattern::step(std::uint64_t /*draw*/) {
-  const Bytes offset = static_cast<Bytes>(cursor_) * kLineBytes;
-  cursor_ = next_[cursor_];
-  return Step{offset, false};
+  next_ = std::move(next);
 }
 
 SequentialPattern::SequentialPattern(Bytes working_set) : lines_(lines_for(working_set)) {}
-
-Pattern::Step SequentialPattern::step(std::uint64_t /*draw*/) {
-  const Bytes offset = cursor_ * kLineBytes;
-  ++cursor_;
-  cursor_ = cursor_ == lines_ ? 0 : cursor_;
-  return Step{offset, false};
-}
 
 StridedPattern::StridedPattern(Bytes working_set, std::uint64_t stride_lines)
     : lines_(lines_for(working_set)), stride_(std::max<std::uint64_t>(1, stride_lines)) {
@@ -51,18 +42,7 @@ StridedPattern::StridedPattern(Bytes working_set, std::uint64_t stride_lines)
   stride_ %= lines_;
 }
 
-Pattern::Step StridedPattern::step(std::uint64_t /*draw*/) {
-  const Bytes offset = cursor_ * kLineBytes;
-  cursor_ += stride_;
-  cursor_ = cursor_ >= lines_ ? cursor_ - lines_ : cursor_;
-  return Step{offset, false};
-}
-
 UniformRandomPattern::UniformRandomPattern(Bytes working_set) : lines_(lines_for(working_set)) {}
-
-Pattern::Step UniformRandomPattern::step(std::uint64_t draw) {
-  return Step{static_cast<Bytes>(Rng::bounded(draw, lines_)) * kLineBytes, true};
-}
 
 ZipfPattern::ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed)
     : lines_(lines_for(working_set)), table_(shared_zipf_table(lines_, exponent)) {
@@ -113,38 +93,68 @@ void PhasedPattern::reset() {
   for (auto& phase : phases_) phase.pattern->reset();
 }
 
-// --- stream compilation (the v2 format; see compiled_stream.hpp) -------
-
-std::unique_ptr<CompiledStream> PointerChasePattern::compile(std::uint64_t /*seed*/) const {
-  return std::make_unique<ChaseRingStream>(next_);
+void PhasedPattern::fill(Rng& rng, Bytes* out, std::size_t n) {
+  while (n > 0) {
+    if (remaining_ == 0) {
+      current_ = (current_ + 1) % phases_.size();
+      remaining_ = phases_[current_].accesses;
+    }
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(n, remaining_));
+    phases_[current_].pattern->fill(rng, out, take);
+    out += take;
+    n -= take;
+    remaining_ -= take;
+  }
 }
 
-std::unique_ptr<CompiledStream> SequentialPattern::compile(std::uint64_t /*seed*/) const {
-  return std::make_unique<SequentialStream>(lines_);
+// --- the v2 offset stream ---------------------------------------------
+
+namespace {
+
+/// A pattern walking on its own RNG: the form compile() returns.  It
+/// ignores the RNG its callers pass, so its stream is a function of
+/// its seed alone.
+class SeededStream final : public Pattern {
+ public:
+  SeededStream(std::unique_ptr<Pattern> walk, std::uint64_t seed)
+      : walk_(std::move(walk)), seed_(seed), rng_(seed) {}
+  SeededStream(const SeededStream& other)
+      : walk_(other.walk_->clone()), seed_(other.seed_), rng_(other.rng_) {}
+  SeededStream& operator=(const SeededStream&) = delete;
+
+  Step step(std::uint64_t /*draw*/) override { return Step{walk_->next_offset(rng_), false}; }
+  void fill(Rng& /*rng*/, Bytes* out, std::size_t n) override { walk_->fill(rng_, out, n); }
+  void reset() override {
+    walk_->reset();
+    rng_.reseed(seed_);
+  }
+  std::unique_ptr<Pattern> clone() const override {
+    return std::make_unique<SeededStream>(*this);
+  }
+  Bytes working_set() const override { return walk_->working_set(); }
+
+ private:
+  std::unique_ptr<Pattern> walk_;
+  std::uint64_t seed_;
+  Rng rng_;
+};
+
+}  // namespace
+
+std::unique_ptr<Pattern> Pattern::compile(std::uint64_t seed) const {
+  auto walk = clone();
+  walk->reset();
+  return std::make_unique<SeededStream>(std::move(walk), seed);
 }
 
-std::unique_ptr<CompiledStream> StridedPattern::compile(std::uint64_t /*seed*/) const {
-  return std::make_unique<StridedStream>(lines_, stride_);
-}
-
-std::unique_ptr<CompiledStream> UniformRandomPattern::compile(std::uint64_t seed) const {
-  return std::make_unique<UniformStream>(lines_, seed);
-}
-
-std::unique_ptr<CompiledStream> ZipfPattern::compile(std::uint64_t seed) const {
-  return std::make_unique<ZipfStream>(table_, perm_, seed);
-}
-
-std::unique_ptr<CompiledStream> PhasedPattern::compile(std::uint64_t seed) const {
-  std::vector<PhasedStream::Phase> phases;
+std::unique_ptr<Pattern> PhasedPattern::compile(std::uint64_t seed) const {
+  std::vector<Phase> phases;
   phases.reserve(phases_.size());
   std::uint64_t sub_seed = seed;
   for (const auto& phase : phases_) {
-    auto child = phase.pattern->compile(splitmix64(sub_seed));
-    if (child == nullptr) return nullptr;  // uncompilable child: stay on v1
-    phases.push_back(PhasedStream::Phase{std::move(child), phase.accesses});
+    phases.push_back(Phase{phase.pattern->compile(splitmix64(sub_seed)), phase.accesses});
   }
-  return std::make_unique<PhasedStream>(std::move(phases));
+  return std::make_unique<PhasedPattern>(std::move(phases));
 }
 
 }  // namespace kyoto::mem

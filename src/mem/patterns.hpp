@@ -4,9 +4,9 @@
 // the Drepper micro-benchmark is a pointer chase over a randomly
 // chained circular list [15]; SPEC CPU2006 applications and blockie
 // are modelled as parameterized mixtures of the patterns below (see
-// workloads/spec_profiles.*).  A pattern yields byte offsets within
-// its working set; the owning workload translates them through the
-// VM's AddressSpace.
+// the profiles in workloads/catalog.cpp).  A pattern yields byte
+// offsets within its working set; the owning workload translates them
+// through the VM's AddressSpace.
 //
 // All patterns are value types with explicit clone(), because the
 // McSim replay monitor (Section 3.3, solution 2) forks a workload
@@ -20,7 +20,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mem/access.hpp"
-#include "mem/compiled_stream.hpp"
+#include "mem/quantile_index.hpp"
 
 namespace kyoto::mem {
 
@@ -53,6 +53,11 @@ class Pattern {
     return s.offset;
   }
 
+  /// Writes the next `n` offsets: exactly what `n` next_offset(rng)
+  /// calls return, leaving `rng` in the same state, at one virtual
+  /// call per block.
+  virtual void fill(Rng& rng, Bytes* out, std::size_t n) = 0;
+
   /// Restarts the stream from its initial state.
   virtual void reset() = 0;
 
@@ -62,17 +67,32 @@ class Pattern {
   /// Size of the region this pattern touches.
   virtual Bytes working_set() const = 0;
 
-  /// Compiles this pattern's reference stream into block-generated
-  /// form (the `stream = v2` format; see compiled_stream.hpp):
-  /// deterministic walks compile to the identical sequence, the
-  /// stochastic ones to statistically equivalent batched draws seeded
-  /// by `seed`.  Starts from the pattern's *initial* state, not its
-  /// current cursor.  Returns nullptr if the pattern has no compiled
-  /// form (external subclasses) — callers fall back to the v1 per-op
-  /// stream.
-  virtual std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const {
-    (void)seed;
-    return nullptr;
+  /// The `stream = v2` offset stream (workloads/workload.hpp): this
+  /// pattern from its *initial* state, walking on its own Rng(seed).
+  /// The result never draws from the RNG its callers pass in.
+  virtual std::unique_ptr<Pattern> compile(std::uint64_t seed) const;
+};
+
+/// Base of the leaf patterns: generates fill() and clone() from the
+/// final class's step(), which the loop inlines — one virtual call per
+/// block, none per offset.
+template <typename Self>
+class PatternOf : public Pattern {
+ public:
+  void fill(Rng& rng, Bytes* __restrict out, std::size_t n) final {
+    Self& self = static_cast<Self&>(*this);
+    Rng local = rng;  // in registers for the loop, not aliased by `out`
+    for (std::size_t i = 0; i < n; ++i) {
+      Rng ahead = local;
+      const Step s = self.Self::step(ahead());
+      if (s.drew) local = ahead;
+      out[i] = s.offset;
+    }
+    rng = local;
+  }
+
+  std::unique_ptr<Pattern> clone() const final {
+    return std::make_unique<Self>(static_cast<const Self&>(*this));
   }
 };
 
@@ -81,41 +101,41 @@ class Pattern {
 /// Sattolo's algorithm and the stream follows the chain.  Maximally
 /// cache-unfriendly once the working set exceeds a level's capacity,
 /// with exactly one access per line per lap.
-class PointerChasePattern final : public Pattern {
+class PointerChasePattern final : public PatternOf<PointerChasePattern> {
  public:
   /// `working_set` is rounded up to at least one line; `seed` fixes
   /// the chain layout.
   PointerChasePattern(Bytes working_set, std::uint64_t seed);
 
-  Step step(std::uint64_t draw) override;
-  void reset() override { cursor_ = 0; }
-  std::unique_ptr<Pattern> clone() const override {
-    return std::make_unique<PointerChasePattern>(*this);
+  Step step(std::uint64_t /*draw*/) override {
+    const Bytes offset = static_cast<Bytes>(cursor_) * kLineBytes;
+    cursor_ = (*next_)[cursor_];
+    return Step{offset, false};
   }
+  void reset() override { cursor_ = 0; }
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  /// Unrolls the cycle into a visit-order ring: the identical
-  /// sequence without the dependent next_[cursor] loads.
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
  private:
   std::uint64_t lines_ = 0;
-  std::vector<std::uint32_t> next_;  // next_[i] = line after i in the cycle
+  // next_[i] = line after i in the cycle; immutable, so clones share it.
+  std::shared_ptr<const std::vector<std::uint32_t>> next_;
   std::uint32_t cursor_ = 0;
 };
 
 /// Sequential streaming walk (modelling stencil/streaming kernels such
 /// as lbm): visits every line in order and wraps around.
-class SequentialPattern final : public Pattern {
+class SequentialPattern final : public PatternOf<SequentialPattern> {
  public:
   explicit SequentialPattern(Bytes working_set);
 
-  Step step(std::uint64_t draw) override;
-  void reset() override { cursor_ = 0; }
-  std::unique_ptr<Pattern> clone() const override {
-    return std::make_unique<SequentialPattern>(*this);
+  Step step(std::uint64_t /*draw*/) override {
+    const Bytes offset = cursor_ * kLineBytes;
+    ++cursor_;
+    cursor_ = cursor_ == lines_ ? 0 : cursor_;
+    return Step{offset, false};
   }
+  void reset() override { cursor_ = 0; }
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
  private:
   std::uint64_t lines_ = 0;
@@ -124,17 +144,18 @@ class SequentialPattern final : public Pattern {
 
 /// Fixed-stride walk (modelling column-major matrix traversals such as
 /// soplex's): steps `stride_lines` lines each access, wrapping.
-class StridedPattern final : public Pattern {
+class StridedPattern final : public PatternOf<StridedPattern> {
  public:
   StridedPattern(Bytes working_set, std::uint64_t stride_lines);
 
-  Step step(std::uint64_t draw) override;
-  void reset() override { cursor_ = 0; }
-  std::unique_ptr<Pattern> clone() const override {
-    return std::make_unique<StridedPattern>(*this);
+  Step step(std::uint64_t /*draw*/) override {
+    const Bytes offset = cursor_ * kLineBytes;
+    cursor_ += stride_;
+    cursor_ = cursor_ >= lines_ ? cursor_ - lines_ : cursor_;
+    return Step{offset, false};
   }
+  void reset() override { cursor_ = 0; }
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
  private:
   std::uint64_t lines_ = 0;
@@ -145,17 +166,15 @@ class StridedPattern final : public Pattern {
 /// Uniform random line accesses (worst-case capacity pressure without
 /// the single-cycle regularity of the chase; models blockie's
 /// synthesized contention kernel [20]).
-class UniformRandomPattern final : public Pattern {
+class UniformRandomPattern final : public PatternOf<UniformRandomPattern> {
  public:
   explicit UniformRandomPattern(Bytes working_set);
 
-  Step step(std::uint64_t draw) override;
-  void reset() override {}
-  std::unique_ptr<Pattern> clone() const override {
-    return std::make_unique<UniformRandomPattern>(*this);
+  Step step(std::uint64_t draw) override {
+    return Step{static_cast<Bytes>(Rng::bounded(draw, lines_)) * kLineBytes, true};
   }
+  void reset() override {}
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
  private:
   std::uint64_t lines_ = 0;
@@ -164,7 +183,7 @@ class UniformRandomPattern final : public Pattern {
 /// Zipf-distributed line popularity (models pointer-heavy irregular
 /// codes with hot structures, e.g. omnetpp's event heap / xalan's
 /// DOM): rank-r line has weight 1/r^s.
-class ZipfPattern final : public Pattern {
+class ZipfPattern final : public PatternOf<ZipfPattern> {
  public:
   ZipfPattern(Bytes working_set, double exponent, std::uint64_t seed);
 
@@ -172,14 +191,7 @@ class ZipfPattern final : public Pattern {
     return Step{offset_for(Rng::unit(draw)), true};
   }
   void reset() override {}
-  std::unique_ptr<Pattern> clone() const override {
-    return std::make_unique<ZipfPattern>(*this);
-  }
   Bytes working_set() const override { return lines_ * kLineBytes; }
-  /// Shares this pattern's table and permutation with the stream, so
-  /// both formats draw from the identical distribution over the
-  /// identical line layout.
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
 
   /// The inverse-CDF mapping step applies to its draw read as a
   /// uniform `u` in [0, 1) (Rng::uniform): the line of rank
@@ -192,7 +204,7 @@ class ZipfPattern final : public Pattern {
   std::uint64_t lines_ = 0;
   // Shared immutable tables: the CDF is process-wide per (lines,
   // exponent) (shared_zipf_table); the seed-dependent permutation is
-  // shared by clones and compiled streams instead of copied.
+  // shared by clones instead of copied.
   std::shared_ptr<const QuantileIndex> table_;
   std::shared_ptr<const std::vector<std::uint32_t>> perm_;  // rank -> line
 };
@@ -212,14 +224,16 @@ class PhasedPattern final : public Pattern {
   PhasedPattern& operator=(const PhasedPattern&) = delete;
 
   Step step(std::uint64_t draw) override;
+  /// One child fill per phase run.
+  void fill(Rng& rng, Bytes* out, std::size_t n) override;
   void reset() override;
   std::unique_ptr<Pattern> clone() const override {
     return std::make_unique<PhasedPattern>(*this);
   }
   Bytes working_set() const override { return max_working_set_; }
-  /// Composes the children's compiled streams; nullptr if any child
-  /// lacks one.
-  std::unique_ptr<CompiledStream> compile(std::uint64_t seed) const override;
+  /// Compiles each child on its own seed, drawn from a splitmix64
+  /// chain over `seed`.
+  std::unique_ptr<Pattern> compile(std::uint64_t seed) const override;
 
  private:
   std::vector<Phase> phases_;

@@ -25,14 +25,15 @@
 //    one shot from the geometric distribution Geom(mem_ratio) — the
 //    exact distribution of that run under per-op Bernoulli draws —
 //    through an inverse-CDF table (GeometricGap below).  Offsets come
-//    from the pattern's CompiledStream a block at a time (one virtual
-//    fill per kOffsetBlock memory ops, zero per-op pattern dispatch).
-//    Work per simulated instruction therefore collapses to work per
-//    *memory reference*; next_ref_batch exposes that form directly
-//    and next()/next_batch() rematerialize per-op streams from it
-//    unchanged.  The v2 RNG stream derives from the same user seed
-//    through a version salt, so v1 figures stay regenerable from
-//    their seeds while v2 runs are decorrelated from them.
+//    from the pattern's compile()d stream a block at a time (one
+//    virtual fill per kOffsetBlock memory ops).  Work per simulated
+//    instruction therefore collapses to work per *memory reference*;
+//    scan_v2 walks it one reference at a time with scan_v1's emit
+//    contract, so every consumption form serves one stream.  The v2
+//    RNG streams derive from the same user seed through version
+//    salts, so v1 figures stay regenerable from their seeds while v2
+//    runs are decorrelated from them.  A workload with mem_ratio == 0
+//    has no references to skip to and serves v1.
 #pragma once
 
 #include <algorithm>
@@ -43,8 +44,8 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "mem/compiled_stream.hpp"
 #include "mem/patterns.hpp"
+#include "mem/quantile_index.hpp"
 #include "workloads/workload.hpp"
 
 namespace kyoto::workloads {
@@ -80,9 +81,8 @@ class PatternWorkload final : public Workload {
   /// `spec.working_set` is overwritten with the pattern's actual
   /// (line-rounded) working set.  `seed` drives the instruction mix
   /// and any stochastic pattern decisions.  A spec requesting
-  /// StreamVersion::kV2 is honored iff the pattern compiles (all
-  /// in-tree patterns do); otherwise the workload falls back to v1
-  /// and reports that via stream_version().
+  /// StreamVersion::kV2 is honored unless mem_ratio == 0; then the
+  /// workload falls back to v1 and reports that via stream_version().
   PatternWorkload(WorkloadSpec spec, std::unique_ptr<mem::Pattern> pattern,
                   std::uint64_t seed)
       : spec_(std::move(spec)), pattern_(std::move(pattern)), seed_(seed), rng_(seed) {
@@ -94,16 +94,15 @@ class PatternWorkload final : public Workload {
     spec_.working_set = pattern_->working_set();
     mem_chance_ = Rng::chance_threshold(spec_.mem_ratio);
     write_chance_ = Rng::chance_threshold(spec_.write_ratio);
+    if (spec_.stream == StreamVersion::kV2 && spec_.mem_ratio == 0.0) {
+      spec_.stream = StreamVersion::kV1;  // no references to skip to
+    }
     if (spec_.stream == StreamVersion::kV2) {
-      compiled_ = spec_.mem_ratio > 0.0 ? pattern_->compile(v2_stream_seed()) : nullptr;
-      if (compiled_ == nullptr) {
-        spec_.stream = StreamVersion::kV1;  // uncompilable pattern: stay on v1
-      } else {
-        gap_dist_ = GeometricGap(spec_.mem_ratio);
-        write_threshold_ = fixed_threshold(spec_.write_ratio);
-        offsets_.resize(kOffsetBlock);
-        rng_.reseed(v2_mix_seed());
-      }
+      compiled_ = pattern_->compile(v2_stream_seed());
+      gap_dist_ = GeometricGap(spec_.mem_ratio);
+      write_threshold_ = fixed_threshold(spec_.write_ratio);
+      offsets_.resize(kOffsetBlock);
+      rng_.reseed(v2_mix_seed());
     }
   }
 
@@ -137,59 +136,27 @@ class PatternWorkload final : public Workload {
 
   RefBatch next_ref_batch(AccessRef* out, std::size_t max_refs, std::size_t max_ops,
                           std::uint32_t* trailing_gap) override {
-    if (compiled_ == nullptr) {
-      return scan_v1(max_refs, max_ops, trailing_gap,
-                     [out](std::size_t ref, std::size_t /*op*/, std::uint32_t gap, Bytes addr,
-                           bool write) { out[ref] = AccessRef{addr, gap, write}; });
-    }
-    // Geometric-skip fast path: one loop iteration per memory
-    // reference; compute runs are emitted as gap counts, never
-    // iterated.
-    RefBatch batch;
-    std::uint32_t spill = 0;
-    while (batch.refs < max_refs) {
-      ensure_ref();
-      const std::uint64_t need = static_cast<std::uint64_t>(gap_left_) + 1;
-      if (batch.ops + need > max_ops) {
-        // The whole pending run does not fit: consume only compute
-        // instructions up to the op budget and leave the reference
-        // pending for the next call.
-        const auto take = static_cast<std::uint32_t>(max_ops - batch.ops);
-        gap_left_ -= take;
-        spill = take;
-        batch.ops = max_ops;
-        break;
-      }
-      batch.ops += static_cast<std::size_t>(need);
-      out[batch.refs++] = AccessRef{ref_addr_, gap_left_, ref_write_};
-      gap_left_ = 0;
-      have_ref_ = false;
-    }
-    *trailing_gap = spill;
-    return batch;
+    return scan(max_refs, max_ops, trailing_gap,
+                [out](std::size_t ref, std::size_t /*op*/, std::uint32_t gap, Bytes addr,
+                      bool write) { out[ref] = AccessRef{addr, gap, write}; });
   }
 
  protected:
   std::size_t do_next_batch(mem::Op* out, std::size_t n) override {
-    if (compiled_ != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = next_v2();
-      return n;
-    }
     // Every slot starts as a compute op; the scan then writes only the
     // memory ops.
     std::fill_n(out, n, mem::Op{});
     std::uint32_t trailing = 0;
-    scan_v1(n, n, &trailing,
-            [out](std::size_t /*ref*/, std::size_t op, std::uint32_t /*gap*/, Bytes addr,
-                  bool write) {
-              out[op].kind = write ? mem::OpKind::kStore : mem::OpKind::kLoad;
-              out[op].addr = addr;
-            });
+    scan(n, n, &trailing,
+         [out](std::size_t /*ref*/, std::size_t op, std::uint32_t /*gap*/, Bytes addr,
+               bool write) {
+           out[op].kind = write ? mem::OpKind::kStore : mem::OpKind::kLoad;
+           out[op].addr = addr;
+         });
     return n;
   }
 
  public:
-
   void reset() override {
     pattern_->reset();
     if (compiled_ != nullptr) {
@@ -249,19 +216,6 @@ class PatternWorkload final : public Workload {
     if (off_pos_ == off_len_) refill_offsets();
     ref_addr_ = offsets_[off_pos_++];
     have_ref_ = true;
-  }
-
-  mem::Op next_v2() {
-    ensure_ref();
-    mem::Op op;
-    if (gap_left_ > 0) {
-      --gap_left_;
-      return op;  // compute
-    }
-    op.kind = ref_write_ ? mem::OpKind::kStore : mem::OpKind::kLoad;
-    op.addr = ref_addr_;
-    have_ref_ = false;
-    return op;
   }
 
   /// Draws the next kDrawAhead raw outputs into draws_ and returns
@@ -342,8 +296,44 @@ class PatternWorkload final : public Workload {
     return batch;
   }
 
+  /// The v2 stream with scan_v1's contract: one iteration per memory
+  /// reference, compute runs emitted as gap counts, never iterated.
+  /// A reference whose run does not fit the op budget stays pending,
+  /// with the instructions consumed from its run subtracted.
+  template <typename Emit>
+  RefBatch scan_v2(std::size_t max_refs, std::size_t max_ops, std::uint32_t* trailing_gap,
+                   Emit&& emit) {
+    RefBatch batch;
+    std::uint32_t spill = 0;
+    while (batch.refs < max_refs) {
+      ensure_ref();
+      if (batch.ops + gap_left_ >= max_ops) {
+        spill = static_cast<std::uint32_t>(max_ops - batch.ops);
+        gap_left_ -= spill;
+        batch.ops = max_ops;
+        break;
+      }
+      batch.ops += gap_left_;
+      emit(batch.refs, batch.ops, gap_left_, ref_addr_, ref_write_);
+      ++batch.ops;
+      ++batch.refs;
+      gap_left_ = 0;
+      have_ref_ = false;
+    }
+    *trailing_gap = spill;
+    return batch;
+  }
+
+  template <typename Emit>
+  RefBatch scan(std::size_t max_refs, std::size_t max_ops, std::uint32_t* trailing_gap,
+                Emit&& emit) {
+    return compiled_ != nullptr ? scan_v2(max_refs, max_ops, trailing_gap, emit)
+                                : scan_v1(max_refs, max_ops, trailing_gap, emit);
+  }
+
   void refill_offsets() {
-    compiled_->fill(offsets_.data(), kOffsetBlock);
+    // The compiled stream walks on its own RNG; rng_ is not drawn.
+    compiled_->fill(rng_, offsets_.data(), kOffsetBlock);
     off_pos_ = 0;
     off_len_ = kOffsetBlock;
   }
@@ -365,7 +355,7 @@ class PatternWorkload final : public Workload {
   unsigned draw_pos_ = kDrawAhead;                 // next unread word; kDrawAhead = empty
 
   // v2 state (null/unused under v1).
-  std::unique_ptr<mem::CompiledStream> compiled_;
+  std::unique_ptr<mem::Pattern> compiled_;  // pattern_->compile(v2_stream_seed())
   GeometricGap gap_dist_;
   std::uint64_t write_threshold_ = 0;
   std::vector<Bytes> offsets_;

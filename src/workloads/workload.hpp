@@ -41,9 +41,10 @@ struct AccessRef {
 ///    instruction, one pattern dispatch per memory op.  Bit-identical
 ///    to the seed behavior forever, so every committed figure and
 ///    golden remains regenerable.
-///  * kV2 — the compiled format (mem/compiled_stream.hpp): block-
-///    generated offsets, fixed-point instruction-mix draws, a
-///    decorrelated RNG stream derived from the same user seed.
+///  * kV2 — the geometric-skip format (workloads/pattern_workload.hpp):
+///    one gap draw per memory reference, offsets from the pattern's
+///    compile()d stream a block at a time, a decorrelated RNG stream
+///    derived from the same user seed.
 ///    Statistically equivalent to kV1 (chi-square line frequencies,
 ///    miss rates within tolerance — tests/workloads/
 ///    stream_equivalence_test.cpp) but not bit-identical; scenario
@@ -129,8 +130,8 @@ class Workload {
   virtual const WorkloadSpec& spec() const = 0;
 
   /// The stream format this workload actually emits.  kV1 unless the
-  /// implementation honored a kV2 request (a workload whose pattern
-  /// has no compiled form serves v1 even when v2 was asked for).
+  /// implementation honored a kV2 request (PatternWorkload serves v1
+  /// when v2 is asked for with mem_ratio == 0).
   virtual StreamVersion stream_version() const { return StreamVersion::kV1; }
 
  protected:

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -235,14 +238,206 @@ TEST_P(PatternCloneTest, OffsetsLineAlignedAndInRange) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPatterns, PatternCloneTest,
-                         ::testing::Values(CloneCase{"chase", &make_chase},
-                                           CloneCase{"sequential", &make_seq},
-                                           CloneCase{"strided", &make_strided},
-                                           CloneCase{"random", &make_random},
-                                           CloneCase{"zipf", &make_zipf},
-                                           CloneCase{"phased", &make_phased}),
+const CloneCase kAllPatterns[] = {
+    {"chase", &make_chase},   {"sequential", &make_seq}, {"strided", &make_strided},
+    {"random", &make_random}, {"zipf", &make_zipf},      {"phased", &make_phased},
+};
+
+INSTANTIATE_TEST_SUITE_P(AllPatterns, PatternCloneTest, ::testing::ValuesIn(kAllPatterns),
                          [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Patterns, FillEqualsNextOffset) {
+  // fill() in irregular block sizes is n next_offset() calls: the same
+  // offsets, and the caller's RNG left in the same state.  The
+  // compiled forms draw from their own RNG and leave it untouched.
+  const std::size_t blocks[] = {1, 3, 7, 65, 257, 511, 2, 1023};
+  for (const CloneCase& c : kAllPatterns) {
+    for (const bool compiled : {false, true}) {
+      const std::string where = std::string(c.name) + (compiled ? " compiled" : "");
+      std::unique_ptr<Pattern> filled = c.make();
+      std::unique_ptr<Pattern> stepped = c.make();
+      if (compiled) {
+        filled = filled->compile(99);
+        stepped = stepped->compile(99);
+      }
+      Rng rng_filled(123), rng_stepped(123);
+      std::size_t at = 0;
+      for (const std::size_t n : blocks) {
+        std::vector<Bytes> got(n);
+        filled->fill(rng_filled, got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], stepped->next_offset(rng_stepped)) << where << " @" << at + i;
+        }
+        at += n;
+        Rng a = rng_filled, b = rng_stepped;
+        ASSERT_EQ(a(), b()) << where << " rng after " << at;
+      }
+      if (compiled) {
+        EXPECT_EQ(rng_filled(), Rng(123)()) << where;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Compiled patterns (the v2 offset stream): compile(seed) walks the
+// pattern from its initial state on its own Rng(seed).  Deterministic
+// walks (chase / sequential / strided) emit the *identical* offset
+// sequence — pinned exactly.  Stochastic draws (uniform / Zipf) draw
+// from the same distribution over the same line layout — pinned by
+// two-sample chi-square agreement on line frequencies.  Phased
+// composition must respect the per-phase access budgets.
+// ---------------------------------------------------------------------
+
+std::vector<Bytes> pattern_offsets(Pattern& pattern, std::size_t n) {
+  Rng rng(0xA5A5);
+  std::vector<Bytes> out(n);
+  for (auto& offset : out) offset = pattern.next_offset(rng);
+  return out;
+}
+
+/// `n` offsets of a compiled stream, filled `block` at a time.
+std::vector<Bytes> stream_offsets(Pattern& stream, std::size_t n, std::size_t block = 257) {
+  // Deliberately odd block size: exercises cursor wrap handling.
+  Rng unused(0);
+  std::vector<Bytes> out(n);
+  std::size_t done = 0;
+  while (done < n) {
+    const std::size_t take = std::min(block, n - done);
+    stream.fill(unused, out.data() + done, take);
+    done += take;
+  }
+  return out;
+}
+
+/// Two-sample chi-square statistic over per-line counts, normalized
+/// by degrees of freedom (lines with both counts zero are skipped).
+/// For equal distributions the expected value is ~1; a generous
+/// threshold of 1.5 at >= 100k samples catches any real divergence.
+double chi_square_per_dof(const std::vector<Bytes>& a, const std::vector<Bytes>& b,
+                          std::uint64_t lines) {
+  std::vector<double> ca(lines, 0.0), cb(lines, 0.0);
+  for (const Bytes x : a) ca[x / kLineBytes] += 1.0;
+  for (const Bytes x : b) cb[x / kLineBytes] += 1.0;
+  // Classic two-sample statistic with unequal-size correction.
+  const double k1 = std::sqrt(static_cast<double>(b.size()) / static_cast<double>(a.size()));
+  const double k2 = 1.0 / k1;
+  double stat = 0.0;
+  std::uint64_t dof = 0;
+  for (std::uint64_t l = 0; l < lines; ++l) {
+    const double total = ca[l] + cb[l];
+    if (total == 0.0) continue;
+    const double d = k1 * ca[l] - k2 * cb[l];
+    stat += d * d / total;
+    ++dof;
+  }
+  return dof > 1 ? stat / static_cast<double>(dof - 1) : 0.0;
+}
+
+TEST(CompiledPattern, SequentialIsExactlyThePatternStream) {
+  SequentialPattern pattern(100 * kLineBytes);
+  const auto compiled = pattern.compile(1);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(pattern_offsets(pattern, 1000), stream_offsets(*compiled, 1000));
+}
+
+TEST(CompiledPattern, StridedIsExactlyThePatternStream) {
+  for (const std::uint64_t stride : {1ull, 7ull, 13ull, 97ull}) {
+    StridedPattern pattern(64 * kLineBytes, stride);
+    const auto compiled = pattern.compile(1);
+    ASSERT_NE(compiled, nullptr);
+    EXPECT_EQ(pattern_offsets(pattern, 1000), stream_offsets(*compiled, 1000)) << stride;
+  }
+}
+
+TEST(CompiledPattern, ChaseIsExactlyThePatternStream) {
+  PointerChasePattern pattern(300 * kLineBytes, /*seed=*/77);
+  const auto compiled = pattern.compile(1);
+  ASSERT_NE(compiled, nullptr);
+  // Two laps: the stream must wrap exactly like the chase cycle.
+  EXPECT_EQ(pattern_offsets(pattern, 650), stream_offsets(*compiled, 650));
+}
+
+TEST(CompiledPattern, ChaseVisitsEveryLineOncePerLap) {
+  PointerChasePattern pattern(128 * kLineBytes, 5);
+  const auto compiled = pattern.compile(1);
+  const std::vector<Bytes> lap = stream_offsets(*compiled, 128);
+  std::vector<int> seen(128, 0);
+  for (const Bytes offset : lap) ++seen[offset / kLineBytes];
+  for (int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(CompiledPattern, UniformMatchesPatternDistribution) {
+  const std::uint64_t lines = 256;
+  UniformRandomPattern pattern(lines * kLineBytes);
+  const auto compiled = pattern.compile(/*seed=*/9);
+  const auto a = pattern_offsets(pattern, 200'000);
+  const auto b = stream_offsets(*compiled, 200'000);
+  EXPECT_LT(chi_square_per_dof(a, b, lines), 1.5);
+}
+
+TEST(CompiledPattern, ZipfMatchesPatternDistribution) {
+  const std::uint64_t lines = 512;
+  ZipfPattern pattern(lines * kLineBytes, /*exponent=*/0.9, /*seed=*/3);
+  const auto compiled = pattern.compile(/*seed=*/11);
+  const auto a = pattern_offsets(pattern, 300'000);
+  const auto b = stream_offsets(*compiled, 300'000);
+  EXPECT_LT(chi_square_per_dof(a, b, lines), 1.5);
+}
+
+TEST(CompiledPattern, ZipfSharesHotLineLayoutWithPattern) {
+  // Hot lines must be the *same* lines in both formats (shared
+  // permutation), not merely equally skewed.
+  const std::uint64_t lines = 64;
+  ZipfPattern pattern(lines * kLineBytes, 1.2, 5);
+  const auto compiled = pattern.compile(7);
+  std::map<Bytes, int> pat_counts, str_counts;
+  for (const Bytes x : pattern_offsets(pattern, 100'000)) ++pat_counts[x];
+  for (const Bytes x : stream_offsets(*compiled, 100'000)) ++str_counts[x];
+  Bytes pat_hot = 0, str_hot = 0;
+  int pat_max = 0, str_max = 0;
+  for (const auto& [offset, count] : pat_counts) {
+    if (count > pat_max) { pat_max = count; pat_hot = offset; }
+  }
+  for (const auto& [offset, count] : str_counts) {
+    if (count > str_max) { str_max = count; str_hot = offset; }
+  }
+  EXPECT_EQ(pat_hot, str_hot);
+}
+
+TEST(CompiledPattern, PhasedRespectsPhaseBudgets) {
+  // Phase 1: sequential over lines [0, 10); phase 2: sequential over
+  // [0, 4).  With budgets 10 and 4 the compiled stream must emit one
+  // full lap of each, alternating.
+  std::vector<PhasedPattern::Phase> phases;
+  phases.push_back({std::make_unique<SequentialPattern>(10 * kLineBytes), 10});
+  phases.push_back({std::make_unique<SequentialPattern>(4 * kLineBytes), 4});
+  PhasedPattern pattern(std::move(phases));
+  const auto compiled = pattern.compile(1);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(pattern_offsets(pattern, 500), stream_offsets(*compiled, 500, /*block=*/3));
+}
+
+TEST(CompiledPattern, CloneContinuesIdentically) {
+  for (const int kind : {0, 1, 2}) {
+    std::unique_ptr<Pattern> pattern;
+    if (kind == 0) pattern = std::make_unique<UniformRandomPattern>(64 * kLineBytes);
+    if (kind == 1) pattern = std::make_unique<ZipfPattern>(64 * kLineBytes, 0.9, 3);
+    if (kind == 2) pattern = std::make_unique<PointerChasePattern>(64 * kLineBytes, 3);
+    const auto stream = pattern->compile(5);
+    stream_offsets(*stream, 100);
+    const auto clone = stream->clone();
+    EXPECT_EQ(stream_offsets(*stream, 500), stream_offsets(*clone, 500)) << "kind " << kind;
+  }
+}
+
+TEST(CompiledPattern, ResetRestartsTheStream) {
+  UniformRandomPattern pattern(64 * kLineBytes);
+  const auto stream = pattern.compile(5);
+  const std::vector<Bytes> first = stream_offsets(*stream, 300);
+  stream->reset();
+  EXPECT_EQ(stream_offsets(*stream, 300), first);
+}
 
 }  // namespace
 }  // namespace kyoto::mem

@@ -47,7 +47,8 @@ ChurnTraceConfig bursty_config(std::uint64_t seed) {
 /// One-sample chi-square statistic per degree of freedom: observed
 /// counts vs expected probabilities (bins with expected count < 5 are
 /// pooled into the tail).  ~1 when the law holds; 1.5 is a generous
-/// gate at these sample sizes (same style as compiled_stream_test).
+/// gate at these sample sizes (same style as the compiled-pattern
+/// tests in tests/mem/patterns_test.cpp).
 double chi_square_per_dof(const std::vector<double>& observed,
                           const std::vector<double>& expected) {
   EXPECT_EQ(observed.size(), expected.size());

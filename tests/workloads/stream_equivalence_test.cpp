@@ -1,10 +1,12 @@
-// Stream versioning: v1 byte-identity golden pin + v2 statistical
-// equivalence.
+// Stream versioning: v1 and v2 byte-identity golden pins + v2
+// statistical equivalence.
 //
 //  * v1 is the frozen format: the FNV-1a fingerprints below were
 //    recorded from the seed behavior and must never change — any
 //    edit that alters them breaks regeneration of every committed
 //    figure.
+//  * v2 is pinned too, so a refactor of its generator cannot move it
+//    silently.
 //  * v2 (compiled streams + geometric-skip op generation) is
 //    statistically equivalent: same instruction mix, same per-line
 //    reference distribution, and — replayed through the memory
@@ -18,6 +20,7 @@
 
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,27 +37,32 @@ namespace {
 
 const cache::MemSystemConfig kMem = cache::scaled_mem_system();
 
-/// FNV-1a over the op stream (kind and address of every op).
-std::uint64_t fingerprint(Workload& w, std::size_t n) {
+/// FNV-1a over 64-bit words, a byte at a time.
+struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (v >> (byte * 8)) & 0xFF;
       h *= 1099511628211ull;
     }
-  };
+  }
+};
+
+/// FNV-1a over the op stream (kind and address of every op).
+std::uint64_t fingerprint(Workload& w, std::size_t n) {
+  Fnv1a f;
   std::vector<mem::Op> block(256);
   std::size_t done = 0;
   while (done < n) {
     const std::size_t take = std::min<std::size_t>(block.size(), n - done);
     w.next_batch(block.data(), take);
     for (std::size_t i = 0; i < take; ++i) {
-      mix(static_cast<std::uint64_t>(block[i].kind));
-      mix(block[i].addr);
+      f.mix(static_cast<std::uint64_t>(block[i].kind));
+      f.mix(block[i].addr);
     }
     done += take;
   }
-  return h;
+  return f.h;
 }
 
 // --- v1 golden pin ------------------------------------------------------
@@ -91,6 +99,90 @@ TEST(StreamV1Golden, MicroStreamsAreByteIdenticalToSeedBehavior) {
   const auto dis = micro_disruptive(MicroClass::kC3, kMem, 42);
   EXPECT_EQ(fingerprint(*rep, 100'000), kMicroGolden[0]);
   EXPECT_EQ(fingerprint(*dis, 100'000), kMicroGolden[1]);
+}
+
+// --- v2 golden pin ------------------------------------------------------
+//
+// The v2 stream is not frozen like v1, but a refactor of its generator
+// must not move it either: these fingerprints pin its bytes.  Each
+// consumes the stream through next_ref_batch with varying budgets,
+// clones it mid-run, continues both the clone and the original through
+// next_batch, then resets and reads the start again.
+
+std::uint64_t v2_fingerprint(Workload& w) {
+  Fnv1a f;
+  Rng budgets(0xB0D6E7);
+  std::vector<AccessRef> refs(300);
+  const auto ref_batches = [&](Workload& subject, int calls) {
+    for (int call = 0; call < calls; ++call) {
+      const std::size_t max_refs = 1 + budgets.below(refs.size());
+      const std::size_t max_ops = 1 + budgets.below(3000);
+      std::uint32_t trailing = 0;
+      const auto batch = subject.next_ref_batch(refs.data(), max_refs, max_ops, &trailing);
+      f.mix(batch.ops);
+      f.mix(batch.refs);
+      for (std::size_t r = 0; r < batch.refs; ++r) {
+        f.mix(refs[r].addr);
+        f.mix(refs[r].gap);
+        f.mix(refs[r].write ? 1 : 0);
+      }
+      f.mix(trailing);
+    }
+  };
+  std::vector<mem::Op> block(263);
+  const auto op_batches = [&](Workload& subject, int calls) {
+    for (int call = 0; call < calls; ++call) {
+      const std::size_t n = 1 + budgets.below(block.size());
+      subject.next_batch(block.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        f.mix(static_cast<std::uint64_t>(block[i].kind));
+        f.mix(block[i].addr);
+      }
+    }
+  };
+  ref_batches(w, 300);
+  const std::unique_ptr<Workload> clone = w.clone();
+  op_batches(*clone, 200);
+  op_batches(w, 200);
+  ref_batches(*clone, 100);
+  w.reset();
+  ref_batches(w, 100);
+  op_batches(w, 100);
+  return f.h;
+}
+
+TEST(StreamV2Golden, StreamsAreByteIdenticalToRecording) {
+  struct Subject {
+    std::string name;
+    std::unique_ptr<Workload> w;
+    std::uint64_t fingerprint;
+  };
+  std::vector<Subject> subjects;
+  const std::uint64_t kApps[] = {0xd67f51e71524a422ull, 0x18bbbc87da7c0135ull,
+                                 0x2bdf8f71bfa42315ull, 0x5df8f0ec7b559a18ull,
+                                 0x636343dcdaf80494ull};
+  for (std::size_t i = 0; i < std::size(kGolden); ++i) {
+    subjects.push_back({kGolden[i].app,
+                        make_app(kGolden[i].app, kMem, kGolden[i].seed, StreamVersion::kV2),
+                        kApps[i]});
+  }
+  const std::uint64_t kMicros[3][2] = {{0xfba907563aa1b6fdull, 0x404a91eb5f0a5116ull},
+                                       {0xc8033e2c072ba4a1ull, 0x2f9c6ce383da2edcull},
+                                       {0xd1c320240dbd32ceull, 0xcf7c9162bcb2431full}};
+  for (const MicroClass cls : {MicroClass::kC1, MicroClass::kC2, MicroClass::kC3}) {
+    const int id = static_cast<int>(cls);
+    subjects.push_back({"rep" + std::to_string(id),
+                        micro_representative(cls, kMem, 42, StreamVersion::kV2),
+                        kMicros[id - 1][0]});
+    subjects.push_back({"dis" + std::to_string(id),
+                        micro_disruptive(cls, kMem, 42, StreamVersion::kV2),
+                        kMicros[id - 1][1]});
+  }
+  for (const Subject& s : subjects) {
+    ASSERT_EQ(s.w->stream_version(), StreamVersion::kV2) << s.name;
+    const std::uint64_t got = v2_fingerprint(*s.w);
+    EXPECT_EQ(got, s.fingerprint) << s.name << " 0x" << std::hex << got;
+  }
 }
 
 // --- v2 self-consistency ------------------------------------------------
