@@ -92,10 +92,10 @@ struct BaselineMemorySystem {
       : topology(topo), cfg(config) {
     for (int c = 0; c < topo.total_cores(); ++c) {
       l1.push_back(std::make_unique<cache::ReferenceSetAssocCache>(
-          "L1", config.l1, config.private_replacement,
+          "L1", config.l1, cache::ReplacementKind::kLru,
           seed * 1000003ull + static_cast<std::uint64_t>(c)));
       l2.push_back(std::make_unique<cache::ReferenceSetAssocCache>(
-          "L2", config.l2, config.private_replacement,
+          "L2", config.l2, cache::ReplacementKind::kLru,
           seed * 2000003ull + static_cast<std::uint64_t>(c)));
     }
     for (int s = 0; s < topo.sockets; ++s) {

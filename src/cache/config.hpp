@@ -9,6 +9,7 @@
 // scheduler slice exactly as they do on the real machine.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/check.hpp"
@@ -39,6 +40,7 @@ struct CacheGeometry {
   Bytes line = mem::kLineBytes;
 
   unsigned sets() const {
+    KYOTO_CHECK_MSG(line > 0 && ways > 0, "cache needs a positive line size and way count");
     KYOTO_CHECK_MSG(size % (line * ways) == 0,
                     "cache size must be a multiple of line*ways");
     return static_cast<unsigned>(size / (line * ways));
@@ -79,24 +81,34 @@ struct MemSystemConfig {
   Cycles lat_llc = 45;
   Cycles lat_mem_local = 180;
   Cycles lat_mem_remote = 300;    // remote NUMA access (PowerEdge R420, Fig 9)
-  ReplacementKind llc_replacement = ReplacementKind::kLru;
-  ReplacementKind private_replacement = ReplacementKind::kLru;
+  ReplacementKind llc_replacement = ReplacementKind::kLru;  // L1/L2 are always LRU
   PrefetchConfig prefetch;
   MemoryBusConfig bus;
+
+  /// True when dividing every capacity by `factor` leaves each level
+  /// a whole, power-of-two number of sets (the only geometry the
+  /// cache engine builds).
+  bool scales_by(Bytes factor) const {
+    const auto fits = [factor](const CacheGeometry& g) {
+      const Bytes set_bytes = g.line * g.ways;
+      return g.size % factor == 0 && (g.size / factor) % set_bytes == 0 &&
+             std::has_single_bit(g.size / factor / set_bytes);
+    };
+    return factor > 0 && fits(l1) && fits(l2) && fits(llc);
+  }
 
   /// Returns a copy with all capacities divided by `factor` (geometry
   /// preserved: associativity and line size unchanged, so the set
   /// count shrinks).  Latencies are unchanged — the scaled machine is
   /// "the same silicon with fewer sets".
   MemSystemConfig scaled(unsigned factor) const {
-    KYOTO_CHECK_MSG(factor > 0, "scale factor must be positive");
+    KYOTO_CHECK_MSG(scales_by(factor), "scale factor " << factor
+                                           << " leaves a cache without a whole, "
+                                              "power-of-two number of sets");
     MemSystemConfig c = *this;
     c.l1.size /= factor;
     c.l2.size /= factor;
     c.llc.size /= factor;
-    KYOTO_CHECK_MSG(c.l1.size >= c.l1.line * c.l1.ways, "L1 scaled below one set");
-    KYOTO_CHECK_MSG(c.l2.size >= c.l2.line * c.l2.ways, "L2 scaled below one set");
-    KYOTO_CHECK_MSG(c.llc.size >= c.llc.line * c.llc.ways, "LLC scaled below one set");
     return c;
   }
 

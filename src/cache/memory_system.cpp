@@ -11,6 +11,10 @@ MemorySystem::MemorySystem(const Topology& topology, const MemSystemConfig& conf
     : topology_(topology), config_(config) {
   KYOTO_CHECK_MSG(topology.sockets >= 1 && topology.cores_per_socket >= 1,
                   "degenerate topology");
+  KYOTO_CHECK_MSG(config.l1.line == config.l2.line && config.l2.line == config.llc.line,
+                  "L1, L2 and LLC must share one line size (got "
+                      << config.l1.line << ", " << config.l2.line << ", " << config.llc.line
+                      << " B)");
   const int cores = topology.total_cores();
   // Per-core stat slots sized exactly from the topology, so the access
   // path indexes them without growth checks firing.  Private caches
@@ -22,11 +26,11 @@ MemorySystem::MemorySystem(const Topology& topology, const MemSystemConfig& conf
   l2_.reserve(static_cast<std::size_t>(cores));
   for (int c = 0; c < cores; ++c) {
     l1_.push_back(std::make_unique<SetAssocCache>("L1#" + std::to_string(c), config.l1,
-                                                  config.private_replacement,
+                                                  ReplacementKind::kLru,
                                                   seed * 1000003ull + static_cast<std::uint64_t>(c),
                                                   slots, /*track_attribution=*/false));
     l2_.push_back(std::make_unique<SetAssocCache>("L2#" + std::to_string(c), config.l2,
-                                                  config.private_replacement,
+                                                  ReplacementKind::kLru,
                                                   seed * 2000003ull + static_cast<std::uint64_t>(c),
                                                   slots, /*track_attribution=*/false));
   }
@@ -40,14 +44,6 @@ MemorySystem::MemorySystem(const Topology& topology, const MemSystemConfig& conf
   prefetches_.assign(static_cast<std::size_t>(cores), {});
   bus_busy_until_.assign(static_cast<std::size_t>(topology.sockets), {});
   bus_queue_cycles_.assign(static_cast<std::size_t>(topology.sockets), {});
-
-  // Fused-walk geometry screen: with one common line size and pow2
-  // set counts everywhere, a single line number (addr >> shift)
-  // yields every level's set index by masking — the precondition for
-  // hoisting the per-level indices out of the walk.
-  fused_ok_ = l1_[0]->pow2_geometry() && l2_[0]->pow2_geometry() &&
-              llc_[0]->pow2_geometry() &&
-              config.l1.line == config.l2.line && config.l2.line == config.llc.line;
 }
 
 void MemorySystem::reserve_vm_slots(int vms) {
@@ -107,13 +103,10 @@ MemorySystem::AccessContext MemorySystem::context(int core, int home_node, int v
   ctx.req_ = Requester{core, vm};
   ctx.remote_ = home_node != topology_.node_of(core);
   ctx.miss_extras_ = config_.bus.enabled || config_.prefetch.enabled;
-  if (fused_ok_) {
-    ctx.fused_ = true;
-    ctx.line_shift_ = ctx.l1_->line_shift();
-    ctx.l1_mask_ = ctx.l1_->geometry().sets() - 1;
-    ctx.l2_mask_ = ctx.l2_->geometry().sets() - 1;
-    ctx.llc_mask_ = ctx.llc_->geometry().sets() - 1;
-  }
+  ctx.line_shift_ = ctx.l1_->line_shift();
+  ctx.l1_mask_ = ctx.l1_->geometry().sets() - 1;
+  ctx.l2_mask_ = ctx.l2_->geometry().sets() - 1;
+  ctx.llc_mask_ = ctx.llc_->geometry().sets() - 1;
   ctx.lat_l1_ = config_.lat_l1;
   ctx.lat_l2_ = config_.lat_l2;
   ctx.lat_llc_ = config_.lat_llc;
@@ -126,22 +119,6 @@ AccessResult MemorySystem::access(int core, Address addr, bool write, int home_n
                                   std::int64_t now_cycle) {
   KYOTO_DCHECK(core >= 0 && core < topology_.total_cores());
   return context(core, home_node, vm).access(addr, write, now_cycle);
-}
-
-void MemorySystem::access_batch(int core, int home_node, int vm, const BatchAccess* ops,
-                                AccessResult* results, std::size_t n,
-                                std::int64_t now_cycle) {
-  AccessContext ctx = context(core, home_node, vm);
-  if (now_cycle < 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = ctx.access(ops[i].addr, ops[i].write);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    results[i] = ctx.access(ops[i].addr, ops[i].write, now_cycle);
-    now_cycle += results[i].latency;
-  }
 }
 
 std::uint64_t MemorySystem::prefetches_issued(int core) const {

@@ -39,9 +39,16 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
       ways_(geometry.ways),
       track_attribution_(track_attribution),
       rng_(seed) {
-  KYOTO_CHECK_MSG(geometry_.ways >= 1, "cache must have at least one way");
   KYOTO_CHECK_MSG(geometry_.ways <= 64,
                   "associativity above 64 not supported (per-set bitmask words)");
+  KYOTO_CHECK_MSG(std::has_single_bit(static_cast<std::uint64_t>(geometry_.line)) &&
+                      std::has_single_bit(sets_),
+                  "cache " << name_ << ": set count (" << sets_ << ") and line size ("
+                           << geometry_.line << " B) must be powers of two");
+  line_shift_ = static_cast<unsigned>(
+      std::countr_zero(static_cast<std::uint64_t>(geometry_.line)));
+  set_mask_ = sets_ - 1;
+  fp_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
   const std::size_t lines = static_cast<std::size_t>(sets_) * ways_;
   fp_stride_ = (ways_ + 15) / 16 * 16;
   fp_.resize((static_cast<std::size_t>(sets_) * fp_stride_ + 63) / 64);
@@ -61,14 +68,6 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
   if (order5_lru_) {
     lru_order5_.resize(static_cast<std::size_t>(sets_) * 2);
     reset_lru_order5();
-  }
-  pow2_geometry_ = std::has_single_bit(static_cast<std::uint64_t>(geometry_.line)) &&
-                   std::has_single_bit(static_cast<std::uint64_t>(sets_));
-  if (pow2_geometry_) {
-    line_shift_ = static_cast<unsigned>(
-        std::countr_zero(static_cast<std::uint64_t>(geometry_.line)));
-    set_mask_ = sets_ - 1;
-    fp_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
   }
 
   per_core_.resize(static_cast<std::size_t>(std::max(slots.cores, 1)));
@@ -190,18 +189,14 @@ SetAssocCache::MissInfo SetAssocCache::miss_fill(unsigned set, Address tag, bool
 LookupResult SetAssocCache::access(Address addr, bool write, const Requester& requester) {
   const unsigned set = set_index(addr);
   const Address tag = tag_of(addr);
-
-  ++total_.accesses;
   LookupResult result;
   if (const unsigned way = find(set, tag); way != kNoWay) {
+    commit_hit(set, way, write, requester);
     result.hit = true;
-    ++total_.hits;
-    if (track_attribution_) attribute_hit(requester);
-    if (write) dirty_[set] |= 1ull << way;  // stores only: loads skip the RMW
-    touch(set, way);
     return result;
   }
 
+  ++total_.accesses;
   ++total_.misses;
   const MissInfo info = miss_fill(set, tag, write, requester);
   if (info.evicted) result.evicted = info.evicted_tag * geometry_.line;

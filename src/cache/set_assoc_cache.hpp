@@ -28,13 +28,19 @@
 //  * branch-free victim selection: conditional-move min-reduction
 //    and O(1) recency-order words, so random victim positions do not
 //    train-wreck the host branch predictor;
-//  * inline hit path: `access_hot` (hit test + stats + recency) lives
-//    in the header and returns a bare bool; the miss path is one
-//    out-of-line call.  The full LookupResult (evicted address as
-//    std::optional) is only materialized by the compat `access`;
+//  * split probe/commit: the memory system's walk probes a set with
+//    `probe_way` and completes the hit or miss with the inline
+//    `commit_*` calls, all in the header; only `access` (the
+//    per-address entry of the prefetcher and the tests) materializes
+//    the full LookupResult with the evicted address;
 //  * O(1) observability: footprint_lines/occupancy are answered from
 //    counters maintained on fill/evict/invalidate, not O(lines)
 //    scans, so monitors can poll them per tick per VM.
+//
+// Geometry: set count and line size must be powers of two, so a set
+// index and tag are one shift and one mask (the constructor rejects
+// anything else).  Every machine the simulator builds is the paper's
+// Table 1 scaled by a power of two.
 //
 // Private caches (L1/L2) skip per-core/per-VM attribution and owner
 // tracking entirely (`track_attribution = false`): nothing ever reads
@@ -130,30 +136,13 @@ class SetAssocCache {
   /// a victim if the set is full).  `write` marks the line dirty.
   LookupResult access(Address addr, bool write, const Requester& requester);
 
-  /// Hot-path variant of `access`: identical cache-state transition
-  /// and statistics, but reports only hit/miss instead of
-  /// materializing the evicted address.
-  bool access_hot(Address addr, bool write, const Requester& requester) {
-    const unsigned set = set_index(addr);
-    const Address tag = tag_of(addr);
-    const unsigned way = find(set, tag);
-    if (way != kNoWay) {
-      commit_hit(set, way, write, requester);
-      return true;
-    }
-    commit_miss(set, tag, write, requester);
-    return false;
-  }
-
-  // --- engine-internal split of access_hot ---------------------------
-  // The fused multi-level miss walk (AccessContext::
-  // access_line_multilevel) probes every level with precomputed set
-  // indices before performing any fill, so the probe/commit halves of
-  // access_hot are exposed individually.  commit_hit(probe result) or
-  // commit_miss composed after probe_way is exactly access_hot — the
-  // walk reorders work *across* caches, never within one, which is
-  // why fused results are bit-identical (golden + random-oracle
-  // suites pin it).
+  // --- probe/commit split ----------------------------------------------
+  // The memory system's walk (AccessContext in memory_system.hpp)
+  // probes every level with precomputed set indices before performing
+  // any fill, so a lookup is exposed as a pure probe plus the commit
+  // that completes it.  probe_way followed by commit_hit or a
+  // commit_miss_* is exactly access(): the walk reorders work *across*
+  // caches, never within one (golden + random-oracle suites pin it).
 
   /// Sentinel returned by probe_way when the tag is not resident.
   static constexpr unsigned kWayMiss = ~0u;
@@ -163,9 +152,9 @@ class SetAssocCache {
   unsigned probe_way(unsigned set, Address tag) const { return find(set, tag); }
 
   /// One-byte probe fingerprint of a tag (a line number): the tag
-  /// bits just above the set index (its low byte for non-power-of-two
-  /// geometries), so up to 256 consecutive lines mapping to one set
-  /// never share a byte.  Public so tests can build colliding tags.
+  /// bits just above the set index, so up to 256 consecutive lines
+  /// mapping to one set never share a byte.  Public so tests can build
+  /// colliding tags.
   std::uint8_t fingerprint(Address tag) const {
     return static_cast<std::uint8_t>(tag >> fp_shift_);
   }
@@ -182,17 +171,10 @@ class SetAssocCache {
     touch(set, way);
   }
 
-  /// Completes a miss: statistics + victim selection + fill.
-  void commit_miss(unsigned set, Address tag, bool write, const Requester& requester) {
-    ++total_.accesses;
-    ++total_.misses;
-    miss_fill(set, tag, write, requester);
-  }
-
-  /// Inline commit_miss for attribution-free caches (the private
+  /// Completes a miss in an attribution-free cache (the private
   /// L1/L2): when the cache is plain-LRU/unpartitioned, the whole
   /// fill runs inline via miss_fill_impl<true, false> — no
-  /// out-of-line call, so the fused walk's L1+L2 fills schedule as
+  /// out-of-line call, so the walk's L1+L2 fills schedule as
   /// straight-line code.  Anything else (non-LRU policy, partitions
   /// installed, attribution on) falls back to the general miss_fill;
   /// the guard re-checks the live flags, so a partition installed
@@ -226,26 +208,12 @@ class SetAssocCache {
   /// replacement, no way partitions).  Exposed for tests.
   bool fast_fill() const { return fast_fill_; }
 
-  /// Set index of a *line number* (addr >> line-shift).  Only valid
-  /// for power-of-two geometries (set_mask() below); the fused walk
-  /// checks via MemorySystem's geometry screen.
-  unsigned set_of_line(Address line) const {
-    return static_cast<unsigned>(line & set_mask_);
-  }
-
-  bool pow2_geometry() const { return pow2_geometry_; }
   unsigned line_shift() const { return line_shift_; }
 
-  /// Hints the host CPU to pull the set holding `addr` into its own
-  /// cache.  Issued by the memory system for the next levels of the
-  /// hierarchy while the current level is still probing, hiding the
-  /// host-memory latency of large LLC metadata arrays.  Semantically
-  /// a no-op.
-  void prefetch_set(Address addr) const { prefetch_row(set_index(addr)); }
-
-  /// Same, from a precomputed set index (the fused walk's form).
-  /// Stages what the probe reads: the fingerprint row (one host line
-  /// for up to 64 ways) and the valid word.  The tags/stamps rows are
+  /// Host prefetch of what a probe of `set` reads (semantically a
+  /// no-op), hiding the host-memory latency of large LLC arrays: the
+  /// fingerprint row (one host line for up to 64 ways) and the valid
+  /// word.  The tags/stamps rows are
   /// not staged: a hit or fill touches one entry of each, and staging
   /// their whole rows (three host lines each for 20 ways) measured
   /// slower end to end than letting that one line miss.
@@ -256,7 +224,7 @@ class SetAssocCache {
 
   /// Stages the state a *fill* touches beyond the probe's rows: the
   /// dirty word and (attribution caches only) the owners row.  The
-  /// fused walk issues this once it knows the level missed — issuing
+  /// walk issues this once it knows the level missed — issuing
   /// it earlier would drag fill-only lines through the host cache on
   /// every probe that hits.
   void prefetch_fill_row(unsigned set) const {
@@ -355,7 +323,7 @@ class SetAssocCache {
     unsigned n_ways = 0;  // 0 = unrestricted
   };
 
-  /// What the miss path displaced (for the compat access()).
+  /// What the miss path displaced (for access()).
   struct MissInfo {
     bool evicted = false;
     Address evicted_tag = 0;
@@ -369,16 +337,9 @@ class SetAssocCache {
   }
 
   unsigned set_index(Address addr) const {
-    // Shift+mask when line size and set count are powers of two (they
-    // are for every real geometry); division fallback otherwise.
-    if (pow2_geometry_) {
-      return static_cast<unsigned>((addr >> line_shift_) & set_mask_);
-    }
-    return static_cast<unsigned>((addr / geometry_.line) % sets_);
+    return static_cast<unsigned>((addr >> line_shift_) & set_mask_);
   }
-  Address tag_of(Address addr) const {
-    return pow2_geometry_ ? addr >> line_shift_ : addr / geometry_.line;
-  }
+  Address tag_of(Address addr) const { return addr >> line_shift_; }
 
   /// Fingerprint row of `set`: fp_stride_ bytes, 16-byte aligned.
   const std::uint8_t* fp_row(unsigned set) const {
@@ -546,34 +507,6 @@ class SetAssocCache {
   template <bool kFastLru, bool kAttr>
   MissInfo miss_fill_impl(unsigned set, Address tag, bool write, const Requester& requester);
   unsigned pick_victim(unsigned set, unsigned first_way, unsigned end_way);
-  /// LRU min-stamp scan over a full unpartitioned set with a
-  /// compile-time way count (the fast-fill victim path): the 4-lane
-  /// min-reduction of pick_victim with the way count known at compile
-  /// time — identical tie-breaking (strict `<` per ascending lane,
-  /// lexicographic merges), fully unrolled.  In the header so the
-  /// inline fill paths can use it.
-  template <unsigned W>
-  unsigned pick_victim_lru_fixed(const std::uint64_t* stamps) const {
-    static_assert(W % 4 == 0 && W >= 8, "fixed victim scan wants 4-lane multiples");
-    unsigned v0 = 0, v1 = 1, v2 = 2, v3 = 3;
-    std::uint64_t b0 = stamps[0], b1 = stamps[1], b2 = stamps[2], b3 = stamps[3];
-    for (unsigned w = 4; w < W; w += 4) {
-      bool lt;
-      lt = stamps[w] < b0;     v0 = lt ? w : v0;     b0 = lt ? stamps[w] : b0;
-      lt = stamps[w + 1] < b1; v1 = lt ? w + 1 : v1; b1 = lt ? stamps[w + 1] : b1;
-      lt = stamps[w + 2] < b2; v2 = lt ? w + 2 : v2; b2 = lt ? stamps[w + 2] : b2;
-      lt = stamps[w + 3] < b3; v3 = lt ? w + 3 : v3; b3 = lt ? stamps[w + 3] : b3;
-    }
-    bool take;
-    take = b1 < b0 || (b1 == b0 && v1 < v0);
-    v0 = take ? v1 : v0;
-    b0 = take ? b1 : b0;
-    take = b3 < b2 || (b3 == b2 && v3 < v2);
-    v2 = take ? v3 : v2;
-    b2 = take ? b3 : b2;
-    take = b2 < b0 || (b2 == b0 && v2 < v0);
-    return take ? v2 : v0;
-  }
   bool set_uses_bip(unsigned set) const;
 
   VmPollution& pollution_slot(int vm) {
@@ -599,10 +532,9 @@ class SetAssocCache {
   ReplacementKind replacement_;
   unsigned sets_ = 0;
   unsigned ways_ = 0;
-  bool pow2_geometry_ = false;
   bool track_attribution_ = true;
-  unsigned line_shift_ = 0;   // log2(line) when pow2_geometry_
-  Address set_mask_ = 0;      // sets-1 when pow2_geometry_
+  unsigned line_shift_ = 0;   // log2(line)
+  Address set_mask_ = 0;      // sets-1
 
   // SoA line state, row-major by set.
   /// Tag fingerprints: one byte per way, rows padded to fp_stride_
@@ -615,7 +547,7 @@ class SetAssocCache {
   };
   std::vector<FpBlock> fp_;
   unsigned fp_stride_ = 16;
-  unsigned fp_shift_ = 0;  // log2(sets) when pow2_geometry_, else 0
+  unsigned fp_shift_ = 0;  // log2(sets)
   std::vector<Address> tags_;
   std::vector<std::uint64_t> stamps_;   // recency (LRU) or MRU bit (PLRU)
   std::vector<std::int32_t> owners_;    // owning vm id, -1 = unowned
@@ -675,12 +607,12 @@ class SetAssocCache {
 /// every cache mode, pruned at compile time:
 ///   kFastLru — plain LRU with no partitions (fast_fill_): the DIP
 ///     bookkeeping, partition lookup and insertion-policy dispatch
-///     fold away and the victim scan unrolls for the common
-///     associativities;
+///     fold away and a full set's victim comes from the O(1) recency
+///     mirrors (up to 24 ways);
 ///   kAttr — mirrors track_attribution_: per-core/per-VM statistics,
 ///     owner/footprint accounting and the ground-truth pollution
 ///     bookkeeping compile in (LLC) or out (private caches).
-/// In the header so the fused walk's inline commit paths instantiate
+/// In the header so the walk's inline commit paths instantiate
 /// it directly; the out-of-line miss_fill dispatches over the same
 /// four instantiations, so every path executes this exact code.
 template <bool kFastLru, bool kAttr>
@@ -721,13 +653,7 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
     } else if (order5_lru_) {
       victim = victim_order5(set);  // O(1) for the 20-way LLC
     } else {
-      const std::uint64_t* stamps = &stamps_[line_index(set, 0)];
-      switch (ways_) {
-        case 8: victim = pick_victim_lru_fixed<8>(stamps); break;
-        case 16: victim = pick_victim_lru_fixed<16>(stamps); break;
-        case 20: victim = pick_victim_lru_fixed<20>(stamps); break;
-        default: victim = pick_victim(set, 0, ways_); break;
-      }
+      victim = pick_victim(set, 0, ways_);  // > 24 ways: min-stamp scan
     }
   } else {
     // DIP leader-set bookkeeping: a miss in an LRU leader nudges psel

@@ -228,7 +228,11 @@ Scenario parse_scenario(const std::string& text) {
           }
         } else if (key == "scale") {
           scale = parse_int(value, line_no);
-          if (scale < 1) fail(line_no, "scale must be >= 1");
+          if (scale < 1 || !cache::paper_mem_system().scales_by(static_cast<Bytes>(scale))) {
+            fail(line_no, "scale " + value +
+                              " leaves a Table-1 cache without a whole, power-of-two "
+                              "number of sets");
+          }
           scale_set = true;
         } else if (key == "freq_khz") {
           machine.freq_khz = parse_int(value, line_no);
@@ -386,7 +390,7 @@ Scenario parse_scenario(const std::string& text) {
     base.mem.bus = machine.mem.bus;
     base.seed = machine.seed;
     base.freq_khz = freq_set ? machine.freq_khz : 2'800'000 / scale;
-    base.mem = scale == 1 ? base.mem : base.mem.scaled(static_cast<unsigned>(scale));
+    base.mem = base.mem.scaled(static_cast<unsigned>(scale));
     machine = base;
   }
   scenario.spec.machine = machine;

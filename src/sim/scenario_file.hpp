@@ -7,7 +7,9 @@
 //   [machine]
 //   topology = 1x4            # sockets x cores-per-socket
 //   scale = 64                # geometric scale of the Table-1 machine
-//                             # (cache geometry, and clock 2.8 GHz / scale)
+//                             # (cache geometry, and clock 2.8 GHz / scale);
+//                             # a power of two from 1 to 64, so every
+//                             # cache keeps a power-of-two set count
 //   freq_khz = 43750          # core clock; wins over scale's, in any order
 //   prefetch = off            # off | on[:degree]
 //   bus = off                 # off | on[:transfer_cycles]

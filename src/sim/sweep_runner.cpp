@@ -27,8 +27,7 @@ std::string solo_memo_key(const RunSpec& spec, const std::string& workload_id,
   append_geometry(key, m.mem.llc);
   key << m.mem.lat_l1 << ',' << m.mem.lat_l2 << ',' << m.mem.lat_llc << ','
       << m.mem.lat_mem_local << ',' << m.mem.lat_mem_remote << ';'
-      << static_cast<int>(m.mem.llc_replacement) << ','
-      << static_cast<int>(m.mem.private_replacement) << ';'
+      << static_cast<int>(m.mem.llc_replacement) << ';'
       << m.mem.prefetch.enabled << ':' << m.mem.prefetch.degree << ';'
       << m.mem.bus.enabled << ':' << m.mem.bus.transfer_cycles << ';'
       << m.freq_khz << ';' << m.seed << ';'

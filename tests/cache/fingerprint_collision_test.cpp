@@ -156,7 +156,7 @@ void run_shape(const Shape& shape) {
 TEST(FingerprintCollision, CollidingTagsMatchReferenceEngine) {
   const Shape shapes[] = {
       {16, 8, ReplacementKind::kLru},  {16, 16, ReplacementKind::kLru},
-      {64, 20, ReplacementKind::kLru}, {100, 20, ReplacementKind::kLru},
+      {64, 20, ReplacementKind::kLru}, {128, 20, ReplacementKind::kLru},
       {16, 8, ReplacementKind::kPlru}, {64, 20, ReplacementKind::kDip},
   };
   for (const Shape& shape : shapes) {

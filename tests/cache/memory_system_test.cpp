@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "cache/config.hpp"
 #include "cache/topology.hpp"
-#include "common/rng.hpp"
 #include "mem/access.hpp"
 
 namespace kyoto::cache {
@@ -45,9 +42,16 @@ TEST(MemSystemConfig, ScalingPreservesGeometryShape) {
   EXPECT_EQ(c.llc.sets(), 128u);
 }
 
-TEST(MemSystemConfig, OverScalingThrows) {
-  EXPECT_THROW(paper_mem_system().scaled(128), std::logic_error);  // L1 < one set
-  EXPECT_THROW(paper_mem_system().scaled(0), std::logic_error);
+TEST(MemSystemConfig, ScaleMustKeepPowerOfTwoSets) {
+  for (const unsigned factor : {1u, 2u, 32u, 64u}) {
+    EXPECT_TRUE(paper_mem_system().scales_by(factor)) << factor;
+    EXPECT_NO_THROW(paper_mem_system().scaled(factor)) << factor;
+  }
+  // 3 and 48 leave fractional capacities; 128 leaves L1 half a set.
+  for (const unsigned factor : {0u, 3u, 48u, 128u}) {
+    EXPECT_FALSE(paper_mem_system().scales_by(factor)) << factor;
+    EXPECT_THROW(paper_mem_system().scaled(factor), std::logic_error) << factor;
+  }
 }
 
 TEST(MemSystemConfig, LatencyLookup) {
@@ -182,69 +186,20 @@ TEST(MemorySystem, DegenerateTopologyRejected) {
   EXPECT_THROW(MemorySystem(Topology{0, 4}, small_config()), std::logic_error);
 }
 
-// --- batched access path ------------------------------------------------
-
-TEST(AccessBatch, MatchesPerAccessCalls) {
-  // access_batch / context() must be the same machine transition as a
-  // sequence of access() calls: identical results, identical stats.
-  MemorySystem a(Topology{1, 4}, small_config(), 11);
-  MemorySystem b(Topology{1, 4}, small_config(), 11);
-
-  Rng rng(5);
-  constexpr std::size_t kN = 4096;
-  std::vector<BatchAccess> ops(kN);
-  for (auto& op : ops) {
-    op.addr = rng.below(1024) * 64;
-    op.write = rng.chance(0.3);
-  }
-
-  std::vector<AccessResult> batched(kN);
-  a.access_batch(/*core=*/1, /*home_node=*/0, /*vm=*/2, ops.data(), batched.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    const AccessResult r = b.access(1, ops[i].addr, ops[i].write, 0, 2);
-    ASSERT_EQ(batched[i].level, r.level) << i;
-    ASSERT_EQ(batched[i].latency, r.latency) << i;
-    ASSERT_EQ(batched[i].llc_reference, r.llc_reference) << i;
-    ASSERT_EQ(batched[i].llc_miss, r.llc_miss) << i;
-  }
-  EXPECT_EQ(a.llc(0).stats().accesses, b.llc(0).stats().accesses);
-  EXPECT_EQ(a.llc(0).stats().misses, b.llc(0).stats().misses);
-  EXPECT_EQ(a.llc(0).stats_for_vm(2).misses, b.llc(0).stats_for_vm(2).misses);
-  EXPECT_EQ(a.llc(0).footprint_lines(2), b.llc(0).footprint_lines(2));
-  EXPECT_EQ(a.l1(1).stats().hits, b.l1(1).stats().hits);
-}
-
-TEST(AccessBatch, TimedBatchAdvancesClockLikePerAccessCalls) {
-  // The now_cycle >= 0 branch self-advances by each access's latency,
-  // so the bus-queuing model must see exactly the timestamps a
-  // per-access caller advancing by latency would pass.
+TEST(MemorySystem, MixedLineSizesRejected) {
+  // One line number indexes every level, so the levels share a line.
   MemSystemConfig cfg = small_config();
-  cfg.bus.enabled = true;
-  // Longer than lat_mem_local so back-to-back misses actually queue.
-  cfg.bus.transfer_cycles = 400;
-  MemorySystem a(Topology{1, 1}, cfg, 11);
-  MemorySystem b(Topology{1, 1}, cfg, 11);
-
-  Rng rng(9);
-  constexpr std::size_t kN = 2048;
-  std::vector<BatchAccess> ops(kN);
-  for (auto& op : ops) {
-    op.addr = rng.below(4096) * 64;  // misses often => bus engages
-    op.write = rng.chance(0.3);
-  }
-
-  std::vector<AccessResult> batched(kN);
-  a.access_batch(0, 0, 0, ops.data(), batched.data(), kN, /*now_cycle=*/100);
-  std::int64_t now = 100;
-  for (std::size_t i = 0; i < kN; ++i) {
-    const AccessResult r = b.access(0, ops[i].addr, ops[i].write, 0, 0, now);
-    ASSERT_EQ(batched[i].latency, r.latency) << i;
-    ASSERT_EQ(batched[i].bus_queue_delay, r.bus_queue_delay) << i;
-    now += r.latency;
-  }
-  EXPECT_GT(a.bus_queue_cycles(0), 0);  // the model actually engaged
-  EXPECT_EQ(a.bus_queue_cycles(0), b.bus_queue_cycles(0));
+  cfg.l2 = CacheGeometry{4096, 8, 128};  // 4 sets of 128 B lines
+  EXPECT_THROW(MemorySystem(Topology{1, 1}, cfg), std::logic_error);
 }
+
+TEST(MemorySystem, NonPowerOfTwoLevelRejected) {
+  MemSystemConfig cfg = small_config();
+  cfg.llc = CacheGeometry{96 * 16 * 64, 16, 64};  // 96 sets
+  EXPECT_THROW(MemorySystem(Topology{1, 1}, cfg), std::logic_error);
+}
+
+// --- access contexts ------------------------------------------------------
 
 TEST(AccessBatch, ContextReusableAcrossBursts) {
   MemorySystem m(Topology{1, 2}, small_config(), 3);

@@ -1,8 +1,7 @@
 // Property-style randomized oracle: the SoA SetAssocCache must equal
 // the frozen pre-overhaul engine (tests/support/reference_cache.hpp)
-// on *arbitrary*
-// configurations, not just the hand-picked shapes of the PR 1 golden
-// suite.
+// on *arbitrary* configurations, not just the hand-picked shapes of
+// the golden suite in set_assoc_test.cpp.
 //
 // ~200 random (sets, ways, policy, partition) configurations are
 // generated from one master seed; for each, a random op stream
@@ -14,7 +13,7 @@
 // footprints and occupancy.  Any divergence prints the config tuple
 // so the shape can be frozen into the golden suite.
 //
-// Two further sections: MemorySystem's multi-level walks against an
+// Two further sections: MemorySystem's multi-level walk against an
 // independent serial walk (tests/support/serial_walk.hpp), and the
 // 20-way order5 victim layout against the frozen engine.
 #include <gtest/gtest.h>
@@ -65,10 +64,11 @@ struct RandomConfig {
 RandomConfig draw_config(Rng& rng) {
   RandomConfig config;
   // Associativities around the real machines' (4..20), including odd
-  // ones; set counts mixing powers of two (shift+mask fast path) and
-  // non-powers (division fallback); lines 32/64/128.
-  static constexpr unsigned kWays[] = {1, 2, 3, 4, 5, 7, 8, 12, 16, 20};
-  static constexpr unsigned kSets[] = {1, 2, 4, 8, 16, 64, 256, 3, 5, 6, 7, 24, 100};
+  // ones, plus the wide sets behind the 48- and 64-byte fingerprint
+  // rows and the > 24-way LRU fill; power-of-two set counts (the only
+  // geometry the engine builds); lines 32/64/128.
+  static constexpr unsigned kWays[] = {1, 2, 3, 4, 5, 7, 8, 12, 16, 20, 24, 32, 48, 64};
+  static constexpr unsigned kSets[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   static constexpr Bytes kLines[] = {32, 64, 128};
   const unsigned ways = kWays[rng.below(std::size(kWays))];
   const unsigned sets = kSets[rng.below(std::size(kSets))];
@@ -303,14 +303,13 @@ TEST(RandomizedOracle, IncrementalCountersMatchRecountUnderDisruptions) {
 
 // --- multi-level engine equivalence ------------------------------------
 //
-// MemorySystem runs the fused miss walk (access_line_multilevel, with
-// the fill fast paths) on power-of-two geometries and its own serial
-// walk otherwise.  Both must be *bit-identical* to an independent
-// serial walk over the public per-cache API (tests/support/
-// serial_walk.hpp).  Random multi-core op streams — mixed loads/stores,
-// several VMs, LLC partitions installed mid-run, occasional
-// invalidations, bus+prefetcher on for some configs — are replayed
-// through both and every observable is compared exactly.
+// MemorySystem's walk (access_line_multilevel, with the fill fast
+// paths) must be *bit-identical* to an independent serial walk over
+// the public per-cache API (tests/support/serial_walk.hpp).  Random
+// multi-core op streams — mixed loads/stores, several VMs, LLC
+// partitions installed mid-run, occasional invalidations,
+// bus+prefetcher on for some configs — are replayed through both and
+// every observable is compared exactly.
 namespace {
 
 template <class Memory>
@@ -378,20 +377,16 @@ std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemCon
 
 TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
   Rng master(0xF0CE5ull);
-  int fused_rounds = 0;
-  int serial_rounds = 0;
   for (int round = 0; round < 12; ++round) {
     MemSystemConfig cfg = scaled_mem_system();
-    // Vary geometry: a 64-set LLC, or a non-power-of-two 96-set LLC
-    // that forces the library's serial walk; flip replacement for some
-    // rounds (non-LRU exercises the general fills under fusion), and
-    // enable the bus/prefetcher extensions for others (the
-    // miss-extras path).
-    const bool pow2 = round % 3 != 2;
+    // Vary geometry: the 128-set LLC, halved to 64 sets or doubled to
+    // 256; flip the LLC's replacement for some rounds (non-LRU
+    // exercises the general fills inside the walk), and enable the
+    // bus/prefetcher extensions for others (the miss-extras path).
     if (round % 3 == 1) cfg.llc.size /= 2;
-    if (!pow2) cfg.llc.size = 96ull * cfg.llc.ways * cfg.llc.line;
+    if (round % 3 == 2) cfg.llc.size *= 2;
     if (round % 4 == 2) cfg.llc_replacement = ReplacementKind::kDip;
-    if (round % 4 == 3) cfg.private_replacement = ReplacementKind::kPlru;
+    if (round % 4 == 3) cfg.llc_replacement = ReplacementKind::kPlru;
     cfg.prefetch.enabled = round % 2 == 1;
     cfg.bus.enabled = round % 5 == 2;
     const Topology topo{round % 2 == 0 ? 1 : 2, 2};
@@ -399,17 +394,13 @@ TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
     const bool partition_mid_run = round % 3 == 0;
 
     MemorySystem library(topo, cfg, /*seed=*/7);
-    ASSERT_EQ(library.context(0, 0, 0).fused(), pow2) << "round " << round;
-    (pow2 ? fused_rounds : serial_rounds) += 1;
     test::SerialWalk oracle(topo, cfg, /*seed=*/7);
     const auto got =
         replay_observables(library, cfg, topo, stream_seed, partition_mid_run);
     const auto want =
         replay_observables(oracle, cfg, topo, stream_seed, partition_mid_run);
-    ASSERT_EQ(want, got) << "round " << round << (pow2 ? " (fused)" : " (serial)");
+    ASSERT_EQ(want, got) << "round " << round;
   }
-  EXPECT_EQ(fused_rounds, 8);
-  EXPECT_EQ(serial_rounds, 4);
 }
 
 // --- 20-way order5 victim golden ----------------------------------------
@@ -417,15 +408,14 @@ TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
 // The paper's LLC is 20-way, which the nibble fast order (16 ways max)
 // cannot hold; a two-word array of 5-bit fields takes over for
 // 16 < ways <= 24.  This golden drives exactly that shape — LRU,
-// 20 ways, power-of-two and non-power-of-two set counts — against the
-// frozen reference engine with every disruption the layout must
-// survive: partitions installed mid-run (fast victim steps aside,
-// mirrors keep tracking), partitions cleared again (fast victim
-// resumes on mirrors that never stopped), and single-line
-// invalidations throughout.
+// 20 ways, 64 and 128 sets — against the frozen reference engine
+// with every disruption the layout must survive: partitions
+// installed mid-run (fast victim steps aside, mirrors keep tracking),
+// partitions cleared again (fast victim resumes on mirrors that never
+// stopped), and single-line invalidations throughout.
 
 TEST(RandomizedOracle, TwentyWayOrder5MatchesReferenceUnderDisruptions) {
-  for (const unsigned sets : {64u, 100u}) {
+  for (const unsigned sets : {64u, 128u}) {
     const CacheGeometry geom{static_cast<Bytes>(sets) * 20 * 64, 20, 64};
     SetAssocCache current("order5", geom, ReplacementKind::kLru, /*seed=*/11);
     ReferenceSetAssocCache reference("order5", geom, ReplacementKind::kLru, /*seed=*/11);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,6 +36,24 @@ TEST(SetAssocCache, GeometrySetsComputed) {
   EXPECT_EQ(toy_geometry().sets(), 4u);
   EXPECT_EQ((CacheGeometry{10240_KiB, 20, 64}).sets(), 8192u);
   EXPECT_THROW((CacheGeometry{1000, 3, 64}).sets(), std::logic_error);
+  EXPECT_THROW((CacheGeometry{4096, 0, 64}).sets(), std::logic_error);  // not a SIGFPE
+  EXPECT_THROW(SetAssocCache("no-ways", CacheGeometry{4096, 0, 64}, ReplacementKind::kLru),
+               std::logic_error);
+}
+
+TEST(SetAssocCache, NonPowerOfTwoGeometryRejected) {
+  // Set index and tag are one shift and one mask, so the constructor
+  // refuses set counts and line sizes that are not powers of two, and
+  // names the cache it refused.
+  try {
+    SetAssocCache("three-sets", CacheGeometry{3 * 4 * 64, 4, 64}, ReplacementKind::kLru);
+    FAIL() << "a 3-set cache was built";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("three-sets"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(SetAssocCache("l48", CacheGeometry{4 * 4 * 48, 4, 48}, ReplacementKind::kLru),
+               std::logic_error);
+  EXPECT_NO_THROW(SetAssocCache("one-set", CacheGeometry{8 * 64, 8, 64}, ReplacementKind::kLru));
 }
 
 TEST(SetAssocCache, AssociativityHoldsWaysLines) {
@@ -402,37 +421,6 @@ TEST(GoldenEquivalence, LruWithWayPartitions) {
 }
 TEST(GoldenEquivalence, DipWithWayPartitions) {
   run_golden(ReplacementKind::kDip, /*with_partitions=*/true);
-}
-
-TEST(GoldenEquivalence, HotPathMatchesCompatAccess) {
-  // access_hot must be the same state transition as access().
-  const CacheGeometry geometry{4_KiB, 8, kLine};
-  SetAssocCache a("a", geometry, ReplacementKind::kLru, 5);
-  SetAssocCache b("b", geometry, ReplacementKind::kLru, 5);
-  const auto trace = golden_trace(20'000, /*seed=*/11, /*span=*/16_KiB);
-  for (const GoldenOp& op : trace) {
-    const Requester req{op.core, op.vm};
-    ASSERT_EQ(a.access_hot(op.addr, op.write, req), b.access(op.addr, op.write, req).hit);
-  }
-  expect_stats_equal(a.stats(), b.stats(), "hot-vs-compat");
-  for (int vm = 0; vm < 3; ++vm) {
-    EXPECT_EQ(a.footprint_lines(vm), b.footprint_lines(vm));
-  }
-}
-
-TEST(GoldenEquivalence, NonPowerOfTwoSetCountFallback) {
-  // 3 sets: exercises the division fallback of set_index.
-  const CacheGeometry geometry{3 * 4 * 64, 4, kLine};
-  SetAssocCache soa("soa", geometry, ReplacementKind::kLru, 9);
-  ReferenceSetAssocCache ref("ref", geometry, ReplacementKind::kLru, 9);
-  const auto trace = golden_trace(10'000, /*seed=*/3, /*span=*/8_KiB);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Requester req{trace[i].core, trace[i].vm};
-    ASSERT_EQ(soa.access(trace[i].addr, trace[i].write, req).hit,
-              ref.access(trace[i].addr, trace[i].write, req).hit)
-        << i;
-  }
-  expect_stats_equal(soa.stats(), ref.stats(), "non-pow2");
 }
 
 TEST(SetAssocCache, AttributionFreeModeKeepsTotalsOnly) {

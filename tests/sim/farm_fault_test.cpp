@@ -208,23 +208,20 @@ TEST_F(FarmFault, WorkerErrorFrameFailsBatchImmediately) {
 
 TEST_F(FarmFault, RealDeterministicFailureNamesTheScenarioProblem) {
   // Not injected: a scenario that parses but fails inside the
-  // simulator (invalid cache geometry) must come back as the
-  // simulator's own diagnostic, carried through the error frame.
+  // simulator (a churn arrival rate above 1, rejected when the churn
+  // engine draws its trace) must come back as the simulator's own
+  // diagnostic, carried through the error frame.
   auto jobs = small_batch();
   jobs.resize(2);
-  std::string bad = jobs[1].second;
-  const auto pos = bad.find("scale = 64");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 10, "scale = 48");  // size % (line*ways) != 0
-  jobs[1] = {"bad-geometry", bad};
+  jobs[1] = {"bad-churn-rate", jobs[1].second + "\n[churn]\napps = gcc\nrate = 1.5\n"};
   Farm farm(options({}));
   try {
     run_jobs(farm, jobs);
-    FAIL() << "expected the invalid geometry to fail the batch";
+    FAIL() << "expected the invalid churn rate to fail the batch";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("bad-geometry"), std::string::npos) << what;
-    EXPECT_NE(what.find("cache size"), std::string::npos) << what;
+    EXPECT_NE(what.find("bad-churn-rate"), std::string::npos) << what;
+    EXPECT_NE(what.find("arrival_rate"), std::string::npos) << what;
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
+#include "cache/config.hpp"
 #include "hv/credit_scheduler.hpp"
 #include "kyoto/ks4xen.hpp"
 #include "sim/churn_engine.hpp"
@@ -129,6 +132,33 @@ TEST(ScenarioFile, ExplicitFreqWinsOverScaleInEitherOrder) {
   // Without an explicit clock, scale still sets it.
   EXPECT_EQ(parse_scenario("[machine]\nscale = 64\n[vm a]\napp = gcc\n").spec.machine.freq_khz,
             hv::scaled_machine().freq_khz);
+}
+
+TEST(ScenarioFile, ScaleMustKeepPowerOfTwoSetsAndNamesItsLine) {
+  // Scales the cache engine can build parse, each level keeping a
+  // power-of-two set count.
+  for (const int scale : {1, 32, 64}) {
+    const Scenario s = parse_scenario("[machine]\ntopology = 1x2\nscale = " +
+                                      std::to_string(scale) + "\n[vm a]\napp = gcc\n");
+    const cache::MemSystemConfig& mem = s.spec.machine.mem;
+    EXPECT_EQ(mem.llc.size, cache::paper_mem_system().llc.size / scale) << scale;
+    for (const cache::CacheGeometry& g : {mem.l1, mem.l2, mem.llc}) {
+      EXPECT_TRUE(std::has_single_bit(g.sets())) << scale;
+    }
+  }
+  // 3 and 48 leave fractional capacities, 128 half an L1 set: a parse
+  // error on the scale line, not a failure later in the simulator.
+  for (const int scale : {0, 3, 48, 128}) {
+    try {
+      parse_scenario("[machine]\ntopology = 1x2\nscale = " + std::to_string(scale) +
+                     "\n[vm a]\napp = gcc\n");
+      FAIL() << "scale " << scale << " parsed";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at line 3:"), std::string::npos) << what;
+      EXPECT_NE(what.find("power-of-two"), std::string::npos) << what;
+    }
+  }
 }
 
 struct BadCase {

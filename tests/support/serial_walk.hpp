@@ -1,14 +1,13 @@
-// Serial memory walk: the oracle for MemorySystem's access engines.
+// Serial memory walk: the oracle for MemorySystem's access walk.
 //
-// MemorySystem::AccessContext runs either the fused multi-level miss
-// walk (power-of-two geometries with one line size) or its own serial
-// walk.  This class rebuilds the same hierarchy from a MemSystemConfig
-// — the same caches with the same names, seeds, stat slots and
-// attribution modes — and walks it the plainest way the public
-// per-cache API allows: access_hot on L1, then L2, then the LLC, and on
-// a miss to memory the bus-queuing and next-line-prefetch extras.
-// Suites replay one op stream through both and compare every
-// observable exactly.
+// MemorySystem::AccessContext probes every level before it fills any
+// (the multi-level miss walk).  This class rebuilds the same hierarchy
+// from a MemSystemConfig — the same caches with the same names, seeds,
+// stat slots and attribution modes, L1/L2 LRU — and walks it the
+// plainest way the public per-cache API allows: access() on L1, then
+// L2, then the LLC, and on a miss to memory the bus-queuing and
+// next-line-prefetch extras.  Suites replay one op stream through both
+// and compare every observable exactly.
 #pragma once
 
 #include <algorithm>
@@ -34,11 +33,11 @@ class SerialWalk {
     const cache::StatSlotHints slots{cores, 64};
     for (int c = 0; c < cores; ++c) {
       l1_.push_back(std::make_unique<cache::SetAssocCache>(
-          "L1#" + std::to_string(c), config.l1, config.private_replacement,
+          "L1#" + std::to_string(c), config.l1, cache::ReplacementKind::kLru,
           seed * 1000003ull + static_cast<std::uint64_t>(c), slots,
           /*track_attribution=*/false));
       l2_.push_back(std::make_unique<cache::SetAssocCache>(
-          "L2#" + std::to_string(c), config.l2, config.private_replacement,
+          "L2#" + std::to_string(c), config.l2, cache::ReplacementKind::kLru,
           seed * 2000003ull + static_cast<std::uint64_t>(c), slots,
           /*track_attribution=*/false));
     }
@@ -58,18 +57,18 @@ class SerialWalk {
     const cache::Requester req{core, vm};
     const int socket = topology_.socket_of(core);
     cache::AccessResult result;
-    if (l1(core).access_hot(addr, write, req)) {
+    if (l1(core).access(addr, write, req).hit) {
       result.level = cache::CacheLevel::kL1;
       result.latency = config_.lat_l1;
       return result;
     }
-    if (l2(core).access_hot(addr, write, req)) {
+    if (l2(core).access(addr, write, req).hit) {
       result.level = cache::CacheLevel::kL2;
       result.latency = config_.lat_l2;
       return result;
     }
     result.llc_reference = true;
-    if (llc(socket).access_hot(addr, write, req)) {
+    if (llc(socket).access(addr, write, req).hit) {
       result.level = cache::CacheLevel::kLlc;
       result.latency = config_.lat_llc;
       return result;
