@@ -383,6 +383,9 @@ ParallelRun run_parallel_ticks(const cache::Topology& topo, int threads, Tick wa
   config.topology = topo;
   hv::Hypervisor hv(config, std::make_unique<hv::CreditScheduler>());
   hv.set_execution_threads(threads);
+  // The agreement signature below compares per-VM LLC misses, which
+  // only an LLC observing ground truth keeps.
+  hv.machine().memory().observe_ground_truth();
 
   // One looping VM per core, cycling through the fig-1 regimes so
   // every socket carries the same mix of hit-heavy and miss-heavy

@@ -16,30 +16,30 @@ MemorySystem::MemorySystem(const Topology& topology, const MemSystemConfig& conf
                       << config.l1.line << ", " << config.l2.line << ", " << config.llc.line
                       << " B)");
   const int cores = topology.total_cores();
-  // Per-core stat slots sized exactly from the topology, so the access
-  // path indexes them without growth checks firing.  Private caches
-  // run attribution-free: hardware PMCs count LLC events only and
+  // Private caches run attribution-free and keep no per-VM slots: the
+  // PMU counts LLC events from each access's AccessResult, and
   // pollution accounting is an LLC concept, so nothing ever reads
-  // per-core/per-VM stats or footprints of an L1/L2.
-  const StatSlotHints slots{cores, 64};
+  // owners, footprints or per-VM stats of an L1/L2.  The LLCs track
+  // owners and footprints; their ground-truth oracle stays off until
+  // observe_ground_truth().
   l1_.reserve(static_cast<std::size_t>(cores));
   l2_.reserve(static_cast<std::size_t>(cores));
   for (int c = 0; c < cores; ++c) {
     l1_.push_back(std::make_unique<SetAssocCache>("L1#" + std::to_string(c), config.l1,
                                                   ReplacementKind::kLru,
                                                   seed * 1000003ull + static_cast<std::uint64_t>(c),
-                                                  slots, /*track_attribution=*/false));
+                                                  /*track_attribution=*/false));
     l2_.push_back(std::make_unique<SetAssocCache>("L2#" + std::to_string(c), config.l2,
                                                   ReplacementKind::kLru,
                                                   seed * 2000003ull + static_cast<std::uint64_t>(c),
-                                                  slots, /*track_attribution=*/false));
+                                                  /*track_attribution=*/false));
   }
   llc_.reserve(static_cast<std::size_t>(topology.sockets));
   for (int s = 0; s < topology.sockets; ++s) {
     llc_.push_back(std::make_unique<SetAssocCache>("LLC#" + std::to_string(s), config.llc,
                                                    config.llc_replacement,
                                                    seed * 4000037ull + static_cast<std::uint64_t>(s),
-                                                   slots, /*track_attribution=*/true));
+                                                   /*track_attribution=*/true));
   }
   prefetches_.assign(static_cast<std::size_t>(cores), {});
   bus_busy_until_.assign(static_cast<std::size_t>(topology.sockets), {});
@@ -47,9 +47,17 @@ MemorySystem::MemorySystem(const Topology& topology, const MemSystemConfig& conf
 }
 
 void MemorySystem::reserve_vm_slots(int vms) {
-  for (auto& c : l1_) c->reserve_vm_slots(vms);
-  for (auto& c : l2_) c->reserve_vm_slots(vms);
+  // Only the LLCs keep per-VM slots.
   for (auto& c : llc_) c->reserve_vm_slots(vms);
+}
+
+void MemorySystem::observe_ground_truth() {
+  // All sockets or none: refuse before switching any LLC.
+  for (const auto& c : llc_) {
+    KYOTO_CHECK_MSG(c->observes_ground_truth() || c->stats().accesses == 0,
+                    c->name() << " was accessed before ground truth was observed");
+  }
+  for (auto& c : llc_) c->observe_ground_truth();
 }
 
 void MemorySystem::prefetch_after_miss(int core, Address addr, int vm,
@@ -104,9 +112,9 @@ MemorySystem::AccessContext MemorySystem::context(int core, int home_node, int v
   ctx.remote_ = home_node != topology_.node_of(core);
   ctx.miss_extras_ = config_.bus.enabled || config_.prefetch.enabled;
   ctx.line_shift_ = ctx.l1_->line_shift();
-  ctx.l1_mask_ = ctx.l1_->geometry().sets() - 1;
-  ctx.l2_mask_ = ctx.l2_->geometry().sets() - 1;
-  ctx.llc_mask_ = ctx.llc_->geometry().sets() - 1;
+  ctx.l1_mask_ = ctx.l1_->set_mask();
+  ctx.l2_mask_ = ctx.l2_->set_mask();
+  ctx.llc_mask_ = ctx.llc_->set_mask();
   ctx.lat_l1_ = config_.lat_l1;
   ctx.lat_l2_ = config_.lat_l2;
   ctx.lat_llc_ = config_.lat_llc;

@@ -31,13 +31,13 @@ const char* cache_level_name(CacheLevel level) {
 
 SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
                              ReplacementKind replacement, std::uint64_t seed,
-                             StatSlotHints slots, bool track_attribution)
+                             bool track_attribution)
     : name_(std::move(name)),
       geometry_(geometry),
       replacement_(replacement),
       sets_(geometry.sets()),
       ways_(geometry.ways),
-      track_attribution_(track_attribution),
+      attribution_(track_attribution ? Attribution::kOwners : Attribution::kNone),
       rng_(seed) {
   KYOTO_CHECK_MSG(geometry_.ways <= 64,
                   "associativity above 64 not supported (per-set bitmask words)");
@@ -54,7 +54,7 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
   fp_.resize((static_cast<std::size_t>(sets_) * fp_stride_ + 63) / 64);
   tags_.assign(lines, 0);
   stamps_.assign(lines, 0);
-  owners_.assign(lines, -1);
+  if (track_attribution) owners_.assign(lines, -1);
   valid_.assign(sets_, 0);
   dirty_.assign(sets_, 0);
 
@@ -69,19 +69,23 @@ SetAssocCache::SetAssocCache(std::string name, CacheGeometry geometry,
     lru_order5_.resize(static_cast<std::size_t>(sets_) * 2);
     reset_lru_order5();
   }
-
-  per_core_.resize(static_cast<std::size_t>(std::max(slots.cores, 1)));
-  per_vm_.resize(static_cast<std::size_t>(std::max(slots.vms, 1)));
-  vm_footprint_.assign(per_vm_.size(), 0);
-  vm_pollution_.assign(per_vm_.size(), VmPollution{});
 }
 
 void SetAssocCache::reserve_vm_slots(int vms) {
-  if (vms <= 0) return;
-  const auto n = static_cast<std::size_t>(vms);
-  if (per_vm_.size() < n) per_vm_.resize(n);
-  if (vm_footprint_.size() < n) vm_footprint_.resize(n, 0);
-  if (vm_pollution_.size() < n) vm_pollution_.resize(n);
+  if (attribution_ == Attribution::kNone || vms <= 0) return;
+  if (static_cast<std::size_t>(vms) > vm_footprint_.size()) grow_vm_slots(vms - 1);
+}
+
+void SetAssocCache::observe_ground_truth() {
+  KYOTO_CHECK_MSG(attribution_ != Attribution::kNone,
+                  "cache " << name_ << " keeps no attribution to observe");
+  if (attribution_ == Attribution::kOracle) return;
+  KYOTO_CHECK_MSG(total_.accesses == 0 && valid_lines_ == 0,
+                  "cache " << name_
+                           << ": ground truth must be observed before the first access");
+  attribution_ = Attribution::kOracle;
+  per_vm_.resize(vm_footprint_.size());
+  vm_pollution_.resize(vm_footprint_.size());
 }
 
 bool SetAssocCache::set_uses_bip(unsigned set) const {
@@ -176,14 +180,21 @@ unsigned SetAssocCache::pick_victim(unsigned set, unsigned first_way, unsigned e
 
 SetAssocCache::MissInfo SetAssocCache::miss_fill(unsigned set, Address tag, bool write,
                                                  const Requester& requester) {
-  // Four-way dispatch over the compile-time-pruned fill bodies (see
+  // Six-way dispatch over the compile-time-pruned fill bodies (see
   // miss_fill_impl in the header).
-  if (track_attribution_) {
-    return fast_fill_ ? miss_fill_impl<true, true>(set, tag, write, requester)
-                      : miss_fill_impl<false, true>(set, tag, write, requester);
+  switch (attribution_) {
+    case Attribution::kNone:
+      return fast_fill_ ? miss_fill_impl<true, Attribution::kNone>(set, tag, write, requester)
+                        : miss_fill_impl<false, Attribution::kNone>(set, tag, write, requester);
+    case Attribution::kOwners:
+      return fast_fill_
+                 ? miss_fill_impl<true, Attribution::kOwners>(set, tag, write, requester)
+                 : miss_fill_impl<false, Attribution::kOwners>(set, tag, write, requester);
+    case Attribution::kOracle:
+      break;
   }
-  return fast_fill_ ? miss_fill_impl<true, false>(set, tag, write, requester)
-                    : miss_fill_impl<false, false>(set, tag, write, requester);
+  return fast_fill_ ? miss_fill_impl<true, Attribution::kOracle>(set, tag, write, requester)
+                    : miss_fill_impl<false, Attribution::kOracle>(set, tag, write, requester);
 }
 
 LookupResult SetAssocCache::access(Address addr, bool write, const Requester& requester) {
@@ -251,7 +262,7 @@ void SetAssocCache::invalidate(Address addr) {
   const unsigned way = find(set, tag_of(addr));
   if (way == kNoWay) return;
   const std::size_t idx = line_index(set, way);
-  if (track_attribution_) {
+  if (attribution_ != Attribution::kNone) {
     const int owner = owners_[idx];
     if (owner < 0) {
       --unowned_lines_;
@@ -259,6 +270,7 @@ void SetAssocCache::invalidate(Address addr) {
       KYOTO_DCHECK(static_cast<std::size_t>(owner) < vm_footprint_.size());
       --vm_footprint_[static_cast<std::size_t>(owner)];
     }
+    owners_[idx] = -1;
   }
   --valid_lines_;
   const std::uint64_t bit = 1ull << way;
@@ -266,14 +278,15 @@ void SetAssocCache::invalidate(Address addr) {
   dirty_[set] &= ~bit;
   tags_[idx] = 0;
   stamps_[idx] = 0;
-  owners_[idx] = -1;
 }
 
 std::uint64_t SetAssocCache::release_vm(int vm) {
-  if (!track_attribution_ || vm < 0) return 0;
+  if (attribution_ == Attribution::kNone || vm < 0) return 0;
   // Purge the VM's bits from the displaced-line index first: a dead
   // VM can never re-miss, so its entries would only lengthen probes.
-  if (vm < kPollutionVmTracked) displaced_.clear_bits(1ull << vm);
+  if (attribution_ == Attribution::kOracle && vm < kPollutionVmTracked) {
+    displaced_.clear_bits(1ull << vm);
+  }
   if (footprint_lines(vm) == 0) return 0;
   // Per-line teardown, exactly invalidate()'s bookkeeping.  The LRU
   // mirrors are deliberately untouched (same contract as invalidate():
@@ -320,19 +333,21 @@ void SetAssocCache::clear_partitions() {
   fast_fill_ = replacement_ == ReplacementKind::kLru;
 }
 
-void SetAssocCache::grow_core_slots(int core) {
-  per_core_.resize(static_cast<std::size_t>(core) + 1);
-}
-
 void SetAssocCache::grow_vm_slots(int vm) {
-  // Safety net for ids beyond the pre-sized slots (never taken when
-  // the owning MemorySystem reserves slots as VMs are admitted).
-  per_vm_.resize(static_cast<std::size_t>(vm) + 1);
-  vm_footprint_.resize(static_cast<std::size_t>(vm) + 1, 0);
-  vm_pollution_.resize(static_cast<std::size_t>(vm) + 1);
+  // Safety net for ids beyond the reserved slots (never taken when
+  // the owning MemorySystem reserves slots as VMs are admitted).  The
+  // oracle's slots grow in lockstep with the footprints.
+  const auto n = static_cast<std::size_t>(vm) + 1;
+  vm_footprint_.resize(n, 0);
+  if (attribution_ == Attribution::kOracle) {
+    per_vm_.resize(n);
+    vm_pollution_.resize(n);
+  }
 }
 
 const VmPollution& SetAssocCache::pollution_for_vm(int vm) const {
+  KYOTO_CHECK_MSG(observes_ground_truth(),
+                  "cache " << name_ << " does not observe ground truth; pollution unread");
   static const VmPollution kEmpty{};
   if (vm < 0 || static_cast<std::size_t>(vm) >= vm_pollution_.size()) return kEmpty;
   return vm_pollution_[static_cast<std::size_t>(vm)];
@@ -343,7 +358,8 @@ std::uint64_t SetAssocCache::recount_footprint_lines(int vm) const {
   for (unsigned set = 0; set < sets_; ++set) {
     for (unsigned way = 0; way < ways_; ++way) {
       if ((valid_[set] >> way) & 1u) {
-        count += owners_[line_index(set, way)] == vm ? 1 : 0;
+        const int owner = owners_.empty() ? -1 : owners_[line_index(set, way)];
+        count += owner == vm ? 1 : 0;
       }
     }
   }
@@ -358,13 +374,9 @@ std::uint64_t SetAssocCache::recount_valid_lines() const {
   return count;
 }
 
-const CacheStats& SetAssocCache::stats_for_core(int core) const {
-  static const CacheStats kEmpty{};
-  if (core < 0 || static_cast<std::size_t>(core) >= per_core_.size()) return kEmpty;
-  return per_core_[static_cast<std::size_t>(core)];
-}
-
 const CacheStats& SetAssocCache::stats_for_vm(int vm) const {
+  KYOTO_CHECK_MSG(observes_ground_truth(),
+                  "cache " << name_ << " does not observe ground truth; per-VM stats unread");
   static const CacheStats kEmpty{};
   if (vm < 0 || static_cast<std::size_t>(vm) >= per_vm_.size()) return kEmpty;
   return per_vm_[static_cast<std::size_t>(vm)];
@@ -372,7 +384,6 @@ const CacheStats& SetAssocCache::stats_for_vm(int vm) const {
 
 void SetAssocCache::clear_stats() {
   total_.clear();
-  for (auto& s : per_core_) s.clear();
   for (auto& s : per_vm_) s.clear();
 }
 

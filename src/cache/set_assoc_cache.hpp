@@ -1,11 +1,10 @@
 // A set-associative cache with pluggable replacement and optional
 // way-partitioning.
 //
-// This single class models every level of the hierarchy.  For the
-// shared LLC it additionally attributes accesses/misses to the
-// requesting core (feeding the PMC layer) and to the owning VM
-// (ground-truth pollution accounting and the UCP-style [27]
-// way-partitioning ablation).
+// This single class models every level of the hierarchy.  The shared
+// LLC additionally records each line's owning VM (footprints, VM
+// release and the UCP-style [27] way-partitioning ablation) and, only
+// while ground truth is observed, the exact pollution oracle.
 //
 // Hot-path design.  Millions of simulated accesses per figure funnel
 // through this class, so the engine is built around five ideas:
@@ -42,14 +41,20 @@
 // anything else).  Every machine the simulator builds is the paper's
 // Table 1 scaled by a power of two.
 //
-// Private caches (L1/L2) skip per-core/per-VM attribution and owner
-// tracking entirely (`track_attribution = false`): nothing ever reads
-// them — hardware PMCs count LLC events only, and pollution
-// accounting is an LLC concept.
+// Attribution is paid only where it is read:
 //
-// The LLC's contention-miss bookkeeping lives in a flat
-// open-addressed table (cache/displaced_index.hpp) touched only on
-// the miss path.
+//  * private caches (L1/L2, `track_attribution = false`) keep totals
+//    only — no owners, no per-VM slots: hardware PMCs count LLC
+//    events (from the walk's AccessResult, not from cache counters)
+//    and pollution accounting is an LLC concept;
+//  * an LLC always keeps line owners and per-VM footprints
+//    (release_vm and the partitioning ablation need them);
+//  * an LLC maintains the ground-truth oracle — per-VM CacheStats,
+//    VmPollution counters and the displaced-line index
+//    (cache/displaced_index.hpp, touched only on the miss path) — only
+//    after observe_ground_truth(), which must precede its first
+//    access so the counts are exact from power-on.  Reading them from
+//    an LLC that is not observing throws.
 //
 // The pre-overhaul engine is preserved verbatim in
 // tests/support/reference_cache.hpp as a behavioral oracle; golden
@@ -76,8 +81,8 @@ namespace kyoto::cache {
 
 /// Identifies who performed an access, for attribution and partitioning.
 struct Requester {
-  int core = 0;  // physical core issuing the access (PMC attribution)
-  int vm = -1;   // owning VM, or -1 when unknown (partitioning + ground truth)
+  int core = 0;  // physical core issuing the access
+  int vm = -1;   // owning VM, or -1 when unknown (ownership, partitioning, ground truth)
 };
 
 /// Ground-truth pollution events for one VM, maintained exactly by the
@@ -95,8 +100,9 @@ struct Requester {
 ///    miss count: what it would (to first order) have missed with the
 ///    LLC to itself.
 ///
-/// Only tracked when attribution is on; contention-miss classification
-/// covers vm ids < kPollutionVmTracked (footprints and the two
+/// Only maintained by an LLC that observes ground truth
+/// (SetAssocCache::observe_ground_truth); contention-miss
+/// classification covers vm ids < kPollutionVmTracked (the two
 /// eviction counters are exact for every id).
 struct VmPollution {
   std::uint64_t cross_evictions_inflicted = 0;
@@ -111,26 +117,16 @@ struct LookupResult {
   std::optional<Address> evicted;
 };
 
-/// Pre-sizing hints for the per-core / per-VM statistics slots, so the
-/// access path indexes them without a resize.  The defaults
-/// comfortably cover direct construction in tests and tools;
-/// MemorySystem passes the exact core count from the topology and
-/// grows VM slots via reserve_vm_slots as the hypervisor admits VMs.
-struct StatSlotHints {
-  int cores = 64;
-  int vms = 64;
-};
-
 class SetAssocCache {
  public:
   /// `name` labels the cache in logs ("L1#3", "LLC#0"); `seed` drives
   /// random/bimodal replacement decisions deterministically.  With
-  /// `track_attribution` false the cache keeps only aggregate stats:
-  /// per-core/per-VM counters stay zero and footprint_lines reports 0
-  /// (private-cache mode; the shared LLC must pass true).
+  /// `track_attribution` false the cache keeps only aggregate stats
+  /// and no per-VM slots: footprint_lines reports 0 and it can never
+  /// observe ground truth (private-cache mode; the shared LLC passes
+  /// true).
   SetAssocCache(std::string name, CacheGeometry geometry, ReplacementKind replacement,
-                std::uint64_t seed = 1, StatSlotHints slots = {},
-                bool track_attribution = true);
+                std::uint64_t seed = 1, bool track_attribution = true);
 
   /// Looks up the line containing `addr`; on miss, fills it (evicting
   /// a victim if the set is full).  `write` marks the line dirty.
@@ -163,7 +159,7 @@ class SetAssocCache {
   void commit_hit(unsigned set, unsigned way, bool write, const Requester& requester) {
     ++total_.accesses;
     ++total_.hits;
-    if (track_attribution_) attribute_hit(requester);
+    if (attribution_ == Attribution::kOracle) [[unlikely]] attribute_hit(requester);
     // Branchless dirty update: OR-ing 0 for loads leaves the word
     // unchanged, and the store/load decision is data-random in every
     // mix — a branch here mispredicts constantly.
@@ -173,10 +169,10 @@ class SetAssocCache {
 
   /// Completes a miss in an attribution-free cache (the private
   /// L1/L2): when the cache is plain-LRU/unpartitioned, the whole
-  /// fill runs inline via miss_fill_impl<true, false> — no
+  /// fill runs inline via miss_fill_impl<true, kNone> — no
   /// out-of-line call, so the walk's L1+L2 fills schedule as
   /// straight-line code.  Anything else (non-LRU policy, partitions
-  /// installed, attribution on) falls back to the general miss_fill;
+  /// installed, an attribution cache) falls back to the general miss_fill;
   /// the guard re-checks the live flags, so a partition installed
   /// later is honored on the next access, exactly like the
   /// out-of-line path.
@@ -184,24 +180,25 @@ class SetAssocCache {
                                const Requester& requester) {
     ++total_.accesses;
     ++total_.misses;
-    if (!fast_fill_ || track_attribution_) [[unlikely]] {
+    if (!fast_fill_ || attribution_ != Attribution::kNone) [[unlikely]] {
       miss_fill(set, tag, write, requester);
       return;
     }
-    miss_fill_impl<true, false>(set, tag, write, requester);
+    miss_fill_impl<true, Attribution::kNone>(set, tag, write, requester);
   }
 
   /// Same, for the attribution cache (the LLC): inline plain-LRU fill
-  /// with the full per-core/per-VM/pollution bookkeeping compiled in.
+  /// with owner/footprint bookkeeping compiled in.  An LLC observing
+  /// ground truth takes the out-of-line fill, which adds the oracle.
   void commit_miss_attr_hot(unsigned set, Address tag, bool write,
                             const Requester& requester) {
     ++total_.accesses;
     ++total_.misses;
-    if (!fast_fill_ || !track_attribution_) [[unlikely]] {
+    if (!fast_fill_ || attribution_ != Attribution::kOwners) [[unlikely]] {
       miss_fill(set, tag, write, requester);
       return;
     }
-    miss_fill_impl<true, true>(set, tag, write, requester);
+    miss_fill_impl<true, Attribution::kOwners>(set, tag, write, requester);
   }
 
   /// True when fills run the compile-time-pruned LRU path (LRU
@@ -209,6 +206,8 @@ class SetAssocCache {
   bool fast_fill() const { return fast_fill_; }
 
   unsigned line_shift() const { return line_shift_; }
+  /// sets - 1: masks a set index out of a line number.
+  Address set_mask() const { return set_mask_; }
 
   /// Host prefetch of what a probe of `set` reads (semantically a
   /// no-op), hiding the host-memory latency of large LLC arrays: the
@@ -229,7 +228,7 @@ class SetAssocCache {
   /// every probe that hits.
   void prefetch_fill_row(unsigned set) const {
     __builtin_prefetch(&dirty_[set], 1);
-    if (track_attribution_) {
+    if (attribution_ != Attribution::kNone) {
       const std::size_t row = line_index(set, 0);
       __builtin_prefetch(&owners_[row], 1);
       if (ways_ > 16) __builtin_prefetch(&owners_[row + 16], 1);
@@ -262,9 +261,9 @@ class SetAssocCache {
     return idx < vm_footprint_.size() ? vm_footprint_[idx] : 0;
   }
 
-  /// Ground-truth pollution counters for `vm` (see VmPollution).
-  /// VMs never seen — and any vm when attribution is off — return
-  /// zeros.
+  /// Ground-truth pollution counters for `vm` (see VmPollution); VMs
+  /// never seen return zeros.  Throws unless the cache observes
+  /// ground truth.
   const VmPollution& pollution_for_vm(int vm) const;
 
   /// Contention-miss classification covers vm ids below this bound
@@ -280,10 +279,21 @@ class SetAssocCache {
   /// O(lines) recount of the valid-line counter behind occupancy().
   std::uint64_t recount_valid_lines() const;
 
-  /// Ensures per-VM stat/footprint slots exist for vm ids < `vms`.
-  /// Called by the memory system when the hypervisor admits VMs, so
-  /// the access path never grows storage.
+  /// Ensures per-VM footprint slots (and, while observing ground
+  /// truth, per-VM stat and pollution slots) exist for vm ids <
+  /// `vms`.  Called by the memory system when the hypervisor admits
+  /// VMs, so the access path never grows storage.  No-op for
+  /// attribution-free caches, which keep no per-VM slots.
   void reserve_vm_slots(int vms);
+
+  /// Starts maintaining the ground-truth oracle: per-VM CacheStats
+  /// (stats_for_vm), VmPollution counters (pollution_for_vm) and the
+  /// displaced-line index behind contention-miss classification.
+  /// Throws for an attribution-free cache, and unless the cache has
+  /// never been accessed, so the counts are exact from power-on.
+  /// Idempotent once observing.
+  void observe_ground_truth();
+  bool observes_ground_truth() const { return attribution_ == Attribution::kOracle; }
 
   /// Invalidates every valid line owned by `vm` and purges the VM's
   /// bits from the displaced-line index — the LLC half of VM
@@ -306,18 +316,26 @@ class SetAssocCache {
 
   // --- Statistics -----------------------------------------------------
   const CacheStats& stats() const { return total_; }
-  /// Per-requesting-core counters (index = core id as passed in).
-  const CacheStats& stats_for_core(int core) const;
   /// Per-VM counters (index = vm id); VMs never seen return zeros.
+  /// Throws unless the cache observes ground truth.
   const CacheStats& stats_for_vm(int vm) const;
   void clear_stats();
 
   const std::string& name() const { return name_; }
   const CacheGeometry& geometry() const { return geometry_; }
   ReplacementKind replacement() const { return replacement_; }
-  bool tracks_attribution() const { return track_attribution_; }
+  bool tracks_attribution() const { return attribution_ != Attribution::kNone; }
 
  private:
+  /// How much attribution bookkeeping the cache maintains (see the
+  /// file comment); fixed at construction except for the one
+  /// kOwners -> kOracle step of observe_ground_truth.
+  enum class Attribution : std::uint8_t {
+    kNone,    // private cache: totals only
+    kOwners,  // LLC: line owners + per-VM footprints
+    kOracle,  // LLC observing ground truth: + per-VM stats, pollution, displaced index
+  };
+
   struct Partition {
     unsigned first_way = 0;
     unsigned n_ways = 0;  // 0 = unrestricted
@@ -480,9 +498,6 @@ class SetAssocCache {
   }
 
   void attribute_hit(const Requester& req) {
-    CacheStats& core_stats = core_slot(req.core);
-    ++core_stats.accesses;
-    ++core_stats.hits;
     if (req.vm >= 0) {
       CacheStats& vm_stats = vm_slot(req.vm);
       ++vm_stats.accesses;
@@ -497,14 +512,14 @@ class SetAssocCache {
   /// Same for the two-word 5-bit layout.
   void reset_lru_order5();
   /// Victim selection + fill + eviction bookkeeping.  Dispatches to a
-  /// compile-time-pruned instantiation when the cache is plain LRU
-  /// with no partitions (fast_fill_): one body, two instantiations —
-  /// miss_fill_impl<true> has the DIP/partition/insertion-policy
-  /// branches folded away, miss_fill_impl<false> is the general form.
+  /// compile-time-pruned instantiation per attribution mode and per
+  /// fill kind: miss_fill_impl<true, …> (plain LRU, no partitions:
+  /// fast_fill_) has the DIP/partition/insertion-policy branches
+  /// folded away, miss_fill_impl<false, …> is the general form.
   /// Bit-identical by construction and pinned by the golden +
   /// random-oracle suites.
   MissInfo miss_fill(unsigned set, Address tag, bool write, const Requester& requester);
-  template <bool kFastLru, bool kAttr>
+  template <bool kFastLru, Attribution kMode>
   MissInfo miss_fill_impl(unsigned set, Address tag, bool write, const Requester& requester);
   unsigned pick_victim(unsigned set, unsigned first_way, unsigned end_way);
   bool set_uses_bip(unsigned set) const;
@@ -514,25 +529,19 @@ class SetAssocCache {
     if (static_cast<std::size_t>(vm) >= vm_pollution_.size()) grow_vm_slots(vm);
     return vm_pollution_[static_cast<std::size_t>(vm)];
   }
-  CacheStats& core_slot(int core) {
-    KYOTO_DCHECK(core >= 0);
-    if (static_cast<std::size_t>(core) >= per_core_.size()) grow_core_slots(core);
-    return per_core_[static_cast<std::size_t>(core)];
-  }
   CacheStats& vm_slot(int vm) {
     KYOTO_DCHECK(vm >= 0);
     if (static_cast<std::size_t>(vm) >= per_vm_.size()) grow_vm_slots(vm);
     return per_vm_[static_cast<std::size_t>(vm)];
   }
-  void grow_core_slots(int core);  // cold path; never taken when pre-sized
-  void grow_vm_slots(int vm);      // cold path; never taken when pre-sized
+  void grow_vm_slots(int vm);  // cold path; never taken when pre-sized
 
   std::string name_;
   CacheGeometry geometry_;
   ReplacementKind replacement_;
   unsigned sets_ = 0;
   unsigned ways_ = 0;
-  bool track_attribution_ = true;
+  Attribution attribution_ = Attribution::kOwners;
   unsigned line_shift_ = 0;   // log2(line)
   Address set_mask_ = 0;      // sets-1
 
@@ -575,9 +584,9 @@ class SetAssocCache {
   // Incremental footprint accounting (replaces O(lines) scans).
   std::uint64_t valid_lines_ = 0;
   std::uint64_t unowned_lines_ = 0;          // valid lines with owner -1
-  std::vector<std::uint64_t> vm_footprint_;  // valid lines per vm id
+  std::vector<std::uint64_t> vm_footprint_;  // valid lines per vm id (LLC only)
 
-  // Ground-truth pollution accounting (attribution mode only).  The
+  // Ground-truth pollution accounting (kOracle only).  The
   // displaced-line index maps a line's global tag to the bitmask of
   // VMs (< kPollutionVmTracked) whose copy of that line was displaced
   // by another requester and not yet re-referenced: an entry proves a
@@ -599,8 +608,7 @@ class SetAssocCache {
   std::vector<Partition> partitions_;  // indexed by vm id
 
   CacheStats total_;
-  std::vector<CacheStats> per_core_;
-  std::vector<CacheStats> per_vm_;
+  std::vector<CacheStats> per_vm_;  // kOracle only, sized like vm_footprint_
 };
 
 /// Victim selection + fill + eviction bookkeeping — ONE body for
@@ -609,23 +617,23 @@ class SetAssocCache {
 ///     bookkeeping, partition lookup and insertion-policy dispatch
 ///     fold away and a full set's victim comes from the O(1) recency
 ///     mirrors (up to 24 ways);
-///   kAttr — mirrors track_attribution_: per-core/per-VM statistics,
-///     owner/footprint accounting and the ground-truth pollution
-///     bookkeeping compile in (LLC) or out (private caches).
+///   kMode — mirrors attribution_: owner/footprint accounting compiles
+///     in for an LLC (kOwners), and the ground-truth oracle — per-VM
+///     statistics, pollution counters, the displaced-line index — on
+///     top of it only while observing (kOracle); private caches
+///     (kNone) compile both out.
 /// In the header so the walk's inline commit paths instantiate
 /// it directly; the out-of-line miss_fill dispatches over the same
-/// four instantiations, so every path executes this exact code.
-template <bool kFastLru, bool kAttr>
+/// six instantiations, so every path executes this exact code.
+template <bool kFastLru, SetAssocCache::Attribution kMode>
 inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Address tag,
                                                              bool write,
                                                              const Requester& requester) {
-  KYOTO_DCHECK(kAttr == track_attribution_);
-  CacheStats* core_stats = nullptr;
+  constexpr bool kOwners = kMode != Attribution::kNone;
+  constexpr bool kOracle = kMode == Attribution::kOracle;
+  KYOTO_DCHECK(kMode == attribution_);
   CacheStats* vm_stats = nullptr;
-  if constexpr (kAttr) {
-    core_stats = &core_slot(requester.core);
-    ++core_stats->accesses;
-    ++core_stats->misses;
+  if constexpr (kOracle) {
     if (requester.vm >= 0) {
       vm_stats = &vm_slot(requester.vm);
       ++vm_stats->accesses;
@@ -688,13 +696,13 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
     ++total_.evictions;
     const bool was_dirty = (dirty_[set] & bit) != 0;
     total_.writebacks += was_dirty ? 1 : 0;
-    if constexpr (kAttr) {
-      ++core_stats->evictions;
-      core_stats->writebacks += was_dirty ? 1 : 0;
+    if constexpr (kOracle) {
       if (vm_stats != nullptr) {
         ++vm_stats->evictions;
         vm_stats->writebacks += was_dirty ? 1 : 0;
       }
+    }
+    if constexpr (kOwners) {
       // Displaced line's owner loses a footprint line.
       const int old_vm = owners_[idx];
       if (old_vm < 0) {
@@ -702,7 +710,7 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
       } else {
         KYOTO_DCHECK(static_cast<std::size_t>(old_vm) < vm_footprint_.size());
         --vm_footprint_[static_cast<std::size_t>(old_vm)];
-        if (old_vm != requester.vm) {
+        if (kOracle && old_vm != requester.vm) {
           // Cross-VM eviction: the ground-truth pollution event.
           ++pollution_slot(old_vm).cross_evictions_suffered;
           if (requester.vm >= 0) {
@@ -723,7 +731,7 @@ inline SetAssocCache::MissInfo SetAssocCache::miss_fill_impl(unsigned set, Addre
   fp_row(set)[victim] = fingerprint(tag);
   valid_[set] |= bit;
   dirty_[set] = write ? (dirty_[set] | bit) : (dirty_[set] & ~bit);
-  if constexpr (kAttr) {
+  if constexpr (kOwners) {
     const int vm = requester.vm;
     owners_[idx] = vm;
     if (vm < 0) {

@@ -1,9 +1,10 @@
 // Counter bundles exported by the cache simulator.
 //
-// These are the raw material of the PMC layer: per-cache totals plus,
-// for the shared LLC, per-requesting-core attribution (hardware PMCs
-// count LLC events on the core that issued the access, which is what
-// perfctr-xen virtualizes per vCPU).
+// Per-cache totals, plus — for an LLC observing ground truth — per-VM
+// attribution (the oracle in kyoto/ground_truth.hpp).  The PMC layer
+// does not read these: it counts LLC events from each access's
+// AccessResult on the core that issued it, which is what perfctr-xen
+// virtualizes per vCPU.
 #pragma once
 
 #include <cstdint>

@@ -33,8 +33,8 @@ Vm& Hypervisor::create_vm(const VmConfig& config,
   next_vcpu_id_ += static_cast<int>(vcpu_workloads.size());
   vms_.push_back(std::make_unique<Vm>(vm_id, config, std::move(vcpu_workloads), first_id));
   Vm& vm = *vms_.back();
-  // Pre-size per-VM attribution slots in every cache so the access
-  // hot path never grows stat storage mid-run.
+  // Pre-size the LLCs' per-VM attribution slots so the access hot
+  // path never grows them mid-run.
   machine_->memory().reserve_vm_slots(vm_id + 1);
 
   const int cores = machine_->topology().total_cores();

@@ -27,6 +27,7 @@ GroundTruthReading read_ground_truth(const hv::Hypervisor& hv, int vm_id) {
 
 void GroundTruthMonitor::attach(hv::Hypervisor& hv) {
   PollutionMonitor::attach(hv);
+  hv.machine().memory().observe_ground_truth();
   const auto n = static_cast<std::size_t>(hv.vm_count());
   if (last_intrinsic_.size() < n) last_intrinsic_.resize(n, 0);
   if (cache_.size() < n) cache_.resize(n, -1.0);
@@ -65,8 +66,9 @@ double GroundTruthMonitor::cached_rate(int vm_id) const {
 GroundTruthShadow::GroundTruthShadow(hv::Hypervisor& hv,
                                      const PollutionController* controller)
     : controller_(controller) {
-  // Baseline the VMs that already exist (and possibly already ran):
-  // their first sample must cover only the next tick, not history.
+  hv.machine().memory().observe_ground_truth();
+  // Baseline the VMs that already exist: their first sample must
+  // cover only the next tick, not history.
   const int n = hv.vm_count();
   cursors_.resize(static_cast<std::size_t>(n));
   samples_.resize(static_cast<std::size_t>(n));

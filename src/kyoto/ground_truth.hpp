@@ -6,10 +6,14 @@
 // accuracy (direct), migrations (socket dedication) or a simulation
 // host (McSim replay).  The simulator, however, knows the answer
 // exactly: the SetAssocCache attributes every LLC line to its owning
-// VM (O(1) footprint counters since the access-engine overhaul) and
-// classifies every miss as intrinsic or contention-induced on its
-// eviction path (cache::VmPollution).  This header turns that into
-// two tools:
+// VM (O(1) footprint counters since the access-engine overhaul) and,
+// while ground truth is observed, classifies every miss as intrinsic
+// or contention-induced on its eviction path (cache::VmPollution).
+// Observation is on demand: both tools below call
+// MemorySystem::observe_ground_truth() when they attach, which must be
+// before the machine's first LLC access, so the counts are exact from
+// power-on; a run with neither tool never pays for the oracle.  This
+// header turns that into two tools:
 //
 //  * GroundTruthMonitor — a fourth PollutionMonitor: the Kyoto
 //    scheduler charges each VM its *intrinsic* miss rate (misses
@@ -21,10 +25,12 @@
 //
 //  * GroundTruthShadow — shadow mode: pure observer hooks that
 //    record, per tick and per VM, the oracle's view next to whatever
-//    rate the run's actual monitor charged.  Attaching a shadow NEVER
-//    perturbs the run: scheduler and LLC traces are byte-identical
-//    with and without it, at any thread count and under SweepRunner
-//    lanes (pinned by tests/kyoto/monitor_conformance_test.cpp).
+//    rate the run's actual monitor charged.  Neither observing ground
+//    truth nor attaching a shadow perturbs the run: the trace with
+//    observation off equals the trace with it on, and a shadowed
+//    run equals an observed bare run including every LLC oracle
+//    counter — at any thread count and under SweepRunner lanes
+//    (pinned by tests/kyoto/monitor_conformance_test.cpp).
 //    The accuracy layer (sim/monitor_accuracy.hpp) scores estimators
 //    against these recordings.
 //
@@ -59,6 +65,7 @@ struct GroundTruthReading {
 };
 
 /// Reads the oracle for one VM from the machine's LLCs.  O(sockets).
+/// Throws unless the machine observes ground truth.
 GroundTruthReading read_ground_truth(const hv::Hypervisor& hv, int vm_id);
 
 /// The fourth monitor: perfect attribution, for free, at the merge
@@ -70,6 +77,9 @@ GroundTruthReading read_ground_truth(const hv::Hypervisor& hv, int vm_id);
 class GroundTruthMonitor final : public PollutionMonitor {
  public:
   std::string name() const override { return "ground-truth"; }
+  /// Also starts observing ground truth on `hv`'s machine (schedulers
+  /// attach their monitor at hypervisor construction, before any
+  /// access).
   void attach(hv::Hypervisor& hv) override;
   double pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& report) override;
 
@@ -82,11 +92,13 @@ class GroundTruthMonitor final : public PollutionMonitor {
   std::vector<double> cache_;                  // last rate by vm id; <0 unset
 };
 
-/// Shadow-mode recorder.  Construct it against a live hypervisor
-/// (after creating the VMs is simplest, but VMs admitted later are
-/// picked up automatically); it registers an account hook and a tick
-/// hook, observes, and never writes simulator state.  Must outlive
-/// the run it shadows.
+/// Shadow-mode recorder.  Construct it against a hypervisor before
+/// its machine's first LLC access (after creating the VMs is
+/// simplest — sim::HvObserver runs at such a point — and VMs admitted
+/// later are picked up automatically); the constructor starts
+/// observing ground truth and registers an account hook and a tick
+/// hook, which observe and never write simulated state.  Must
+/// outlive the run it shadows.
 class GroundTruthShadow {
  public:
   /// One VM-tick of ground truth next to the estimator's output.

@@ -84,6 +84,10 @@ std::pair<bool, long> parse_feature(const std::string& v, int line, long default
   fail(line, "expected off | on | on:<n>, got '" + v + "'");
 }
 
+/// A per-tick Bernoulli probability, as the churn trace draws it (< 1,
+/// so a tick can also see no arrival; NaN fails).
+bool is_probability(double p) { return p >= 0.0 && p < 1.0; }
+
 struct SchedulerChoice {
   std::string kind = "xcs";
   std::string monitor = "direct";
@@ -157,6 +161,12 @@ Scenario parse_scenario(const std::string& text) {
     int vcpus = 1;
     int max_tenants = 0;
     int defer_queue = 8;
+    // Lines of the keys only one trace kind reads, checked once the
+    // kind is known (the defaults are valid, so a bad value has one).
+    int period_line = 0;
+    int amplitude_line = 0;
+    int burst_rate_line = 0;
+    int burst_size_line = 0;
   };
   PendingChurn churn;
 
@@ -260,6 +270,10 @@ Scenario parse_scenario(const std::string& text) {
           sched.kind = lower(value);
         } else if (key == "monitor") {
           sched.monitor = lower(value);
+          if (sched.monitor != "direct" && sched.monitor != "mcsim" &&
+              sched.monitor != "dedication") {
+            fail(line_no, "monitor must be direct | mcsim | dedication, got '" + value + "'");
+          }
         } else if (key == "punish") {
           const std::string s = lower(value);
           if (s == "block") sched.punish = core::PunishMode::kBlock;
@@ -331,20 +345,28 @@ Scenario parse_scenario(const std::string& text) {
           churn.trace_line = line_no;
         } else if (key == "rate") {
           churn.config.arrival_rate = parse_double(value, line_no);
+          if (!is_probability(churn.config.arrival_rate)) {
+            fail(line_no, "rate is a per-tick probability in [0, 1), got " + value);
+          }
         } else if (key == "mean_lifetime") {
           churn.config.mean_lifetime_ticks = parse_double(value, line_no);
         } else if (key == "horizon") {
           churn.config.horizon_ticks = parse_int(value, line_no);
+          if (churn.config.horizon_ticks < 0) fail(line_no, "horizon must be >= 0");
         } else if (key == "seed") {
           churn.config.seed = static_cast<std::uint64_t>(parse_int(value, line_no));
         } else if (key == "period") {
           churn.config.period_ticks = parse_int(value, line_no);
+          churn.period_line = line_no;
         } else if (key == "amplitude") {
           churn.config.amplitude = parse_double(value, line_no);
+          churn.amplitude_line = line_no;
         } else if (key == "burst_rate") {
           churn.config.burst_rate = parse_double(value, line_no);
+          churn.burst_rate_line = line_no;
         } else if (key == "burst_size") {
           churn.config.burst_size = static_cast<int>(parse_int(value, line_no));
+          churn.burst_size_line = line_no;
         } else if (key == "apps") {
           churn.apps.clear();
           std::istringstream as(value);
@@ -362,6 +384,7 @@ Scenario parse_scenario(const std::string& text) {
           churn.max_tenants = static_cast<int>(parse_int(value, line_no));
         } else if (key == "defer_queue") {
           churn.defer_queue = static_cast<int>(parse_int(value, line_no));
+          if (churn.defer_queue < 0) fail(line_no, "defer_queue must be >= 0");
         } else if (key == "llc_cap") {
           churn.tenant.llc_cap = parse_double(value, line_no);
         } else if (key == "weight") {
@@ -399,12 +422,7 @@ Scenario parse_scenario(const std::string& text) {
   const auto monitor_factory = [sched]() -> std::unique_ptr<core::PollutionMonitor> {
     if (sched.monitor == "direct") return std::make_unique<core::DirectPmcMonitor>();
     if (sched.monitor == "mcsim") return std::make_unique<core::McSimMonitor>();
-    if (sched.monitor == "dedication") {
-      return std::make_unique<core::SocketDedicationMonitor>();
-    }
-    throw std::logic_error("scenario parse error at line " +
-                           std::to_string(sched.declared_line) + ": unknown monitor '" +
-                           sched.monitor + "'");
+    return std::make_unique<core::SocketDedicationMonitor>();  // checked at its line
   };
   core::KyotoParams kyoto_params;
   kyoto_params.punish_mode = sched.punish;
@@ -454,8 +472,18 @@ Scenario parse_scenario(const std::string& text) {
       churn.config.kind = ChurnTraceConfig::Kind::kPoisson;
     } else if (t == "diurnal") {
       churn.config.kind = ChurnTraceConfig::Kind::kDiurnal;
+      if (churn.config.period_ticks <= 0) fail(churn.period_line, "period must be positive");
+      if (!(churn.config.amplitude >= 0.0 && churn.config.amplitude <= 1.0)) {
+        fail(churn.amplitude_line, "amplitude must be in [0, 1]");
+      }
     } else if (t == "bursty") {
       churn.config.kind = ChurnTraceConfig::Kind::kBursty;
+      if (!is_probability(churn.config.burst_rate)) {
+        fail(churn.burst_rate_line, "burst_rate is a per-tick probability in [0, 1)");
+      }
+      if (churn.config.burst_size <= 0) {
+        fail(churn.burst_size_line, "burst_size must be positive");
+      }
     } else {
       fail(churn.trace_line != 0 ? churn.trace_line : churn.declared_line,
            "churn trace must be poisson | diurnal | bursty | file:<path>, got '" +

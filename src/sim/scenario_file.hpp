@@ -39,25 +39,27 @@
 //
 //   [churn]                   # optional: tenants churn mid-run
 //   trace = poisson           # poisson | diurnal | bursty | file:<path>
-//   rate = 0.05               # expected arrivals per tick
+//   rate = 0.05               # expected arrivals per tick, in [0, 1)
 //   mean_lifetime = 60        # ticks (geometric); 0 = tenants never leave
 //   horizon = 600             # arrivals occur in ticks [0, horizon)
 //   seed = 1                  # trace RNG seed (independent of [run] seed)
-//   period = 200              # diurnal wave period (ticks)
-//   amplitude = 0.8           # diurnal wave amplitude (0..1)
-//   burst_rate = 0.005        # bursty: flash-crowd epochs per tick
-//   burst_size = 8            # bursty: tenants per epoch
+//   period = 200              # diurnal wave period (ticks, > 0)
+//   amplitude = 0.8           # diurnal wave amplitude, in [0, 1]
+//   burst_rate = 0.005        # bursty: flash-crowd epochs per tick, in [0, 1)
+//   burst_size = 8            # bursty: tenants per epoch (> 0)
 //   apps = gcc,micro:c2dis    # tenant app mix, round-robin per arrival
 //   vcpus = 1                 # exclusively owned cores per tenant
 //   max_tenants = 0           # live-tenant cap; 0 = core-bounded only
-//   defer_queue = 8           # bounded deferral FIFO; overflow rejects
+//   defer_queue = 8           # bounded deferral FIFO (>= 0); overflow rejects
 //   llc_cap = 20              # tenant template, plus weight/cap/loop
 //
 // A churning scenario may omit [vm] sections entirely (the trace
 // populates the machine); a static one must define at least one.
 //
-// Parsing is strict: unknown sections/keys, malformed values and
-// unknown applications raise std::logic_error with a line number.
+// Parsing is strict: unknown sections/keys, malformed or out-of-range
+// values (the [churn] ranges above, a monitor outside the list — the
+// trace kind's own keys are checked against the kind the file names)
+// and unknown applications raise std::logic_error with a line number.
 #pragma once
 
 #include <iosfwd>

@@ -66,6 +66,7 @@ void run_shape(const Shape& shape) {
   const CacheGeometry geom{static_cast<Bytes>(shape.sets) * shape.ways * kLine, shape.ways,
                            kLine};
   SetAssocCache current("fp", geom, shape.policy, /*seed=*/9);
+  current.observe_ground_truth();  // per-VM stats are compared below
   ReferenceSetAssocCache reference("fp", geom, shape.policy, /*seed=*/9);
   const std::vector<Address> pool = colliding_pool(current, shape.sets, shape.ways);
   const std::size_t n_colliding = 3 * shape.ways;

@@ -168,15 +168,6 @@ TEST(MemorySystem, InvalidateAllGoesCold) {
   EXPECT_EQ(r.level, CacheLevel::kMemLocal);
 }
 
-TEST(MemorySystem, PerCoreLlcAttribution) {
-  MemorySystem m(Topology{1, 2}, small_config());
-  m.access(0, 0, false, 0, 0);
-  m.access(1, 64 * 100, false, 0, 1);
-  m.access(1, 64 * 101, false, 0, 1);
-  EXPECT_EQ(m.llc(0).stats_for_core(0).misses, 1u);
-  EXPECT_EQ(m.llc(0).stats_for_core(1).misses, 2u);
-}
-
 TEST(MemorySystem, LevelNames) {
   EXPECT_STREQ(cache_level_name(CacheLevel::kL1), "L1");
   EXPECT_STREQ(cache_level_name(CacheLevel::kMemRemote), "mem(remote)");
@@ -213,16 +204,46 @@ TEST(AccessBatch, ContextReusableAcrossBursts) {
 TEST(AccessBatch, PrivateCachesSkipAttribution) {
   // Private L1/L2 run attribution-free; the shared LLC attributes.
   MemorySystem m(Topology{1, 2}, small_config(), 3);
+  m.observe_ground_truth();
   m.access(0, 0, false, 0, /*vm=*/1);
+  m.observe_ground_truth();  // a second consumer attaching: no-op
   EXPECT_FALSE(m.l1(0).tracks_attribution());
   EXPECT_FALSE(m.l2(0).tracks_attribution());
   EXPECT_TRUE(m.llc(0).tracks_attribution());
+  EXPECT_FALSE(m.l1(0).observes_ground_truth());
+  EXPECT_TRUE(m.llc(0).observes_ground_truth());
   EXPECT_EQ(m.llc(0).stats_for_vm(1).accesses, 1u);
   EXPECT_EQ(m.llc(0).footprint_lines(1), 1u);
+  EXPECT_EQ(m.l1(0).footprint_lines(1), 0u);
+}
+
+TEST(GroundTruthObservation, OffUntilObservedOwnersAlwaysOn) {
+  MemorySystem m(Topology{2, 1}, small_config(), 3);
+  m.reserve_vm_slots(2);
+  m.access(0, 0, false, 0, /*vm=*/0);
+  m.access(1, 64, false, 1, /*vm=*/1);
+  for (int socket = 0; socket < 2; ++socket) {
+    EXPECT_FALSE(m.llc(socket).observes_ground_truth());
+    EXPECT_THROW(m.llc(socket).stats_for_vm(socket), std::logic_error);
+    EXPECT_THROW(m.llc(socket).pollution_for_vm(socket), std::logic_error);
+    EXPECT_EQ(m.llc(socket).footprint_lines(socket), 1u);
+  }
+  EXPECT_EQ(m.release_vm_lines(1), 1u);
+}
+
+TEST(GroundTruthObservation, ObservingAfterAnyLlcAccessThrows) {
+  // Only socket 1's LLC has been touched: observing must still fail,
+  // and leave socket 0's untouched LLC unobserved too.
+  MemorySystem m(Topology{2, 1}, small_config(), 3);
+  m.access(1, 64, false, 1, /*vm=*/0);
+  EXPECT_THROW(m.observe_ground_truth(), std::logic_error);
+  EXPECT_FALSE(m.llc(0).observes_ground_truth());
+  EXPECT_THROW(m.llc(1).stats_for_vm(0), std::logic_error);
 }
 
 TEST(AccessBatch, ReserveVmSlotsPreSizesAttribution) {
   MemorySystem m(Topology{1, 1}, small_config(), 3);
+  m.observe_ground_truth();
   m.reserve_vm_slots(128);
   // A VM id beyond the default hint works without surprises.
   m.access(0, 0, false, 0, /*vm=*/100);

@@ -95,8 +95,9 @@ RandomConfig draw_config(Rng& rng) {
   return config;
 }
 
-void replay_and_compare(const RandomConfig& config, std::size_t ops) {
+void replay_and_compare(const RandomConfig& config, std::size_t ops, bool observe) {
   SetAssocCache current("oracle", config.geometry, config.policy, config.engine_seed);
+  if (observe) current.observe_ground_truth();
   ReferenceSetAssocCache reference("oracle", config.geometry, config.policy,
                                    config.engine_seed);
   for (std::size_t vm = 0; vm < config.partitions.size(); ++vm) {
@@ -150,13 +151,11 @@ void replay_and_compare(const RandomConfig& config, std::size_t ops) {
     EXPECT_EQ(want.writebacks, got.writebacks) << config.describe() << " " << what;
   };
   expect_stats_eq(reference.stats(), current.stats(), "total");
-  for (int core = 0; core < config.cores; ++core) {
-    expect_stats_eq(reference.stats_for_core(core), current.stats_for_core(core),
-                    "core " + std::to_string(core));
-  }
   for (int vm = 0; vm < config.vms; ++vm) {
-    expect_stats_eq(reference.stats_for_vm(vm), current.stats_for_vm(vm),
-                    "vm " + std::to_string(vm));
+    if (observe) {
+      expect_stats_eq(reference.stats_for_vm(vm), current.stats_for_vm(vm),
+                      "vm " + std::to_string(vm));
+    }
     EXPECT_EQ(reference.footprint_lines(vm), current.footprint_lines(vm))
         << config.describe() << " footprint vm " << vm;
   }
@@ -173,9 +172,14 @@ TEST(RandomizedOracle, TwoHundredRandomConfigsMatchReferenceExactly) {
     const std::uint64_t lines =
         static_cast<std::uint64_t>(config.geometry.sets()) * config.geometry.ways;
     const std::size_t ops = lines < 64 ? 3000 : (lines < 2048 ? 1500 : 600);
-    replay_and_compare(config, ops);
-    if (HasFatalFailure()) {
-      FAIL() << "config #" << i << " diverged: " << config.describe();
+    // Both LLC modes: owners only, and owners plus the ground-truth
+    // oracle.
+    for (const bool observe : {false, true}) {
+      replay_and_compare(config, ops, observe);
+      if (HasFatalFailure()) {
+        FAIL() << "config #" << i << " (observe=" << observe
+               << ") diverged: " << config.describe();
+      }
     }
   }
 }
@@ -209,6 +213,7 @@ void check_against_recount(const SetAssocCache& cache, const RandomConfig& confi
       << config.describe() << " occupancy after op " << op;
   ASSERT_EQ(owned_sum + cache.footprint_lines(-1), valid)
       << config.describe() << " footprint conservation after op " << op;
+  if (!cache.observes_ground_truth()) return;
 
   // Pollution-counter conservation: every cross-VM eviction has
   // exactly one victim and (all requesters being VMs here) one
@@ -230,8 +235,9 @@ void check_against_recount(const SetAssocCache& cache, const RandomConfig& confi
   ASSERT_LE(contention, suffered) << config.describe() << " after op " << op;
 }
 
-void replay_with_disruptions(const RandomConfig& config, std::size_t ops) {
+void replay_with_disruptions(const RandomConfig& config, std::size_t ops, bool observe) {
   SetAssocCache cache("recount", config.geometry, config.policy, config.engine_seed);
+  if (observe) cache.observe_ground_truth();
   Rng stream(config.stream_seed);
   const std::uint64_t lines_in_cache =
       static_cast<std::uint64_t>(config.geometry.sets()) * config.geometry.ways;
@@ -294,9 +300,12 @@ TEST(RandomizedOracle, IncrementalCountersMatchRecountUnderDisruptions) {
     const std::uint64_t lines =
         static_cast<std::uint64_t>(config.geometry.sets()) * config.geometry.ways;
     const std::size_t ops = lines < 64 ? 2500 : (lines < 2048 ? 1200 : 500);
-    replay_with_disruptions(config, ops);
-    if (HasFatalFailure()) {
-      FAIL() << "config #" << i << " diverged: " << config.describe();
+    for (const bool observe : {false, true}) {
+      replay_with_disruptions(config, ops, observe);
+      if (HasFatalFailure()) {
+        FAIL() << "config #" << i << " (observe=" << observe
+               << ") diverged: " << config.describe();
+      }
     }
   }
 }
@@ -309,16 +318,18 @@ TEST(RandomizedOracle, IncrementalCountersMatchRecountUnderDisruptions) {
 // multi-core op streams — mixed loads/stores, several VMs, LLC
 // partitions installed mid-run, occasional invalidations,
 // bus+prefetcher on for some configs — are replayed through both and
-// every observable is compared exactly.
+// every observable is compared exactly, once with the LLCs keeping
+// owners only (the production walk) and once observing ground truth.
 namespace {
 
 template <class Memory>
 std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemConfig& cfg,
                                               const Topology& topo,
                                               std::uint64_t stream_seed,
-                                              bool partition_mid_run) {
+                                              bool partition_mid_run, bool observe) {
   const int cores = topo.total_cores();
   const int vms = 4;
+  if (observe) memory.observe_ground_truth();
   memory.reserve_vm_slots(vms);
   Rng rng(stream_seed);
   std::vector<std::uint64_t> observables;
@@ -347,14 +358,19 @@ std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemCon
     }
     if (op % 9973 == 0) memory.invalidate_private(core);
   }
+  // Totals for every cache; footprints for the LLCs (private caches
+  // keep none) and, while observing, the LLCs' per-VM oracle.
   auto record_cache = [&observables, vms](const SetAssocCache& c) {
     const CacheStats& stats = c.stats();
     observables.insert(observables.end(), {stats.accesses, stats.hits, stats.misses,
                                            stats.evictions, stats.writebacks});
+    if (!c.tracks_attribution()) return;
+    for (int vm = -1; vm < vms; ++vm) observables.push_back(c.footprint_lines(vm));
+    if (!c.observes_ground_truth()) return;
     for (int vm = 0; vm < vms; ++vm) {
       const CacheStats& vm_stats = c.stats_for_vm(vm);
-      observables.insert(observables.end(), {vm_stats.accesses, vm_stats.misses,
-                                             vm_stats.evictions, c.footprint_lines(vm)});
+      observables.insert(observables.end(),
+                         {vm_stats.accesses, vm_stats.misses, vm_stats.evictions});
       const VmPollution& pollution = c.pollution_for_vm(vm);
       observables.insert(observables.end(),
                          {pollution.cross_evictions_inflicted,
@@ -393,13 +409,15 @@ TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
     const std::uint64_t stream_seed = master();
     const bool partition_mid_run = round % 3 == 0;
 
-    MemorySystem library(topo, cfg, /*seed=*/7);
-    test::SerialWalk oracle(topo, cfg, /*seed=*/7);
-    const auto got =
-        replay_observables(library, cfg, topo, stream_seed, partition_mid_run);
-    const auto want =
-        replay_observables(oracle, cfg, topo, stream_seed, partition_mid_run);
-    ASSERT_EQ(want, got) << "round " << round;
+    for (const bool observe : {false, true}) {
+      MemorySystem library(topo, cfg, /*seed=*/7);
+      test::SerialWalk oracle(topo, cfg, /*seed=*/7);
+      const auto got =
+          replay_observables(library, cfg, topo, stream_seed, partition_mid_run, observe);
+      const auto want =
+          replay_observables(oracle, cfg, topo, stream_seed, partition_mid_run, observe);
+      ASSERT_EQ(want, got) << "round " << round << " observe=" << observe;
+    }
   }
 }
 

@@ -106,19 +106,9 @@ TEST(SetAssocCache, StatsCountHitsAndMisses) {
   EXPECT_NEAR(c.stats().miss_ratio(), 2.0 / 3.0, 1e-12);
 }
 
-TEST(SetAssocCache, PerCoreAttribution) {
-  SetAssocCache c("llc", toy_geometry(), ReplacementKind::kLru);
-  c.access(0, false, Requester{0, 0});
-  c.access(64, false, Requester{1, 1});
-  c.access(64, false, Requester{1, 1});
-  EXPECT_EQ(c.stats_for_core(0).misses, 1u);
-  EXPECT_EQ(c.stats_for_core(1).misses, 1u);
-  EXPECT_EQ(c.stats_for_core(1).hits, 1u);
-  EXPECT_EQ(c.stats_for_core(5).accesses, 0u);  // never seen
-}
-
 TEST(SetAssocCache, PerVmAttributionAndFootprint) {
   SetAssocCache c("llc", toy_geometry(), ReplacementKind::kLru);
+  c.observe_ground_truth();
   c.access(0, false, Requester{0, 0});
   c.access(64, false, Requester{0, 1});
   c.access(128, false, Requester{0, 1});
@@ -129,7 +119,8 @@ TEST(SetAssocCache, PerVmAttributionAndFootprint) {
 }
 
 TEST(SetAssocCache, NegativeVmIdSkipsVmAttribution) {
-  SetAssocCache c("l1", toy_geometry(), ReplacementKind::kLru);
+  SetAssocCache c("llc", toy_geometry(), ReplacementKind::kLru);
+  c.observe_ground_truth();
   c.access(0, false, Requester{0, -1});
   EXPECT_EQ(c.stats().accesses, 1u);
   EXPECT_EQ(c.stats_for_vm(0).accesses, 0u);
@@ -177,11 +168,38 @@ TEST(SetAssocCache, InvalidateSingleLine) {
 
 TEST(SetAssocCache, ClearStats) {
   SetAssocCache c("t", toy_geometry(), ReplacementKind::kLru);
+  c.observe_ground_truth();
   c.access(0, false, Requester{2, 3});
   c.clear_stats();
   EXPECT_EQ(c.stats().accesses, 0u);
-  EXPECT_EQ(c.stats_for_core(2).accesses, 0u);
   EXPECT_EQ(c.stats_for_vm(3).accesses, 0u);
+}
+
+// --- on-demand ground truth -------------------------------------------
+
+TEST(GroundTruthObservation, ObservingAfterTheFirstAccessThrows) {
+  SetAssocCache c("llc", toy_geometry(), ReplacementKind::kLru);
+  c.access(0, false, Requester{0, 0});
+  EXPECT_THROW(c.observe_ground_truth(), std::logic_error);
+  EXPECT_FALSE(c.observes_ground_truth());
+  // A flush does not make the history observable either.
+  c.invalidate_all();
+  EXPECT_THROW(c.observe_ground_truth(), std::logic_error);
+}
+
+TEST(GroundTruthObservation, ObservingIsIdempotentAndExactFromPowerOn) {
+  SetAssocCache c("llc", toy_geometry(), ReplacementKind::kLru);
+  c.reserve_vm_slots(2);
+  c.observe_ground_truth();
+  c.access(line(0, 0), false, Requester{0, 0});
+  c.observe_ground_truth();  // a second consumer attaching: no-op
+  for (unsigned n = 1; n <= 4; ++n) c.access(line(0, n), false, Requester{1, 1});
+  c.access(line(0, 0), false, Requester{0, 0});  // re-miss after vm 1 displaced it
+  EXPECT_EQ(c.stats_for_vm(0).misses, 2u);
+  EXPECT_EQ(c.stats_for_vm(1).misses, 4u);
+  EXPECT_EQ(c.pollution_for_vm(1).cross_evictions_inflicted, 1u);
+  EXPECT_EQ(c.pollution_for_vm(0).cross_evictions_suffered, 1u);
+  EXPECT_EQ(c.pollution_for_vm(0).contention_misses, 1u);
 }
 
 // --- way partitioning -------------------------------------------------
@@ -367,6 +385,7 @@ void run_golden(ReplacementKind kind, bool with_partitions = false) {
   // enough that the trace overflows it constantly.
   const CacheGeometry geometry{16_KiB, 8, kLine};
   SetAssocCache soa("soa", geometry, kind, /*seed=*/123);
+  soa.observe_ground_truth();
   ReferenceSetAssocCache ref("ref", geometry, kind, /*seed=*/123);
   if (with_partitions) {
     soa.set_partition(0, 0, 3);
@@ -399,9 +418,6 @@ void run_golden(ReplacementKind kind, bool with_partitions = false) {
   }
 
   expect_stats_equal(soa.stats(), ref.stats(), replacement_name(kind));
-  for (int core = 0; core < 4; ++core) {
-    expect_stats_equal(soa.stats_for_core(core), ref.stats_for_core(core), "core");
-  }
   for (int vm = 0; vm < 3; ++vm) {
     expect_stats_equal(soa.stats_for_vm(vm), ref.stats_for_vm(vm), "vm");
     EXPECT_EQ(soa.footprint_lines(vm), ref.footprint_lines(vm))
@@ -424,15 +440,17 @@ TEST(GoldenEquivalence, DipWithWayPartitions) {
 }
 
 TEST(SetAssocCache, AttributionFreeModeKeepsTotalsOnly) {
-  SetAssocCache c("l1", toy_geometry(), ReplacementKind::kLru, 1, {}, false);
+  SetAssocCache c("l1", toy_geometry(), ReplacementKind::kLru, 1, /*track_attribution=*/false);
+  EXPECT_THROW(c.observe_ground_truth(), std::logic_error);
+  c.reserve_vm_slots(8);  // no-op: a private cache keeps no per-VM slots
   c.access(0, false, Requester{2, 3});
   c.access(0, false, Requester{2, 3});
   EXPECT_EQ(c.stats().accesses, 2u);
   EXPECT_EQ(c.stats().hits, 1u);
   EXPECT_FALSE(c.tracks_attribution());
-  EXPECT_EQ(c.stats_for_core(2).accesses, 0u);
-  EXPECT_EQ(c.stats_for_vm(3).accesses, 0u);
+  EXPECT_THROW(c.stats_for_vm(3), std::logic_error);
   EXPECT_EQ(c.footprint_lines(3), 0u);
+  EXPECT_EQ(c.release_vm(3), 0u);
 }
 
 TEST(Replacement, LipInsertsAtLruPosition) {

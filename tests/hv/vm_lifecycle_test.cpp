@@ -117,6 +117,7 @@ TEST(VmLifecycle, PiscesSchedulerSurvivesAdmitEvictCycles) {
 TEST(VmLifecycle, LlcAttributionStaysExactAcrossChurn) {
   const MachineConfig machine = test::test_machine();
   Hypervisor hv(machine, std::make_unique<CreditScheduler>());
+  hv.machine().memory().observe_ground_truth();  // the pollution counters are read
   for (int core = 0; core < 4; ++core) {
     hv.create_vm(looping("vm" + std::to_string(core)),
                  app(core % 2 == 0 ? "mcf" : "gcc", machine,

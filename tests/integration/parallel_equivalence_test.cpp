@@ -8,7 +8,7 @@
 // scheduled-tick counts, per-core idle ticks, tick-by-tick), Kyoto
 // monitor/controller readings (quota, punishment state, attributed
 // rates), and the end-of-run cache-engine state (per-socket LLC
-// totals, per-core and per-VM attribution, per-VM footprints, bus
+// totals, per-VM ground-truth attribution, per-VM footprints, bus
 // queue cycles, prefetch counts).  Coverage spans all six LLC
 // replacement policies, both base schedulers (Xen credit and CFS),
 // the three Kyoto monitors (including socket dedication, which
@@ -69,6 +69,8 @@ void append_cache_stats(std::vector<std::uint64_t>& blob, const cache::CacheStat
 std::vector<std::uint64_t> run_trace(const Scenario& scenario, int threads) {
   auto hv = std::make_unique<hv::Hypervisor>(scenario.machine, scenario.scheduler());
   hv->set_execution_threads(threads);
+  // The blob carries the LLCs' per-VM oracle counters too.
+  hv->machine().memory().observe_ground_truth();
 
   // One single-vCPU VM per core, mixing sensitive and disruptive
   // apps so LLC contention, punishment and migration all trigger.
@@ -129,9 +131,6 @@ std::vector<std::uint64_t> run_trace(const Scenario& scenario, int threads) {
   for (int socket = 0; socket < topo.sockets; ++socket) {
     const auto& llc = memory.llc(socket);
     append_cache_stats(blob, llc.stats());
-    for (int core = 0; core < topo.total_cores(); ++core) {
-      append_cache_stats(blob, llc.stats_for_core(core));
-    }
     for (int vm = 0; vm < hv->vm_count(); ++vm) {
       append_cache_stats(blob, llc.stats_for_vm(vm));
       append_u64(blob, llc.footprint_lines(vm));

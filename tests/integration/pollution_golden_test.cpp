@@ -9,6 +9,8 @@
 // fixed 2-socket, 6-VM KS4Xen scenario in which one VM is destroyed
 // mid-run (release_vm purges its bits from the index).  The value was
 // recorded from the node-based index that preceded the flat table.
+// The LLC keeps these counters only while ground truth is observed,
+// so the test observes from power-on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,6 +53,7 @@ VmConfig tenant(const char* name, double llc_cap) {
 TEST(PollutionGolden, TwoSocketKs4XenWithMidRunDestroy) {
   const MachineConfig machine = test::test_numa_machine();
   Hypervisor hv(machine, std::make_unique<core::Ks4Xen>());
+  hv.machine().memory().observe_ground_truth();
   struct Spec {
     const char* app;
     int core;

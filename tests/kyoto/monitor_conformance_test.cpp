@@ -3,15 +3,19 @@
 //
 // Three families of guarantees, all gated here:
 //
-//  * Shadow mode is a pure observer.  Attaching a GroundTruthShadow
-//    (and its account/tick hooks) to a run must leave every trace the
-//    experiment layer can read *byte-identical* — per-tick virtualized
-//    PMCs, scheduler decisions, Kyoto quota/punishment state, and the
-//    end-of-run LLC attribution/footprint/pollution counters — for
-//    the serial engine, the parallel tick engine (threads=2/4) and
-//    SweepRunner lanes (1/2/4).  Never weaken these comparisons to
-//    tolerances: a shadow that perturbs scheduling by one tick is a
-//    broken oracle.
+//  * Ground truth and shadow mode are pure observers.  Two equalities,
+//    each *byte-identical* over every trace the experiment layer can
+//    read — per-tick virtualized PMCs, scheduler decisions, Kyoto
+//    quota/punishment state, idle ticks, and the end-of-run LLC
+//    totals and footprints — for the serial engine, the parallel tick
+//    engine (threads=2/4) and SweepRunner lanes (1/2/4):
+//      - observing ground truth (MemorySystem::observe_ground_truth)
+//        leaves the run as it is with observation off;
+//      - attaching a GroundTruthShadow (and its account/tick hooks)
+//        leaves the run as it is when observed bare, the LLC's per-VM
+//        oracle counters (stats and pollution) included.
+//    Never weaken these comparisons to tolerances: an oracle that
+//    perturbs scheduling by one tick is a broken oracle.
 //
 //  * Every estimator must agree with the oracle on WHO pollutes: on a
 //    fig4-style mix the polluter is ranked first, and the charged
@@ -95,11 +99,19 @@ void append_f64(std::vector<std::uint64_t>& blob, double v) {
   blob.push_back(std::bit_cast<std::uint64_t>(v));
 }
 
+/// What a traced run attaches and what its blob carries.
+struct TraceMode {
+  bool shadow = false;   // attach a GroundTruthShadow (which observes ground truth)
+  bool observe = false;  // observe ground truth without a shadow
+  bool oracle = false;   // append the LLCs' per-VM oracle counters (needs observation)
+};
+
 /// Runs the conformance mix under KS4Xen(monitor) and serializes every
-/// scheduler/LLC observable into a flat word blob — optionally with a
-/// shadow attached, whose presence the blob must never betray.
+/// scheduler/LLC observable into a flat word blob — optionally with
+/// ground truth observed or a shadow attached, whose presence the
+/// blob must never betray.
 std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, int threads,
-                                     bool with_shadow, Tick ticks = 18) {
+                                     TraceMode mode, Tick ticks = 18) {
   const hv::MachineConfig machine = test::test_numa_machine();
   auto hv = std::make_unique<hv::Hypervisor>(
       machine, std::make_unique<core::Ks4Xen>(make_monitor()));
@@ -111,7 +123,8 @@ std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, in
   }
   const auto& controller = static_cast<core::Ks4Xen&>(hv->scheduler()).kyoto();
   std::unique_ptr<GroundTruthShadow> shadow;
-  if (with_shadow) shadow = std::make_unique<GroundTruthShadow>(*hv, &controller);
+  if (mode.shadow) shadow = std::make_unique<GroundTruthShadow>(*hv, &controller);
+  if (mode.observe) hv->machine().memory().observe_ground_truth();
 
   std::vector<std::uint64_t> blob;
   hv->add_tick_hook([&blob, &controller](hv::Hypervisor& h, Tick now) {
@@ -135,17 +148,26 @@ std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, in
   });
   hv->run_ticks(ticks);
 
-  // End-of-run LLC state including the ground-truth pollution
-  // counters: a shadow (or estimator) must never alter the oracle.
+  // End-of-run LLC state: totals and footprints, plus (mode.oracle)
+  // the ground-truth counters — a shadow (or estimator) must never
+  // alter the oracle.
   auto& memory = hv->machine().memory();
   for (int socket = 0; socket < machine.topology.sockets; ++socket) {
     const auto& llc = memory.llc(socket);
+    const auto& totals = llc.stats();
+    append_u64(blob, totals.accesses);
+    append_u64(blob, totals.hits);
+    append_u64(blob, totals.misses);
+    append_u64(blob, totals.evictions);
+    append_u64(blob, totals.writebacks);
+    append_u64(blob, llc.footprint_lines(-1));
     for (int vm = 0; vm < hv->vm_count(); ++vm) {
+      append_u64(blob, llc.footprint_lines(vm));
+      if (!mode.oracle) continue;
       const auto& stats = llc.stats_for_vm(vm);
       append_u64(blob, stats.accesses);
       append_u64(blob, stats.misses);
       append_u64(blob, stats.evictions);
-      append_u64(blob, llc.footprint_lines(vm));
       const auto& pollution = llc.pollution_for_vm(vm);
       append_u64(blob, pollution.cross_evictions_inflicted);
       append_u64(blob, pollution.cross_evictions_suffered);
@@ -156,27 +178,53 @@ std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, in
   return blob;
 }
 
+/// Word-for-word blob equality, reporting the first divergent word.
+void expect_same_trace(const std::vector<std::uint64_t>& want,
+                       const std::vector<std::uint64_t>& got, const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  std::size_t first_diff = want.size();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i] != got[i]) {
+      first_diff = i;
+      break;
+    }
+  }
+  EXPECT_EQ(first_diff, want.size()) << label << ": first divergent word at " << first_diff;
+}
+
 // --------------------------------------------------------------------
 // Shadow mode is invisible
 // --------------------------------------------------------------------
 
 TEST(ShadowConformance, ShadowLeavesTracesByteIdenticalAllMonitorsAllThreadCounts) {
+  // The bare run observes ground truth, so both blobs carry (and
+  // compare) every LLC oracle counter.
   for (const auto& mc : all_monitors()) {
-    const std::vector<std::uint64_t> bare = run_trace(mc.make, 1, false);
+    const std::vector<std::uint64_t> bare =
+        run_trace(mc.make, 1, {.observe = true, .oracle = true});
     ASSERT_FALSE(bare.empty()) << mc.name;
     for (const int threads : {1, 2, 4}) {
-      const std::vector<std::uint64_t> shadowed = run_trace(mc.make, threads, true);
-      ASSERT_EQ(bare.size(), shadowed.size()) << mc.name << " threads=" << threads;
-      std::size_t first_diff = bare.size();
-      for (std::size_t i = 0; i < bare.size(); ++i) {
-        if (bare[i] != shadowed[i]) {
-          first_diff = i;
-          break;
-        }
-      }
-      EXPECT_EQ(first_diff, bare.size())
-          << mc.name << " threads=" << threads
-          << ": shadow perturbed the run; first divergent word at " << first_diff;
+      const std::vector<std::uint64_t> shadowed =
+          run_trace(mc.make, threads, {.shadow = true, .oracle = true});
+      expect_same_trace(bare, shadowed,
+                        mc.name + " threads=" + std::to_string(threads) +
+                            ": shadow perturbed the run");
+    }
+  }
+}
+
+TEST(ShadowConformance, ObservingGroundTruthLeavesTracesByteIdentical) {
+  // The oracle runs only on demand; turning it on must not move one
+  // simulated event.  (The ground-truth monitor observes on attach,
+  // so its "off" run observes too and the case checks determinism.)
+  for (const auto& mc : all_monitors()) {
+    for (const int threads : {1, 2, 4}) {
+      const std::vector<std::uint64_t> off = run_trace(mc.make, threads, {});
+      ASSERT_FALSE(off.empty()) << mc.name;
+      const std::vector<std::uint64_t> on = run_trace(mc.make, threads, {.observe = true});
+      expect_same_trace(off, on,
+                        mc.name + " threads=" + std::to_string(threads) +
+                            ": observing ground truth perturbed the run");
     }
   }
 }

@@ -60,6 +60,14 @@ std::string tiny_scenario(const std::string& app, int measure_ticks, int seed) {
       "seed = " + std::to_string(seed) + "\n";
 }
 
+/// The tiny (one-socket) scenario with socket dedication as its
+/// monitor: it parses, and fails when the monitor attaches.
+std::string with_dedication_monitor(std::string text) {
+  const std::string direct = "monitor = direct";
+  text.replace(text.find(direct), direct.size(), "monitor = dedication");
+  return text;
+}
+
 std::vector<std::pair<std::string, std::string>> small_batch() {
   std::vector<std::pair<std::string, std::string>> jobs;
   int seed = 10;
@@ -208,20 +216,20 @@ TEST_F(FarmFault, WorkerErrorFrameFailsBatchImmediately) {
 
 TEST_F(FarmFault, RealDeterministicFailureNamesTheScenarioProblem) {
   // Not injected: a scenario that parses but fails inside the
-  // simulator (a churn arrival rate above 1, rejected when the churn
-  // engine draws its trace) must come back as the simulator's own
+  // simulator (socket dedication on a one-socket machine, rejected
+  // when the monitor attaches) must come back as the simulator's own
   // diagnostic, carried through the error frame.
   auto jobs = small_batch();
   jobs.resize(2);
-  jobs[1] = {"bad-churn-rate", jobs[1].second + "\n[churn]\napps = gcc\nrate = 1.5\n"};
+  jobs[1] = {"one-socket-dedication", with_dedication_monitor(jobs[1].second)};
   Farm farm(options({}));
   try {
     run_jobs(farm, jobs);
-    FAIL() << "expected the invalid churn rate to fail the batch";
+    FAIL() << "expected socket dedication on one socket to fail the batch";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("bad-churn-rate"), std::string::npos) << what;
-    EXPECT_NE(what.find("arrival_rate"), std::string::npos) << what;
+    EXPECT_NE(what.find("one-socket-dedication"), std::string::npos) << what;
+    EXPECT_NE(what.find("multi-socket"), std::string::npos) << what;
   }
 }
 

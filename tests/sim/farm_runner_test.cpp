@@ -233,15 +233,18 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
 }
 
 TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
-  // A job the simulator rejects (a churn arrival rate above 1, which
-  // parses but fails when the churn engine draws its trace) on the
+  // A job the simulator rejects (socket dedication on a one-socket
+  // machine, which parses but fails when the monitor attaches) on the
   // in-process path: the error names the job, and the jobs finished
   // before it are checkpointed first, so the next run restores them
   // instead of simulating them again.
   ckpt_ = temp_path("inproc_failure");
   auto jobs = batch_jobs();
   jobs.resize(3);
-  jobs[2] = {"bad-churn-rate", jobs[2].second + "\n[churn]\napps = gcc\nrate = 1.5\n"};
+  std::string dedication = jobs[2].second;
+  const std::string direct = "monitor = direct";
+  dedication.replace(dedication.find(direct), direct.size(), "monitor = dedication");
+  jobs[2] = {"one-socket-dedication", dedication};
   const std::vector<RunOutcome> expected =
       sweep_reference({jobs.begin(), jobs.begin() + 2});
 
@@ -252,11 +255,11 @@ TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
     for (const auto& [label, text] : jobs) farm.add(text, label);
     try {
       farm.run();
-      FAIL() << "expected the invalid churn rate to fail the batch";
+      FAIL() << "expected socket dedication on one socket to fail the batch";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("bad-churn-rate"), std::string::npos) << what;
-      EXPECT_NE(what.find("arrival_rate"), std::string::npos) << what;
+      EXPECT_NE(what.find("one-socket-dedication"), std::string::npos) << what;
+      EXPECT_NE(what.find("multi-socket"), std::string::npos) << what;
     }
     EXPECT_EQ(farm.jobs_restored(), attempt == 0 ? 0 : 2) << "attempt " << attempt;
     EXPECT_EQ(farm.jobs_in_process(), attempt == 0 ? 2 : 0) << "attempt " << attempt;

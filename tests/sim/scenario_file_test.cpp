@@ -231,10 +231,58 @@ TEST(ScenarioFile, WorkloadStreamDefaultsToV1) {
   EXPECT_EQ(s.plans[0].workload(3)->stream_version(), workloads::StreamVersion::kV1);
 }
 
-TEST(ScenarioFile, UnknownMonitorFailsAtFactoryConstruction) {
-  const Scenario s =
-      parse_scenario("[scheduler]\nkind = ks4xen\nmonitor = crystal\n[vm a]\napp = gcc\n");
-  EXPECT_THROW(s.spec.scheduler(), std::logic_error);
+/// Parses `text`, expecting a parse error that names `line` and
+/// contains `needle`.
+void expect_parse_error(const std::string& text, int line, const std::string& needle) {
+  try {
+    parse_scenario(text);
+    FAIL() << "parsed:\n" << text;
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at line " + std::to_string(line) + ":"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(ScenarioFile, UnknownMonitorIsAParseErrorOnItsLine) {
+  // Rejected when the file is parsed (so a farm refuses it at
+  // Farm::add), not when a job builds its hypervisor.
+  expect_parse_error("[scheduler]\nkind = ks4xen\nmonitor = crystal\n[vm a]\napp = gcc\n", 3,
+                     "monitor must be direct | mcsim | dedication");
+  for (const char* monitor : {"direct", "mcsim", "dedication", "McSim"}) {
+    const Scenario s = parse_scenario(std::string("[scheduler]\nkind = ks4xen\nmonitor = ") +
+                                      monitor + "\n[vm a]\napp = gcc\n");
+    EXPECT_NE(s.spec.scheduler(), nullptr) << monitor;
+  }
+}
+
+TEST(ScenarioFile, ChurnValuesTheEngineRejectsAreParseErrorsOnTheirLine) {
+  const std::string head = "[vm a]\napp = gcc\n[churn]\napps = gcc\n";  // lines 1-4
+  expect_parse_error(head + "rate = 1.5\n", 5, "rate is a per-tick probability");
+  expect_parse_error(head + "rate = 1\n", 5, "rate is a per-tick probability");
+  expect_parse_error(head + "rate = -0.1\n", 5, "rate is a per-tick probability");
+  expect_parse_error(head + "horizon = -1\n", 5, "horizon must be >= 0");
+  expect_parse_error(head + "defer_queue = -1\n", 5, "defer_queue must be >= 0");
+  expect_parse_error(head + "trace = diurnal\nperiod = 0\n", 6, "period must be positive");
+  expect_parse_error(head + "period = -5\ntrace = diurnal\n", 5, "period must be positive");
+  expect_parse_error(head + "trace = diurnal\namplitude = 1.5\n", 6,
+                     "amplitude must be in [0, 1]");
+  expect_parse_error(head + "trace = diurnal\namplitude = -0.1\n", 6,
+                     "amplitude must be in [0, 1]");
+  expect_parse_error(head + "trace = bursty\nburst_rate = 1\n", 6,
+                     "burst_rate is a per-tick probability");
+  expect_parse_error(head + "trace = bursty\nburst_size = 0\n", 6,
+                     "burst_size must be positive");
+  // Boundary values the engine accepts parse, and a key only another
+  // trace kind reads is not held against this one (as in the engine).
+  for (const std::string& ok :
+       {std::string("rate = 0\nhorizon = 0\ndefer_queue = 0\n"),
+        std::string("trace = diurnal\namplitude = 1\n"),
+        std::string("trace = diurnal\namplitude = 0\nperiod = 1\n"),
+        std::string("trace = bursty\nburst_rate = 0\nburst_size = 1\n"),
+        std::string("trace = poisson\nperiod = 0\nburst_size = 0\n")}) {
+    EXPECT_NO_THROW(parse_scenario(head + ok)) << ok;
+  }
 }
 
 TEST(ScenarioFile, ChurnSectionBuildsAPlan) {

@@ -2,8 +2,8 @@
 //
 // MemorySystem::AccessContext probes every level before it fills any
 // (the multi-level miss walk).  This class rebuilds the same hierarchy
-// from a MemSystemConfig — the same caches with the same names, seeds,
-// stat slots and attribution modes, L1/L2 LRU — and walks it the
+// from a MemSystemConfig — the same caches with the same names, seeds
+// and attribution modes, L1/L2 LRU — and walks it the
 // plainest way the public per-cache API allows: access() on L1, then
 // L2, then the LLC, and on a miss to memory the bus-queuing and
 // next-line-prefetch extras.  Suites replay one op stream through both
@@ -30,21 +30,20 @@ class SerialWalk {
              std::uint64_t seed = 1)
       : topology_(topology), config_(config) {
     const int cores = topology.total_cores();
-    const cache::StatSlotHints slots{cores, 64};
     for (int c = 0; c < cores; ++c) {
       l1_.push_back(std::make_unique<cache::SetAssocCache>(
           "L1#" + std::to_string(c), config.l1, cache::ReplacementKind::kLru,
-          seed * 1000003ull + static_cast<std::uint64_t>(c), slots,
+          seed * 1000003ull + static_cast<std::uint64_t>(c),
           /*track_attribution=*/false));
       l2_.push_back(std::make_unique<cache::SetAssocCache>(
           "L2#" + std::to_string(c), config.l2, cache::ReplacementKind::kLru,
-          seed * 2000003ull + static_cast<std::uint64_t>(c), slots,
+          seed * 2000003ull + static_cast<std::uint64_t>(c),
           /*track_attribution=*/false));
     }
     for (int s = 0; s < topology.sockets; ++s) {
       llc_.push_back(std::make_unique<cache::SetAssocCache>(
           "LLC#" + std::to_string(s), config.llc, config.llc_replacement,
-          seed * 4000037ull + static_cast<std::uint64_t>(s), slots,
+          seed * 4000037ull + static_cast<std::uint64_t>(s),
           /*track_attribution=*/true));
     }
     prefetches_.assign(static_cast<std::size_t>(cores), 0);
@@ -102,9 +101,11 @@ class SerialWalk {
   }
 
   void reserve_vm_slots(int vms) {
-    for (auto& c : l1_) c->reserve_vm_slots(vms);
-    for (auto& c : l2_) c->reserve_vm_slots(vms);
     for (auto& c : llc_) c->reserve_vm_slots(vms);
+  }
+
+  void observe_ground_truth() {
+    for (auto& c : llc_) c->observe_ground_truth();
   }
 
   void invalidate_private(int core) {
