@@ -5,25 +5,21 @@
 // processes and must reproduce the in-process SweepRunner outcomes
 // *byte for byte*.  Phases 1-3 use local pipe hosts: every worker
 // count, a worker SIGKILLed mid-batch, and a checkpoint
-// interrupt/resume split.  All three agreements always gate (they are
-// determinism claims, not perf claims, so they hold on any host and
-// any build type); wall-clock throughput per worker count is recorded
-// in the JSON for the trajectory but never gated — process spawn +
-// pipe framing overhead on tiny jobs is expected and documented.
+// interrupt/resume split.  Every agreement is a determinism claim, so
+// it holds on any host and any build type.
 //
 // Phase 4 is the multi-host drill: the same batch through the same
 // Farm across four simulated file-transport hosts — one killed
 // mid-shard, one corrupting its result files, one hung past the
 // dispatch deadline, one healthy — must converge byte-identical
-// through quarantine and redistribution.  Its per-host
-// attempt/quarantine counters land in the JSON (schema 2) and the
-// structured farm report can be saved with --report for CI artifacts.
-#include <sys/stat.h>
+// through quarantine and redistribution.
+//
+// The checkpoint and the hosts' shard files live in bench_farm_work/
+// under the working directory, which is removed when every check
+// passes and kept for inspection otherwise.
+#include <unistd.h>
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -81,10 +77,9 @@ std::vector<std::pair<std::string, std::string>> farm_batch(int measure_ticks) {
 }
 
 struct FarmResult {
-  int workers = 1;
-  double seconds = 0.0;
   int respawns = 0;
   int retries = 0;
+  int host_failures = 0;
   bool in_process = false;
   std::vector<sim::RunOutcome> outcomes;
 };
@@ -94,12 +89,10 @@ FarmResult run_farm(const std::vector<std::pair<std::string, std::string>>& jobs
   FarmResult result;
   sim::Farm farm(std::move(options));
   for (const auto& [label, text] : jobs) farm.add(text, label);
-  const auto t0 = std::chrono::steady_clock::now();
   result.outcomes = farm.run();
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   result.respawns = farm.worker_respawns();
   result.retries = farm.job_retries();
+  result.host_failures = farm.host_failure_count();
   result.in_process = farm.degraded();
   return result;
 }
@@ -107,8 +100,6 @@ FarmResult run_farm(const std::vector<std::pair<std::string, std::string>>& jobs
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_farm.json";
-  std::string report_path;
   std::string worker = sim::Farm::default_worker_path(argv[0]);
   bool quick = bench::quick_mode();
   for (int i = 1; i < argc; ++i) {
@@ -120,13 +111,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--json") json_path = value();
-    else if (arg == "--report") report_path = value();
-    else if (arg == "--worker") worker = value();
+    if (arg == "--worker") worker = value();
     else if (arg == "--quick") quick = true;
     else {
-      std::cerr << "usage: bench_farm [--json PATH] [--report PATH] "
-                   "[--worker SWEEP_WORKER] [--quick]\n";
+      std::cerr << "usage: bench_farm [--worker SWEEP_WORKER] [--quick]\n";
       return 2;
     }
   }
@@ -153,24 +141,25 @@ int main(int argc, char** argv) {
               << "); exercising the in-process degradation path only.\n\n";
   }
 
+  namespace fs = std::filesystem;
+  const fs::path work_dir = "bench_farm_work";
+  fs::remove_all(work_dir);
+  fs::create_directories(work_dir);
+
   bool all_ok = true;
-  TextTable table({"workers", "seconds", "jobs/s", "respawns", "retries", "agreement"});
-  std::vector<FarmResult> runs;
+  bool workers_agree = true;
+  TextTable table({"workers", "respawns", "retries", "host failures", "agreement"});
 
   // Phase 1: worker counts {1, 2, 4}.
   for (const int workers : {1, 2, 4}) {
     sim::FarmOptions options;
     if (have_worker) options.hosts = sim::local_workers(workers, worker);
-    FarmResult r = run_farm(jobs, std::move(options));
-    r.workers = workers;
+    const FarmResult r = run_farm(jobs, std::move(options));
     const bool agree = r.outcomes == expected;
-    all_ok &= agree;
+    workers_agree &= agree;
     table.add_row({std::to_string(workers) + (r.in_process ? " (in-proc)" : ""),
-                   fmt_double(r.seconds, 2),
-                   fmt_double(static_cast<double>(jobs.size()) / r.seconds, 2),
                    std::to_string(r.respawns), std::to_string(r.retries),
-                   agree ? "exact" : "MISMATCH"});
-    runs.push_back(std::move(r));
+                   std::to_string(r.host_failures), agree ? "exact" : "MISMATCH"});
   }
 
   // Phase 2: one injected kill — every worker process dies on its 2nd
@@ -185,19 +174,16 @@ int main(int argc, char** argv) {
     // budget one retry per job so the drill gates convergence, not
     // scheduling luck.
     options.max_retries = static_cast<int>(jobs.size());
-    FarmResult r = run_farm(jobs, std::move(options));
+    const FarmResult r = run_farm(jobs, std::move(options));
     kill_agree = r.outcomes == expected;
     kill_respawns = r.respawns;
     all_ok &= kill_agree;
-    table.add_row({"2 + kill", fmt_double(r.seconds, 2),
-                   fmt_double(static_cast<double>(jobs.size()) / r.seconds, 2),
-                   std::to_string(r.respawns), std::to_string(r.retries),
-                   kill_agree ? "exact" : "MISMATCH"});
+    table.add_row({"2 + kill", std::to_string(r.respawns), std::to_string(r.retries),
+                   std::to_string(r.host_failures), kill_agree ? "exact" : "MISMATCH"});
   }
 
   // Phase 3: checkpoint interrupt after 3 completions, then resume.
-  const std::string ckpt = json_path + ".farm_ckpt";
-  std::remove(ckpt.c_str());
+  const std::string ckpt = (work_dir / "checkpoint").string();
   bool resume_agree = true;
   int restored = 0;
   {
@@ -227,7 +213,6 @@ int main(int argc, char** argv) {
                        static_cast<int>(jobs.size());
     all_ok &= resume_agree;
   }
-  std::remove(ckpt.c_str());
 
   // Phase 4: multi-host drill.  Four simulated hosts — one killed
   // mid-shard, one corrupting result files, one hanging past the
@@ -236,13 +221,11 @@ int main(int argc, char** argv) {
   bool multi_agree = true;
   int multi_quarantines = 0;
   int multi_host_failures = 0;
-  std::string farm_report;
-  std::vector<sim::HostStats> host_stats;
   if (have_worker) {
-    const std::string host_dir = json_path + ".farm_hosts";
-    ::mkdir(host_dir.c_str(), 0755);
+    const fs::path host_dir = work_dir / "hosts";
+    fs::create_directories(host_dir);
     sim::FarmOptions options;
-    options.work_dir = host_dir;
+    options.work_dir = host_dir.string();
     options.jobs_per_shard = 1;
     options.host_failure_budget = 1;
     options.max_quarantines = 1;
@@ -256,21 +239,13 @@ int main(int argc, char** argv) {
     options.hosts.push_back(sim::HostSpec{"h-ok", worker, {}, files});
     sim::Farm hosts(options);
     for (const auto& [label, text] : jobs) hosts.add(text, label);
-    const auto t0 = std::chrono::steady_clock::now();
     const auto outcomes = hosts.run();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     multi_agree = outcomes == expected && !hosts.degraded();
     multi_quarantines = hosts.health()->quarantine_count();
     multi_host_failures = hosts.host_failure_count();
-    farm_report = hosts.report();
-    host_stats = hosts.health()->all_stats();
     all_ok &= multi_agree;
-    if (multi_agree) std::filesystem::remove_all(host_dir);  // keep shards on failure
-    table.add_row({"4 hosts + faults", fmt_double(seconds, 2),
-                   fmt_double(static_cast<double>(jobs.size()) / seconds, 2),
-                   std::to_string(hosts.dispatches()),
-                   std::to_string(multi_host_failures),
+    table.add_row({"4 hosts + faults", std::to_string(hosts.worker_respawns()),
+                   std::to_string(hosts.job_retries()), std::to_string(multi_host_failures),
                    multi_agree ? "exact" : "MISMATCH"});
   }
 
@@ -279,7 +254,7 @@ int main(int argc, char** argv) {
             << table << '\n';
 
   all_ok &= bench::check("farm outcomes byte-identical to SweepRunner at workers {1,2,4}",
-                         all_ok);
+                         workers_agree);
   if (have_worker) {
     all_ok &= bench::check("injected SIGKILL: batch retries to the identical result "
                            "(respawns >= 1)",
@@ -295,44 +270,6 @@ int main(int argc, char** argv) {
                            multi_agree && multi_quarantines >= 1 && multi_host_failures >= 3);
   }
 
-  // JSON record for the trajectory (schema in README.md).  Schema 2
-  // adds the additive multi_host section with per-host counters.
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"farm\",\n  \"schema\": 2,\n"
-       << "  \"quick\": " << (quick ? "true" : "false")
-       << ",\n  \"jobs\": " << jobs.size()
-       << ",\n  \"worker_available\": " << (have_worker ? "true" : "false")
-       << ",\n  \"restored_on_resume\": " << restored
-       << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const FarmResult& r = runs[i];
-    json << "    {\"workers\": " << r.workers << ", \"seconds\": " << r.seconds
-         << ", \"in_process\": " << (r.in_process ? "true" : "false") << "}"
-         << (i + 1 == runs.size() ? "\n" : ",\n");
-  }
-  json << "  ],\n  \"multi_host\": {\n"
-       << "    \"ran\": " << (have_worker ? "true" : "false")
-       << ",\n    \"agree\": " << (multi_agree ? "true" : "false")
-       << ",\n    \"host_failures\": " << multi_host_failures
-       << ",\n    \"quarantines\": " << multi_quarantines << ",\n    \"hosts\": [\n";
-  for (std::size_t i = 0; i < host_stats.size(); ++i) {
-    const sim::HostStats& h = host_stats[i];
-    json << "      {\"id\": \"" << h.id << "\", \"state\": \""
-         << sim::host_state_name(h.state) << "\", \"attempts\": " << h.shards_dispatched
-         << ", \"jobs_completed\": " << h.jobs_completed
-         << ", \"failures\": " << h.failures << ", \"quarantines\": " << h.quarantines
-         << "}" << (i + 1 == host_stats.size() ? "\n" : ",\n");
-  }
-  json << "    ]\n  }\n}\n";
-  json.close();
-  std::cout << "\n  JSON written to " << json_path << '\n';
-
-  if (!report_path.empty()) {
-    std::ofstream report(report_path);
-    report << (farm_report.empty() ? "multi-host drill skipped: sweep_worker not found\n"
-                                   : farm_report);
-    std::cout << "  farm report written to " << report_path << '\n';
-  }
-
+  if (all_ok) fs::remove_all(work_dir);
   return bench::verdict(all_ok);
 }

@@ -84,6 +84,20 @@ std::pair<bool, long> parse_feature(const std::string& v, int line, long default
   fail(line, "expected off | on | on:<n>, got '" + v + "'");
 }
 
+/// A credit-scheduler weight: a share, so at least 1.
+int parse_weight(const std::string& v, int line) {
+  const long weight = parse_int(v, line);
+  if (weight < 1) fail(line, "weight must be >= 1, got " + v);
+  return static_cast<int>(weight);
+}
+
+/// A CPU cap in percent of one core; 0 means uncapped.
+int parse_cap(const std::string& v, int line) {
+  const long cap = parse_int(v, line);
+  if (cap < 0) fail(line, "cap must be >= 0 (0 = uncapped), got " + v);
+  return static_cast<int>(cap);
+}
+
 /// A per-tick Bernoulli probability, as the churn trace draws it (< 1,
 /// so a tick can also see no arrival; NaN fails).
 bool is_probability(double p) { return p >= 0.0 && p < 1.0; }
@@ -144,6 +158,7 @@ Scenario parse_scenario(const std::string& text) {
     std::vector<int> cores;
     hv::VmConfig config;
     int declared_line = 0;
+    int home_node_line = 0;  // range-checked once the topology is known
   };
   std::vector<PendingVm> vms;
 
@@ -311,13 +326,14 @@ Scenario parse_scenario(const std::string& text) {
         } else if (key == "llc_cap") {
           vm.config.llc_cap = parse_double(value, line_no);
         } else if (key == "weight") {
-          vm.config.weight = static_cast<int>(parse_int(value, line_no));
+          vm.config.weight = parse_weight(value, line_no);
         } else if (key == "cap") {
-          vm.config.cpu_cap_percent = static_cast<int>(parse_int(value, line_no));
+          vm.config.cpu_cap_percent = parse_cap(value, line_no);
         } else if (key == "loop") {
           vm.config.loop_workload = parse_bool(value, line_no);
         } else if (key == "home_node") {
           vm.config.home_node = static_cast<int>(parse_int(value, line_no));
+          vm.home_node_line = line_no;
         } else {
           fail(line_no, "unknown [vm] key '" + key + "'");
         }
@@ -388,9 +404,9 @@ Scenario parse_scenario(const std::string& text) {
         } else if (key == "llc_cap") {
           churn.tenant.llc_cap = parse_double(value, line_no);
         } else if (key == "weight") {
-          churn.tenant.weight = static_cast<int>(parse_int(value, line_no));
+          churn.tenant.weight = parse_weight(value, line_no);
         } else if (key == "cap") {
-          churn.tenant.cpu_cap_percent = static_cast<int>(parse_int(value, line_no));
+          churn.tenant.cpu_cap_percent = parse_cap(value, line_no);
         } else if (key == "loop") {
           churn.tenant.loop_workload = parse_bool(value, line_no);
         } else {
@@ -508,9 +524,15 @@ Scenario parse_scenario(const std::string& text) {
     throw std::logic_error("scenario defines no [vm] sections (and no [churn])");
   }
   const int total_cores = scenario.spec.machine.topology.total_cores();
+  const int sockets = scenario.spec.machine.topology.sockets;
   int next_core = 0;
   for (auto& vm : vms) {
     if (vm.app.empty()) fail(vm.declared_line, "[vm " + vm.name + "] is missing app =");
+    if (vm.config.home_node < 0 || vm.config.home_node >= sockets) {
+      fail(vm.home_node_line, "[vm " + vm.name + "] home_node " +
+                                  std::to_string(vm.config.home_node) + " out of range for " +
+                                  std::to_string(sockets) + "-socket machine");
+    }
     VmPlan plan;
     plan.config = vm.config;
     // Factories are built after the whole file is parsed, so a

@@ -322,21 +322,31 @@ TEST(RandomizedOracle, IncrementalCountersMatchRecountUnderDisruptions) {
 // owners only (the production walk) and once observing ground truth.
 namespace {
 
+/// One input of the multi-level comparison: a machine and the op
+/// stream replayed on it (`ops` accesses to random lines among
+/// `lines`).
+struct WalkRound {
+  MemSystemConfig cfg;
+  Topology topo;
+  bool partition_mid_run = false;
+  std::uint64_t lines = 0;
+  int ops = 0;
+};
+
 template <class Memory>
-std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemConfig& cfg,
-                                              const Topology& topo,
-                                              std::uint64_t stream_seed,
-                                              bool partition_mid_run, bool observe) {
+std::vector<std::uint64_t> replay_observables(Memory& memory, const WalkRound& round,
+                                              std::uint64_t stream_seed, bool observe) {
+  const MemSystemConfig& cfg = round.cfg;
+  const Topology& topo = round.topo;
   const int cores = topo.total_cores();
   const int vms = 4;
   if (observe) memory.observe_ground_truth();
   memory.reserve_vm_slots(vms);
   Rng rng(stream_seed);
   std::vector<std::uint64_t> observables;
-  const Bytes span = cfg.llc.size * 3;
-  const std::uint64_t lines = span / cfg.llc.line;
+  const std::uint64_t lines = round.lines;
   std::int64_t now = 0;
-  for (int op = 0; op < 60'000; ++op) {
+  for (int op = 0; op < round.ops; ++op) {
     const int core = static_cast<int>(rng.below(static_cast<std::uint64_t>(cores)));
     const int vm = static_cast<int>(rng.below(vms));
     const Address addr = rng.below(lines) * cfg.llc.line;
@@ -350,7 +360,7 @@ std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemCon
     observables.push_back(result.llc_miss);
     observables.push_back(result.prefetch_llc_references);
     observables.push_back(result.prefetch_llc_misses);
-    if (partition_mid_run && op == 30'000) {
+    if (round.partition_mid_run && op == round.ops / 2) {
       // UCP-style partition installed mid-run: the fast fills must
       // step aside and the walks must keep agreeing.
       memory.llc(0).set_partition(/*vm=*/1, /*first_way=*/0,
@@ -392,7 +402,7 @@ std::vector<std::uint64_t> replay_observables(Memory& memory, const MemSystemCon
 }  // namespace
 
 TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
-  Rng master(0xF0CE5ull);
+  std::vector<WalkRound> rounds;
   for (int round = 0; round < 12; ++round) {
     MemSystemConfig cfg = scaled_mem_system();
     // Vary geometry: the 128-set LLC, halved to 64 sets or doubled to
@@ -405,17 +415,27 @@ TEST(RandomizedOracle, MultilevelWalksMatchSerialOracle) {
     if (round % 4 == 3) cfg.llc_replacement = ReplacementKind::kPlru;
     cfg.prefetch.enabled = round % 2 == 1;
     cfg.bus.enabled = round % 5 == 2;
-    const Topology topo{round % 2 == 0 ? 1 : 2, 2};
-    const std::uint64_t stream_seed = master();
-    const bool partition_mid_run = round % 3 == 0;
+    rounds.push_back({cfg, Topology{round % 2 == 0 ? 1 : 2, 2}, round % 3 == 0,
+                      cfg.llc.size * 3 / cfg.llc.line, 60'000});
+  }
+  // The full-size Table-1 machine (64-set L1, 512-set L2, 8192-set
+  // 20-way LLC) with every extension on.  Twice the LLC's lines and
+  // enough ops that it fills and evicts in the second half.
+  MemSystemConfig paper = paper_mem_system();
+  paper.prefetch.enabled = true;
+  paper.bus.enabled = true;
+  rounds.push_back({paper, paper_topology(), true, 2 * paper.llc.size / paper.llc.line,
+                    400'000});
 
+  Rng master(0xF0CE5ull);
+  for (std::size_t round = 0; round < rounds.size(); ++round) {
+    const WalkRound& r = rounds[round];
+    const std::uint64_t stream_seed = master();
     for (const bool observe : {false, true}) {
-      MemorySystem library(topo, cfg, /*seed=*/7);
-      test::SerialWalk oracle(topo, cfg, /*seed=*/7);
-      const auto got =
-          replay_observables(library, cfg, topo, stream_seed, partition_mid_run, observe);
-      const auto want =
-          replay_observables(oracle, cfg, topo, stream_seed, partition_mid_run, observe);
+      MemorySystem library(r.topo, r.cfg, /*seed=*/7);
+      test::SerialWalk oracle(r.topo, r.cfg, /*seed=*/7);
+      const auto got = replay_observables(library, r, stream_seed, observe);
+      const auto want = replay_observables(oracle, r, stream_seed, observe);
       ASSERT_EQ(want, got) << "round " << round << " observe=" << observe;
     }
   }

@@ -263,6 +263,8 @@ TEST(ScenarioFile, ChurnValuesTheEngineRejectsAreParseErrorsOnTheirLine) {
   expect_parse_error(head + "rate = -0.1\n", 5, "rate is a per-tick probability");
   expect_parse_error(head + "horizon = -1\n", 5, "horizon must be >= 0");
   expect_parse_error(head + "defer_queue = -1\n", 5, "defer_queue must be >= 0");
+  expect_parse_error(head + "weight = 0\n", 5, "weight must be >= 1");
+  expect_parse_error(head + "cap = -5\n", 5, "cap must be >= 0");
   expect_parse_error(head + "trace = diurnal\nperiod = 0\n", 6, "period must be positive");
   expect_parse_error(head + "period = -5\ntrace = diurnal\n", 5, "period must be positive");
   expect_parse_error(head + "trace = diurnal\namplitude = 1.5\n", 6,
@@ -276,13 +278,36 @@ TEST(ScenarioFile, ChurnValuesTheEngineRejectsAreParseErrorsOnTheirLine) {
   // Boundary values the engine accepts parse, and a key only another
   // trace kind reads is not held against this one (as in the engine).
   for (const std::string& ok :
-       {std::string("rate = 0\nhorizon = 0\ndefer_queue = 0\n"),
+       {std::string("rate = 0\nhorizon = 0\ndefer_queue = 0\nweight = 1\ncap = 0\n"),
         std::string("trace = diurnal\namplitude = 1\n"),
         std::string("trace = diurnal\namplitude = 0\nperiod = 1\n"),
         std::string("trace = bursty\nburst_rate = 0\nburst_size = 1\n"),
         std::string("trace = poisson\nperiod = 0\nburst_size = 0\n")}) {
     EXPECT_NO_THROW(parse_scenario(head + ok)) << ok;
   }
+}
+
+TEST(ScenarioFile, VmCpuKeysAreCheckedOnTheirLine) {
+  const std::string head = "[machine]\ntopology = 1x2\n[vm a]\napp = gcc\n";  // lines 1-4
+  expect_parse_error(head + "weight = 0\n", 5, "weight must be >= 1");
+  expect_parse_error(head + "weight = -3\n", 5, "weight must be >= 1");
+  expect_parse_error(head + "cap = -1\n", 5, "cap must be >= 0");
+  // home_node is checked against the topology, which may come later
+  // in the file; the error still names the home_node line and the VM.
+  expect_parse_error(head + "home_node = 7\n", 5, "[vm a] home_node 7 out of range");
+  expect_parse_error("[vm a]\napp = gcc\nhome_node = -1\n[machine]\ntopology = 2x2\n", 3,
+                     "home_node -1 out of range");
+  // Valid values parse: any positive weight, cap 0 (uncapped), and
+  // every socket of the machine as home_node, whatever the key order.
+  const Scenario s = parse_scenario(
+      "[vm a]\napp = gcc\nweight = 1\ncap = 0\nhome_node = 3\n"
+      "[vm b]\napp = lbm\nweight = 512\ncap = 80\nhome_node = 0\n"
+      "[machine]\ntopology = 4x4\n");
+  EXPECT_EQ(s.plans[0].config.weight, 1);
+  EXPECT_EQ(s.plans[0].config.cpu_cap_percent, 0);
+  EXPECT_EQ(s.plans[0].config.home_node, 3);
+  EXPECT_EQ(s.plans[1].config.weight, 512);
+  EXPECT_EQ(s.plans[1].config.cpu_cap_percent, 80);
 }
 
 TEST(ScenarioFile, ChurnSectionBuildsAPlan) {

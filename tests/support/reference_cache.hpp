@@ -2,17 +2,11 @@
 //
 // This is a verbatim copy of the original array-of-structs
 // SetAssocCache (one 32-byte Line struct per cache line, linear probe
-// over the set, O(total-lines) footprint scans).  It exists for two
-// reasons:
-//
-//  * the replacement-policy golden tests assert that the SoA rewrite
-//    of SetAssocCache produces *identical* hit/miss/eviction sequences
-//    for every policy — the oracle is the old implementation itself,
-//    not a recorded trace that could go stale;
-//  * bench_throughput measures it as the "baseline" engine so the
-//    before/after speedup of the access-path overhaul can be
-//    re-measured on any machine, not just the one that recorded
-//    BENCH_throughput.json.
+// over the set, O(total-lines) footprint scans).  The replacement-
+// policy golden tests assert that the SoA rewrite of SetAssocCache
+// produces *identical* hit/miss/eviction sequences for every policy —
+// the oracle is the old implementation itself, not a recorded trace
+// that could go stale.
 //
 // Do not "fix" or optimize this file; its value is that it does not
 // change.  New features go into SetAssocCache only — the golden tests
