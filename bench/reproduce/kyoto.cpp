@@ -274,8 +274,9 @@ int fig12() {
 
   ok &= check("all runs completed", ok);
   ok &= check("KS4Xen within 2% of XCS at every period (paper: near zero)", worst_delta < 2.0);
-  std::cout << "\n(Host-side scheduler cost — the other half of this claim — is measured\n"
-               " by bench_micro_components: pick+account ns/tick for XCS vs KS4Xen.)\n";
+  std::cout << "\n(Host-side scheduler cost — the other half of this claim — is not measured\n"
+               " here: perfbench's hv.epilogue_us.p50 times the KS4Xen epilogue on "
+               "consolidated_churn.)\n";
   return verdict(ok);
 }
 

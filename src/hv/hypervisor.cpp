@@ -14,6 +14,7 @@ Hypervisor::Hypervisor(const MachineConfig& machine_config,
   const auto cores = static_cast<std::size_t>(machine_->topology().total_cores());
   idle_ticks_.assign(cores, 0);
   slots_.resize(cores);
+  live_.resize(cores);
   resident_.assign(cores, nullptr);
   tick_pmu_base_.resize(cores);
   tick_pmu_delta_.resize(cores);
@@ -179,20 +180,45 @@ void Hypervisor::execute_partition(int socket, CoreSlot* slots) {
   // block and at the block head otherwise.  Reproducing it here makes
   // the per-socket execution order — and therefore every LLC/bus/RNG
   // state transition — identical to the serial engine's.
-  for (int sub = 0; sub < kSubQuantaPerTick; ++sub) {
-    const int origin = sub % cores;
+  //
+  // Only live cores are visited: `live` holds the local indices of
+  // this socket's cores that still have budget, ascending, in the
+  // socket's own segment of live_.  A sub-quantum starts at the first
+  // live core at or after the rotation's local start and wraps, which
+  // is the rotated block order with the spent cores skipped.  A core
+  // leaves the list once its budget is spent or its vCPU halts, and
+  // the partition stops early when none is left.
+  int* const live = live_.data() + base;
+  int n = 0;
+  for (int i = 0; i < per; ++i) {
+    const CoreSlot& slot = slots[base + i];
+    if (slot.vcpu != nullptr && slot.remaining > 0) live[n++] = i;
+  }
+  int origin = 0;
+  for (int sub = 0; sub < kSubQuantaPerTick && n > 0; ++sub) {
     const int local = (origin > base && origin < base + per) ? origin - base : 0;
-    for (int j = 0; j < per; ++j) {
-      const int core = base + (local + j) % per;
+    int at = static_cast<int>(std::lower_bound(live, live + n, local) - live);
+    if (at == n) at = 0;
+    bool spent = false;
+    for (int k = 0; k < n; ++k) {
+      const int core = base + live[at];
       CoreSlot& slot = slots[core];
-      if (slot.vcpu == nullptr || slot.remaining <= 0) continue;
       const Cycles budget = std::min(chunk, slot.remaining);
       const auto result =
           machine_->run_vcpu(*slot.vcpu, core, budget, wall_base + slot.ran);
       slot.ran += result.cycles_used;
       slot.remaining -= std::max<Cycles>(result.cycles_used, 1);
       if (result.vcpu_halted) slot.remaining = 0;  // completed, core idles out the tick
+      spent |= slot.remaining <= 0;
+      if (++at == n) at = 0;
     }
+    if (spent) {
+      n = static_cast<int>(
+          std::remove_if(live, live + n,
+                         [&](int i) { return slots[base + i].remaining <= 0; }) -
+          live);
+    }
+    if (++origin == cores) origin = 0;
   }
 }
 

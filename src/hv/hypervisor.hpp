@@ -41,6 +41,13 @@ namespace kyoto::hv {
 class Hypervisor {
  public:
   /// Sub-quanta per tick: granularity of intra-tick core interleaving.
+  /// Each sub-quantum grants a core at most max(1, cpt / 64) cycles
+  /// (cpt = cycles per tick), so for cpt >= 64 a tick's sub-quanta
+  /// cover only 64 * floor(cpt / 64) cycles of a core's budget: a
+  /// compute-bound vCPU runs 64 of 100 cycles per tick at
+  /// freq_khz = 10, and 437,440 of 437,500 at the default 43,750 kHz.
+  /// The remainder is dropped, not carried over.  Closing the gap
+  /// moves every pinned fingerprint, so it is left as is (ROADMAP).
   static constexpr int kSubQuantaPerTick = 64;
 
   Hypervisor(const MachineConfig& machine_config, std::unique_ptr<Scheduler> scheduler);
@@ -176,7 +183,10 @@ class Hypervisor {
   /// prologue -> per-socket execution -> serial merge/epilogue.
   void run_one_tick();
   /// Executes one socket's cores through the tick's sub-quantum
-  /// interleaving.  Touches only socket-local state; safe to run
+  /// interleaving, visiting only the cores that still have budget and
+  /// stopping once all are spent.  The run_vcpu calls (order and
+  /// arguments) are those of a walk over every core of the rotated
+  /// block.  Touches only socket-local state; safe to run
   /// concurrently for different sockets.
   void execute_partition(int socket, CoreSlot* slots);
   /// Materializes `core`'s lazy resident (identity-switch fast path):
@@ -205,6 +215,11 @@ class Hypervisor {
   std::vector<std::int64_t> idle_ticks_;        // per core
   std::vector<std::int64_t> sched_tick_count_;  // per vcpu id
   std::vector<CoreSlot> slots_;                 // per core, reused every tick
+  /// Per core: execute_partition's live list.  Each socket uses only
+  /// its own [first_core, first_core + cores_per_socket) segment, so
+  /// concurrent partitions share nothing and the tick allocates
+  /// nothing.
+  std::vector<int> live_;
   /// Per core: vCPU still switched in from an earlier tick.  Any
   /// event that invalidates the pairing — a different pick, migrate,
   /// destroy_vm — flushes it through VirtualCounters::switch_out
