@@ -1,5 +1,5 @@
 // Shared plumbing for bench_reproduce's figures and the engineering
-// benches (bench_churn, bench_farm, bench_ablation_monitors).
+// benches (bench_churn, bench_ablation_monitors).
 //
 // Every figure prints: a header identifying the paper artifact it
 // regenerates and the expected shape, the reproduced rows/series as

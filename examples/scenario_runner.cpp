@@ -2,19 +2,18 @@
 //
 //   ./scenario_runner sweep-a.kyoto sweep-b.kyoto ...   # one job per file
 //   ./scenario_runner --lanes 4 fig6-*.kyoto            # sharded execution
-//   ./scenario_runner --workers 4 fig6-*.kyoto          # process farm
-//   ./scenario_runner --workers 4 --checkpoint sweep.ckpt fig6-*.kyoto
-//   ./scenario_runner --hosts 3 fig6-*.kyoto            # simulated multi-host farm
+//   ./scenario_runner --hosts 3 fig6-*.kyoto            # process farm
+//   ./scenario_runner --hosts 3 --checkpoint sweep.ckpt fig6-*.kyoto
 //   ./scenario_runner --hosts 3 --split-jobs DIR fig6-*.kyoto   # write shard files
 //   ./scenario_runner --merge-results DIR fig6-*.kyoto          # merge them back
 //
 // Every scenario file is an independent job.  A multi-file invocation
 // runs as a sharded sweep (sim::SweepRunner, one private hypervisor
-// per lane) or — with --workers or --hosts — as a process farm
-// (sim::Farm: N local pipe workers, or N simulated file-transport
-// hosts, with retries, host health and optional checkpoint/resume).
-// Reports print in argument order and are byte-identical under every
-// executor at any lane/worker/host count.
+// per lane) or — with --hosts — as a process farm (sim::Farm over N
+// local hosts, each dispatch one `sweep_worker --jobs F --results G`
+// process running a shard, with retries, host health and optional
+// checkpoint/resume).  Reports print in argument order and are
+// byte-identical under every executor at any lane or host count.
 //
 // Without an argument it writes a demonstration scenario next to the
 // binary, prints it, and runs it — so the example is self-contained.
@@ -41,6 +40,11 @@
 using namespace kyoto;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: scenario_runner [--lanes N | --hosts N] [--checkpoint FILE]\n"
+    "                       [--split-jobs DIR] [--merge-results DIR]\n"
+    "                       [scenario.kyoto ...]\n";
 
 constexpr const char* kDemoScenario = R"(# Demonstration: a noisy streamer vs two paying tenants, KS4Xen,
 # demote-mode punishment (the paper's "priority OVER" semantics).
@@ -117,8 +121,7 @@ measure_ticks = 90
 
 int main(int argc, char** argv) {
   int lanes = ThreadPool::hardware_lanes();
-  int workers = 0;  // > 0 = farm over local pipe workers
-  int hosts = 0;    // > 0 = farm over simulated file-transport hosts
+  int hosts = 0;  // > 0 = farm over N local hosts
   std::string checkpoint;
   std::string split_dir;
   std::string merge_dir;
@@ -146,8 +149,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--lanes") {
       int_value(&lanes);
-    } else if (arg == "--workers") {
-      int_value(&workers);
     } else if (arg == "--hosts") {
       int_value(&hosts);
     } else if (arg == "--split-jobs") {
@@ -158,29 +159,22 @@ int main(int argc, char** argv) {
       string_value(&checkpoint);
     } else if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: scenario_runner [--lanes N | --workers N | --hosts N]\n"
-             "                       [--checkpoint FILE] [--split-jobs DIR]\n"
-             "                       [--merge-results DIR] [scenario.kyoto ...]\n"
-             "\n"
+          << kUsage
+          << "\n"
              "  --lanes N       execution lanes for the in-process sharded sweep\n"
              "                  (default: host CPU count; values < 1 clamp to 1 =\n"
              "                  plain serial loop).\n"
-             "  --workers N     run the files as a process farm instead, over N\n"
-             "                  pipe hosts: long-lived `sweep_worker --stdio`\n"
-             "                  processes fed one job at a time, respawned after\n"
-             "                  a death.\n"
-             "  --hosts N       run the files as a farm over N simulated\n"
-             "                  file-transport hosts: each dispatch is one\n"
-             "                  `sweep_worker --jobs F --results G` process\n"
-             "                  running a shard.  Not with --workers.\n"
-             "                  Either farm finds the worker via\n"
-             "                  $KYOTO_SWEEP_WORKER or next to this binary and\n"
-             "                  degrades to in-process execution (same results)\n"
-             "                  when neither exists.  Failed dispatches charge the\n"
-             "                  host (hold-back, quarantine, retirement) and are\n"
-             "                  retried elsewhere; a job that keeps killing\n"
-             "                  workers fails the run by name.  Prints the farm\n"
-             "                  report after the run.\n"
+             "  --hosts N       run the files as a process farm instead, over N\n"
+             "                  local hosts with one balanced shard each: every\n"
+             "                  dispatch is one `sweep_worker --jobs F --results G`\n"
+             "                  process running a shard.  The farm finds the\n"
+             "                  worker via $KYOTO_SWEEP_WORKER or next to this\n"
+             "                  binary and degrades to in-process execution (same\n"
+             "                  results) when neither exists.  Failed dispatches\n"
+             "                  charge the host (hold-back, quarantine,\n"
+             "                  retirement) and are retried elsewhere; a job that\n"
+             "                  keeps killing workers fails the run by name.\n"
+             "                  Prints the farm report after the run.\n"
              "  --split-jobs DIR\n"
              "                  with --hosts N: do not run anything; write one job\n"
              "                  file per shard plus manifest.kyfm into DIR and\n"
@@ -195,32 +189,31 @@ int main(int argc, char** argv) {
              "                  diagnosed per host and exits 1.  The same\n"
              "                  scenario files must be passed again (the manifest\n"
              "                  fingerprint binds the exact batch).\n"
-             "  --checkpoint F  with --workers or --hosts: periodically checkpoint\n"
-             "                  completed outcomes to F; re-running with the same\n"
+             "  --checkpoint F  with --hosts: periodically checkpoint completed\n"
+             "                  outcomes to F; re-running with the same\n"
              "                  scenario files after an interruption resumes\n"
              "                  instead of re-simulating.  Shard files live in\n"
              "                  F.shards/, and the checkpoint records which host\n"
-             "                  owns each in-flight shard, so a resume (with\n"
-             "                  --workers or --hosts) first re-collects result\n"
-             "                  files finished while the coordinator was down.\n"
+             "                  owns each in-flight shard, so a resume first\n"
+             "                  re-collects result files finished while the\n"
+             "                  coordinator was down.\n"
              "\n"
              "Each scenario file runs on its own private hypervisor, so reports\n"
-             "are byte-identical at any lane or worker count and always print in\n"
+             "are byte-identical at any lane or host count and always print in\n"
              "argument order.\n"
              "\n"
              "Scenario file format: see the demo written when run with no\n"
              "arguments, and the scenario-file section of README.md.\n";
       return 0;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::cerr << "scenario_runner: unknown option " << arg << '\n' << kUsage;
+      return 2;
     } else {
       paths.push_back(arg);
     }
   }
-  if (workers > 0 && hosts > 0) {
-    std::cerr << "--workers and --hosts are mutually exclusive\n";
-    return 2;
-  }
-  if (!checkpoint.empty() && workers < 1 && hosts < 1) {
-    std::cerr << "--checkpoint requires --workers or --hosts\n";
+  if (!checkpoint.empty() && hosts < 1) {
+    std::cerr << "--checkpoint requires --hosts\n";
     return 2;
   }
   if (paths.empty()) {
@@ -310,21 +303,14 @@ int main(int argc, char** argv) {
       std::cout << merged.summary() << '\n';
       if (!merged.complete) return 1;
       outcomes = merged.outcomes;
-    } else if (workers > 0 || hosts > 0) {
-      const bool files = hosts > 0;
-      const int count = files ? hosts : workers;
+    } else if (hosts > 0) {
       const std::string worker = sim::Farm::default_worker_path(argv[0]);
       sim::FarmOptions options;
       if (worker.empty()) {
         std::cout << "note: no sweep_worker found ($KYOTO_SWEEP_WORKER or next to this "
                      "binary); running in-process\n";
-      } else if (files) {
-        for (int h = 0; h < count; ++h) {
-          options.hosts.push_back(
-              sim::HostSpec{"host" + std::to_string(h), worker, {}, sim::Transport::kFiles});
-        }
       } else {
-        options.hosts = sim::local_workers(count, worker);
+        options.hosts = sim::local_workers(hosts, worker);
       }
       // Shard files live next to the checkpoint, so a resume finds the
       // result files its owner frames name; without a checkpoint they
@@ -342,7 +328,7 @@ int main(int argc, char** argv) {
                     << std::strerror(errno) << '\n';
           return 1;
         }
-      } else if (files) {
+      } else {
         char work_template[] = "/tmp/scenario_runner_farm.XXXXXX";
         if (::mkdtemp(work_template) == nullptr) {
           std::cerr << "error: cannot create farm work dir: " << std::strerror(errno) << '\n';
@@ -353,8 +339,8 @@ int main(int argc, char** argv) {
       options.checkpoint_path = checkpoint;
       sim::Farm farm(options);
       for (const sim::farm::FarmJob& job : build_jobs()) farm.add(job.scenario_text, job.label);
-      std::cout << "Running " << paths.size() << " scenario(s) across " << count
-                << (files ? " simulated host(s)" : " worker process(es)") << "...\n";
+      std::cout << "Running " << paths.size() << " scenario(s) across " << hosts
+                << " simulated host(s)...\n";
       outcomes = farm.run();
       std::cout << '\n' << farm.report() << '\n';
     } else {

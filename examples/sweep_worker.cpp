@@ -1,38 +1,29 @@
 // sweep_worker: the farm's worker process.
 //
-// Two transports, one protocol (sim/farm_codec.hpp, wire format v1);
-// sim::Farm (sim/farm.hpp) drives either, chosen per host:
-//
-//   sweep_worker --stdio
-//       Pipe transport (Transport::kPipe).  Job frames arrive on
-//       stdin, one outcome (or error) frame is written to stdout per
-//       job, EOF on stdin ends the worker.  The worker holds no queue
-//       state: the coordinator owns ordering, retries and timeouts.
-//
 //   sweep_worker --jobs FILE --results FILE
-//       File transport (Transport::kFiles) for hosts that only share
-//       files: reads a job file, executes every job, writes the
-//       result file.  In this mode the result file IS the reply
-//       stream: a deterministic job failure becomes an error frame
-//       *inside* the result file (exit 0), so the coordinator can
-//       tell "this job is poisoned" from "this host is broken".
-//       The same command runs a shard by hand
-//       (`scenario_runner --split-jobs`).
+//
+// Runs one shard (wire format of sim/farm_codec.hpp): reads a job
+// file, executes every job, writes the result file, exits.  sim::Farm
+// (sim/farm.hpp) runs one such process per dispatch, and the same
+// command runs a shard by hand (`scenario_runner --split-jobs`).  The
+// worker holds no queue state: the coordinator owns ordering, retries
+// and timeouts.  The result file IS the reply stream: a deterministic
+// job failure becomes an error frame *inside* the result file (exit
+// 0), so the coordinator can tell "this job is poisoned" from "this
+// host is broken".
 //
 // The --fault-* flags inject failures for the farm's fault-tolerance
 // tests (tests/sim/farm_fault_test.cpp, farm_host_test.cpp);
-// production sweeps never pass them.  "after N" counts jobs handled
-// by THIS process (a respawned worker starts over), "on-label L"
-// poisons a specific job on every attempt, and --fault-corrupt-results
-// damages the finished result file (truncate | bitflip) to simulate a
-// host with bad disks or a lossy transfer.
+// production sweeps never pass them.  "after N" counts jobs within
+// this process's shard, "on-label L" poisons a specific job on every
+// attempt, and --fault-corrupt-results damages the finished result
+// file (truncate | bitflip) to simulate a host with bad disks or a
+// lossy transfer.
 #include <signal.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <optional>
@@ -48,27 +39,14 @@ namespace {
 namespace farm = kyoto::sim::farm;
 
 struct FaultPlan {
-  int kill_after = 0;     // SIGKILL self on the Nth handled job
-  int garbage_after = 0;  // reply to the Nth handled job with garbage
-  int hang_after = 0;     // hang on the Nth handled job
+  int kill_after = 0;     // SIGKILL self on the Nth job of the shard
+  int garbage_after = 0;  // answer the Nth job of the shard with garbage
+  int hang_after = 0;     // hang on the Nth job of the shard
   std::string kill_on_label;
   std::string hang_on_label;
   std::string error_on_label;
-  std::string corrupt_results;  // "" | "truncate" | "bitflip" (file mode)
+  std::string corrupt_results;  // "" | "truncate" | "bitflip"
 };
-
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 [[noreturn]] void hang_forever() {
   for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
@@ -91,7 +69,7 @@ std::string execute(const farm::FarmJob& job) {
 }
 
 /// Applies the fault plan before replying to job number `handled`
-/// (1-based, per process).  Returns the bytes to write instead of the
+/// (1-based, within the shard).  Returns the bytes to write instead of the
 /// real reply, or nullopt to answer normally.  May not return at all.
 std::optional<std::string> inject(const FaultPlan& fault, int handled,
                                   const farm::FarmJob& job) {
@@ -111,46 +89,6 @@ std::optional<std::string> inject(const FaultPlan& fault, int handled,
                               farm::encode_error(job.id, "injected deterministic failure"));
   }
   return std::nullopt;
-}
-
-int run_stdio(const FaultPlan& fault) {
-  farm::FrameReader reader;
-  char buf[1 << 16];
-  int handled = 0;
-  for (;;) {
-    const ssize_t n = ::read(0, buf, sizeof buf);
-    if (n == 0) return 0;  // coordinator closed our stdin: done
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "sweep_worker: stdin read failed: %s\n", std::strerror(errno));
-      return 2;
-    }
-    try {
-      reader.feed(buf, static_cast<std::size_t>(n));
-      while (auto frame = reader.next()) {
-        if (frame->type != farm::FrameType::kJob) {
-          std::fprintf(stderr, "sweep_worker: unexpected frame type %u on stdin\n",
-                       static_cast<unsigned>(frame->type));
-          return 2;
-        }
-        const farm::FarmJob job = farm::decode_job(frame->payload);
-        ++handled;
-        std::string reply;
-        if (auto injected = inject(fault, handled, job)) {
-          reply = std::move(*injected);
-        } else {
-          reply = execute(job);
-        }
-        if (!write_all(1, reply)) {
-          std::fprintf(stderr, "sweep_worker: stdout write failed: %s\n", std::strerror(errno));
-          return 2;
-        }
-      }
-    } catch (const farm::CodecError& e) {
-      std::fprintf(stderr, "sweep_worker: protocol error: %s\n", e.what());
-      return 2;
-    }
-  }
 }
 
 bool write_file(const std::string& path, const std::string& bytes) {
@@ -207,31 +145,30 @@ int run_files(const std::string& jobs_path, const std::string& results_path,
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --stdio [fault flags]\n"
-               "       %s --jobs FILE --results FILE [fault flags]\n"
+               "usage: %s --jobs FILE --results FILE [fault flags]\n"
                "\n"
-               "Farm worker for sim::Farm (wire format v%u): --stdio serves a pipe\n"
-               "host one job frame at a time; --jobs/--results runs one shard file\n"
-               "(a file-transport host, or a shard from scenario_runner --split-jobs).\n"
+               "Farm worker (wire format v%u): runs the jobs of one shard file and\n"
+               "writes their outcomes to the result file.  sim::Farm runs one such\n"
+               "process per dispatch; a shard from scenario_runner --split-jobs\n"
+               "runs the same way by hand.\n"
                "\n"
                "Fault-injection flags (tests only):\n"
-               "  --fault-kill-after N     SIGKILL self on the Nth handled job\n"
-               "  --fault-garbage-after N  reply to the Nth handled job with garbage\n"
-               "  --fault-hang-after N     hang on the Nth handled job\n"
+               "  --fault-kill-after N     SIGKILL self on the Nth job of the shard\n"
+               "  --fault-garbage-after N  answer the Nth job of the shard with garbage\n"
+               "  --fault-hang-after N     hang on the Nth job of the shard\n"
                "  --fault-kill-on-label L  SIGKILL self whenever job L is handled\n"
                "  --fault-hang-on-label L  hang whenever job L is handled\n"
                "  --fault-error-on-label L answer job L with an error frame\n"
                "  --fault-corrupt-results MODE\n"
-               "                           damage the result file (file mode only):\n"
+               "                           damage the result file:\n"
                "                           truncate = cut the trailing frame short,\n"
                "                           bitflip  = flip one payload bit (bad checksum)\n",
-               argv0, argv0, static_cast<unsigned>(farm::kWireVersion));
+               argv0, static_cast<unsigned>(farm::kWireVersion));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool stdio = false;
   std::string jobs_path;
   std::string results_path;
   FaultPlan fault;
@@ -244,9 +181,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--stdio") {
-      stdio = true;
-    } else if (arg == "--jobs") {
+    if (arg == "--jobs") {
       jobs_path = value();
     } else if (arg == "--results") {
       results_path = value();
@@ -277,10 +212,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (stdio && (jobs_path.empty() && results_path.empty())) return run_stdio(fault);
-  if (!stdio && !jobs_path.empty() && !results_path.empty()) {
-    return run_files(jobs_path, results_path, fault);
-  }
+  if (!jobs_path.empty() && !results_path.empty()) return run_files(jobs_path, results_path, fault);
   usage(argv[0]);
   return 2;
 }

@@ -1,7 +1,5 @@
 #include "sim/farm.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,14 +7,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -26,43 +23,9 @@
 namespace kyoto::sim {
 namespace {
 
-/// Longest single poll(2) wait: bounds the loop's reaction time to a
-/// clock hiccup, never its correctness.
-constexpr double kMaxWaitS = 0.25;
-/// File-transport completion is observed with waitpid(WNOHANG), so
-/// the loop wakes at least this often while such a worker runs.
-constexpr double kFileWaitS = 0.01;
-
-/// The coordinator writes into pipes whose worker may have just died;
-/// that must surface as EPIPE, not a process-killing SIGPIPE.  Scoped
-/// to the dispatch loop so library users keep their own disposition.
-struct SigPipeGuard {
-  struct sigaction old {};
-  SigPipeGuard() {
-    struct sigaction ignore {};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &old);
-  }
-  ~SigPipeGuard() { ::sigaction(SIGPIPE, &old, nullptr); }
-};
-
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) ::close(fd);
-  fd = -1;
-}
+/// Worker exits are observed with waitpid(WNOHANG), so the loop wakes
+/// at least this often; it bounds the reaction time, never correctness.
+constexpr double kPollS = 0.01;
 
 std::string describe_exit(int status) {
   if (WIFEXITED(status)) {
@@ -81,8 +44,8 @@ struct Argv {
   std::vector<std::string> args;
   std::vector<char*> ptrs;
 
-  Argv(const HostSpec& spec, std::vector<std::string> transport_args) : args{spec.worker_path} {
-    for (std::string& a : transport_args) args.push_back(std::move(a));
+  Argv(const HostSpec& spec, const std::string& job_path, const std::string& result_path)
+      : args{spec.worker_path, "--jobs", job_path, "--results", result_path} {
     for (const std::string& a : spec.worker_args) args.push_back(a);
     for (std::string& a : args) ptrs.push_back(a.data());
     ptrs.push_back(nullptr);
@@ -94,17 +57,13 @@ struct Argv {
 }  // namespace
 
 struct Farm::Slot {
-  pid_t pid = -1;                 // pipe: the long-lived worker; files: this dispatch's worker
-  int to_fd = -1;                 // pipe: worker stdin
-  int from_fd = -1;               // pipe: worker stdout
-  farm::FrameReader reader;       // pipe: the reply stream
-  bool spawned = false;           // pipe: the next spawn is a respawn
+  pid_t pid = -1;                 // this dispatch's worker
   std::vector<std::size_t> jobs;  // the in-flight dispatch; empty when idle
-  std::string job_file;           // files: bare names under work_dir
+  std::string job_file;           // bare names under work_dir
   std::string result_file;
   double deadline_s = 0.0;
 
-  /// SIGKILLs and reaps the worker, if any, and closes its pipes.
+  /// SIGKILLs and reaps the worker, if any.
   void stop() {
     if (pid > 0) {
       ::kill(pid, SIGKILL);
@@ -113,8 +72,12 @@ struct Farm::Slot {
       }
       pid = -1;
     }
-    close_fd(to_fd);
-    close_fd(from_fd);
+  }
+
+  /// Deletes the dispatch's job and result files.
+  void remove_files(const std::string& work_dir) const {
+    std::remove((work_dir + "/" + job_file).c_str());
+    std::remove((work_dir + "/" + result_file).c_str());
   }
 };
 
@@ -122,7 +85,7 @@ std::vector<HostSpec> local_workers(int count, const std::string& worker_path,
                                     const std::vector<std::string>& worker_args) {
   std::vector<HostSpec> hosts;
   for (int i = 0; i < count; ++i) {
-    hosts.push_back(HostSpec{"w" + std::to_string(i), worker_path, worker_args, Transport::kPipe});
+    hosts.push_back(HostSpec{"w" + std::to_string(i), worker_path, worker_args});
   }
   return hosts;
 }
@@ -159,7 +122,7 @@ std::vector<RunOutcome> Farm::run() {
   results_.assign(total, RunOutcome{});
   done_.assign(total, 0);
   executed_ = restored_ = recollected_ = in_process_ = 0;
-  dispatches_ = host_failures_ = retries_ = respawns_ = since_checkpoint_ = 0;
+  dispatches_ = host_failures_ = retries_ = since_checkpoint_ = 0;
   degraded_ = orphaning_ = false;
   degrade_reason_.clear();
   t0_ = std::chrono::steady_clock::now();
@@ -200,7 +163,6 @@ std::vector<RunOutcome> Farm::run() {
 }
 
 void Farm::dispatch_loop() {
-  SigPipeGuard sigpipe;
   slots_.resize(options_.hosts.size());
   // However the loop ends — drained, degraded, a batch error or the
   // abort knob — no worker outlives it (save the orphan drill's).
@@ -227,9 +189,7 @@ void Farm::assign() {
   for (std::size_t h = 0; h < slots_.size() && !queue_.empty(); ++h) {
     const int host = static_cast<int>(h);
     if (!slots_[h].jobs.empty() || !health_->usable(host, now_s())) continue;
-    const std::size_t n = options_.hosts[h].transport == Transport::kPipe
-                              ? 1
-                              : std::min(shard_size_, queue_.size());
+    const std::size_t n = std::min(shard_size_, queue_.size());
     std::vector<std::size_t> jobs(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
     queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
     for (const std::size_t j : jobs) {
@@ -248,22 +208,10 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
   const HostSpec& spec = options_.hosts[static_cast<std::size_t>(host)];
   s.jobs = std::move(jobs);
-  s.deadline_s = options_.timeout_s > 0 ? now_s() + options_.timeout_s
-                                         : std::numeric_limits<double>::infinity();
+  s.deadline_s = options_.timeout_s > 0
+                     ? now_s() + options_.timeout_s * static_cast<double>(s.jobs.size())
+                     : std::numeric_limits<double>::infinity();
   ++dispatches_;
-
-  if (spec.transport == Transport::kPipe) {
-    const farm::FarmJob& job = jobs_[s.jobs.front()];
-    health_->record_dispatch(host, now_s(), dispatch_name(host));
-    if (s.pid < 0 && !spawn_pipe_worker(host)) {
-      fail(host, std::string("cannot spawn worker: ") + std::strerror(errno));
-      return;
-    }
-    if (!write_all(s.to_fd, farm::encode_frame(farm::FrameType::kJob, farm::encode_job(job)))) {
-      fail(host, "worker pipe closed while sending the job");
-    }
-    return;
-  }
 
   // Shard names are unique per coordinator process and dispatch, so a
   // worker orphaned by an earlier coordinator never writes into a
@@ -284,9 +232,9 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
     fail_batch(std::string("cannot write shard: ") + e.what());
   }
   std::remove(result_path.c_str());
-  health_->record_dispatch(host, now_s(), dispatch_name(host));
+  health_->record_dispatch(host, now_s(), s.job_file);
 
-  const Argv argv(spec, {"--jobs", job_path, "--results", result_path});
+  const Argv argv(spec, job_path, result_path);
   const pid_t pid = ::fork();
   if (pid < 0) {
     fail(host, std::string("cannot fork worker: ") + std::strerror(errno));
@@ -302,79 +250,24 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
   write_checkpoint();
 }
 
-bool Farm::spawn_pipe_worker(int host) {
-  Slot& s = slots_[static_cast<std::size_t>(host)];
-  const Argv argv(options_.hosts[static_cast<std::size_t>(host)], {"--stdio"});
-  int to[2] = {-1, -1};
-  int from[2] = {-1, -1};
-  if (::pipe(to) != 0) return false;
-  if (::pipe(from) != 0) {
-    ::close(to[0]);
-    ::close(to[1]);
-    return false;
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    for (int fd : {to[0], to[1], from[0], from[1]}) ::close(fd);
-    return false;
-  }
-  if (pid == 0) {
-    ::dup2(to[0], 0);
-    ::dup2(from[1], 1);
-    for (int fd : {to[0], to[1], from[0], from[1]}) ::close(fd);
-    ::execv(argv.ptrs[0], argv.ptrs.data());
-    ::_exit(127);  // exec failed; the parent sees EOF
-  }
-  ::close(to[0]);
-  ::close(from[1]);
-  // Parent-side fds must not leak into later-forked siblings, and the
-  // read side is drained non-blockingly from the poll loop.
-  ::fcntl(to[1], F_SETFD, FD_CLOEXEC);
-  ::fcntl(from[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(from[0], F_SETFL, O_NONBLOCK);
-  if (s.spawned) ++respawns_;
-  s.spawned = true;
-  s.pid = pid;
-  s.to_fd = to[1];
-  s.from_fd = from[0];
-  s.reader = farm::FrameReader{};
-  return true;
-}
-
 void Farm::pump() {
-  const double now = now_s();
-  double wait_s = kMaxWaitS;
+  double wait_s = kPollS;
   // An idle host whose hold-back or quarantine ends must get work
   // without waiting for a busy one to finish.
-  if (!queue_.empty()) wait_s = std::min(wait_s, health_->next_available_s() - now);
-  std::vector<pollfd> fds;
-  std::vector<int> polled;
-  for (std::size_t h = 0; h < slots_.size(); ++h) {
-    const Slot& s = slots_[h];
-    if (s.jobs.empty()) continue;
-    wait_s = std::min(wait_s, s.deadline_s - now);
-    if (options_.hosts[h].transport == Transport::kPipe) {
-      fds.push_back(pollfd{s.from_fd, POLLIN, 0});
-      polled.push_back(static_cast<int>(h));
-    } else {
-      wait_s = std::min(wait_s, kFileWaitS);
-    }
+  if (!queue_.empty()) wait_s = std::min(wait_s, health_->next_available_s() - now_s());
+  for (const Slot& s : slots_) {
+    if (!s.jobs.empty()) wait_s = std::min(wait_s, s.deadline_s - now_s());
   }
-  ::poll(fds.data(), fds.size(), static_cast<int>(std::ceil(std::max(wait_s, 0.0) * 1000.0)));
+  if (wait_s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
 
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) drain_pipe(polled[i]);
-  }
   for (std::size_t h = 0; h < slots_.size(); ++h) {
     Slot& s = slots_[h];
-    if (s.jobs.empty() || s.pid <= 0 || options_.hosts[h].transport != Transport::kFiles) {
-      continue;
-    }
+    if (s.jobs.empty()) continue;
     int status = 0;
     const pid_t r = ::waitpid(s.pid, &status, WNOHANG);
     if (r == s.pid) {
       s.pid = -1;
-      finish_files(static_cast<int>(h), status);
+      finish(static_cast<int>(h), status);
     } else if (r < 0 && errno != EINTR) {
       fail(static_cast<int>(h), std::string("waitpid failed: ") + std::strerror(errno));
     }
@@ -383,63 +276,14 @@ void Farm::pump() {
   for (std::size_t h = 0; h < slots_.size(); ++h) {
     if (!slots_[h].jobs.empty() && after >= slots_[h].deadline_s) {
       std::ostringstream oss;
-      oss << "worker hung: no reply within " << options_.timeout_s << "s";
+      oss << "worker hung: no reply within " << options_.timeout_s << "s per job ("
+          << slots_[h].jobs.size() << " job(s))";
       fail(static_cast<int>(h), oss.str());
     }
   }
 }
 
-void Farm::drain_pipe(int host) {
-  Slot& s = slots_[static_cast<std::size_t>(host)];
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(s.from_fd, buf, sizeof buf);
-    if (n == 0) {
-      fail(host, "worker exited before replying");
-      return;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        fail(host, std::string("read from worker failed: ") + std::strerror(errno));
-      }
-      return;
-    }
-    s.reader.feed(buf, static_cast<std::size_t>(n));
-    for (;;) {
-      std::optional<farm::Frame> frame;
-      farm::FarmOutcome outcome;
-      farm::FarmError error;
-      try {
-        frame = s.reader.next();
-        if (!frame) break;
-        if (frame->type == farm::FrameType::kOutcome) {
-          outcome = farm::decode_outcome(frame->payload);
-        } else if (frame->type == farm::FrameType::kError) {
-          error = farm::decode_error(frame->payload);
-        } else {
-          throw farm::CodecError("unexpected frame type from worker");
-        }
-      } catch (const farm::CodecError& e) {
-        fail(host, std::string("protocol violation: ") + e.what());
-        return;
-      }
-      const bool is_error = frame->type == farm::FrameType::kError;
-      const std::uint64_t id = is_error ? error.id : outcome.id;
-      if (s.jobs.empty() || id != s.jobs.front()) {
-        fail(host, "worker answered for the wrong job");
-        return;
-      }
-      if (is_error) {
-        s.jobs.clear();
-        fail_job(describe_job(id) + ": " + error.message);
-      }
-      complete(host, {outcome});  // may throw FarmInterrupted; the Reaper cleans up
-    }
-  }
-}
-
-void Farm::finish_files(int host, int status) {
+void Farm::finish(int host, int status) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     fail(host, describe_exit(status));
@@ -456,12 +300,12 @@ void Farm::finish_files(int host, int status) {
   const ShardCollect collect = collect_shard(shard, result_path);
   switch (collect.state) {
     case ShardCollect::State::kOk:
-      std::remove((options_.work_dir + "/" + s.job_file).c_str());
-      std::remove(result_path.c_str());
+      s.remove_files(options_.work_dir);
       complete(host, collect.outcomes);
       return;
     case ShardCollect::State::kDeterministic:
       s.jobs.clear();
+      s.remove_files(options_.work_dir);
       fail_job(collect.detail);  // the detail names the job
     default:
       fail(host, shard_collect_state_name(collect.state) +
@@ -470,8 +314,9 @@ void Farm::finish_files(int host, int status) {
 }
 
 void Farm::complete(int host, const std::vector<farm::FarmOutcome>& outcomes) {
-  health_->record_success(host, now_s(), dispatch_name(host), static_cast<int>(outcomes.size()));
-  slots_[static_cast<std::size_t>(host)].jobs.clear();
+  Slot& s = slots_[static_cast<std::size_t>(host)];
+  health_->record_success(host, now_s(), s.job_file, static_cast<int>(outcomes.size()));
+  s.jobs.clear();
   for (const farm::FarmOutcome& outcome : outcomes) {
     const auto index = static_cast<std::size_t>(outcome.id);
     KYOTO_CHECK(index < done_.size() && done_[index] == 0);
@@ -484,15 +329,17 @@ void Farm::complete(int host, const std::vector<farm::FarmOutcome>& outcomes) {
 
 void Farm::fail(int host, const std::string& reason) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
-  const std::string what = dispatch_name(host);
   const std::vector<std::size_t> jobs = std::move(s.jobs);
   s.jobs.clear();
   s.stop();
+  // The worker is reaped, so nothing writes these files any more, and
+  // no owner frame names a dispatch that is no longer in flight.
+  s.remove_files(options_.work_dir);
 
   // Only a host that has delivered this run can blame the job; one
   // that never delivered (bad binary, dead link) charges only itself.
   const bool proven = health_->stats(host).shards_completed > 0;
-  health_->record_failure(host, now_s(), what + ": " + reason);
+  health_->record_failure(host, now_s(), s.job_file + ": " + reason);
   ++host_failures_;
   for (const std::size_t j : jobs) {
     last_failed_host_[j] = host;
@@ -507,10 +354,9 @@ void Farm::fail(int host, const std::string& reason) {
 }
 
 void Farm::stop_workers() {
-  for (std::size_t h = 0; h < slots_.size(); ++h) {
-    // The orphan drill leaves file workers finishing their result files.
-    if (orphaning_ && options_.hosts[h].transport == Transport::kFiles) continue;
-    slots_[h].stop();
+  // The orphan drill leaves workers finishing their result files.
+  if (!orphaning_) {
+    for (Slot& s : slots_) s.stop();
   }
   slots_.clear();
 }
@@ -556,11 +402,11 @@ void Farm::write_checkpoint() {
       bytes += farm::encode_frame(farm::FrameType::kOutcome, farm::encode_outcome(i, results_[i]));
     }
   }
-  // One owner frame per in-flight file dispatch, so a resumed farm
-  // knows which result files may appear without it.
+  // One owner frame per in-flight dispatch, so a resumed farm knows
+  // which result files may appear without it.
   for (std::size_t h = 0; h < slots_.size(); ++h) {
     const Slot& s = slots_[h];
-    if (s.jobs.empty() || options_.hosts[h].transport != Transport::kFiles) continue;
+    if (s.jobs.empty()) continue;
     const farm::ShardOwner owner{options_.hosts[h].id, s.result_file,
                                  std::vector<std::uint64_t>(s.jobs.begin(), s.jobs.end())};
     bytes += farm::encode_frame(farm::FrameType::kShardOwner, farm::encode_shard_owner(owner));
@@ -691,14 +537,6 @@ std::string Farm::describe_job(std::size_t index) const {
   return "job #" + std::to_string(index) + " '" + jobs_[index].label + "'";
 }
 
-std::string Farm::dispatch_name(int host) const {
-  const Slot& s = slots_[static_cast<std::size_t>(host)];
-  if (s.jobs.empty()) return "idle worker";
-  return options_.hosts[static_cast<std::size_t>(host)].transport == Transport::kPipe
-             ? describe_job(s.jobs.front())
-             : s.job_file;
-}
-
 double Farm::now_s() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
 }
@@ -709,8 +547,7 @@ std::string Farm::report() const {
   out << "farm: " << executed_ << " executed on hosts, " << restored_
       << " restored from checkpoint, " << recollected_ << " re-collected from owners, "
       << in_process_ << " in-process; " << dispatches_ << " dispatch(es), " << host_failures_
-      << " host failure(s), " << retries_ << " job retr(ies), " << respawns_
-      << " worker respawn(s)";
+      << " host failure(s), " << retries_ << " job retr(ies)";
   if (degraded_) out << "; DEGRADED: " << degrade_reason_;
   out << '\n' << health_->report();
   return out.str();

@@ -13,33 +13,29 @@
 // parses the text back into the exact (RunSpec, VmPlans) the
 // coordinator would have built, so — the simulator being
 // deterministic — farm outcomes are byte-identical to the in-process
-// SweepRunner at every host count and transport, including under
-// injected faults (tests/sim/farm_*_test.cpp are the gates).
+// SweepRunner at every host count, including under injected faults
+// (tests/sim/farm_*_test.cpp are the gates).
 //
-// Hosts and transports.  A host is a HostSpec; its transport decides
-// how one dispatch travels (wire format of sim/farm_codec.hpp):
-//  * kPipe — a long-lived `sweep_worker --stdio` process fed one job
-//    frame per dispatch over stdin, answering over stdout; respawned
-//    after a death.  A local worker slot is just a pipe host
-//    (local_workers()).
-//  * kFiles — one `sweep_worker --jobs F --results G` process per
-//    dispatch of a shard (several jobs); the coordinator writes F
-//    into work_dir and validates G (sim/shard_splitter.hpp's
-//    collect_shard) when the process exits.  On a real fleet,
-//    worker_path points at a wrapper that ships F out and G back
-//    (ssh/scp, a queue, anything).
-// Everything else — queueing, poll(2) with deadlines, SIGKILL+reap,
-// the failure policy, checkpoints, the in-process remainder — is one
-// code path for both.
+// Hosts and dispatches.  A host is a HostSpec: a worker command.
+// Every dispatch is one shard of jobs_per_shard jobs (wire format of
+// sim/farm_codec.hpp): the coordinator writes a job file F into
+// work_dir, runs one `sweep_worker --jobs F --results G` process, and
+// validates G (sim/shard_splitter.hpp's collect_shard) when that
+// process exits.  That is the same worker command and checker as a
+// shard run by hand (`scenario_runner --split-jobs` and
+// `--merge-results`).  A local worker slot is a host whose command
+// runs here (local_workers()); on a real fleet, worker_path points at
+// a wrapper that ships F out and G back (ssh/scp, a queue, anything).
 //
 // Failure policy (sim/host_health.hpp tracks every host):
-//  * A failed dispatch (worker death, protocol garbage, a missing or
-//    corrupt or foreign result file, a deadline overrun) charges the
-//    host.  Under budget, the host is held back for one backoff step;
-//    a burned budget quarantines it; max_quarantines + 1 burns retire
-//    it for the run.  The dispatch's jobs go back on the queue for any
-//    usable host (a "redistribute" event when another host takes
-//    them).
+//  * A failed dispatch (a worker that dies or exits non-zero, a
+//    missing, corrupt, foreign or incomplete result file, a deadline
+//    overrun) charges the host and removes the dispatch's shard
+//    files.  Under budget, the host is held back for one backoff
+//    step; a burned budget quarantines it; max_quarantines + 1 burns
+//    retire it for the run.  The dispatch's jobs go back on the queue
+//    for any usable host (a "redistribute" event when another host
+//    takes them).
 //  * The failure counts against each job's max_retries only when the
 //    host has completed a dispatch this run: a poisoned job that kills
 //    every worker still fails the batch, naming the job, while a host
@@ -51,18 +47,19 @@
 //    retrying would fail identically.
 //
 // Checkpoints (atomic tmp + rename, every checkpoint_every completed
-// jobs, at each file dispatch, and before any throw): a header frame
-// binding the exact batch
-// (batch_fingerprint), one outcome frame per finished job, and one
-// kShardOwner frame per in-flight file dispatch recording where its
-// result file will appear.  A resumed farm restores the outcomes,
-// then re-collects owned result files that finished while it was
-// down (whatever transport the resumed run uses), then runs only the
-// rest.  A corrupt, truncated or foreign checkpoint is ignored as a
-// whole — clean restart, never a half-applied restore.
+// jobs, at each dispatch, and before any throw): a header frame
+// binding the exact batch (batch_fingerprint), one outcome frame per
+// finished job, and one kShardOwner frame per in-flight dispatch
+// recording where its result file will appear.  A resumed farm
+// restores the outcomes, then re-collects owned result files that
+// finished while it was down (whatever hosts the resumed run has),
+// then runs only the rest.  A corrupt, truncated or foreign
+// checkpoint is ignored as a whole — clean restart, never a
+// half-applied restore.
 //
-// The coordinator is single-threaded (poll(2) over worker pipes), so
-// it composes with everything else: a worker can still use
+// The coordinator is single-threaded (a bounded sleep, then
+// waitpid(WNOHANG) over its workers and a deadline pass), so it
+// composes with everything else: a worker can still use
 // RunSpec::threads internally, and the coordinator runs under
 // ASan/UBSan without special-casing.
 #pragma once
@@ -81,32 +78,25 @@
 
 namespace kyoto::sim {
 
-enum class Transport {
-  kPipe,   // long-lived `sweep_worker --stdio`, one job per dispatch
-  kFiles,  // one `sweep_worker --jobs F --results G` process per shard
-};
-
-/// One executor.  `worker_path` is execv'd with `--stdio` (kPipe) or
-/// `--jobs <file> --results <file>` (kFiles), then `worker_args`.
+/// One executor.  Each dispatch execv's `worker_path` with
+/// `--jobs <file> --results <file>`, then `worker_args`.
 struct HostSpec {
   std::string id;
   std::string worker_path;
   std::vector<std::string> worker_args;
-  Transport transport = Transport::kPipe;
 };
 
-/// `count` local pipe hosts "w0".."w<count-1>" running `worker_path`.
+/// `count` local hosts "w0".."w<count-1>" running `worker_path`.
 std::vector<HostSpec> local_workers(int count, const std::string& worker_path,
                                     const std::vector<std::string>& worker_args = {});
 
 struct FarmOptions {
   /// The executors.  Empty = run the batch in-process.
   std::vector<HostSpec> hosts;
-  /// Directory for file-transport shard files and for re-collecting
-  /// owned result files on resume.  Must exist when used.
+  /// Directory for shard files and for re-collecting owned result
+  /// files on resume.  Must exist when used.
   std::string work_dir = ".";
-  /// Jobs per file-transport dispatch (0 = one balanced shard per
-  /// host).  Pipe dispatches always carry one job.
+  /// Jobs per dispatch (0 = one balanced shard per host).
   int jobs_per_shard = 0;
   /// Charged failures tolerated per job beyond which the batch fails
   /// (a job may run up to max_retries + 1 times).
@@ -118,8 +108,9 @@ struct FarmOptions {
   /// Per-failure hold-back and quarantine schedule (seeded jitter,
   /// keyed on the host id).
   BackoffPolicy backoff;
-  /// Wall-clock seconds one dispatch may take before the host is
-  /// declared hung (worker killed, host charged); 0 disables.
+  /// Wall-clock seconds per job: a dispatch of n jobs may take
+  /// n * timeout_s before the host is declared hung (worker killed,
+  /// host charged); 0 disables.
   double timeout_s = 600.0;
   /// Checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
@@ -129,9 +120,9 @@ struct FarmOptions {
   /// a checkpoint and throw FarmInterrupted — an interrupted sweep,
   /// deterministically.  < 0 disables.
   int abort_after_completed = -1;
-  /// Test knob: on that interrupt, leave in-flight file-transport
-  /// workers running — they finish their result files, which is the
-  /// "coordinator died, hosts lived" case owner frames exist for.
+  /// Test knob: on that interrupt, leave in-flight workers running —
+  /// they finish their result files, which is the "coordinator died,
+  /// hosts lived" case owner frames exist for.
   bool orphan_on_abort = false;
 };
 
@@ -177,7 +168,6 @@ class Farm {
   int dispatches() const { return dispatches_; }         // dispatch attempts
   int host_failure_count() const { return host_failures_; }
   int job_retries() const { return retries_; }           // charged failed attempts
-  int worker_respawns() const { return respawns_; }      // pipe workers started again
   /// True when any job ran in-process (no hosts, or all retired).
   bool degraded() const { return degraded_; }
   /// Why the run degraded or ignored its checkpoint; empty otherwise.
@@ -194,7 +184,7 @@ class Farm {
   static std::string default_worker_path(const char* argv0);
 
  private:
-  struct Slot;  // one host's in-flight dispatch and pipe worker
+  struct Slot;  // one host's in-flight dispatch and its worker
 
   /// Restores finished outcomes; returns the owner records to re-collect.
   std::vector<farm::ShardOwner> restore_checkpoint();
@@ -202,10 +192,8 @@ class Farm {
   void dispatch_loop();
   void assign();
   void start(int host, std::vector<std::size_t> jobs);
-  bool spawn_pipe_worker(int host);
   void pump();
-  void drain_pipe(int host);
-  void finish_files(int host, int status);
+  void finish(int host, int status);
   void complete(int host, const std::vector<farm::FarmOutcome>& outcomes);
   void fail(int host, const std::string& reason);
   void stop_workers();
@@ -217,8 +205,6 @@ class Farm {
   /// A deterministic job failure; `detail` names the job.
   [[noreturn]] void fail_job(const std::string& detail);
   std::string describe_job(std::size_t index) const;
-  /// The in-flight dispatch on `host`: its job (pipe) or shard file.
-  std::string dispatch_name(int host) const;
   double now_s() const;
 
   FarmOptions options_;
@@ -241,7 +227,6 @@ class Farm {
   int dispatches_ = 0;
   int host_failures_ = 0;
   int retries_ = 0;
-  int respawns_ = 0;
   int since_checkpoint_ = 0;
   bool degraded_ = false;
   std::string degrade_reason_;

@@ -24,9 +24,9 @@
 // oversized length and checksum mismatch raise CodecError — a worker
 // emitting garbage is a *diagnosable protocol violation*, never UB.
 // An incomplete frame is not an error: FrameReader buffers until the
-// rest arrives (pipes deliver frames in arbitrary chunks), and only
-// whole-stream consumers (file transport, checkpoint loading) treat a
-// truncated trailing frame as corruption.
+// rest arrives (a byte stream delivers frames in arbitrary chunks),
+// and only whole-stream consumers (result files, checkpoint loading)
+// treat a truncated trailing frame as corruption.
 //
 // The byte layout is pinned by golden fixtures in
 // tests/sim/farm_codec_test.cpp; any change must bump kWireVersion.

@@ -6,10 +6,11 @@
 // a change here is a deliberate retuning, not noise — the jitter is
 // seeded and keyed, never wall-clock random.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -137,57 +138,96 @@ std::string tiny_scenario(const std::string& app, int seed) {
       "seed = " + std::to_string(seed) + "\n";
 }
 
-TEST(FarmBackoff, RespawnsAreDelayedByTheSchedule) {
-  if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
+std::vector<std::pair<std::string, std::string>> backoff_jobs(int n) {
   std::vector<std::pair<std::string, std::string>> jobs;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < n; ++i) {
     jobs.emplace_back("job" + std::to_string(i), tiny_scenario(i % 2 ? "mcf" : "gcc", 20 + i));
   }
+  return jobs;
+}
+
+std::vector<RunOutcome> sweep_reference(
+    const std::vector<std::pair<std::string, std::string>>& jobs) {
   SweepRunner sweep(2);
   for (const auto& [label, text] : jobs) {
     const Scenario scenario = parse_scenario(text);
     sweep.add(scenario.spec, scenario.plans, label);
   }
-  const std::vector<RunOutcome> reference = sweep.run();
+  return sweep.run();
+}
 
+/// A fresh work directory private to this test and process.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir =
+      testing::TempDir() + "farm_backoff_" + name + "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
+}
+
+/// A host whose every dispatch dies ("bad", dispatched first) beside a
+/// healthy one, one job per dispatch.
+FarmOptions failing_beside_healthy(const std::string& work_dir) {
   FarmOptions options;
-  // Every worker process completes one job, then is killed on its
-  // second: 3 deaths for 4 jobs, each a fresh host-attempt-0 backoff.
-  options.hosts = local_workers(1, worker_path(), {"--fault-kill-after", "2"});
-  options.max_retries = 4;
-  options.backoff.base_s = 0.2;
-  options.backoff.jitter_frac = 0.0;
+  options.hosts.push_back(HostSpec{"bad", worker_path(), {"--fault-kill-after", "1"}});
+  options.hosts.push_back(HostSpec{"good", worker_path(), {}});
+  options.work_dir = work_dir;
+  options.jobs_per_shard = 1;
+  return options;
+}
+
+TEST(FarmBackoff, FailedHostIsHeldBackByTheSchedule) {
+  if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
+  const auto jobs = backoff_jobs(12);
+  const std::string dir = fresh_dir("schedule");
+  FarmOptions options = failing_beside_healthy(dir);
+  options.host_failure_budget = 4;  // three hold-backs, then the budget burns
+  options.max_quarantines = 0;      // ...and "bad" retires
+  options.backoff.base_s = 0.02;
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
-
-  const auto t0 = std::chrono::steady_clock::now();
   const std::vector<RunOutcome> outcomes = farm.run();
-  const double elapsed = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - t0).count();
-
+  EXPECT_EQ(outcomes, sweep_reference(jobs));
   EXPECT_FALSE(farm.degraded());
-  EXPECT_GE(farm.worker_respawns(), 3);
-  // 3 respawns at >= 0.2s apiece must dominate the wall clock.
-  EXPECT_GE(elapsed, 0.55) << "respawn backoff was not applied";
-  ASSERT_EQ(outcomes.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(outcomes[i], reference[i]) << "job " << i;
+  EXPECT_EQ(farm.job_retries(), 0);  // "bad" never delivered: it charges only itself
+
+  // From the event log: after its k-th consecutive failure (under
+  // budget), "bad" is dispatched again no earlier than the failure's
+  // instant plus delay_s(k - 1), the jitter keyed on its host id.
+  const std::uint64_t key = farm::fnv1a("bad");
+  int failures = 0;
+  int checked = 0;
+  double held_until = -1.0;
+  for (const FarmEvent& event : farm.health()->events()) {
+    if (event.host != "bad") continue;
+    if (event.what == "failure") {
+      ++failures;
+      held_until = failures < options.host_failure_budget
+                       ? event.t_s + options.backoff.delay_s(failures - 1, key)
+                       : -1.0;
+    } else if (event.what == "dispatch" && failures > 0) {
+      ASSERT_GE(held_until, 0.0) << "dispatched after its budget burned";
+      EXPECT_GE(event.t_s, held_until) << "dispatch after failure " << failures;
+      ++checked;
+    }
   }
+  EXPECT_GE(failures, 1);
+  EXPECT_GE(checked, 1) << "\"bad\" was never dispatched again:\n" << farm.report();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FarmBackoff, ZeroBaseKeepsTheOldFastPath) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
-  FarmOptions options;
-  options.hosts = local_workers(2, worker_path(), {"--fault-kill-after", "2"});
-  options.max_retries = 4;
+  const auto jobs = backoff_jobs(4);
+  const std::string dir = fresh_dir("zero_base");
+  FarmOptions options = failing_beside_healthy(dir);
   options.backoff.base_s = 0.0;  // disabled
   Farm farm(options);
-  for (int i = 0; i < 4; ++i) {
-    farm.add(tiny_scenario(i % 2 ? "mcf" : "gcc", 20 + i), "job" + std::to_string(i));
-  }
-  const std::vector<RunOutcome> outcomes = farm.run();
-  EXPECT_EQ(outcomes.size(), 4u);
+  for (const auto& [label, text] : jobs) farm.add(text, label);
+  EXPECT_EQ(farm.run(), sweep_reference(jobs));
   EXPECT_FALSE(farm.degraded());
+  EXPECT_GE(farm.host_failure_count(), 1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

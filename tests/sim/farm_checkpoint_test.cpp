@@ -1,8 +1,8 @@
 // Farm checkpoint gate: one restore path, whatever wrote the file.
 //
-// * Cross-transport resume: a checkpoint interrupted under file hosts
-//   (outcome + owner frames) resumes under pipe hosts, and one
-//   interrupted under pipe hosts resumes under file hosts — outcomes
+// * Resume: a checkpoint interrupted under two one-job-per-dispatch
+//   hosts (outcome + owner frames, orphaned workers left running)
+//   resumes under three hosts with balanced shards — outcomes
 //   byte-identical to the in-process SweepRunner, and every job
 //   accounted exactly once (restored + recollected + executed).
 // * Seeded mutation test of the restore path (the checkpoint slice of
@@ -99,14 +99,6 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-std::vector<HostSpec> file_hosts(int count) {
-  std::vector<HostSpec> hosts;
-  for (int h = 0; h < count; ++h) {
-    hosts.push_back(HostSpec{"f" + std::to_string(h), worker_path(), {}, Transport::kFiles});
-  }
-  return hosts;
-}
-
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -152,13 +144,13 @@ void await_owners(const std::string& dir, const std::vector<farm::ShardOwner>& o
   }
 }
 
-/// Interrupts `jobs` under file hosts after one completed job, with the
+/// Interrupts `jobs` under two hosts after one completed job, with the
 /// in-flight workers left running; returns what the checkpoint holds
 /// once those workers have finished their result files.
-CheckpointContents interrupt_under_files(const Jobs& jobs, const std::string& dir,
+CheckpointContents interrupt_with_orphans(const Jobs& jobs, const std::string& dir,
                                          const std::string& checkpoint) {
   FarmOptions options;
-  options.hosts = file_hosts(2);
+  options.hosts = local_workers(2, worker_path());
   options.work_dir = dir;
   options.jobs_per_shard = 1;
   options.checkpoint_path = checkpoint;
@@ -172,14 +164,14 @@ CheckpointContents interrupt_under_files(const Jobs& jobs, const std::string& di
   return contents;
 }
 
-TEST(FarmCheckpointResume, FileHostCheckpointResumesUnderPipeHosts) {
+TEST(FarmCheckpointResume, InterruptedCheckpointResumesUnderOtherHosts) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
-  const Jobs jobs = small_batch(4);
+  const Jobs jobs = small_batch(5);
   const std::vector<RunOutcome> reference = sweep_reference(jobs);
-  const std::string dir = fresh_dir("files_to_pipe");
+  const std::string dir = fresh_dir("resume");
   const std::string checkpoint = dir + "/farm.ckpt";
 
-  const CheckpointContents interrupted = interrupt_under_files(jobs, dir, checkpoint);
+  const CheckpointContents interrupted = interrupt_with_orphans(jobs, dir, checkpoint);
   EXPECT_GE(interrupted.outcomes, 1);
   ASSERT_GE(interrupted.owners.size(), 1u) << "the other host's shard was in flight";
   int owned_jobs = 0;
@@ -188,7 +180,7 @@ TEST(FarmCheckpointResume, FileHostCheckpointResumesUnderPipeHosts) {
   }
 
   FarmOptions options;
-  options.hosts = local_workers(2, worker_path());
+  options.hosts = local_workers(3, worker_path());
   options.work_dir = dir;
   options.checkpoint_path = checkpoint;
   Farm resumed(options);
@@ -196,42 +188,10 @@ TEST(FarmCheckpointResume, FileHostCheckpointResumesUnderPipeHosts) {
   EXPECT_EQ(resumed.run(), reference);
   EXPECT_EQ(resumed.jobs_restored(), interrupted.outcomes);
   EXPECT_EQ(resumed.jobs_recollected(), owned_jobs);
-  EXPECT_EQ(resumed.jobs_restored() + resumed.jobs_recollected() + resumed.jobs_executed(), 4);
-  EXPECT_EQ(resumed.jobs_in_process(), 0);
-  EXPECT_FALSE(resumed.degraded());
-}
-
-TEST(FarmCheckpointResume, PipeHostCheckpointResumesUnderFileHosts) {
-  if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
-  const Jobs jobs = small_batch(5);
-  const std::vector<RunOutcome> reference = sweep_reference(jobs);
-  const std::string dir = fresh_dir("pipe_to_files");
-  const std::string checkpoint = dir + "/farm.ckpt";
-
-  FarmOptions options;
-  options.hosts = local_workers(2, worker_path());
-  options.work_dir = dir;
-  options.checkpoint_path = checkpoint;
-  options.checkpoint_every = 1;
-  options.abort_after_completed = 2;
-  {
-    Farm farm(options);
-    for (const auto& [label, text] : jobs) farm.add(text, label);
-    EXPECT_THROW(farm.run(), FarmInterrupted);
-  }
-  const CheckpointContents interrupted = inspect(checkpoint);
-  EXPECT_GE(interrupted.outcomes, 2);
-  EXPECT_TRUE(interrupted.owners.empty()) << "pipe dispatches own no result files";
-
-  options.hosts = file_hosts(2);
-  options.abort_after_completed = -1;
-  Farm resumed(options);
-  for (const auto& [label, text] : jobs) resumed.add(text, label);
-  EXPECT_EQ(resumed.run(), reference);
-  EXPECT_EQ(resumed.jobs_restored(), interrupted.outcomes);
-  EXPECT_EQ(resumed.jobs_recollected(), 0);
   EXPECT_EQ(resumed.jobs_restored() + resumed.jobs_recollected() + resumed.jobs_executed(), 5);
   EXPECT_EQ(resumed.jobs_in_process(), 0);
+  EXPECT_FALSE(resumed.degraded());
+  std::filesystem::remove_all(dir);
 }
 
 /// Byte offsets at which each frame of a valid frame stream starts,
@@ -264,11 +224,11 @@ TEST(FarmCheckpointMutation, EveryMutationRestoresOrRestartsCleanly) {
   const std::string dir = fresh_dir("mutation");
   const std::string checkpoint = dir + "/farm.ckpt";
 
-  // Real checkpoints of this batch: interrupted under file hosts
+  // Real checkpoints of this batch: interrupted under worker hosts
   // (outcome + owner frames, owned result files on disk), interrupted
   // in-process (outcomes only), and complete.
   std::vector<std::string> bases;
-  ASSERT_FALSE(interrupt_under_files(jobs, dir, checkpoint).owners.empty());
+  ASSERT_FALSE(interrupt_with_orphans(jobs, dir, checkpoint).owners.empty());
   bases.push_back(read_bytes(checkpoint));
   auto run_in_process = [&](const Jobs& batch, int abort_after) {
     FarmOptions options;

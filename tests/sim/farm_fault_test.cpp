@@ -4,14 +4,19 @@
 // a hang, never a silently missing or corrupted outcome.
 //
 // Faults are injected through sweep_worker's --fault-* flags (see
-// examples/sweep_worker.cpp): "after N" faults fire once per worker
-// process (its Nth handled job), so a respawned worker makes
-// progress — the transient-fault model; "on-label" faults follow the
-// job to every worker — the poisoned-job model, which must exhaust
-// its bounded retries and fail the whole batch diagnosably.
+// examples/sweep_worker.cpp).  Every dispatch is one worker process
+// running one shard, so "after N" faults fire on the Nth job of every
+// shard the faulty host runs: the transient-fault model puts such a
+// host beside a healthy one, which must absorb its jobs.  "On-label"
+// faults follow the job to every host — the poisoned-job model, which
+// must exhaust its bounded retries and fail the whole batch
+// diagnosably.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -92,12 +97,44 @@ class FarmFault : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
+    // A work directory private to this test and process.
+    dir_ = testing::TempDir() + "farm_fault_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+           std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
+    ::mkdir(dir_.c_str(), 0755);
   }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  FarmOptions options(std::vector<std::string> fault_args) {
+  /// Two hosts that both run `fault_args`, one job per dispatch.
+  FarmOptions options(const std::vector<std::string>& fault_args) const {
     FarmOptions o;
     o.hosts = local_workers(2, worker_path(), fault_args);
+    o.work_dir = dir_;
+    o.jobs_per_shard = 1;
     return o;
+  }
+
+  /// A host running `fault_args` ("w0", dispatched first) beside a
+  /// healthy one ("ok").
+  FarmOptions faulty_and_healthy(const std::vector<std::string>& fault_args) const {
+    FarmOptions o = options({});
+    o.hosts = local_workers(1, worker_path(), fault_args);
+    o.hosts.push_back(HostSpec{"ok", worker_path(), {}});
+    return o;
+  }
+
+  /// The faulty host failed (it gets the first dispatch), never
+  /// delivered, and so charged no job a retry; the healthy host did all
+  /// the work.
+  static void expect_absorbed(const Farm& farm, int jobs) {
+    EXPECT_FALSE(farm.degraded());
+    EXPECT_EQ(farm.jobs_executed(), jobs);
+    EXPECT_GE(farm.host_failure_count(), 1);
+    EXPECT_EQ(farm.health()->stats(0).shards_completed, 0);
+    EXPECT_EQ(farm.job_retries(), 0);
+    EXPECT_EQ(farm.health()->stats(1).state, HostState::kHealthy);
+    EXPECT_EQ(farm.health()->stats(1).failures, 0);
   }
 
   std::vector<RunOutcome> run_jobs(Farm& farm,
@@ -105,58 +142,80 @@ class FarmFault : public ::testing::Test {
     for (const auto& [label, text] : jobs) farm.add(text, label);
     return farm.run();
   }
+
+  std::string dir_;
 };
 
 TEST_F(FarmFault, SigkillMidJobRetriesToIdenticalResult) {
-  // Every worker process is SIGKILLed on its 2nd job, so the batch
-  // converges through respawns.  A retried job may land as the 2nd
-  // job of another live worker and die again, so a job can fail more
-  // than once; but every death follows its process's first completed
-  // job, and each job completes exactly once, so deaths <= jobs — a
-  // budget of jobs.size() retries can never be exhausted.
+  // The faulty host's worker finishes the first job of its two-job
+  // shard, then is SIGKILLed on the second: the whole shard is lost
+  // and re-runs on the healthy host, byte-identically.
   const auto jobs = small_batch();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmOptions o = options({"--fault-kill-after", "2"});
-  o.max_retries = static_cast<int>(jobs.size());
+  FarmOptions o = faulty_and_healthy({"--fault-kill-after", "2"});
+  o.jobs_per_shard = 2;
   Farm farm(o);
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
-  EXPECT_FALSE(farm.degraded());
-  EXPECT_GE(farm.worker_respawns(), 1);
-  EXPECT_GE(farm.job_retries(), 1);
+  expect_absorbed(farm, static_cast<int>(jobs.size()));
+  EXPECT_NE(farm.report().find("killed by signal 9"), std::string::npos) << farm.report();
 }
 
 TEST_F(FarmFault, GarbageFramesAreDetectedAndRetried) {
-  // A worker answering its 2nd job with non-protocol bytes is a
-  // protocol violation: killed, respawned, job retried — and the
-  // final outcomes are still the reference bytes.  Retry budget as in
-  // SigkillMidJob: every garbage reply follows its process's first
-  // completed job, so failures <= jobs.
+  // A worker answering with non-protocol bytes leaves a corrupt result
+  // file: the dispatch fails, the host is charged and the job re-runs
+  // elsewhere — and the final outcomes are still the reference bytes.
   const auto jobs = small_batch();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmOptions o = options({"--fault-garbage-after", "2"});
-  o.max_retries = static_cast<int>(jobs.size());
-  Farm farm(o);
+  Farm farm(faulty_and_healthy({"--fault-garbage-after", "1"}));
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
-  EXPECT_GE(farm.worker_respawns(), 1);
-  EXPECT_GE(farm.job_retries(), 1);
+  expect_absorbed(farm, static_cast<int>(jobs.size()));
+  EXPECT_NE(farm.report().find("corrupt result file"), std::string::npos) << farm.report();
 }
 
 TEST_F(FarmFault, TransientHangTimesOutAndRetries) {
-  // A hang is invisible to EOF detection; only the per-job timeout
+  // A hang is invisible to exit detection; only the dispatch deadline
   // catches it.  Short timeout + tiny jobs: a healthy job finishes in
   // well under a second, so 2s of silence means hung.
   auto jobs = small_batch();
   jobs.resize(4);
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmOptions o = options({"--fault-hang-after", "2"});
+  FarmOptions o = faulty_and_healthy({"--fault-hang-after", "1"});
   o.timeout_s = 2.0;
   Farm farm(o);
   const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
   EXPECT_EQ(outcomes, expected);
-  EXPECT_GE(farm.worker_respawns(), 1);
-  EXPECT_GE(farm.job_retries(), 1);
+  expect_absorbed(farm, static_cast<int>(jobs.size()));
+  EXPECT_NE(farm.report().find("hung"), std::string::npos) << farm.report();
+}
+
+TEST_F(FarmFault, DeadlineScalesWithShardSize) {
+  // timeout_s is per job: a four-job shard may take four times as long.
+  // The worker runs behind a wrapper that sleeps 1 s first, so the
+  // shard takes longer than timeout_s while its jobs average well under
+  // it; no dispatch may be declared hung.
+  auto jobs = small_batch();
+  jobs.resize(4);
+  const std::vector<RunOutcome> expected = sweep_reference(jobs);
+  const std::string wrapper = dir_ + "/slow_worker.sh";
+  {
+    std::ofstream out(wrapper);
+    out << "#!/bin/sh\nsleep 1\nexec '" << std::filesystem::absolute(worker_path()).string()
+        << "' \"$@\"\n";
+  }
+  ::chmod(wrapper.c_str(), 0755);
+  FarmOptions o = options({});
+  o.hosts = {HostSpec{"slow", wrapper, {}}};
+  o.jobs_per_shard = 4;
+  o.timeout_s = 0.6;
+  Farm farm(o);
+  const std::vector<RunOutcome> outcomes = run_jobs(farm, jobs);
+  EXPECT_EQ(outcomes, expected);
+  EXPECT_FALSE(farm.degraded());
+  EXPECT_EQ(farm.host_failure_count(), 0) << farm.report();
+  EXPECT_EQ(farm.jobs_executed(), 4);
+  EXPECT_EQ(farm.health()->stats(0).shards_completed, 1);
 }
 
 TEST_F(FarmFault, PoisonedJobExhaustsRetriesDiagnosably) {

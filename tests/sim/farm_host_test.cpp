@@ -79,8 +79,10 @@ std::vector<RunOutcome> sweep_reference(
   return sweep.run();
 }
 
+/// A fresh work directory private to this test and process (ctest may
+/// run the farm suites concurrently).
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + name;
+  const std::string dir = testing::TempDir() + name + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);  // checkpoints/results from a previous run
   ::mkdir(dir.c_str(), 0755);
   return dir;
@@ -111,7 +113,7 @@ TEST(FarmFileHosts, CleanHostsMatchSweepByteForByte) {
   FarmOptions options = base_options(fresh_dir("hostfarm_clean"));
   options.jobs_per_shard = 0;  // one balanced shard per host
   for (const char* id : {"h0", "h1", "h2"}) {
-    options.hosts.push_back(HostSpec{id, worker_path(), {}, Transport::kFiles});
+    options.hosts.push_back(HostSpec{id, worker_path(), {}});
   }
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
@@ -132,15 +134,14 @@ TEST(FarmFileHosts, CleanHostsMatchSweepByteForByte) {
 TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(6);
-  FarmOptions options = base_options(fresh_dir("hostfarm_drill"));
+  const std::string dir = fresh_dir("hostfarm_drill");
+  FarmOptions options = base_options(dir);
   options.timeout_s = 1.0;  // the hung host must burn out quickly
-  options.hosts.push_back(
-      HostSpec{"h-kill", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h-kill", worker_path(), {"--fault-kill-after", "1"}});
   options.hosts.push_back(HostSpec{
-      "h-corrupt", worker_path(), {"--fault-corrupt-results", "bitflip"}, Transport::kFiles});
-  options.hosts.push_back(
-      HostSpec{"h-hang", worker_path(), {"--fault-hang-after", "1"}, Transport::kFiles});
-  options.hosts.push_back(HostSpec{"h-ok", worker_path(), {}, Transport::kFiles});
+      "h-corrupt", worker_path(), {"--fault-corrupt-results", "bitflip"}});
+  options.hosts.push_back(HostSpec{"h-hang", worker_path(), {"--fault-hang-after", "1"}});
+  options.hosts.push_back(HostSpec{"h-ok", worker_path(), {}});
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
@@ -161,6 +162,12 @@ TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   EXPECT_NE(report.find("redistribute"), std::string::npos);
   EXPECT_NE(report.find("h-corrupt"), std::string::npos);
   EXPECT_NE(report.find("corrupt result file"), std::string::npos);
+
+  // Every dispatch ended, failed or not, so no shard file is left.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u)
+        << "left behind: " << entry.path();
+  }
 }
 
 TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
@@ -168,10 +175,8 @@ TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
   const auto jobs = small_batch(4);
   FarmOptions options = base_options(fresh_dir("hostfarm_degrade"));
   options.max_quarantines = 0;  // first budget burn retires
-  options.hosts.push_back(
-      HostSpec{"d0", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
-  options.hosts.push_back(
-      HostSpec{"d1", worker_path(), {"--fault-kill-after", "1"}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"d0", worker_path(), {"--fault-kill-after", "1"}});
+  options.hosts.push_back(HostSpec{"d1", worker_path(), {"--fault-kill-after", "1"}});
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
@@ -202,8 +207,7 @@ TEST(FarmFileHosts, RandomizedFaultSchedulesStayByteIdentical) {
         case 2: args = {"--fault-corrupt-results", "truncate"}; break;
         case 3: args = {"--fault-garbage-after", "1"}; break;
       }
-      options.hosts.push_back(
-          HostSpec{"r" + std::to_string(h), worker_path(), std::move(args), Transport::kFiles});
+      options.hosts.push_back(HostSpec{"r" + std::to_string(h), worker_path(), std::move(args)});
     }
     Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
@@ -217,8 +221,7 @@ TEST(FarmFileHosts, DeterministicJobFailureNamesTheJobNotTheHost) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(3);
   FarmOptions options = base_options(fresh_dir("hostfarm_poison"));
-  options.hosts.push_back(
-      HostSpec{"p0", worker_path(), {"--fault-error-on-label", "job1"}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"p0", worker_path(), {"--fault-error-on-label", "job1"}});
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   try {
@@ -278,7 +281,7 @@ TEST(FarmFileHosts, ResumeRecollectsOwnedShardsWithoutRerunning) {
 
   FarmOptions options = base_options(dir);
   options.checkpoint_path = checkpoint;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
@@ -305,8 +308,8 @@ TEST(FarmFileHosts, InterruptWithOrphansResumesViaRecollect) {
   options.checkpoint_path = checkpoint;
   options.abort_after_completed = 1;
   options.orphan_on_abort = true;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
-  options.hosts.push_back(HostSpec{"h1", worker_path(), {}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
+  options.hosts.push_back(HostSpec{"h1", worker_path(), {}});
   {
     Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
@@ -366,7 +369,7 @@ TEST(FarmFileHosts, ForeignOrCorruptCheckpointRestartsCleanly) {
   }
   FarmOptions options = base_options(dir);
   options.checkpoint_path = checkpoint;
-  options.hosts.push_back(HostSpec{"h0", worker_path(), {}, Transport::kFiles});
+  options.hosts.push_back(HostSpec{"h0", worker_path(), {}});
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();

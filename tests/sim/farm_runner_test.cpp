@@ -1,4 +1,4 @@
-// Farm acceptance gate over local pipe workers: process-farm execution
+// Farm acceptance gate over local worker hosts: process-farm execution
 // must be *byte-identical* to the in-process SweepRunner — same
 // RunOutcomes, same submission order — at every worker count, through
 // the in-process degradation path, and across a checkpoint
@@ -8,10 +8,13 @@
 #include "sim/farm.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,29 +91,41 @@ std::vector<RunOutcome> sweep_reference(
   return sweep.run();
 }
 
-std::string temp_path(const char* name) {
-  return testing::TempDir() + "farm_runner_" + name + "_" + std::to_string(::getpid()) + ".ckpt";
-}
+/// A fresh work directory private to this test and process (ctest may
+/// run the farm suites concurrently); removed on destruction.
+struct WorkDir {
+  std::string path;
+  explicit WorkDir(const std::string& name)
+      : path(testing::TempDir() + "farm_runner_" + name + "_" + std::to_string(::getpid())) {
+    std::filesystem::remove_all(path);
+    ::mkdir(path.c_str(), 0755);
+  }
+  ~WorkDir() { std::filesystem::remove_all(path); }
+};
 
-TEST(FarmPipeHosts, MatchesSweepRunnerAtEveryWorkerCount) {
+TEST(FarmLocalHosts, MatchesSweepRunnerAtEveryWorkerCount) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
+  const WorkDir dir("workers");
   for (const int workers : {1, 2, 4}) {
     FarmOptions options;
     options.hosts = local_workers(workers, worker_path());
+    options.work_dir = dir.path;
+    options.jobs_per_shard = 1;
     Farm farm(options);
     for (const auto& [label, text] : jobs) farm.add(text, label);
     const std::vector<RunOutcome> outcomes = farm.run();
     EXPECT_EQ(outcomes, expected) << "workers=" << workers;
     EXPECT_FALSE(farm.degraded()) << "workers=" << workers;
     EXPECT_EQ(farm.jobs_executed(), static_cast<int>(jobs.size()));
-    EXPECT_EQ(farm.worker_respawns(), 0);
+    EXPECT_EQ(farm.dispatches(), static_cast<int>(jobs.size()));
+    EXPECT_EQ(farm.host_failure_count(), 0);
     EXPECT_EQ(farm.job_retries(), 0);
   }
 }
 
-TEST(FarmPipeHosts, InProcessFallbackMatches) {
+TEST(FarmLocalHosts, InProcessFallbackMatches) {
   // No hosts is the explicit "no distribution" form; the outcomes must
   // be the same bytes.
   const auto jobs = batch_jobs();
@@ -124,40 +139,51 @@ TEST(FarmPipeHosts, InProcessFallbackMatches) {
   EXPECT_EQ(farm.pending(), 0u);  // batch cleared on success
 }
 
-TEST(FarmPipeHosts, MissingWorkerBinaryDegradesGracefully) {
+TEST(FarmLocalHosts, MissingWorkerBinaryDegradesGracefully) {
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
+  const WorkDir dir("missing_worker");
   FarmOptions options;
   options.hosts = local_workers(3, "/nonexistent/path/to/sweep_worker");
+  options.work_dir = dir.path;
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
   EXPECT_TRUE(farm.degraded());
   EXPECT_FALSE(farm.degrade_reason().empty());
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path)) << "failed dispatches leave no shard files";
 }
 
-TEST(FarmPipeHosts, AddRejectsMalformedScenarios) {
+TEST(FarmLocalHosts, AddRejectsMalformedScenarios) {
   Farm farm(FarmOptions{});
   EXPECT_THROW(farm.add("this is not a scenario"), std::exception);
   EXPECT_THROW(farm.add("[machine]\ntopology = 1x2\n"), std::exception);  // no [vm]
   EXPECT_EQ(farm.pending(), 0u);
 }
 
+/// Each test's farms share one private work directory, which also
+/// holds the checkpoint.
 class FarmCheckpoint : public ::testing::Test {
  protected:
-  void TearDown() override {
-    if (!ckpt_.empty()) {
-      std::remove(ckpt_.c_str());
-      std::remove((ckpt_ + ".tmp").c_str());
-    }
+  void use_dir(const std::string& name) {
+    dir_ = std::make_unique<WorkDir>(name);
+    ckpt_ = dir_->path + "/farm.ckpt";
   }
 
+  FarmOptions options() const {
+    FarmOptions o;
+    o.work_dir = dir_->path;
+    o.checkpoint_path = ckpt_;
+    return o;
+  }
+
+  std::unique_ptr<WorkDir> dir_;
   std::string ckpt_;
 };
 
 TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
-  ckpt_ = temp_path("resume");
+  use_dir("resume");
   const auto jobs = batch_jobs();
   const int total = static_cast<int>(jobs.size());
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
@@ -167,8 +193,7 @@ TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
   // would).  In-process execution keeps completion order — and thus
   // K's identity — deterministic.
   constexpr int kInterruptAfter = 3;
-  FarmOptions interrupted;
-  interrupted.checkpoint_path = ckpt_;
+  FarmOptions interrupted = options();
   interrupted.checkpoint_every = 1;
   interrupted.abort_after_completed = kInterruptAfter;
   {
@@ -185,8 +210,7 @@ TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
   // Phase 2: a fresh runner with the same batch resumes — exactly
   // N - K jobs simulate, the rest restore, and the merged result is
   // the uninterrupted result, byte for byte.
-  FarmOptions resumed;
-  resumed.checkpoint_path = ckpt_;
+  const FarmOptions resumed = options();
   Farm farm(resumed);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
@@ -205,13 +229,13 @@ TEST_F(FarmCheckpoint, InterruptAndResumeIsExact) {
 
 TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
-  ckpt_ = temp_path("worker_resume");
+  use_dir("worker_resume");
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
 
-  FarmOptions interrupted;
+  FarmOptions interrupted = options();
   interrupted.hosts = local_workers(2, worker_path());
-  interrupted.checkpoint_path = ckpt_;
+  interrupted.jobs_per_shard = 1;
   interrupted.checkpoint_every = 1;
   interrupted.abort_after_completed = 2;
   {
@@ -226,10 +250,12 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   // With 2 workers the interrupt point is nondeterministic in *which*
-  // jobs finished, but the split must still account for every job
-  // exactly once.
+  // jobs finished (and the killed in-flight worker may have written its
+  // result file first, which the resume then re-collects), but the split
+  // must still account for every job exactly once.
   EXPECT_GE(farm.jobs_restored(), 2);
-  EXPECT_EQ(farm.jobs_restored() + farm.jobs_executed(), static_cast<int>(jobs.size()));
+  EXPECT_EQ(farm.jobs_restored() + farm.jobs_recollected() + farm.jobs_executed(),
+            static_cast<int>(jobs.size()));
 }
 
 TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
@@ -238,7 +264,7 @@ TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
   // in-process path: the error names the job, and the jobs finished
   // before it are checkpointed first, so the next run restores them
   // instead of simulating them again.
-  ckpt_ = temp_path("inproc_failure");
+  use_dir("inproc_failure");
   auto jobs = batch_jobs();
   jobs.resize(3);
   std::string dedication = jobs[2].second;
@@ -248,10 +274,8 @@ TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
   const std::vector<RunOutcome> expected =
       sweep_reference({jobs.begin(), jobs.begin() + 2});
 
-  FarmOptions options;
-  options.checkpoint_path = ckpt_;
   for (const int attempt : {0, 1}) {
-    Farm farm(options);
+    Farm farm(options());
     for (const auto& [label, text] : jobs) farm.add(text, label);
     try {
       farm.run();
@@ -280,16 +304,14 @@ TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {
 }
 
 TEST_F(FarmCheckpoint, CorruptCheckpointMeansCleanRestart) {
-  ckpt_ = temp_path("corrupt");
+  use_dir("corrupt");
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   {
     std::ofstream out(ckpt_, std::ios::binary);
     out << "KYFM this was a checkpoint once, now it is soup";
   }
-  FarmOptions options;
-  options.checkpoint_path = ckpt_;
-  Farm farm(options);
+  Farm farm(options());
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
   EXPECT_EQ(outcomes, expected);
@@ -300,14 +322,12 @@ TEST_F(FarmCheckpoint, CorruptCheckpointMeansCleanRestart) {
 }
 
 TEST_F(FarmCheckpoint, TruncatedCheckpointMeansCleanRestart) {
-  ckpt_ = temp_path("truncated");
+  use_dir("truncated");
   const auto jobs = batch_jobs();
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
   // Produce a complete, valid checkpoint...
-  FarmOptions options;
-  options.checkpoint_path = ckpt_;
   {
-    Farm farm(options);
+    Farm farm(options());
     for (const auto& [label, text] : jobs) farm.add(text, label);
     farm.run();
   }
@@ -319,7 +339,7 @@ TEST_F(FarmCheckpoint, TruncatedCheckpointMeansCleanRestart) {
     std::ofstream out(ckpt_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 7));
   }
-  Farm farm(options);
+  Farm farm(options());
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   EXPECT_EQ(farm.jobs_restored(), 0);
@@ -327,20 +347,16 @@ TEST_F(FarmCheckpoint, TruncatedCheckpointMeansCleanRestart) {
 }
 
 TEST_F(FarmCheckpoint, ForeignBatchCheckpointIsIgnored) {
-  ckpt_ = temp_path("foreign");
+  use_dir("foreign");
   const auto jobs = batch_jobs();
   // Checkpoint a different batch under the same path.
   {
-    FarmOptions options;
-    options.checkpoint_path = ckpt_;
-    Farm farm(options);
+    Farm farm(options());
     farm.add(tiny_scenario("hmmer", 4, 99), "other-batch");
     farm.run();
   }
   const std::vector<RunOutcome> expected = sweep_reference(jobs);
-  FarmOptions options;
-  options.checkpoint_path = ckpt_;
-  Farm farm(options);
+  Farm farm(options());
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   EXPECT_EQ(farm.jobs_restored(), 0);  // fingerprint mismatch: nothing restored
