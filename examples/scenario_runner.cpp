@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -176,19 +177,23 @@ int main(int argc, char** argv) {
              "                  keeps killing workers fails the run by name.\n"
              "                  Prints the farm report after the run.\n"
              "  --split-jobs DIR\n"
-             "                  with --hosts N: do not run anything; write one job\n"
-             "                  file per shard plus manifest.kyfm into DIR and\n"
-             "                  print, per shard, the worker command its host\n"
-             "                  should run.  Ship each job file to its host, run\n"
-             "                  the printed command, ship the result files back.\n"
+             "                  with --hosts N: do not run anything; split the\n"
+             "                  files the farm's way (one balanced shard per host\n"
+             "                  host0..), write each shard's job file into DIR\n"
+             "                  plus manifest.kyfm (a farm checkpoint owning one\n"
+             "                  result file per shard) and print, per shard, the\n"
+             "                  worker command its host should run.  Ship each\n"
+             "                  job file to its host, run the printed command,\n"
+             "                  ship the result files back.\n"
              "  --merge-results DIR\n"
-             "                  validate every shard result file in DIR against\n"
-             "                  its manifest and, only if ALL of them check out,\n"
-             "                  print the merged reports (submission order).  A\n"
-             "                  missing/corrupt/foreign/incomplete shard is\n"
-             "                  diagnosed per host and exits 1.  The same\n"
-             "                  scenario files must be passed again (the manifest\n"
-             "                  fingerprint binds the exact batch).\n"
+             "                  read DIR/manifest.kyfm with the farm's checkpoint\n"
+             "                  reader, validate every owner's result file and,\n"
+             "                  only if ALL of them check out, print the merged\n"
+             "                  reports (submission order).  A missing/corrupt/\n"
+             "                  foreign/incomplete shard is diagnosed per host\n"
+             "                  and exits 1, as does a manifest that is not a\n"
+             "                  split of exactly these files (the same scenario\n"
+             "                  files must be passed again).\n"
              "  --checkpoint F  with --hosts: periodically checkpoint completed\n"
              "                  outcomes to F; re-running with the same\n"
              "                  scenario files after an interruption resumes\n"
@@ -264,17 +269,14 @@ int main(int argc, char** argv) {
         std::cerr << "--split-jobs needs --hosts N (N >= 1)\n";
         return 2;
       }
-      const std::vector<sim::farm::FarmJob> jobs = build_jobs();
-      std::vector<std::string> host_ids;
-      for (int h = 0; h < hosts; ++h) host_ids.push_back("host" + std::to_string(h));
-      const sim::farm::ShardManifest manifest = sim::split_batch(jobs, host_ids);
-      sim::write_shard_files(split_dir, manifest, jobs);
-      std::cout << "Wrote " << manifest.shards.size() << " shard(s) + manifest.kyfm to "
-                << split_dir << "\n\n";
-      for (const sim::farm::HostShard& shard : manifest.shards) {
-        std::cout << shard.host_id << ":  sweep_worker --jobs " << split_dir << '/'
-                  << shard.job_file << " --results " << split_dir << '/' << shard.result_file
-                  << "   # " << shard.job_ids.size() << " job(s)\n";
+      const std::vector<sim::farm::ShardOwner> owners =
+          sim::write_split(split_dir, build_jobs(), hosts);
+      std::cout << "Wrote " << owners.size() << " shard(s) + manifest.kyfm to " << split_dir
+                << "\n\n";
+      for (const sim::farm::ShardOwner& owner : owners) {
+        std::cout << owner.host_id << ":  sweep_worker --jobs " << split_dir << '/'
+                  << sim::farm::job_file_for(owner.result_file) << " --results " << split_dir
+                  << '/' << owner.result_file << "   # " << owner.job_ids.size() << " job(s)\n";
       }
       std::cout << "\nShip each job file to its host, run the printed command there, ship\n"
                    "the result files back into "
@@ -285,24 +287,38 @@ int main(int argc, char** argv) {
 
     if (!merge_dir.empty()) {
       const std::vector<sim::farm::FarmJob> jobs = build_jobs();
-      sim::farm::ShardManifest manifest;
+      std::vector<sim::farm::ShardOwner> owners;
       try {
-        manifest = sim::farm::read_manifest_file(sim::manifest_path(merge_dir));
+        owners = sim::read_split(merge_dir, jobs);
       } catch (const sim::farm::CodecError& e) {
-        std::cerr << "error: cannot parse manifest " << sim::manifest_path(merge_dir) << ": "
+        std::cerr << "error: cannot read manifest " << sim::manifest_path(merge_dir) << ": "
                   << e.what() << '\n';
         return 1;
       }
-      if (manifest.fingerprint != sim::farm::batch_fingerprint(jobs) ||
-          manifest.total_jobs != jobs.size()) {
-        std::cerr << "error: these scenario files are not the batch '"
-                  << sim::manifest_path(merge_dir) << "' was split from\n";
-        return 1;
+      // All or nothing: the owners cover every job once, so the
+      // outcomes are complete exactly when every shard checks out.
+      outcomes.resize(jobs.size());
+      bool complete = true;
+      std::ostringstream lines;
+      for (const sim::farm::ShardOwner& owner : owners) {
+        sim::ShardCollect c = sim::collect_shard(owner, merge_dir + "/" + owner.result_file);
+        lines << "  host " << owner.host_id << " (" << owner.result_file
+              << "): " << sim::shard_collect_state_name(c.state);
+        if (c.state == sim::ShardCollect::State::kOk) lines << ", " << c.outcomes.size() << " job(s)";
+        if (c.state == sim::ShardCollect::State::kDeterministic) {
+          lines << " — job #" << c.failed_job << " '" << jobs[c.failed_job].label
+                << "': " << c.detail;
+        } else if (!c.detail.empty()) {
+          lines << " — " << c.detail;
+        }
+        lines << '\n';
+        complete = complete && c.state == sim::ShardCollect::State::kOk;
+        for (sim::farm::FarmOutcome& o : c.outcomes) outcomes[o.id] = std::move(o.outcome);
       }
-      const sim::MergeReport merged = sim::merge_results(manifest, merge_dir);
-      std::cout << merged.summary() << '\n';
-      if (!merged.complete) return 1;
-      outcomes = merged.outcomes;
+      std::cout << "merge " << (complete ? "complete" : "FAILED") << ": " << owners.size()
+                << " shard(s)\n"
+                << lines.str() << '\n';
+      if (!complete) return 1;
     } else if (hosts > 0) {
       const std::string worker = sim::Farm::default_worker_path(argv[0]);
       sim::FarmOptions options;

@@ -1,6 +1,13 @@
 # ctest scenario_runner_cli:
 #   cmake -DRUNNER=<path to scenario_runner> -DWORK=<scratch dir> -P scenario_runner_cli_test.cmake
-# The farm finds sweep_worker through $KYOTO_SWEEP_WORKER or next to RUNNER.
+# The farm, and the runbook below, find sweep_worker through
+# $KYOTO_SWEEP_WORKER or next to RUNNER.
+if(DEFINED ENV{KYOTO_SWEEP_WORKER})
+  set(worker "$ENV{KYOTO_SWEEP_WORKER}")
+else()
+  get_filename_component(worker "${RUNNER}" DIRECTORY)
+  set(worker "${worker}/sweep_worker")
+endif()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -67,5 +74,53 @@ if(NOT farm_full MATCHES "farm: 3 executed on hosts" OR farm_full MATCHES "DEGRA
 endif()
 if(NOT farm STREQUAL lanes)
   message(FATAL_ERROR "--hosts 2 reports differ from --lanes 1:\n${farm}\n---\n${lanes}")
+endif()
+
+# The manual runbook: split over two hosts, run each printed worker
+# command, merge.  The merged reports are the same bytes again.
+set(split "${WORK}/split")
+file(MAKE_DIRECTORY "${split}")
+execute_process(COMMAND ${RUNNER} --hosts 2 --split-jobs ${split} ${scenarios}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--split-jobs: exit ${rc}, stdout '${out}', stderr '${err}'")
+endif()
+string(REPLACE "\n" ";" lines "${out}")
+set(shards 0)
+foreach(line IN LISTS lines)
+  if(line MATCHES "^host[0-9]+:  sweep_worker --jobs (.+) --results (.+)   # [0-9]+ job")
+    execute_process(COMMAND ${worker} --jobs ${CMAKE_MATCH_1} --results ${CMAKE_MATCH_2}
+                    RESULT_VARIABLE rc ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "'${line}': exit ${rc}, stderr '${err}'")
+    endif()
+    math(EXPR shards "${shards} + 1")
+  endif()
+endforeach()
+if(NOT shards EQUAL 2)
+  message(FATAL_ERROR "--split-jobs printed ${shards} worker command(s), not 2:\n${out}")
+endif()
+reports("--merge-results;${split}" merged)
+if(NOT merged_full MATCHES "merge complete: 2 shard")
+  message(FATAL_ERROR "--merge-results did not merge both shards:\n${merged_full}")
+endif()
+if(NOT merged STREQUAL lanes)
+  message(FATAL_ERROR "merged reports differ from --lanes 1:\n${merged}\n---\n${lanes}")
+endif()
+
+# A missing result file fails the merge, naming its host.
+file(REMOVE "${split}/shard1.results.kyfm")
+execute_process(COMMAND ${RUNNER} --merge-results ${split} ${scenarios}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT out MATCHES "host host1 \\(shard1.results.kyfm\\): missing result file")
+  message(FATAL_ERROR "merge without host1's results: exit ${rc}, stdout '${out}', stderr '${err}'")
+endif()
+
+# A merge against other scenario files than were split is refused.
+list(REMOVE_AT scenarios 2)
+execute_process(COMMAND ${RUNNER} --merge-results ${split} ${scenarios}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "different job batch")
+  message(FATAL_ERROR "merge of another batch: exit ${rc}, stdout '${out}', stderr '${err}'")
 endif()
 file(REMOVE_RECURSE "${WORK}")

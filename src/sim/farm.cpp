@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -54,14 +53,24 @@ struct Argv {
   Argv& operator=(const Argv&) = delete;
 };
 
+/// Deletes a shard's job and result files under `work_dir`; a name
+/// that is not a shard result file is left alone.
+void remove_shard_files(const std::string& work_dir, const std::string& result_file) {
+  const std::string job_file = farm::job_file_for(result_file);
+  if (job_file.empty()) return;
+  std::remove((work_dir + "/" + job_file).c_str());
+  std::remove((work_dir + "/" + result_file).c_str());
+}
+
 }  // namespace
 
 struct Farm::Slot {
-  pid_t pid = -1;                 // this dispatch's worker
-  std::vector<std::size_t> jobs;  // the in-flight dispatch; empty when idle
-  std::string job_file;           // bare names under work_dir
-  std::string result_file;
+  pid_t pid = -1;          // this dispatch's worker
+  farm::ShardOwner owner;  // the in-flight dispatch; no job ids when idle
+  std::string job_file;    // bare names under work_dir, like owner.result_file
   double deadline_s = 0.0;
+
+  bool busy() const { return !owner.job_ids.empty(); }
 
   /// SIGKILLs and reaps the worker, if any.
   void stop() {
@@ -72,12 +81,6 @@ struct Farm::Slot {
       }
       pid = -1;
     }
-  }
-
-  /// Deletes the dispatch's job and result files.
-  void remove_files(const std::string& work_dir) const {
-    std::remove((work_dir + "/" + job_file).c_str());
-    std::remove((work_dir + "/" + result_file).c_str());
   }
 };
 
@@ -146,7 +149,7 @@ std::vector<RunOutcome> Farm::run() {
       last_failed_host_.assign(total, -1);
       shard_size_ = options_.jobs_per_shard > 0
                         ? static_cast<std::size_t>(options_.jobs_per_shard)
-                        : (queue_.size() + options_.hosts.size() - 1) / options_.hosts.size();
+                        : balanced_shard_size(queue_.size(), options_.hosts.size());
       dispatch_loop();
     }
   }
@@ -173,8 +176,8 @@ void Farm::dispatch_loop() {
 
   for (;;) {
     assign();
-    const bool busy = std::any_of(slots_.begin(), slots_.end(),
-                                  [](const Slot& s) { return !s.jobs.empty(); });
+    const bool busy =
+        std::any_of(slots_.begin(), slots_.end(), [](const Slot& s) { return s.busy(); });
     if (!busy && queue_.empty()) return;
     if (!busy && health_->all_retired()) {
       degrade("every host is retired with " + std::to_string(queue_.size()) +
@@ -188,7 +191,7 @@ void Farm::dispatch_loop() {
 void Farm::assign() {
   for (std::size_t h = 0; h < slots_.size() && !queue_.empty(); ++h) {
     const int host = static_cast<int>(h);
-    if (!slots_[h].jobs.empty() || !health_->usable(host, now_s())) continue;
+    if (slots_[h].busy() || !health_->usable(host, now_s())) continue;
     const std::size_t n = std::min(shard_size_, queue_.size());
     std::vector<std::size_t> jobs(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
     queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
@@ -207,9 +210,8 @@ void Farm::assign() {
 void Farm::start(int host, std::vector<std::size_t> jobs) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
   const HostSpec& spec = options_.hosts[static_cast<std::size_t>(host)];
-  s.jobs = std::move(jobs);
   s.deadline_s = options_.timeout_s > 0
-                     ? now_s() + options_.timeout_s * static_cast<double>(s.jobs.size())
+                     ? now_s() + options_.timeout_s * static_cast<double>(jobs.size())
                      : std::numeric_limits<double>::infinity();
   ++dispatches_;
 
@@ -217,18 +219,19 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
   // worker orphaned by an earlier coordinator never writes into a
   // file this one reads.
   static std::atomic<unsigned> next_shard{0};
-  const std::string stem =
-      "shard" + std::to_string(::getpid()) + "-" + std::to_string(next_shard++);
-  s.job_file = stem + ".jobs.kyfm";
-  s.result_file = stem + ".results.kyfm";
+  s.owner = farm::ShardOwner{
+      spec.id,
+      "shard" + std::to_string(::getpid()) + "-" + std::to_string(next_shard++) + ".results.kyfm",
+      std::vector<std::uint64_t>(jobs.begin(), jobs.end())};
+  s.job_file = farm::job_file_for(s.owner.result_file);
   const std::string job_path = options_.work_dir + "/" + s.job_file;
-  const std::string result_path = options_.work_dir + "/" + s.result_file;
+  const std::string result_path = options_.work_dir + "/" + s.owner.result_file;
   std::vector<farm::FarmJob> shard;
-  for (const std::size_t j : s.jobs) shard.push_back(jobs_[j]);
+  for (const std::size_t j : jobs) shard.push_back(jobs_[j]);
   try {
     farm::write_job_file(job_path, shard);
   } catch (const farm::CodecError& e) {
-    s.jobs.clear();
+    s.owner.job_ids.clear();
     fail_batch(std::string("cannot write shard: ") + e.what());
   }
   std::remove(result_path.c_str());
@@ -256,13 +259,13 @@ void Farm::pump() {
   // without waiting for a busy one to finish.
   if (!queue_.empty()) wait_s = std::min(wait_s, health_->next_available_s() - now_s());
   for (const Slot& s : slots_) {
-    if (!s.jobs.empty()) wait_s = std::min(wait_s, s.deadline_s - now_s());
+    if (s.busy()) wait_s = std::min(wait_s, s.deadline_s - now_s());
   }
   if (wait_s > 0) std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
 
   for (std::size_t h = 0; h < slots_.size(); ++h) {
     Slot& s = slots_[h];
-    if (s.jobs.empty()) continue;
+    if (!s.busy()) continue;
     int status = 0;
     const pid_t r = ::waitpid(s.pid, &status, WNOHANG);
     if (r == s.pid) {
@@ -274,10 +277,10 @@ void Farm::pump() {
   }
   const double after = now_s();
   for (std::size_t h = 0; h < slots_.size(); ++h) {
-    if (!slots_[h].jobs.empty() && after >= slots_[h].deadline_s) {
+    if (slots_[h].busy() && after >= slots_[h].deadline_s) {
       std::ostringstream oss;
       oss << "worker hung: no reply within " << options_.timeout_s << "s per job ("
-          << slots_[h].jobs.size() << " job(s))";
+          << slots_[h].owner.job_ids.size() << " job(s))";
       fail(static_cast<int>(h), oss.str());
     }
   }
@@ -289,24 +292,18 @@ void Farm::finish(int host, int status) {
     fail(host, describe_exit(status));
     return;
   }
-  farm::HostShard shard;
-  shard.host_id = options_.hosts[static_cast<std::size_t>(host)].id;
-  shard.result_file = s.result_file;
-  for (const std::size_t j : s.jobs) {
-    shard.job_ids.push_back(j);
-    shard.labels.push_back(jobs_[j].label);
-  }
-  const std::string result_path = options_.work_dir + "/" + s.result_file;
-  const ShardCollect collect = collect_shard(shard, result_path);
+  const ShardCollect collect =
+      collect_shard(s.owner, options_.work_dir + "/" + s.owner.result_file);
   switch (collect.state) {
     case ShardCollect::State::kOk:
-      s.remove_files(options_.work_dir);
+      remove_shard_files(options_.work_dir, s.owner.result_file);
       complete(host, collect.outcomes);
       return;
     case ShardCollect::State::kDeterministic:
-      s.jobs.clear();
-      s.remove_files(options_.work_dir);
-      fail_job(collect.detail);  // the detail names the job
+      s.owner.job_ids.clear();
+      remove_shard_files(options_.work_dir, s.owner.result_file);
+      fail_job(describe_job(static_cast<std::size_t>(collect.failed_job)) + ": " +
+               collect.detail);
     default:
       fail(host, shard_collect_state_name(collect.state) +
                      (collect.detail.empty() ? "" : ": " + collect.detail));
@@ -316,7 +313,7 @@ void Farm::finish(int host, int status) {
 void Farm::complete(int host, const std::vector<farm::FarmOutcome>& outcomes) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
   health_->record_success(host, now_s(), s.job_file, static_cast<int>(outcomes.size()));
-  s.jobs.clear();
+  s.owner.job_ids.clear();
   for (const farm::FarmOutcome& outcome : outcomes) {
     const auto index = static_cast<std::size_t>(outcome.id);
     KYOTO_CHECK(index < done_.size() && done_[index] == 0);
@@ -329,19 +326,19 @@ void Farm::complete(int host, const std::vector<farm::FarmOutcome>& outcomes) {
 
 void Farm::fail(int host, const std::string& reason) {
   Slot& s = slots_[static_cast<std::size_t>(host)];
-  const std::vector<std::size_t> jobs = std::move(s.jobs);
-  s.jobs.clear();
+  const std::vector<std::uint64_t> jobs = std::move(s.owner.job_ids);
+  s.owner.job_ids.clear();
   s.stop();
   // The worker is reaped, so nothing writes these files any more, and
   // no owner frame names a dispatch that is no longer in flight.
-  s.remove_files(options_.work_dir);
+  remove_shard_files(options_.work_dir, s.owner.result_file);
 
   // Only a host that has delivered this run can blame the job; one
   // that never delivered (bad binary, dead link) charges only itself.
   const bool proven = health_->stats(host).shards_completed > 0;
   health_->record_failure(host, now_s(), s.job_file + ": " + reason);
   ++host_failures_;
-  for (const std::size_t j : jobs) {
+  for (const std::uint64_t j : jobs) {
     last_failed_host_[j] = host;
     if (!proven) continue;
     ++retries_;
@@ -354,9 +351,13 @@ void Farm::fail(int host, const std::string& reason) {
 }
 
 void Farm::stop_workers() {
-  // The orphan drill leaves workers finishing their result files.
+  // The orphan drill leaves its workers finishing the result files
+  // that the last checkpoint's owner frames name.
   if (!orphaning_) {
-    for (Slot& s : slots_) s.stop();
+    for (Slot& s : slots_) {
+      s.stop();
+      if (s.busy()) remove_shard_files(options_.work_dir, s.owner.result_file);
+    }
   }
   slots_.clear();
 }
@@ -382,7 +383,10 @@ void Farm::after_jobs_completed(int count) {
   if (since_checkpoint_ >= options_.checkpoint_every) write_checkpoint();
   const int completed = executed_ + in_process_;
   if (options_.abort_after_completed >= 0 && completed >= options_.abort_after_completed) {
+    // Stop the workers first, so the last checkpoint owns no dispatch
+    // that will never finish; the orphan drill's keep running, owned.
     orphaning_ = options_.orphan_on_abort;
+    if (!orphaning_) stop_workers();
     write_checkpoint();
     throw FarmInterrupted("farm interrupted by abort_after_completed=" +
                               std::to_string(options_.abort_after_completed) + " after " +
@@ -394,111 +398,55 @@ void Farm::after_jobs_completed(int count) {
 void Farm::write_checkpoint() {
   since_checkpoint_ = 0;
   if (options_.checkpoint_path.empty() || done_.empty()) return;
-  std::string bytes = farm::encode_frame(
-      farm::FrameType::kCheckpointHeader,
-      farm::encode_checkpoint_header({farm::batch_fingerprint(jobs_), jobs_.size()}));
+  farm::Checkpoint checkpoint;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (done_[i] != 0) {
-      bytes += farm::encode_frame(farm::FrameType::kOutcome, farm::encode_outcome(i, results_[i]));
-    }
+    if (done_[i] != 0) checkpoint.outcomes.push_back({i, results_[i]});
   }
-  // One owner frame per in-flight dispatch, so a resumed farm knows
-  // which result files may appear without it.
-  for (std::size_t h = 0; h < slots_.size(); ++h) {
-    const Slot& s = slots_[h];
-    if (s.jobs.empty()) continue;
-    const farm::ShardOwner owner{options_.hosts[h].id, s.result_file,
-                                 std::vector<std::uint64_t>(s.jobs.begin(), s.jobs.end())};
-    bytes += farm::encode_frame(farm::FrameType::kShardOwner, farm::encode_shard_owner(owner));
+  // One owner per in-flight dispatch, so a resumed farm knows which
+  // result files may appear without it.
+  for (const Slot& s : slots_) {
+    if (s.busy()) checkpoint.owners.push_back(s.owner);
   }
-  // Atomic replace: a reader (or a crash) never sees a half-written
-  // checkpoint — corruption can only come from outside, and the
-  // restore path treats that as a clean restart.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    KYOTO_CHECK_MSG(out.good(), "cannot write checkpoint: " << tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    KYOTO_CHECK_MSG(out.good(), "short checkpoint write: " << tmp);
-  }
-  KYOTO_CHECK_MSG(std::rename(tmp.c_str(), options_.checkpoint_path.c_str()) == 0,
-                  "cannot publish checkpoint: " << options_.checkpoint_path);
+  farm::write_checkpoint_file(options_.checkpoint_path, jobs_, checkpoint);
 }
 
 std::vector<farm::ShardOwner> Farm::restore_checkpoint() {
   if (options_.checkpoint_path.empty() || ::access(options_.checkpoint_path.c_str(), F_OK) != 0) {
     return {};  // no checkpoint yet: fresh sweep
   }
-  // Validate the whole file before applying anything: a corrupt tail
-  // must not leave half a restore behind.
-  std::vector<farm::FarmOutcome> restored;
-  std::vector<farm::ShardOwner> owners;
-  std::string ignored;
+  // The reader validates the whole file before returning any of it: a
+  // corrupt tail must not leave half a restore behind.
+  farm::Checkpoint checkpoint;
   try {
-    const std::vector<farm::Frame> frames = farm::read_frame_file(options_.checkpoint_path);
-    if (frames.empty() || frames.front().type != farm::FrameType::kCheckpointHeader) {
-      throw farm::CodecError("checkpoint does not start with a header frame");
-    }
-    const farm::CheckpointHeader header = farm::decode_checkpoint_header(frames.front().payload);
-    if (header.fingerprint != farm::batch_fingerprint(jobs_) ||
-        header.total_jobs != jobs_.size()) {
-      ignored = "checkpoint ignored: written by a different job batch";
-    }
-    for (std::size_t f = 1; f < frames.size() && ignored.empty(); ++f) {
-      if (frames[f].type == farm::FrameType::kOutcome) {
-        farm::FarmOutcome outcome = farm::decode_outcome(frames[f].payload);
-        if (outcome.id >= jobs_.size()) throw farm::CodecError("checkpoint job id out of range");
-        restored.push_back(std::move(outcome));
-      } else if (frames[f].type == farm::FrameType::kShardOwner) {
-        farm::ShardOwner owner = farm::decode_shard_owner(frames[f].payload);
-        for (const std::uint64_t id : owner.job_ids) {
-          if (id >= jobs_.size()) throw farm::CodecError("owner-frame job id out of range");
-        }
-        const std::string& name = owner.result_file;
-        if (name.empty() || name == "." || name == ".." ||
-            name.find_first_of(std::string("/\0", 2)) != std::string::npos) {
-          throw farm::CodecError("owner-frame result file must be a bare file name");
-        }
-        owners.push_back(std::move(owner));
-      } else {
-        throw farm::CodecError("unexpected frame type in checkpoint");
-      }
-    }
+    checkpoint = farm::read_checkpoint_file(options_.checkpoint_path, jobs_);
   } catch (const farm::CodecError& e) {
-    ignored = std::string("checkpoint ignored (clean restart): ") + e.what();
-  }
-  if (!ignored.empty()) {
-    degrade_reason_ = ignored;
-    health_->note(now_s(), "", "restart", ignored);
+    degrade_reason_ = std::string("checkpoint ignored (clean restart): ") + e.what();
+    health_->note(now_s(), "", "restart", degrade_reason_);
     return {};
   }
-  for (farm::FarmOutcome& outcome : restored) {
+  for (farm::FarmOutcome& outcome : checkpoint.outcomes) {
     const auto index = static_cast<std::size_t>(outcome.id);
     if (done_[index] == 0) ++restored_;
     results_[index] = std::move(outcome.outcome);
     done_[index] = 1;
   }
-  return owners;
+  return std::move(checkpoint.owners);
 }
 
 void Farm::recollect_owned_shards(const std::vector<farm::ShardOwner>& owners) {
   for (const farm::ShardOwner& owner : owners) {
-    // Reconstruct the shard's validation surface from the owner frame.
-    farm::HostShard shard;
-    shard.host_id = owner.host_id;
-    shard.result_file = owner.result_file;
-    shard.job_ids = owner.job_ids;
-    for (const std::uint64_t id : owner.job_ids) {
-      shard.labels.push_back(jobs_[static_cast<std::size_t>(id)].label);
-    }
     const ShardCollect collect =
-        collect_shard(shard, options_.work_dir + "/" + owner.result_file);
+        collect_shard(owner, options_.work_dir + "/" + owner.result_file);
+    // Collected now or re-run below: either way the shard is done with.
+    remove_shard_files(options_.work_dir, owner.result_file);
     if (collect.state != ShardCollect::State::kOk) {
+      std::string detail = collect.detail;
+      if (collect.state == ShardCollect::State::kDeterministic) {
+        detail = describe_job(static_cast<std::size_t>(collect.failed_job)) + ": " + detail;
+      }
       health_->note(now_s(), owner.host_id, "recollect-miss",
                     owner.result_file + ": " + shard_collect_state_name(collect.state) +
-                        (collect.detail.empty() ? "" : " — " + collect.detail) +
-                        "; will re-run");
+                        (detail.empty() ? "" : " — " + detail) + "; will re-run");
       continue;
     }
     int applied = 0;
@@ -523,7 +471,10 @@ void Farm::degrade(std::string reason) {
 }
 
 void Farm::fail_batch(const std::string& message) {
-  write_checkpoint();  // preserve completed work for a resume
+  // No dispatch outlives the batch, so the checkpoint that preserves
+  // the completed work for a resume owns none.
+  stop_workers();
+  write_checkpoint();
   throw std::runtime_error("farm: " + message);
 }
 

@@ -23,9 +23,11 @@
 // validates G (sim/shard_splitter.hpp's collect_shard) when that
 // process exits.  That is the same worker command and checker as a
 // shard run by hand (`scenario_runner --split-jobs` and
-// `--merge-results`).  A local worker slot is a host whose command
-// runs here (local_workers()); on a real fleet, worker_path points at
-// a wrapper that ships F out and G back (ssh/scp, a queue, anything).
+// `--merge-results`), whose manifest is a checkpoint of this farm's
+// kind, read by the same reader.  A local worker slot is a host whose
+// command runs here (local_workers()); on a real fleet, worker_path
+// points at a wrapper that ships F out and G back (ssh/scp, a queue,
+// anything).
 //
 // Failure policy (sim/host_health.hpp tracks every host):
 //  * A failed dispatch (a worker that dies or exits non-zero, a
@@ -46,16 +48,21 @@
 //    in the in-process path) fails the batch at once, naming the job:
 //    retrying would fail identically.
 //
-// Checkpoints (atomic tmp + rename, every checkpoint_every completed
-// jobs, at each dispatch, and before any throw): a header frame
-// binding the exact batch (batch_fingerprint), one outcome frame per
-// finished job, and one kShardOwner frame per in-flight dispatch
-// recording where its result file will appear.  A resumed farm
-// restores the outcomes, then re-collects owned result files that
-// finished while it was down (whatever hosts the resumed run has),
-// then runs only the rest.  A corrupt, truncated or foreign
-// checkpoint is ignored as a whole — clean restart, never a
-// half-applied restore.
+// Checkpoints (farm::write_checkpoint_file / read_checkpoint_file;
+// every checkpoint_every completed jobs, at each dispatch, and before
+// any throw): a header frame binding the exact batch
+// (batch_fingerprint), one outcome frame per finished job, and one
+// kShardOwner frame per in-flight dispatch recording where its result
+// file will appear.  A resumed farm restores the outcomes, then
+// re-collects owned result files that finished while it was down
+// (whatever hosts the resumed run has), then runs only the rest.  A
+// corrupt, truncated or foreign checkpoint is ignored as a whole —
+// clean restart, never a half-applied restore.  A dispatch's shard
+// files are removed once it ends, and an owned shard's once the
+// resume has collected or given it up; a batch failure or an
+// interrupt stops the workers in flight and removes their files
+// before the last checkpoint, which then owns none (save the
+// orphan drill's).
 //
 // The coordinator is single-threaded (a bounded sleep, then
 // waitpid(WNOHANG) over its workers and a deadline pass), so it

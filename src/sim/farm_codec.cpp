@@ -1,6 +1,7 @@
 #include "sim/farm_codec.hpp"
 
 #include <bit>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -240,54 +241,6 @@ CheckpointHeader decode_checkpoint_header(std::string_view payload) {
   return header;
 }
 
-std::string encode_manifest(const ShardManifest& manifest) {
-  std::string out;
-  put_u64(out, manifest.fingerprint);
-  put_u64(out, manifest.total_jobs);
-  put_u64(out, manifest.shards.size());
-  for (const HostShard& shard : manifest.shards) {
-    if (shard.labels.size() != shard.job_ids.size()) {
-      throw CodecError("shard labels/job_ids size mismatch in manifest");
-    }
-    put_string(out, shard.host_id);
-    put_string(out, shard.job_file);
-    put_string(out, shard.result_file);
-    put_u64(out, shard.job_ids.size());
-    for (std::size_t i = 0; i < shard.job_ids.size(); ++i) {
-      put_u64(out, shard.job_ids[i]);
-      put_string(out, shard.labels[i]);
-    }
-  }
-  return out;
-}
-
-ShardManifest decode_manifest(std::string_view payload) {
-  Reader in(payload);
-  ShardManifest manifest;
-  manifest.fingerprint = in.u64();
-  manifest.total_jobs = in.u64();
-  const std::uint64_t shards = in.u64();
-  if (shards > kMaxPayload) throw CodecError("decoded shard count exceeds limit");
-  manifest.shards.reserve(static_cast<std::size_t>(shards));
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    HostShard shard;
-    shard.host_id = in.str();
-    shard.job_file = in.str();
-    shard.result_file = in.str();
-    const std::uint64_t n = in.u64();
-    if (n > kMaxPayload) throw CodecError("decoded shard job count exceeds limit");
-    shard.job_ids.reserve(static_cast<std::size_t>(n));
-    shard.labels.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      shard.job_ids.push_back(in.u64());
-      shard.labels.push_back(in.str());
-    }
-    manifest.shards.push_back(std::move(shard));
-  }
-  in.finish();
-  return manifest;
-}
-
 std::string encode_shard_owner(const ShardOwner& owner) {
   std::string out;
   put_string(out, owner.host_id);
@@ -340,7 +293,9 @@ std::optional<Frame> FrameReader::next() {
                      std::to_string(kWireVersion) + ")");
   }
   const std::uint16_t type = header.u16();
-  if (type < 1 || type > 6) throw CodecError("unknown frame type " + std::to_string(type));
+  if (type < 1 || type > 6 || type == 5) {
+    throw CodecError("unknown frame type " + std::to_string(type));
+  }
   const std::uint64_t len = header.u64();
   if (len > kMaxPayload) throw CodecError("frame payload length exceeds limit");
   const std::size_t frame_bytes = kHeaderBytes + static_cast<std::size_t>(len) + kChecksumBytes;
@@ -401,17 +356,61 @@ std::vector<FarmOutcome> read_result_file(const std::string& path) {
   return results;
 }
 
-void write_manifest_file(const std::string& path, const ShardManifest& manifest) {
-  write_bytes_file(path, encode_frame(FrameType::kHostManifest, encode_manifest(manifest)));
+std::string job_file_for(std::string_view result_file) {
+  constexpr std::string_view kResults = ".results.kyfm";
+  if (!result_file.ends_with(kResults)) return "";
+  return std::string(result_file.substr(0, result_file.size() - kResults.size())) +
+         ".jobs.kyfm";
 }
 
-ShardManifest read_manifest_file(const std::string& path) {
-  const std::vector<Frame> frames = read_frame_file(path);
-  if (frames.size() != 1 || frames[0].type != FrameType::kHostManifest) {
-    throw CodecError("manifest file " + path +
-                     " must contain exactly one host-manifest frame");
+void write_checkpoint_file(const std::string& path, const std::vector<FarmJob>& jobs,
+                           const Checkpoint& checkpoint) {
+  std::string bytes = encode_frame(FrameType::kCheckpointHeader,
+                                   encode_checkpoint_header({batch_fingerprint(jobs), jobs.size()}));
+  for (const FarmOutcome& r : checkpoint.outcomes) {
+    bytes += encode_frame(FrameType::kOutcome, encode_outcome(r.id, r.outcome));
   }
-  return decode_manifest(frames[0].payload);
+  for (const ShardOwner& owner : checkpoint.owners) {
+    bytes += encode_frame(FrameType::kShardOwner, encode_shard_owner(owner));
+  }
+  const std::string tmp = path + ".tmp";
+  write_bytes_file(tmp, bytes);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw CodecError("cannot publish checkpoint: " + path);
+  }
+}
+
+Checkpoint read_checkpoint_file(const std::string& path, const std::vector<FarmJob>& jobs) {
+  const std::vector<Frame> frames = read_frame_file(path);
+  if (frames.empty() || frames.front().type != FrameType::kCheckpointHeader) {
+    throw CodecError("checkpoint does not start with a header frame");
+  }
+  const CheckpointHeader header = decode_checkpoint_header(frames.front().payload);
+  if (header.fingerprint != batch_fingerprint(jobs) || header.total_jobs != jobs.size()) {
+    throw CodecError("checkpoint written by a different job batch");
+  }
+  Checkpoint checkpoint;
+  for (std::size_t f = 1; f < frames.size(); ++f) {
+    if (frames[f].type == FrameType::kOutcome) {
+      FarmOutcome outcome = decode_outcome(frames[f].payload);
+      if (outcome.id >= jobs.size()) throw CodecError("checkpoint job id out of range");
+      checkpoint.outcomes.push_back(std::move(outcome));
+    } else if (frames[f].type == FrameType::kShardOwner) {
+      ShardOwner owner = decode_shard_owner(frames[f].payload);
+      for (const std::uint64_t id : owner.job_ids) {
+        if (id >= jobs.size()) throw CodecError("owner-frame job id out of range");
+      }
+      const std::string& name = owner.result_file;
+      if (name.empty() || name == "." || name == ".." ||
+          name.find_first_of(std::string("/\0", 2)) != std::string::npos) {
+        throw CodecError("owner-frame result file must be a bare file name");
+      }
+      checkpoint.owners.push_back(std::move(owner));
+    } else {
+      throw CodecError("unexpected frame type in checkpoint");
+    }
+  }
+  return checkpoint;
 }
 
 }  // namespace kyoto::sim::farm

@@ -63,11 +63,11 @@ enum class FrameType : std::uint16_t {
   kError = 3,              // worker -> coordinator: deterministic failure
   kCheckpointHeader = 4,   // first frame of a checkpoint file
   // Multi-host extension (additive: types 1-4 keep their v1 byte
-  // layout, pinned by the goldens; a build that predates these types
-  // rejects them loudly — an unreadable checkpoint restarts cleanly,
-  // an unreadable manifest/stream fails with "unknown frame type").
-  kHostManifest = 5,       // shard-splitter manifest (one frame per file)
-  kShardOwner = 6,         // checkpoint extension: who owns an outstanding shard
+  // layout, pinned by the goldens; a build that predates this type
+  // rejects it loudly — an unreadable checkpoint restarts cleanly).
+  // Type 5 is retired (an older build's split-batch manifest) and is
+  // rejected as unknown, never misread.
+  kShardOwner = 6,         // checkpoint: who owns an outstanding shard
 };
 
 struct Frame {
@@ -107,37 +107,13 @@ struct CheckpointHeader {
   std::uint64_t total_jobs = 0;
 };
 
-/// One shard of a split batch: the host it is (initially) assigned to,
-/// the job/result file names (relative to the manifest's directory),
-/// and the submission indices + labels it carries.  Labels ride along
-/// so a merge failure can name jobs without re-reading the job file.
-struct HostShard {
-  std::string host_id;
-  std::string job_file;
-  std::string result_file;
-  std::vector<std::uint64_t> job_ids;
-  std::vector<std::string> labels;  // parallel to job_ids
-
-  bool operator==(const HostShard&) const = default;
-};
-
-/// The shard splitter's output: which host owns which slice of the
-/// batch, bound to the exact batch by the same fingerprint the
-/// checkpoint header uses.  Serialized as a single kHostManifest
-/// frame (write_manifest_file / read_manifest_file).
-struct ShardManifest {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t total_jobs = 0;
-  std::vector<HostShard> shards;
-
-  bool operator==(const ShardManifest&) const = default;
-};
-
 /// Checkpoint extension (frame type kShardOwner): records that a
 /// dispatched shard is outstanding on `host_id`, expected to produce
 /// `result_file` covering exactly `job_ids`.  An interrupted
 /// coordinator resumes by *re-collecting* such result files from
-/// still-live hosts instead of re-running their jobs.
+/// still-live hosts instead of re-running their jobs; a split batch's
+/// manifest (sim/shard_splitter.hpp) is a checkpoint with one owner
+/// per shard and no outcomes.
 struct ShardOwner {
   std::string host_id;
   std::string result_file;
@@ -163,8 +139,6 @@ std::string encode_error(std::uint64_t job_id, const std::string& message);
 FarmError decode_error(std::string_view payload);
 std::string encode_checkpoint_header(const CheckpointHeader& header);
 CheckpointHeader decode_checkpoint_header(std::string_view payload);
-std::string encode_manifest(const ShardManifest& manifest);
-ShardManifest decode_manifest(std::string_view payload);
 std::string encode_shard_owner(const ShardOwner& owner);
 ShardOwner decode_shard_owner(std::string_view payload);
 
@@ -201,14 +175,37 @@ void write_result_file(const std::string& path, const std::vector<FarmOutcome>& 
 std::vector<FarmOutcome> read_result_file(const std::string& path);
 
 /// Reads a whole frame file (any mix of frame types), rejecting
-/// truncation and corruption.  The merge path uses this instead of
+/// truncation and corruption.  collect_shard uses this instead of
 /// read_result_file so a worker-side deterministic failure (an error
 /// frame inside the result file) is diagnosable rather than merely
 /// "corrupt".
 std::vector<Frame> read_frame_file(const std::string& path);
 
-/// Shard-splitter manifest: one kHostManifest frame per file.
-void write_manifest_file(const std::string& path, const ShardManifest& manifest);
-ShardManifest read_manifest_file(const std::string& path);
+/// A shard's job file, named after its result file: "<stem>.results.kyfm"
+/// -> "<stem>.jobs.kyfm" ("" for any other name).  Owner frames record
+/// only the result file.
+std::string job_file_for(std::string_view result_file);
+
+/// A checkpoint's contents: the finished jobs' outcomes and the owners
+/// of the shards still in flight.
+struct Checkpoint {
+  std::vector<FarmOutcome> outcomes;
+  std::vector<ShardOwner> owners;
+};
+
+/// Writes `checkpoint` as a checkpoint of the batch `jobs`: a header
+/// frame binding the batch, then one outcome frame per outcome and one
+/// owner frame per owner.  The file is replaced atomically (tmp +
+/// rename), so a reader or a crash never sees half of it.
+void write_checkpoint_file(const std::string& path, const std::vector<FarmJob>& jobs,
+                           const Checkpoint& checkpoint);
+
+/// Reads a checkpoint of the batch `jobs`, validating the whole file
+/// before returning any of it.  Throws CodecError for a corrupt or
+/// truncated file, a first frame that is not a header, a header of some
+/// other batch, a frame other than outcome or owner, a job id outside
+/// the batch, or an owner whose result file is not a bare file name
+/// (the caller resolves it under its own directory).
+Checkpoint read_checkpoint_file(const std::string& path, const std::vector<FarmJob>& jobs);
 
 }  // namespace kyoto::sim::farm

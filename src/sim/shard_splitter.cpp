@@ -18,76 +18,46 @@ bool file_exists(const std::string& path) {
 
 }  // namespace
 
-farm::ShardManifest split_batch(const std::vector<farm::FarmJob>& jobs,
-                                const std::vector<std::string>& host_ids,
-                                int jobs_per_shard) {
-  KYOTO_CHECK_MSG(!jobs.empty(), "split_batch: empty batch");
-  KYOTO_CHECK_MSG(!host_ids.empty(), "split_batch: no hosts");
-  for (std::size_t i = 0; i < host_ids.size(); ++i) {
-    KYOTO_CHECK_MSG(!host_ids[i].empty(), "split_batch: empty host id");
-    for (std::size_t j = i + 1; j < host_ids.size(); ++j) {
-      KYOTO_CHECK_MSG(host_ids[i] != host_ids[j],
-                      "split_batch: duplicate host id " << host_ids[i]);
-    }
+std::vector<farm::ShardOwner> write_split(const std::string& dir,
+                                          const std::vector<farm::FarmJob>& jobs, int hosts) {
+  KYOTO_CHECK_MSG(!jobs.empty(), "write_split: empty batch");
+  KYOTO_CHECK_MSG(hosts >= 1, "write_split: no hosts");
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    KYOTO_CHECK_MSG(jobs[i].id == i, "write_split: job ids must be submission indices");
   }
-  const std::size_t total = jobs.size();
-
-  farm::ShardManifest manifest;
-  manifest.fingerprint = farm::batch_fingerprint(jobs);
-  manifest.total_jobs = total;
-
-  auto emit_shard = [&](const std::string& host_id, std::size_t first, std::size_t count) {
-    const std::size_t shard_index = manifest.shards.size();
-    farm::HostShard shard;
-    shard.host_id = host_id;
-    shard.job_file = "shard" + std::to_string(shard_index) + ".jobs.kyfm";
-    shard.result_file = "shard" + std::to_string(shard_index) + ".results.kyfm";
-    shard.job_ids.reserve(count);
-    shard.labels.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      shard.job_ids.push_back(jobs[first + i].id);
-      shard.labels.push_back(jobs[first + i].label);
-    }
-    manifest.shards.push_back(std::move(shard));
-  };
-
-  std::size_t per = jobs_per_shard > 0
-                        ? static_cast<std::size_t>(jobs_per_shard)
-                        : (total + host_ids.size() - 1) / host_ids.size();
-  per = std::max<std::size_t>(per, 1);
-  std::size_t next = 0;
-  std::size_t shard_index = 0;
-  while (next < total) {
-    const std::size_t count = std::min(per, total - next);
-    emit_shard(host_ids[shard_index % host_ids.size()], next, count);
-    next += count;
-    ++shard_index;
+  const std::size_t per = balanced_shard_size(jobs.size(), static_cast<std::size_t>(hosts));
+  farm::Checkpoint manifest;
+  for (std::size_t first = 0; first < jobs.size(); first += per) {
+    const std::string k = std::to_string(manifest.owners.size());
+    const auto begin = jobs.begin() + static_cast<std::ptrdiff_t>(first);
+    const std::vector<farm::FarmJob> slice(
+        begin, begin + static_cast<std::ptrdiff_t>(std::min(per, jobs.size() - first)));
+    farm::ShardOwner owner{"host" + k, "shard" + k + ".results.kyfm", {}};
+    for (const farm::FarmJob& job : slice) owner.job_ids.push_back(job.id);
+    farm::write_job_file(dir + "/" + farm::job_file_for(owner.result_file), slice);
+    manifest.owners.push_back(std::move(owner));
   }
-  return manifest;
+  farm::write_checkpoint_file(manifest_path(dir), jobs, manifest);
+  return manifest.owners;
 }
 
-void write_shard_files(const std::string& dir, const farm::ShardManifest& manifest,
-                       const std::vector<farm::FarmJob>& jobs) {
-  KYOTO_CHECK_MSG(farm::batch_fingerprint(jobs) == manifest.fingerprint,
-                  "write_shard_files: jobs are not the manifest's batch");
-  // The batch is indexed by job id for slicing (ids are submission
-  // indices of the *original* batch, so with subset batches id != pos).
-  std::vector<const farm::FarmJob*> by_id;
-  for (const farm::FarmJob& job : jobs) {
-    if (job.id >= by_id.size()) by_id.resize(static_cast<std::size_t>(job.id) + 1, nullptr);
-    by_id[static_cast<std::size_t>(job.id)] = &job;
-  }
-  for (const farm::HostShard& shard : manifest.shards) {
-    std::vector<farm::FarmJob> slice;
-    slice.reserve(shard.job_ids.size());
-    for (const std::uint64_t id : shard.job_ids) {
-      KYOTO_CHECK_MSG(id < by_id.size() && by_id[static_cast<std::size_t>(id)] != nullptr,
-                      "write_shard_files: manifest references unknown job id " << id);
-      slice.push_back(*by_id[static_cast<std::size_t>(id)]);
+std::vector<farm::ShardOwner> read_split(const std::string& dir,
+                                         const std::vector<farm::FarmJob>& jobs) {
+  farm::Checkpoint manifest = farm::read_checkpoint_file(manifest_path(dir), jobs);
+  if (!manifest.outcomes.empty()) throw farm::CodecError("a split manifest carries no outcomes");
+  std::vector<char> covered(jobs.size(), 0);
+  for (const farm::ShardOwner& owner : manifest.owners) {
+    for (const std::uint64_t id : owner.job_ids) {
+      if (covered[static_cast<std::size_t>(id)] != 0) {
+        throw farm::CodecError("two manifest owners claim job #" + std::to_string(id));
+      }
+      covered[static_cast<std::size_t>(id)] = 1;
     }
-    farm::write_job_file(dir + "/" + shard.job_file, slice);
   }
-  farm::write_manifest_file(manifest_path(dir), manifest);
+  for (std::size_t i = 0; i < covered.size(); ++i) {
+    if (covered[i] == 0) throw farm::CodecError("no manifest owner covers job #" + std::to_string(i));
+  }
+  return std::move(manifest.owners);
 }
 
 const char* shard_collect_state_name(ShardCollect::State state) {
@@ -102,7 +72,7 @@ const char* shard_collect_state_name(ShardCollect::State state) {
   return "?";
 }
 
-ShardCollect collect_shard(const farm::HostShard& shard, const std::string& result_path) {
+ShardCollect collect_shard(const farm::ShardOwner& owner, const std::string& result_path) {
   ShardCollect collect;
   if (!file_exists(result_path)) {
     collect.state = ShardCollect::State::kMissingFile;
@@ -118,7 +88,7 @@ ShardCollect collect_shard(const farm::HostShard& shard, const std::string& resu
     return collect;
   }
 
-  const std::set<std::uint64_t> expected(shard.job_ids.begin(), shard.job_ids.end());
+  const std::set<std::uint64_t> expected(owner.job_ids.begin(), owner.job_ids.end());
   std::set<std::uint64_t> seen;
   std::vector<farm::FarmOutcome> outcomes;
   for (const farm::Frame& frame : frames) {
@@ -134,14 +104,15 @@ ShardCollect collect_shard(const farm::HostShard& shard, const std::string& resu
         collect.detail = e.what();
         return collect;
       }
-      collect.state = ShardCollect::State::kDeterministic;
-      std::size_t at = shard.job_ids.size();
-      for (std::size_t i = 0; i < shard.job_ids.size(); ++i) {
-        if (shard.job_ids[i] == error.id) at = i;
+      if (expected.find(error.id) == expected.end()) {
+        collect.state = ShardCollect::State::kForeign;
+        collect.detail =
+            "reports a failure of job #" + std::to_string(error.id) + ", which is not in this shard";
+        return collect;
       }
-      collect.detail = "job #" + std::to_string(error.id) + " '" +
-                       (at < shard.labels.size() ? shard.labels[at] : "?") +
-                       "': " + error.message;
+      collect.state = ShardCollect::State::kDeterministic;
+      collect.failed_job = error.id;
+      collect.detail = error.message;
       return collect;
     }
     if (frame.type != farm::FrameType::kOutcome) {
@@ -182,61 +153,6 @@ ShardCollect collect_shard(const farm::HostShard& shard, const std::string& resu
   }
   collect.outcomes = std::move(outcomes);
   return collect;
-}
-
-std::string MergeReport::summary() const {
-  std::ostringstream out;
-  out << "merge " << (complete ? "complete" : "FAILED") << ": " << lines.size()
-      << " shard(s)\n";
-  for (const HostLine& line : lines) {
-    out << "  host " << line.host_id << " (" << line.result_file
-        << "): " << shard_collect_state_name(line.state);
-    if (line.state == ShardCollect::State::kOk) out << ", " << line.jobs << " job(s)";
-    if (!line.detail.empty()) out << " — " << line.detail;
-    out << '\n';
-  }
-  return out.str();
-}
-
-MergeReport merge_results(const farm::ShardManifest& manifest, const std::string& dir) {
-  MergeReport report;
-  report.complete = true;
-  std::vector<ShardCollect> collected;
-  collected.reserve(manifest.shards.size());
-  for (const farm::HostShard& shard : manifest.shards) {
-    ShardCollect c = collect_shard(shard, dir + "/" + shard.result_file);
-    MergeReport::HostLine line;
-    line.host_id = shard.host_id;
-    line.result_file = shard.result_file;
-    line.state = c.state;
-    line.detail = c.detail;
-    line.jobs = static_cast<int>(c.outcomes.size());
-    report.lines.push_back(std::move(line));
-    if (c.state != ShardCollect::State::kOk) report.complete = false;
-    collected.push_back(std::move(c));
-  }
-  if (!report.complete) return report;  // apply nothing: all-or-nothing
-
-  report.outcomes.assign(static_cast<std::size_t>(manifest.total_jobs), RunOutcome{});
-  std::vector<char> filled(static_cast<std::size_t>(manifest.total_jobs), 0);
-  for (std::size_t s = 0; s < collected.size(); ++s) {
-    for (farm::FarmOutcome& outcome : collected[s].outcomes) {
-      if (outcome.id >= manifest.total_jobs || filled[static_cast<std::size_t>(outcome.id)]) {
-        // Two shards claiming one job means the manifest itself is
-        // inconsistent — that is a manifest fault, not a host fault.
-        report.complete = false;
-        report.outcomes.clear();
-        report.lines[s].state = ShardCollect::State::kForeign;
-        report.lines[s].detail = "manifest shards overlap on job #" + std::to_string(outcome.id);
-        return report;
-      }
-      filled[static_cast<std::size_t>(outcome.id)] = 1;
-      report.outcomes[static_cast<std::size_t>(outcome.id)] = std::move(outcome.outcome);
-    }
-  }
-  // Shards collectively covering fewer than total_jobs is legitimate
-  // only if the manifest says so; a full-batch manifest covers all.
-  return report;
 }
 
 }  // namespace kyoto::sim

@@ -129,13 +129,8 @@ CheckpointContents inspect(const std::string& path) {
 /// workers of an interrupted file-host run finish on their own).
 void await_owners(const std::string& dir, const std::vector<farm::ShardOwner>& owners) {
   for (const farm::ShardOwner& owner : owners) {
-    farm::HostShard shard;
-    shard.host_id = owner.host_id;
-    shard.result_file = owner.result_file;
-    shard.job_ids = owner.job_ids;
-    shard.labels.assign(owner.job_ids.size(), "");
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (collect_shard(shard, dir + "/" + owner.result_file).state !=
+    while (collect_shard(owner, dir + "/" + owner.result_file).state !=
            ShardCollect::State::kOk) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "orphaned worker never finished " << owner.result_file;
@@ -228,8 +223,16 @@ TEST(FarmCheckpointMutation, EveryMutationRestoresOrRestartsCleanly) {
   // (outcome + owner frames, owned result files on disk), interrupted
   // in-process (outcomes only), and complete.
   std::vector<std::string> bases;
-  ASSERT_FALSE(interrupt_with_orphans(jobs, dir, checkpoint).owners.empty());
+  const std::vector<farm::ShardOwner> owners =
+      interrupt_with_orphans(jobs, dir, checkpoint).owners;
+  ASSERT_FALSE(owners.empty());
   bases.push_back(read_bytes(checkpoint));
+  // A resume removes the owned result files it handles: keep their
+  // bytes, to put back before each mutant.
+  std::vector<std::string> owned_results;
+  for (const farm::ShardOwner& owner : owners) {
+    owned_results.push_back(read_bytes(dir + "/" + owner.result_file));
+  }
   auto run_in_process = [&](const Jobs& batch, int abort_after) {
     FarmOptions options;
     options.work_dir = dir;
@@ -323,8 +326,12 @@ TEST(FarmCheckpointMutation, EveryMutationRestoresOrRestartsCleanly) {
   }
   ASSERT_GE(mutants.size(), 500u);
 
+  int recollecting_mutants = 0;
   for (std::size_t i = 0; i < mutants.size(); ++i) {
     write_bytes(checkpoint, mutants[i].bytes);
+    for (std::size_t k = 0; k < owners.size(); ++k) {
+      write_bytes(dir + "/" + owners[k].result_file, owned_results[k]);
+    }
     FarmOptions options;
     options.work_dir = dir;
     options.checkpoint_path = checkpoint;
@@ -335,6 +342,7 @@ TEST(FarmCheckpointMutation, EveryMutationRestoresOrRestartsCleanly) {
     ASSERT_EQ(outcomes, reference) << "mutant " << i;
     EXPECT_EQ(farm.jobs_restored() + farm.jobs_recollected() + farm.jobs_in_process(), kJobs)
         << "mutant " << i;
+    if (farm.jobs_recollected() > 0) ++recollecting_mutants;
     const bool restarted = farm.degrade_reason().find("checkpoint ignored") != std::string::npos;
     if (restarted) {
       // Rejected as a whole: nothing from the file was applied.
@@ -346,6 +354,7 @@ TEST(FarmCheckpointMutation, EveryMutationRestoresOrRestartsCleanly) {
           << "mutant " << i << ": " << farm.degrade_reason();
     }
   }
+  EXPECT_GT(recollecting_mutants, 0) << "no mutant exercised the recollect path";
 }
 
 }  // namespace

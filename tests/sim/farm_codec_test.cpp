@@ -209,9 +209,13 @@ TEST(FarmCodecReject, WrongVersionThrows) {
 }
 
 TEST(FarmCodecReject, UnknownFrameTypeThrows) {
-  std::string bytes = valid_frame();
-  bytes[6] = 9;  // type field
-  EXPECT_THROW(parse(bytes), CodecError);
+  // 0 and 7+ were never assigned; 5 is retired (an older build's
+  // split-batch manifest).
+  for (const char type : {0, 5, 7, 9}) {
+    std::string bytes = valid_frame();
+    bytes[6] = type;  // type field
+    EXPECT_THROW(parse(bytes), CodecError) << "type " << int{type};
+  }
 }
 
 TEST(FarmCodecReject, OversizedLengthThrows) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/farm.hpp"
+#include "sim/farm_codec.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -271,6 +272,30 @@ TEST_F(FarmFault, WorkerErrorFrameFailsBatchImmediately) {
     EXPECT_NE(what.find("injected"), std::string::npos) << what;
   }
   EXPECT_EQ(farm.job_retries(), 0);
+}
+
+TEST_F(FarmFault, BatchFailureStopsInFlightDispatchesFirst) {
+  // Two balanced shards: w0's first job is poisoned and fails at once,
+  // while w1's shard of two longer jobs is still running.  The batch
+  // failure must stop w1's worker and remove its files before writing
+  // the last checkpoint, which then owns no dispatch.
+  auto jobs = small_batch();
+  jobs.resize(4);
+  jobs[0].first = "deterministic-failure";
+  for (std::size_t j = 2; j < 4; ++j) jobs[j].second = tiny_scenario("mcf", 5000, 40 + static_cast<int>(j));
+  FarmOptions o = options({"--fault-error-on-label", "deterministic-failure"});
+  o.jobs_per_shard = 0;
+  o.checkpoint_path = dir_ + "/farm.ckpt";
+  Farm farm(o);
+  EXPECT_THROW(run_jobs(farm, jobs), std::runtime_error);
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u)
+        << "left behind: " << entry.path();
+  }
+  for (const farm::Frame& frame : farm::read_frame_file(o.checkpoint_path)) {
+    EXPECT_NE(frame.type, farm::FrameType::kShardOwner);
+  }
+  EXPECT_EQ(farm.dispatches(), 2);
 }
 
 TEST_F(FarmFault, RealDeterministicFailureNamesTheScenarioProblem) {

@@ -99,6 +99,14 @@ FarmOptions base_options(const std::string& work_dir) {
   return options;
 }
 
+/// No dispatch's or owner's shard file is left in `dir`.
+void expect_no_shard_files(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u)
+        << "left behind: " << entry.path();
+  }
+}
+
 void expect_identical(const std::vector<RunOutcome>& outcomes,
                       const std::vector<RunOutcome>& reference) {
   ASSERT_EQ(outcomes.size(), reference.size());
@@ -164,10 +172,7 @@ TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   EXPECT_NE(report.find("corrupt result file"), std::string::npos);
 
   // Every dispatch ended, failed or not, so no shard file is left.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u)
-        << "left behind: " << entry.path();
-  }
+  expect_no_shard_files(dir);
 }
 
 TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
@@ -291,6 +296,7 @@ TEST(FarmFileHosts, ResumeRecollectsOwnedShardsWithoutRerunning) {
   EXPECT_EQ(farm.jobs_executed(), 0);   // nothing re-ran
   EXPECT_EQ(farm.dispatches(), 0);  // nothing was even dispatched
   EXPECT_NE(farm.report().find("recollect"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/owned.results.kyfm"));
 }
 
 // End-to-end orphan drill: the coordinator aborts mid-batch leaving
@@ -331,13 +337,8 @@ TEST(FarmFileHosts, InterruptWithOrphansResumesViaRecollect) {
   int owned_jobs = 0;
   for (const farm::ShardOwner& owner : owners) {
     owned_jobs += static_cast<int>(owner.job_ids.size());
-    farm::HostShard shard;
-    shard.host_id = owner.host_id;
-    shard.result_file = owner.result_file;
-    shard.job_ids = owner.job_ids;
-    shard.labels.assign(owner.job_ids.size(), "");
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (collect_shard(shard, dir + "/" + owner.result_file).state !=
+    while (collect_shard(owner, dir + "/" + owner.result_file).state !=
            ShardCollect::State::kOk) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "orphaned worker never finished " << owner.result_file;
@@ -356,6 +357,8 @@ TEST(FarmFileHosts, InterruptWithOrphansResumesViaRecollect) {
   EXPECT_EQ(resumed.jobs_restored(), restored_in_checkpoint);
   EXPECT_EQ(resumed.jobs_recollected(), owned_jobs);
   EXPECT_EQ(resumed.jobs_executed(), 4 - restored_in_checkpoint - owned_jobs);
+  // The re-collected owners' files went with them.
+  expect_no_shard_files(dir);
 }
 
 TEST(FarmFileHosts, ForeignOrCorruptCheckpointRestartsCleanly) {

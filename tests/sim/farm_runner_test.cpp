@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/farm_codec.hpp"
 #include "sim/scenario_file.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -243,6 +244,14 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
     for (const auto& [label, text] : jobs) farm.add(text, label);
     EXPECT_THROW(farm.run(), FarmInterrupted);
   }
+  // The interrupt stopped the worker still in flight and removed its
+  // files before the last checkpoint, which therefore owns nothing.
+  for (const farm::Frame& frame : farm::read_frame_file(ckpt_)) {
+    EXPECT_NE(frame.type, farm::FrameType::kShardOwner);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir_->path)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u) << entry.path();
+  }
 
   FarmOptions resumed = interrupted;
   resumed.abort_after_completed = -1;
@@ -250,12 +259,45 @@ TEST_F(FarmCheckpoint, WorkerResumeIsExact) {
   for (const auto& [label, text] : jobs) farm.add(text, label);
   EXPECT_EQ(farm.run(), expected);
   // With 2 workers the interrupt point is nondeterministic in *which*
-  // jobs finished (and the killed in-flight worker may have written its
-  // result file first, which the resume then re-collects), but the split
-  // must still account for every job exactly once.
+  // jobs finished, but the split must still account for every job
+  // exactly once.
   EXPECT_GE(farm.jobs_restored(), 2);
-  EXPECT_EQ(farm.jobs_restored() + farm.jobs_recollected() + farm.jobs_executed(),
-            static_cast<int>(jobs.size()));
+  EXPECT_EQ(farm.jobs_recollected(), 0);
+  EXPECT_EQ(farm.jobs_restored() + farm.jobs_executed(), static_cast<int>(jobs.size()));
+}
+
+TEST_F(FarmCheckpoint, InterruptStopsInFlightDispatchesFirst) {
+  // One short and one long job on two hosts: the interrupt comes when
+  // the short one completes, with the long one's dispatch in flight.
+  // That worker is stopped and its files removed before the last
+  // checkpoint, which owns nothing; the resume runs the long job again.
+  if (!worker_available()) GTEST_SKIP() << "sweep_worker not found at " << worker_path();
+  use_dir("interrupt_in_flight");
+  const std::vector<std::pair<std::string, std::string>> jobs = {
+      {"short", tiny_scenario("gcc", 5, 1)}, {"long", tiny_scenario("mcf", 5000, 2)}};
+  FarmOptions interrupted = options();
+  interrupted.hosts = local_workers(2, worker_path());
+  interrupted.jobs_per_shard = 1;
+  interrupted.abort_after_completed = 1;
+  {
+    Farm farm(interrupted);
+    for (const auto& [label, text] : jobs) farm.add(text, label);
+    EXPECT_THROW(farm.run(), FarmInterrupted);
+  }
+  for (const farm::Frame& frame : farm::read_frame_file(ckpt_)) {
+    EXPECT_NE(frame.type, farm::FrameType::kShardOwner);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir_->path)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard", 0), 0u) << entry.path();
+  }
+
+  FarmOptions resumed = interrupted;
+  resumed.abort_after_completed = -1;
+  Farm farm(resumed);
+  for (const auto& [label, text] : jobs) farm.add(text, label);
+  EXPECT_EQ(farm.run(), sweep_reference(jobs));
+  EXPECT_EQ(farm.jobs_restored(), 1);
+  EXPECT_EQ(farm.jobs_executed(), 1);
 }
 
 TEST_F(FarmCheckpoint, InProcessFailureNamesTheJobAndKeepsFinishedWork) {

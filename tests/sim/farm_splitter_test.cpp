@@ -1,12 +1,14 @@
 // Shard-splitter gate: partitioning a batch into per-host job files,
-// the manifest binding them to the exact batch, and the
-// validate-all-before-apply merge.  Golden byte fixtures pin the two
-// additive wire frames (kHostManifest, kShardOwner) exactly like the
-// v1 frames in farm_codec_test.cpp: a mismatch means split batches in
-// flight stopped being mergeable, which requires a loud version bump.
+// the manifest (a farm checkpoint owning one result file per shard)
+// binding them to the exact batch, and the validate-all-before-apply
+// merge.  A golden byte fixture pins the additive owner frame
+// (kShardOwner) exactly like the v1 frames in farm_codec_test.cpp: a
+// mismatch means checkpoints and split batches in flight stopped
+// being readable, which requires a loud version bump.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -67,17 +69,25 @@ std::vector<RunOutcome> sweep_reference(const std::vector<farm::FarmJob>& jobs) 
 
 /// Executes one shard in-process and writes its result file — the
 /// moral equivalent of a healthy remote host.
-void run_shard(const std::string& dir, const farm::HostShard& shard,
+void run_shard(const std::string& dir, const farm::ShardOwner& owner,
                const std::vector<farm::FarmJob>& jobs) {
   std::vector<farm::FarmOutcome> results;
-  for (const std::uint64_t id : shard.job_ids) {
+  for (const std::uint64_t id : owner.job_ids) {
     const Scenario scenario = parse_scenario(jobs[static_cast<std::size_t>(id)].scenario_text);
     farm::FarmOutcome result;
     result.id = id;
     result.outcome = run_scenario(scenario.spec, scenario.plans);
     results.push_back(std::move(result));
   }
-  farm::write_result_file(dir + "/" + shard.result_file, results);
+  farm::write_result_file(dir + "/" + owner.result_file, results);
+}
+
+/// A fresh, empty directory.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "splitter_" + name;
+  std::filesystem::remove_all(dir);
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
 }
 
 void write_bytes(const std::string& path, const std::string& bytes) {
@@ -88,58 +98,52 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 
 TEST(ShardSplitter, BalancedSplitCoversEveryJobOnce) {
   const std::vector<farm::FarmJob> jobs = small_batch(7);
-  const farm::ShardManifest manifest = split_batch(jobs, {"a", "b", "c"});
-  EXPECT_EQ(manifest.fingerprint, farm::batch_fingerprint(jobs));
-  EXPECT_EQ(manifest.total_jobs, 7u);
-  ASSERT_EQ(manifest.shards.size(), 3u);  // ceil(7/3) = 3 per shard
-  EXPECT_EQ(manifest.shards[0].host_id, "a");
-  EXPECT_EQ(manifest.shards[1].host_id, "b");
-  EXPECT_EQ(manifest.shards[2].host_id, "c");
-  std::vector<std::uint64_t> seen;
-  for (const farm::HostShard& shard : manifest.shards) {
-    ASSERT_EQ(shard.job_ids.size(), shard.labels.size());
-    for (std::size_t i = 0; i < shard.job_ids.size(); ++i) {
-      EXPECT_EQ(shard.labels[i], jobs[static_cast<std::size_t>(shard.job_ids[i])].label);
-      seen.push_back(shard.job_ids[i]);
+  const std::string dir = fresh_dir("balanced");
+  const std::vector<farm::ShardOwner> owners = write_split(dir, jobs, 3);
+  ASSERT_EQ(owners.size(), 3u);  // ceil(7/3) = 3 per shard
+  const std::vector<std::size_t> sizes = {3, 3, 1};
+  std::uint64_t next = 0;
+  for (std::size_t k = 0; k < owners.size(); ++k) {
+    EXPECT_EQ(owners[k].host_id, "host" + std::to_string(k));
+    EXPECT_EQ(owners[k].result_file, "shard" + std::to_string(k) + ".results.kyfm");
+    ASSERT_EQ(owners[k].job_ids.size(), sizes[k]);
+    // The shard's job file carries exactly its slice.
+    const std::vector<farm::FarmJob> slice =
+        farm::read_job_file(dir + "/shard" + std::to_string(k) + ".jobs.kyfm");
+    ASSERT_EQ(slice.size(), sizes[k]);
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      EXPECT_EQ(owners[k].job_ids[i], next);
+      EXPECT_EQ(slice[i], jobs[static_cast<std::size_t>(next)]);
+      ++next;
     }
   }
-  ASSERT_EQ(seen.size(), 7u);
-  for (std::uint64_t i = 0; i < 7; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ShardSplitter, JobsPerShardControlsGranularityAndWrapsHosts) {
-  const std::vector<farm::FarmJob> jobs = small_batch(5);
-  const farm::ShardManifest manifest = split_batch(jobs, {"a", "b"}, 2);
-  ASSERT_EQ(manifest.shards.size(), 3u);
-  EXPECT_EQ(manifest.shards[0].job_ids.size(), 2u);
-  EXPECT_EQ(manifest.shards[1].job_ids.size(), 2u);
-  EXPECT_EQ(manifest.shards[2].job_ids.size(), 1u);
-  EXPECT_EQ(manifest.shards[2].host_id, "a");  // round-robin wraps
-  EXPECT_EQ(manifest.shards[0].job_file, "shard0.jobs.kyfm");
-  EXPECT_EQ(manifest.shards[0].result_file, "shard0.results.kyfm");
-}
-
-TEST(ShardSplitter, ManifestFileRoundTrips) {
-  const std::vector<farm::FarmJob> jobs = small_batch(4);
-  const farm::ShardManifest manifest = split_batch(jobs, {"left", "right"});
-  const std::string dir = testing::TempDir() + "splitter_roundtrip";
-  ::mkdir(dir.c_str(), 0755);
-  write_shard_files(dir, manifest, jobs);
-  const farm::ShardManifest back = farm::read_manifest_file(manifest_path(dir));
-  EXPECT_EQ(back, manifest);
-  // The shard job files really carry their slices.
-  const std::vector<farm::FarmJob> slice = farm::read_job_file(dir + "/shard1.jobs.kyfm");
-  ASSERT_EQ(slice.size(), manifest.shards[1].job_ids.size());
-  EXPECT_EQ(slice[0].id, manifest.shards[1].job_ids[0]);
-  EXPECT_EQ(slice[0].label, manifest.shards[1].labels[0]);
+  EXPECT_EQ(next, 7u);
+  // The manifest is a checkpoint: a header, then one owner frame per
+  // shard, and nothing else.
+  const std::vector<farm::Frame> frames = farm::read_frame_file(manifest_path(dir));
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0].type, farm::FrameType::kCheckpointHeader);
+  for (std::size_t f = 1; f < frames.size(); ++f) {
+    EXPECT_EQ(frames[f].type, farm::FrameType::kShardOwner);
+  }
+  EXPECT_EQ(read_split(dir, jobs), owners);
 }
 
 // ------------------------------------------------------------ golden bytes
 //
-// Pin the two additive frames byte for byte (captured from the
+// Pin the additive owner frame byte for byte (captured from the
 // encoder once; never regenerate casually — see farm_codec_test.cpp).
 
-constexpr char kGoldenManifest[] =
+constexpr char kGoldenOwner[] =
+    "\x4b\x59\x46\x4d\x01\x00\x06\x00\x38\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00"
+    "\x00\x00\x00\x68\x6f\x73\x74\x42\x13\x00\x00\x00\x00\x00\x00\x00\x73\x68\x61\x72\x64"
+    "\x31\x2e\x72\x65\x73\x75\x6c\x74\x73\x2e\x6b\x79\x66\x6d\x01\x00\x00\x00\x00\x00\x00"
+    "\x00\x01\x00\x00\x00\x00\x00\x00\x00\x3b\xb2\xb1\x78\x22\x9c\x17\x5b";
+constexpr std::size_t kGoldenOwnerLen = 80;
+
+// A split manifest as an older build wrote it: one frame of the
+// retired type 5.  It must be refused, never misread.
+constexpr char kRetiredManifest[] =
     "\x4b\x59\x46\x4d\x01\x00\x05\x00\xdb\x00\x00\x00\x00\x00\x00\x00\x88\x77\x66\x55\x44"
     "\x33\x22\x11\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x05\x00"
     "\x00\x00\x00\x00\x00\x00\x68\x6f\x73\x74\x41\x10\x00\x00\x00\x00\x00\x00\x00\x73\x68"
@@ -152,31 +156,7 @@ constexpr char kGoldenManifest[] =
     "\x00\x00\x73\x68\x61\x72\x64\x31\x2e\x72\x65\x73\x75\x6c\x74\x73\x2e\x6b\x79\x66\x6d"
     "\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"
     "\x00\x00\x00\x62\x96\xf8\xf9\xcf\xc0\x73\x43\x9b";
-constexpr std::size_t kGoldenManifestLen = 243;
-
-constexpr char kGoldenOwner[] =
-    "\x4b\x59\x46\x4d\x01\x00\x06\x00\x38\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00"
-    "\x00\x00\x00\x68\x6f\x73\x74\x42\x13\x00\x00\x00\x00\x00\x00\x00\x73\x68\x61\x72\x64"
-    "\x31\x2e\x72\x65\x73\x75\x6c\x74\x73\x2e\x6b\x79\x66\x6d\x01\x00\x00\x00\x00\x00\x00"
-    "\x00\x01\x00\x00\x00\x00\x00\x00\x00\x3b\xb2\xb1\x78\x22\x9c\x17\x5b";
-constexpr std::size_t kGoldenOwnerLen = 80;
-
-farm::ShardManifest sample_manifest() {
-  farm::ShardManifest m;
-  m.fingerprint = 0x1122334455667788ull;
-  m.total_jobs = 3;
-  m.shards.push_back(
-      farm::HostShard{"hostA", "shard0.jobs.kyfm", "shard0.results.kyfm", {0, 2}, {"a", "c"}});
-  m.shards.push_back(
-      farm::HostShard{"hostB", "shard1.jobs.kyfm", "shard1.results.kyfm", {1}, {"b"}});
-  return m;
-}
-
-TEST(ShardSplitterGolden, ManifestFrameBytesArePinned) {
-  const std::string encoded =
-      farm::encode_frame(farm::FrameType::kHostManifest, farm::encode_manifest(sample_manifest()));
-  EXPECT_EQ(encoded, std::string(kGoldenManifest, kGoldenManifestLen));
-}
+constexpr std::size_t kRetiredManifestLen = 243;
 
 TEST(ShardSplitterGolden, OwnerFrameBytesArePinned) {
   const farm::ShardOwner owner{"hostB", "shard1.results.kyfm", {1}};
@@ -187,115 +167,148 @@ TEST(ShardSplitterGolden, OwnerFrameBytesArePinned) {
 
 TEST(ShardSplitterGolden, PinnedBytesDecodeBack) {
   farm::FrameReader reader;
-  reader.feed(kGoldenManifest, kGoldenManifestLen);
+  reader.feed(kGoldenOwner, kGoldenOwnerLen);
   const auto frame = reader.next();
   ASSERT_TRUE(frame.has_value());
-  ASSERT_EQ(frame->type, farm::FrameType::kHostManifest);
-  EXPECT_EQ(farm::decode_manifest(frame->payload), sample_manifest());
-
-  farm::FrameReader reader2;
-  reader2.feed(kGoldenOwner, kGoldenOwnerLen);
-  const auto frame2 = reader2.next();
-  ASSERT_TRUE(frame2.has_value());
-  ASSERT_EQ(frame2->type, farm::FrameType::kShardOwner);
-  const farm::ShardOwner owner = farm::decode_shard_owner(frame2->payload);
+  ASSERT_EQ(frame->type, farm::FrameType::kShardOwner);
+  const farm::ShardOwner owner = farm::decode_shard_owner(frame->payload);
   EXPECT_EQ(owner, (farm::ShardOwner{"hostB", "shard1.results.kyfm", {1}}));
 }
 
+TEST(ShardSplitterGolden, RetiredManifestFrameIsRejected) {
+  farm::FrameReader reader;
+  reader.feed(kRetiredManifest, kRetiredManifestLen);
+  EXPECT_THROW(reader.next(), farm::CodecError);
+}
+
 TEST(ShardSplitter, MalformedManifestsAreParseErrors) {
-  const std::string dir = testing::TempDir() + "splitter_malformed";
-  ::mkdir(dir.c_str(), 0755);
+  const std::vector<farm::FarmJob> jobs = small_batch(3);
+  const std::string dir = fresh_dir("malformed");
   // Not a frame file at all.
   write_bytes(manifest_path(dir), "this is not a KYFM manifest\n");
-  EXPECT_THROW(farm::read_manifest_file(manifest_path(dir)), farm::CodecError);
+  EXPECT_THROW(read_split(dir, jobs), farm::CodecError);
   // A valid frame file of the wrong frame type.
   write_bytes(manifest_path(dir),
               farm::encode_frame(farm::FrameType::kError, farm::encode_error(0, "nope")));
-  EXPECT_THROW(farm::read_manifest_file(manifest_path(dir)), farm::CodecError);
-  // A manifest frame with a truncated payload (bad checksum).
-  std::string damaged(kGoldenManifest, kGoldenManifestLen);
+  EXPECT_THROW(read_split(dir, jobs), farm::CodecError);
+  // An older build's manifest (retired frame type 5).
+  write_bytes(manifest_path(dir), std::string(kRetiredManifest, kRetiredManifestLen));
+  EXPECT_THROW(read_split(dir, jobs), farm::CodecError);
+  // A real manifest with its last frame cut short (bad checksum).
+  write_split(dir, jobs, 2);
+  std::ifstream in(manifest_path(dir), std::ios::binary);
+  std::string damaged((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   damaged.resize(damaged.size() - 3);
   write_bytes(manifest_path(dir), damaged);
-  EXPECT_THROW(farm::read_manifest_file(manifest_path(dir)), farm::CodecError);
-  // Internally inconsistent: labels/job_ids length mismatch refuses to encode.
-  farm::ShardManifest bad = sample_manifest();
-  bad.shards[0].labels.pop_back();
-  EXPECT_THROW(farm::encode_manifest(bad), farm::CodecError);
+  EXPECT_THROW(read_split(dir, jobs), farm::CodecError);
+  // A real manifest, read against some other batch.
+  write_split(dir, jobs, 2);
+  EXPECT_THROW(read_split(dir, small_batch(4)), farm::CodecError);
+  // A checkpoint that carries outcomes is a farm's, not a split.
+  farm::Checkpoint with_outcome;
+  with_outcome.outcomes.push_back({0, RunOutcome{}});
+  with_outcome.owners.push_back({"host0", "shard0.results.kyfm", {1, 2}});
+  farm::write_checkpoint_file(manifest_path(dir), jobs, with_outcome);
+  EXPECT_THROW(read_split(dir, jobs), farm::CodecError);
+}
+
+TEST(ShardSplitter, ManifestOwnersMustCoverTheBatchOnce) {
+  const std::vector<farm::FarmJob> jobs = small_batch(4);
+  const std::string dir = fresh_dir("cover");
+  const std::vector<farm::ShardOwner> owners = write_split(dir, jobs, 2);
+  ASSERT_EQ(owners.size(), 2u);
+  auto refused = [&](const std::vector<farm::ShardOwner>& edited) {
+    farm::Checkpoint manifest;
+    manifest.owners = edited;
+    farm::write_checkpoint_file(manifest_path(dir), jobs, manifest);
+    try {
+      read_split(dir, jobs);
+    } catch (const farm::CodecError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // An owner dropped: its jobs would merge as empty outcomes.
+  EXPECT_NE(refused({owners[0]}).find("covers job #2"), std::string::npos);
+  // Two owners of one job.
+  EXPECT_NE(refused({owners[0], owners[1], owners[1]}).find("claim job #2"), std::string::npos);
+  // An owner naming a file outside the merge directory.
+  std::vector<farm::ShardOwner> escaping = owners;
+  escaping[1].result_file = "../x";
+  EXPECT_NE(refused(escaping).find("bare file name"), std::string::npos);
+  // The unedited owners read back.
+  EXPECT_EQ(refused(owners), "");
 }
 
 TEST(ShardSplitter, MergeReproducesSweepByteForByte) {
   const std::vector<farm::FarmJob> jobs = small_batch(6);
-  const farm::ShardManifest manifest = split_batch(jobs, {"h0", "h1", "h2"});
-  const std::string dir = testing::TempDir() + "splitter_merge_ok";
-  ::mkdir(dir.c_str(), 0755);
-  write_shard_files(dir, manifest, jobs);
-  for (const farm::HostShard& shard : manifest.shards) run_shard(dir, shard, jobs);
+  const std::string dir = fresh_dir("merge_ok");
+  for (const farm::ShardOwner& owner : write_split(dir, jobs, 3)) run_shard(dir, owner, jobs);
 
-  const MergeReport merged = merge_results(manifest, dir);
-  ASSERT_TRUE(merged.complete) << merged.summary();
+  std::vector<RunOutcome> merged(jobs.size());
+  for (const farm::ShardOwner& owner : read_split(dir, jobs)) {
+    ShardCollect collect = collect_shard(owner, dir + "/" + owner.result_file);
+    ASSERT_EQ(collect.state, ShardCollect::State::kOk) << owner.host_id << ": " << collect.detail;
+    for (farm::FarmOutcome& outcome : collect.outcomes) {
+      merged[static_cast<std::size_t>(outcome.id)] = std::move(outcome.outcome);
+    }
+  }
   const std::vector<RunOutcome> reference = sweep_reference(jobs);
-  ASSERT_EQ(merged.outcomes.size(), reference.size());
+  ASSERT_EQ(merged.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(merged.outcomes[i], reference[i]) << "job " << i;
+    EXPECT_EQ(merged[i], reference[i]) << "job " << i;
   }
 }
 
 TEST(ShardSplitter, MergeDiagnosesEveryBadShardByHost) {
   const std::vector<farm::FarmJob> jobs = small_batch(6);
+  const std::string dir = fresh_dir("merge_bad");
   // One job per shard so each host owns exactly one failure mode.
-  const farm::ShardManifest manifest =
-      split_batch(jobs, {"ok", "missing", "corrupt", "foreign", "incomplete", "poisoned"}, 1);
-  ASSERT_EQ(manifest.shards.size(), 6u);
-  const std::string dir = testing::TempDir() + "splitter_merge_bad";
-  ::mkdir(dir.c_str(), 0755);
-  write_shard_files(dir, manifest, jobs);
+  const std::vector<farm::ShardOwner> owners = write_split(dir, jobs, 6);
+  ASSERT_EQ(owners.size(), 6u);
+  auto result_path = [&](std::size_t k) { return dir + "/" + owners[k].result_file; };
 
-  run_shard(dir, manifest.shards[0], jobs);  // ok
-  // missing: never write shards[1]'s result file.
-  write_bytes(dir + "/" + manifest.shards[2].result_file, "garbage bytes, not frames");
+  run_shard(dir, owners[0], jobs);  // ok
+  // missing: never write owners[1]'s result file.
+  write_bytes(result_path(2), "garbage bytes, not frames");
   {  // foreign: outcomes for a job id outside the shard
     std::vector<farm::FarmOutcome> alien(1);
     alien[0].id = 0;  // belongs to shard 0, not shard 3
-    farm::write_result_file(dir + "/" + manifest.shards[3].result_file, alien);
+    farm::write_result_file(result_path(3), alien);
   }
   // incomplete: a valid, empty result file covers none of the expected ids.
-  farm::write_result_file(dir + "/" + manifest.shards[4].result_file, {});
+  farm::write_result_file(result_path(4), {});
   // poisoned: the worker reported a deterministic job failure.
-  write_bytes(dir + "/" + manifest.shards[5].result_file,
-              farm::encode_frame(farm::FrameType::kError,
-                                 farm::encode_error(manifest.shards[5].job_ids[0], "boom")));
+  write_bytes(result_path(5), farm::encode_frame(farm::FrameType::kError,
+                                                 farm::encode_error(owners[5].job_ids[0], "boom")));
 
-  const MergeReport merged = merge_results(manifest, dir);
-  EXPECT_FALSE(merged.complete);
-  EXPECT_TRUE(merged.outcomes.empty());  // all-or-nothing: nothing applied
-  ASSERT_EQ(merged.lines.size(), 6u);
-  EXPECT_EQ(merged.lines[0].state, ShardCollect::State::kOk);
-  EXPECT_EQ(merged.lines[1].state, ShardCollect::State::kMissingFile);
-  EXPECT_EQ(merged.lines[2].state, ShardCollect::State::kCorrupt);
-  EXPECT_EQ(merged.lines[3].state, ShardCollect::State::kForeign);
-  EXPECT_EQ(merged.lines[4].state, ShardCollect::State::kIncomplete);
-  EXPECT_EQ(merged.lines[5].state, ShardCollect::State::kDeterministic);
-  for (std::size_t s = 0; s < 6; ++s) {
-    EXPECT_EQ(merged.lines[s].host_id, manifest.shards[s].host_id);
+  const std::vector<ShardCollect::State> expected = {
+      ShardCollect::State::kOk,      ShardCollect::State::kMissingFile,
+      ShardCollect::State::kCorrupt, ShardCollect::State::kForeign,
+      ShardCollect::State::kIncomplete, ShardCollect::State::kDeterministic};
+  for (std::size_t k = 0; k < owners.size(); ++k) {
+    const ShardCollect collect = collect_shard(owners[k], result_path(k));
+    EXPECT_EQ(collect.state, expected[k]) << owners[k].host_id << ": " << collect.detail;
+    EXPECT_EQ(collect.outcomes.empty(), k != 0) << owners[k].host_id;
+    if (k == 5) {
+      EXPECT_EQ(collect.failed_job, owners[5].job_ids[0]);
+      EXPECT_EQ(collect.detail, "boom");
+    }
   }
-  // The summary names each host with its diagnosis.
-  const std::string summary = merged.summary();
-  EXPECT_NE(summary.find("missing result file"), std::string::npos);
-  EXPECT_NE(summary.find("host poisoned"), std::string::npos);
-  EXPECT_NE(summary.find("boom"), std::string::npos);
+  // An error frame for a job outside the shard is foreign, not a job failure.
+  write_bytes(result_path(5),
+              farm::encode_frame(farm::FrameType::kError, farm::encode_error(0, "boom")));
+  EXPECT_EQ(collect_shard(owners[5], result_path(5)).state, ShardCollect::State::kForeign);
 }
 
 TEST(ShardSplitter, CollectRejectsDuplicateIds) {
-  const std::vector<farm::FarmJob> jobs = small_batch(2);
-  const farm::ShardManifest manifest = split_batch(jobs, {"only"});
-  const std::string dir = testing::TempDir() + "splitter_dup";
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir = fresh_dir("dup");
+  const farm::ShardOwner owner{"only", "shard0.results.kyfm", {0, 1}};
   std::vector<farm::FarmOutcome> dup(2);
   dup[0].id = 0;
   dup[1].id = 0;  // same job twice
-  farm::write_result_file(dir + "/" + manifest.shards[0].result_file, dup);
-  const ShardCollect collect =
-      collect_shard(manifest.shards[0], dir + "/" + manifest.shards[0].result_file);
+  farm::write_result_file(dir + "/" + owner.result_file, dup);
+  const ShardCollect collect = collect_shard(owner, dir + "/" + owner.result_file);
   EXPECT_EQ(collect.state, ShardCollect::State::kForeign);
   EXPECT_NE(collect.detail.find("twice"), std::string::npos);
 }
