@@ -100,19 +100,31 @@ Machine::RunResult Machine::run_vcpu(Vcpu& vcpu, int core, Cycles budget,
 
   while (used < budget) {
     if (rb.empty()) {
-      std::size_t want_ops = lookahead;
-      if (run_length > 0) {
-        const Instructions remaining = run_length - (vcpu.retired_in_run() + instructions);
-        want_ops = std::min<std::size_t>(want_ops, static_cast<std::size_t>(remaining));
+      if (rb.block_left == 0) {
+        // A new block opens where the per-op engine refilled; its
+        // first piece follows (see Vcpu::RefBuffer).
+        std::size_t block = lookahead;
+        if (run_length > 0) {
+          const Instructions remaining = run_length - (vcpu.retired_in_run() + instructions);
+          block = std::min<std::size_t>(block, static_cast<std::size_t>(remaining));
+        }
+        rb.block_left = static_cast<std::uint32_t>(block);
+        rb.block_refs = Vcpu::RefBuffer::kBlock;
       }
+      const std::uint32_t want_ops = std::min(rb.piece, rb.block_left);
+      if (rb.piece < lookahead) rb.piece *= 2;
       std::uint32_t trailing = 0;
       const workloads::Workload::RefBatch batch =
-          workload.next_ref_batch(rb.refs, Vcpu::RefBuffer::kBlock, want_ops, &trailing);
+          workload.next_ref_batch(rb.refs, rb.block_refs, want_ops, &trailing);
+      KYOTO_DCHECK(batch.ops > 0);
+      KYOTO_DCHECK(batch.ops <= rb.block_left);
+      rb.block_left -= static_cast<std::uint32_t>(batch.ops);
+      rb.block_refs -= static_cast<std::uint32_t>(batch.refs);
+      if (rb.block_refs == 0) rb.block_left = 0;
       rb.pos = 0;
       rb.len = static_cast<std::uint32_t>(batch.refs);
       rb.trailing = trailing;
       rb.gap_done = 0;
-      KYOTO_DCHECK(batch.ops > 0);
     }
 
     const workloads::AccessRef* const refs = rb.refs;

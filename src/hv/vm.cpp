@@ -16,6 +16,21 @@ bool Vcpu::done() const {
   return completed_runs_ > 0;
 }
 
+std::unique_ptr<workloads::Workload> Vcpu::clone_at_block_end() const {
+  auto clone = workload_->clone();
+  const RefBuffer& rb = ref_buffer_;
+  if (rb.block_left > 0) {
+    workloads::AccessRef discard[RefBuffer::kBlock];
+    std::uint32_t trailing = 0;
+    [[maybe_unused]] const workloads::Workload::RefBatch batch =
+        clone->next_ref_batch(discard, rb.block_refs, rb.block_left, &trailing);
+    // The block ends after block_left instructions unless its
+    // reference budget runs out first (only v2 blocks reach it).
+    KYOTO_DCHECK(batch.ops == rb.block_left || batch.refs == rb.block_refs);
+  }
+  return clone;
+}
+
 void Vcpu::note_progress(Instructions retired, Cycles cycles) {
   retired_in_run_ += retired;
   retired_total_ += retired;

@@ -111,32 +111,48 @@ class Vcpu {
   /// is attached externally — the hypervisor carves it from its bump
   /// arena at create_vm time.
   ///
-  /// Caveat: between bursts the workload's generator sits up to one
-  /// lookahead bound ahead of execution, so pin-style sampling that
-  /// clone()s the live workload (McSimMonitor / PinTracer) captures a
-  /// window starting at the generator position, not the execution
-  /// position.  At the monitors' 150k-instruction samples that shift
-  /// is far inside sampling noise, which is why the replay monitor
-  /// keeps the simple clone() attach point.  The v1 bound,
-  /// kV1MaxOps = 256, is the block size of the retired per-op engine:
-  /// at every burst boundary a v1 generator sits exactly where that
-  /// engine left it, so clone() sees the same future and v1 outcomes
-  /// (McSim jobs included) stay byte-identical to the seed behavior.
-  /// v2 has no such history to keep and refills by kMaxOps.
+  /// Blocks and pieces: a refill of an empty buffer opens a *block*
+  /// where the retired per-op engine refilled — the lookahead bound
+  /// (kV1MaxOps = 256 for v1, kMaxOps for v2) clamped to the run's
+  /// remaining length, ending early at its kBlock-th reference.  A
+  /// vCPU's first block is generated in pieces of kFirstPiece,
+  /// 2·kFirstPiece, … instructions, none crossing the block end, so a
+  /// tenant that retires a handful of instructions before it is
+  /// destroyed generates a handful, not a whole block.  Once the piece
+  /// size reaches the bound every refill is one whole block.
+  ///
+  /// Attach point: between bursts the generator sits `block_left`
+  /// instructions *behind* the block end, which is where the per-op
+  /// engine left its generator.  Pin-style sampling (McSimMonitor)
+  /// therefore attaches through clone_at_block_end(), which discards
+  /// those instructions from the clone, so the replayed window — and
+  /// every outcome, McSim jobs included — stays byte-identical to
+  /// whole-block refills (for v1, to the seed behavior).  A raw
+  /// workload().clone() sees the future from the generator position
+  /// instead.
   struct RefBuffer {
     static constexpr std::size_t kBlock = 256;       // max refs per refill
     static constexpr std::size_t kV1MaxOps = 256;    // v1 lookahead, in instructions
     static constexpr std::size_t kMaxOps = 4096;     // v2 lookahead, in instructions
+    static constexpr std::uint32_t kFirstPiece = 16;  // first piece of a first block
     workloads::AccessRef* refs = nullptr;
     std::uint32_t pos = 0;       // next ref to consume
     std::uint32_t len = 0;       // refs valid in `refs`
     std::uint32_t trailing = 0;  // batch-tail compute ops not yet retired
     std::uint32_t gap_done = 0;  // compute ops of refs[pos] already retired
+    std::uint32_t block_left = 0;       // open block's instructions not yet generated
+    std::uint32_t block_refs = 0;       // refs the open block may still generate
+    std::uint32_t piece = kFirstPiece;  // instructions of the next piece
     bool empty() const { return pos == len && trailing == 0; }
   };
   RefBuffer& ref_buffer() { return ref_buffer_; }
   /// Attaches kBlock AccessRefs of storage (arena-owned by the caller).
   void set_ref_storage(workloads::AccessRef* storage) { ref_buffer_.refs = storage; }
+
+  /// A clone of the workload advanced to the end of the open block:
+  /// the future the per-op engine's generator would have, and the
+  /// attach point of pin-style sampling (see RefBuffer).
+  std::unique_ptr<workloads::Workload> clone_at_block_end() const;
 
  private:
   Vm* vm_;

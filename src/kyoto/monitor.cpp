@@ -44,9 +44,10 @@ void McSimMonitor::attach(hv::Hypervisor& hv) {
 void McSimMonitor::sample_vm(hv::Vm& vm) {
   // The pin tool attaches to vCPU 0: "We assume that vCPUs of the
   // same VM have the same behaviour.  Therefore, only one vCPU of
-  // each VM is considered" (§3.3).
-  const auto result =
-      simulator_->replay_live(vm.vcpu(0).workload(), params_.sample_instructions);
+  // each VM is considered" (§3.3).  It attaches at the end of the
+  // vCPU's open lookahead block (Vcpu::RefBuffer).
+  const auto clone = vm.vcpu(0).clone_at_block_end();
+  const auto result = simulator_->run(*clone, params_.sample_instructions);
   sync_vm_slots(cache_);
   KYOTO_DCHECK(static_cast<std::size_t>(vm.id()) < cache_.size());
   cache_[static_cast<std::size_t>(vm.id())] = result.llc_cap_act(simulator_->freq_khz());

@@ -68,6 +68,11 @@ class ReplaySimulator {
   /// from a cold private cache.  The live workload is not modified.
   ReplayResult replay_live(const workloads::Workload& live, Instructions n);
 
+  /// Replays the next `n` instructions of `clone` from a cold private
+  /// cache, consuming it: the caller picks the attach point
+  /// (McSimMonitor clones at the end of a vCPU's lookahead block).
+  ReplayResult run(workloads::Workload& clone, Instructions n);
+
   /// Replays an already-captured trace.  `spec` supplies the
   /// instruction-mix metadata (MLP) of the traced application.
   ReplayResult replay_trace(const std::vector<mem::Op>& trace,
@@ -76,8 +81,6 @@ class ReplaySimulator {
   KHz freq_khz() const { return freq_khz_; }
 
  private:
-  ReplayResult run(workloads::Workload& clone, Instructions n);
-
   cache::MemSystemConfig mem_config_;
   KHz freq_khz_;
   std::uint64_t seed_;

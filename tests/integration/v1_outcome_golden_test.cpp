@@ -1,16 +1,25 @@
 // v1 scenario-outcome golden pins.
 //
-// FNV-1a fingerprints of farm::encode_outcome for v1 scenarios.
+// FNV-1a fingerprints of farm::encode_outcome for v1 scenarios (and
+// two v2 short-burst McSim mixes).
 //
 // Fig-1-shaped mixes on the scaled 1x4 machine: one
 // sensitive/disruptive mix (soplex + lbm) under XCS, KS4Xen with the
 // direct monitor and KS4Xen with McSim replay, plus a mix whose finite
 // application completes mid-window.  These values were recorded from
 // the per-op vCPU engine that preceded the single ref-batch
-// consumption loop.  The McSim clone() attach point itself is pinned
-// burst by burst in tests/hv/per_op_oracle_test.cpp: these outcomes
-// are not sensitive enough to a shift of a few hundred instructions
-// to catch one.
+// consumption loop.  The McSim attach point itself is pinned burst by
+// burst in tests/hv/per_op_oracle_test.cpp: these outcomes are not
+// sensitive enough to a shift of a few hundred instructions to catch
+// one.
+//
+// Short-burst McSim mixes are: at 10 to 100 kHz a tick is a few
+// hundred or thousand cycles, so McSim samples some tenants while the
+// vCPU's first lookahead block is still being generated in pieces,
+// and attaching anywhere but the block end changes who is punished.
+// Their values were recorded from the loop that generated every block
+// whole, and include v2 variants whose 4096-instruction blocks end at
+// their 256th reference.
 //
 // Execution-order mixes pin the tick's sub-quantum interleaving
 // (Hypervisor::execute_partition): which core goes first in each
@@ -111,6 +120,57 @@ TEST(V1OutcomeGolden, CompletionCaseReallyCompletesMidWindow) {
   ASSERT_EQ(outcome.vms.size(), 2u);
   EXPECT_GT(outcome.vms[0].cpu_share_pct, 10.0);
   EXPECT_LT(outcome.vms[0].cpu_share_pct, 90.0);
+}
+
+/// McSim samples taken while a tenant's bursts are still short: at a
+/// low frequency a tick is a few hundred cycles, so soplex and lbm
+/// share core 0 in bursts that end inside the vCPU's first lookahead
+/// block, and the replay's attach point is the block end, not the
+/// execution position.  Every tenant books `permit` except mcf, which
+/// books three times as much.  The v2 cases pin the same attach point
+/// for a 4096-instruction block, which here ends at its 256th
+/// reference rather than at its last instruction: attaching at the
+/// generator position, or at the block's last instruction, changes
+/// both of their outcomes.
+std::string short_burst_mix(int freq_khz, double permit, const char* stream) {
+  const auto cap = [](double p) { return "llc_cap = " + std::to_string(p) + "\n"; };
+  std::string text = "[machine]\ntopology = 1x4\nscale = 64\nfreq_khz = ";
+  text += std::to_string(freq_khz);
+  text += "\n\n[scheduler]\nkind = ks4xen\nmonitor = mcsim\n\n";
+  text += "[vm soplex]\napp = soplex\ncores = 0\n" + cap(permit) + "\n";
+  text += "[vm lbm]\napp = lbm\ncores = 0\nloop = true\n" + cap(permit) + "\n";
+  text += "[vm gcc]\napp = gcc\ncores = 1\nloop = true\n" + cap(permit) + "\n";
+  text += "[vm mcf]\napp = mcf\ncores = 2\nloop = true\n" + cap(3 * permit) + "\n";
+  text += "[run]\nwarmup_ticks = 4\nmeasure_ticks = 120\nseed = 7\n";
+  text += std::string("\n[workload]\nstream = ") + stream + "\n";
+  return text;
+}
+
+TEST(V1OutcomeGolden, McSimAtShortBurstsIsByteIdentical) {
+  const struct {
+    const char* name;
+    int freq_khz;
+    double permit;
+    const char* stream;
+    const char* fingerprint;
+  } cases[] = {
+      {"short-burst/10khz", 10, 0.01, "v1", "483ee611dc37e94e"},
+      {"short-burst/100khz", 100, 0.05, "v1", "31339cc0c4a2f289"},
+      {"short-burst/30khz-v2", 30, 0.02, "v2", "0ea8215bac44daaa"},
+      {"short-burst/100khz-v2", 100, 0.005, "v2", "0a0560e843193d5d"},
+  };
+  for (const auto& c : cases) {
+    const Scenario scenario =
+        parse_scenario(short_burst_mix(c.freq_khz, c.permit, c.stream));
+    ASSERT_EQ(scenario.stream == workloads::StreamVersion::kV2, std::string(c.stream) == "v2")
+        << c.name;
+    const RunOutcome outcome = run_scenario(scenario.spec, scenario.plans);
+    // The McSim sample decides something: some tenant is punished.
+    std::int64_t punished = 0;
+    for (const VmMetrics& vm : outcome.vms) punished += vm.punished_ticks;
+    EXPECT_GT(punished, 0) << c.name;
+    EXPECT_EQ(hex(fnv1a(farm::encode_outcome(0, outcome))), c.fingerprint) << c.name;
+  }
 }
 
 /// Tenants on a 2x5 machine: socket 0 is cores 0-4, socket 1 is
