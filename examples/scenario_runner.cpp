@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
              "                  worker via $KYOTO_SWEEP_WORKER or next to this\n"
              "                  binary and degrades to in-process execution (same\n"
              "                  results) when neither exists.  Failed dispatches\n"
-             "                  charge the host (hold-back, quarantine,\n"
-             "                  retirement) and are retried elsewhere; a job that\n"
+             "                  charge the host (a growing hold-back, retirement\n"
+             "                  at six in a row) and are retried elsewhere; a job that\n"
              "                  keeps killing workers fails the run by name.\n"
              "                  Prints the farm report after the run.\n"
              "  --split-jobs DIR\n"

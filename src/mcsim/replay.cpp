@@ -7,14 +7,6 @@
 
 namespace kyoto::mcsim {
 
-std::vector<mem::Op> PinTracer::capture(const workloads::Workload& live, Instructions n) {
-  KYOTO_CHECK_MSG(n > 0, "trace length must be positive");
-  auto clone = live.clone();
-  std::vector<mem::Op> trace(static_cast<std::size_t>(n));
-  clone->next_batch(trace.data(), trace.size());
-  return trace;
-}
-
 ReplaySimulator::ReplaySimulator(const cache::MemSystemConfig& mem, KHz freq_khz,
                                  std::uint64_t seed, double warmup_fraction)
     : mem_config_(mem), freq_khz_(freq_khz), seed_(seed), warmup_fraction_(warmup_fraction) {
@@ -34,25 +26,25 @@ namespace {
 /// per block).
 constexpr std::size_t kReplayBlock = 256;
 
-/// Geometric-skip replay of `n` instructions delivered as AccessRefs
-/// by `next_refs` (the Workload::next_ref_batch contract) against a
-/// fresh hierarchy, counting only the post-warmup region.  Each
-/// compute gap is charged in one addition; a gap (or trailing run)
-/// that straddles the warmup boundary is split arithmetically — only
-/// the instructions at index >= warmup count — so the counters equal a
-/// per-op replay of the same stream bit-for-bit.
-template <typename NextRefs>
-ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t seed,
-                         double warmup_fraction, const workloads::WorkloadSpec& spec,
-                         Instructions n, NextRefs&& next_refs) {
+}  // namespace
+
+/// Geometric-skip replay of `n` instructions of `clone`, delivered as
+/// AccessRefs by Workload::next_ref_batch, against a fresh hierarchy,
+/// counting only the post-warmup region.  Each compute gap is charged
+/// in one addition; a gap (or trailing run) that straddles the warmup
+/// boundary is split arithmetically — only the instructions at index
+/// >= warmup count — so the counters equal a per-op replay of the same
+/// stream bit-for-bit.
+ReplayResult ReplaySimulator::run(workloads::Workload& clone, Instructions n) {
   // A fresh single-core hierarchy per replay: the simulator's caches
   // start cold, exactly like McSimA+ replaying a sampled window.
-  cache::MemorySystem memory(cache::Topology{1, 1}, mem_config, seed);
+  cache::MemorySystem memory(cache::Topology{1, 1}, mem_config_, seed_);
   auto ctx = memory.context(/*core=*/0, /*home_node=*/0, /*vm=*/0);
+  const workloads::WorkloadSpec& spec = clone.spec();
   const double inv_mlp = 1.0 / std::max(1.0, spec.mlp);
   const Bytes ws = std::max<Bytes>(spec.working_set, mem::kLineBytes);
   const Instructions warmup = static_cast<Instructions>(
-      warmup_fraction * static_cast<double>(n));
+      warmup_fraction_ * static_cast<double>(n));
 
   // Counts the post-warmup slice of a pure-compute run covering
   // instruction indices [i, i + len): each costs one cycle.
@@ -67,7 +59,7 @@ ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t
   for (Instructions i = 0; i < n;) {
     std::uint32_t trailing = 0;
     const workloads::Workload::RefBatch batch =
-        next_refs(refs, kReplayBlock, static_cast<std::size_t>(n - i), &trailing);
+        clone.next_ref_batch(refs, kReplayBlock, static_cast<std::size_t>(n - i), &trailing);
     if (batch.ops == 0) break;  // exhausted stream
     for (std::size_t r = 0; r < batch.refs; ++r) {
       const workloads::AccessRef ref = refs[r];
@@ -97,28 +89,6 @@ ReplayResult replay_refs(const cache::MemSystemConfig& mem_config, std::uint64_t
     }
   }
   return result;
-}
-
-}  // namespace
-
-ReplayResult ReplaySimulator::run(workloads::Workload& clone, Instructions n) {
-  return replay_refs(mem_config_, seed_, warmup_fraction_, clone.spec(), n,
-                     [&clone](workloads::AccessRef* out, std::size_t max_refs,
-                              std::size_t max_ops, std::uint32_t* trailing) {
-                       return clone.next_ref_batch(out, max_refs, max_ops, trailing);
-                     });
-}
-
-ReplayResult ReplaySimulator::replay_trace(const std::vector<mem::Op>& trace,
-                                           const workloads::WorkloadSpec& spec) {
-  std::size_t cursor = 0;
-  return replay_refs(mem_config_, seed_, warmup_fraction_, spec,
-                     static_cast<Instructions>(trace.size()),
-                     [&trace, &cursor](workloads::AccessRef* out, std::size_t max_refs,
-                                       std::size_t max_ops, std::uint32_t* trailing) {
-                       return workloads::compress_ops([&] { return trace[cursor++]; }, out,
-                                                      max_refs, max_ops, trailing);
-                     });
 }
 
 }  // namespace kyoto::mcsim

@@ -8,15 +8,13 @@
 // no socket dedication, no migration cost on the production host.
 //
 // Here the pin tool is Workload::clone(): cloning the live workload
-// mid-run captures its exact future reference stream.  PinTracer
-// materializes a bounded trace; ReplaySimulator runs either a live
-// clone or a captured trace through a private single-core cache
-// hierarchy with the same geometry as the production machine, both
+// mid-run captures its exact future reference stream.
+// ReplaySimulator runs the clone through a private single-core cache
+// hierarchy with the same geometry as the production machine,
 // consumed as geometric-skip ref batches by one replay loop.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "cache/config.hpp"
 #include "cache/memory_system.hpp"
@@ -45,14 +43,6 @@ struct ReplayResult {
   }
 };
 
-/// The pin-tool stand-in: captures a bounded instruction trace from a
-/// live workload without perturbing it.
-class PinTracer {
- public:
-  /// Clones `live` and records its next `n` operations.
-  static std::vector<mem::Op> capture(const workloads::Workload& live, Instructions n);
-};
-
 class ReplaySimulator {
  public:
   /// A private one-core machine with the production geometry `mem`
@@ -72,11 +62,6 @@ class ReplaySimulator {
   /// cache, consuming it: the caller picks the attach point
   /// (McSimMonitor clones at the end of a vCPU's lookahead block).
   ReplayResult run(workloads::Workload& clone, Instructions n);
-
-  /// Replays an already-captured trace.  `spec` supplies the
-  /// instruction-mix metadata (MLP) of the traced application.
-  ReplayResult replay_trace(const std::vector<mem::Op>& trace,
-                            const workloads::WorkloadSpec& spec);
 
   KHz freq_khz() const { return freq_khz_; }
 

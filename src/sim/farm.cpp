@@ -96,8 +96,6 @@ std::vector<HostSpec> local_workers(int count, const std::string& worker_path,
 Farm::Farm(FarmOptions options) : options_(std::move(options)) {
   options_.jobs_per_shard = std::max(options_.jobs_per_shard, 0);
   options_.max_retries = std::max(options_.max_retries, 0);
-  options_.host_failure_budget = std::max(options_.host_failure_budget, 1);
-  options_.max_quarantines = std::max(options_.max_quarantines, 0);
   options_.checkpoint_every = std::max(options_.checkpoint_every, 1);
   for (std::size_t i = 0; i < options_.hosts.size(); ++i) {
     KYOTO_CHECK_MSG(!options_.hosts[i].id.empty(), "Farm: host id must be non-empty");
@@ -124,16 +122,14 @@ std::vector<RunOutcome> Farm::run() {
   const std::size_t total = jobs_.size();
   results_.assign(total, RunOutcome{});
   done_.assign(total, 0);
-  executed_ = restored_ = recollected_ = in_process_ = 0;
-  dispatches_ = host_failures_ = retries_ = since_checkpoint_ = 0;
+  restored_ = recollected_ = in_process_ = retries_ = since_checkpoint_ = 0;
   degraded_ = orphaning_ = false;
   degrade_reason_.clear();
   t0_ = std::chrono::steady_clock::now();
 
   std::vector<std::string> host_ids;
   for (const HostSpec& h : options_.hosts) host_ids.push_back(h.id);
-  health_ = std::make_unique<HostHealthTracker>(std::move(host_ids), options_.host_failure_budget,
-                                                options_.max_quarantines, options_.backoff);
+  health_ = std::make_unique<HostHealthTracker>(std::move(host_ids), options_.backoff);
 
   recollect_owned_shards(restore_checkpoint());
 
@@ -213,7 +209,6 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
   s.deadline_s = options_.timeout_s > 0
                      ? now_s() + options_.timeout_s * static_cast<double>(jobs.size())
                      : std::numeric_limits<double>::infinity();
-  ++dispatches_;
 
   // Shard names are unique per coordinator process and dispatch, so a
   // worker orphaned by an earlier coordinator never writes into a
@@ -224,6 +219,8 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
       "shard" + std::to_string(::getpid()) + "-" + std::to_string(next_shard++) + ".results.kyfm",
       std::vector<std::uint64_t>(jobs.begin(), jobs.end())};
   s.job_file = farm::job_file_for(s.owner.result_file);
+  // Recorded before the write, so a failed write still counts as a dispatch.
+  health_->record_dispatch(host, now_s(), s.job_file);
   const std::string job_path = options_.work_dir + "/" + s.job_file;
   const std::string result_path = options_.work_dir + "/" + s.owner.result_file;
   std::vector<farm::FarmJob> shard;
@@ -235,7 +232,6 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
     fail_batch(std::string("cannot write shard: ") + e.what());
   }
   std::remove(result_path.c_str());
-  health_->record_dispatch(host, now_s(), s.job_file);
 
   const Argv argv(spec, job_path, result_path);
   const pid_t pid = ::fork();
@@ -255,8 +251,8 @@ void Farm::start(int host, std::vector<std::size_t> jobs) {
 
 void Farm::pump() {
   double wait_s = kPollS;
-  // An idle host whose hold-back or quarantine ends must get work
-  // without waiting for a busy one to finish.
+  // An idle host whose hold-back ends must get work without waiting
+  // for a busy one to finish.
   if (!queue_.empty()) wait_s = std::min(wait_s, health_->next_available_s() - now_s());
   for (const Slot& s : slots_) {
     if (s.busy()) wait_s = std::min(wait_s, s.deadline_s - now_s());
@@ -319,7 +315,6 @@ void Farm::complete(int host, const std::vector<farm::FarmOutcome>& outcomes) {
     KYOTO_CHECK(index < done_.size() && done_[index] == 0);
     results_[index] = outcome.outcome;
     done_[index] = 1;
-    ++executed_;
   }
   after_jobs_completed(static_cast<int>(outcomes.size()));
 }
@@ -337,7 +332,6 @@ void Farm::fail(int host, const std::string& reason) {
   // that never delivered (bad binary, dead link) charges only itself.
   const bool proven = health_->stats(host).shards_completed > 0;
   health_->record_failure(host, now_s(), s.job_file + ": " + reason);
-  ++host_failures_;
   for (const std::uint64_t j : jobs) {
     last_failed_host_[j] = host;
     if (!proven) continue;
@@ -381,7 +375,7 @@ void Farm::run_in_process_remainder() {
 void Farm::after_jobs_completed(int count) {
   since_checkpoint_ += count;
   if (since_checkpoint_ >= options_.checkpoint_every) write_checkpoint();
-  const int completed = executed_ + in_process_;
+  const int completed = jobs_executed() + in_process_;
   if (options_.abort_after_completed >= 0 && completed >= options_.abort_after_completed) {
     // Stop the workers first, so the last checkpoint owns no dispatch
     // that will never finish; the orphan drill's keep running, owned.
@@ -488,6 +482,13 @@ std::string Farm::describe_job(std::size_t index) const {
   return "job #" + std::to_string(index) + " '" + jobs_[index].label + "'";
 }
 
+int Farm::sum_hosts(int HostStats::*field) const {
+  if (health_ == nullptr) return 0;
+  int sum = 0;
+  for (const HostStats& h : health_->all_stats()) sum += h.*field;
+  return sum;
+}
+
 double Farm::now_s() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
 }
@@ -495,10 +496,10 @@ double Farm::now_s() const {
 std::string Farm::report() const {
   if (health_ == nullptr) return "";
   std::ostringstream out;
-  out << "farm: " << executed_ << " executed on hosts, " << restored_
+  out << "farm: " << jobs_executed() << " executed on hosts, " << restored_
       << " restored from checkpoint, " << recollected_ << " re-collected from owners, "
-      << in_process_ << " in-process; " << dispatches_ << " dispatch(es), " << host_failures_
-      << " host failure(s), " << retries_ << " job retr(ies)";
+      << in_process_ << " in-process; " << dispatches() << " dispatch(es), "
+      << host_failure_count() << " host failure(s), " << retries_ << " job retr(ies)";
   if (degraded_) out << "; DEGRADED: " << degrade_reason_;
   out << '\n' << health_->report();
   return out.str();

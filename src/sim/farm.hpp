@@ -33,11 +33,12 @@
 //  * A failed dispatch (a worker that dies or exits non-zero, a
 //    missing, corrupt, foreign or incomplete result file, a deadline
 //    overrun) charges the host and removes the dispatch's shard
-//    files.  Under budget, the host is held back for one backoff
-//    step; a burned budget quarantines it; max_quarantines + 1 burns
-//    retire it for the run.  The dispatch's jobs go back on the queue
-//    for any usable host (a "redistribute" event when another host
-//    takes them).
+//    files.  The host climbs one back-off ladder: its k-th
+//    consecutive failure holds it back backoff.delay_s(k - 1), the
+//    kRetireAfterFailures-th (6) retires it for the run, and a
+//    completed dispatch resets the ladder.  The dispatch's jobs go
+//    back on the queue for any usable host (a "redistribute" event
+//    when another host takes them).
 //  * The failure counts against each job's max_retries only when the
 //    host has completed a dispatch this run: a poisoned job that kills
 //    every worker still fails the batch, naming the job, while a host
@@ -108,12 +109,8 @@ struct FarmOptions {
   /// Charged failures tolerated per job beyond which the batch fails
   /// (a job may run up to max_retries + 1 times).
   int max_retries = 2;
-  /// Consecutive failures a host may accumulate before quarantine.
-  int host_failure_budget = 2;
-  /// Quarantines survived before the host is retired for the run.
-  int max_quarantines = 2;
-  /// Per-failure hold-back and quarantine schedule (seeded jitter,
-  /// keyed on the host id).
+  /// Per-failure hold-back schedule (seeded jitter, keyed on the
+  /// host id).
   BackoffPolicy backoff;
   /// Wall-clock seconds per job: a dispatch of n jobs may take
   /// n * timeout_s before the host is declared hung (worker killed,
@@ -167,13 +164,14 @@ class Farm {
   /// retries or fails deterministically.
   std::vector<RunOutcome> run();
 
-  // Accounting for the run() that last finished (or threw).
-  int jobs_executed() const { return executed_; }        // simulated by hosts
+  // Accounting for the run() that last finished (or threw).  The
+  // host-side counts sum the health tracker's per-host records.
+  int jobs_executed() const { return sum_hosts(&HostStats::jobs_completed); }  // by hosts
   int jobs_restored() const { return restored_; }        // checkpoint outcome frames
   int jobs_recollected() const { return recollected_; }  // owner-frame result files
   int jobs_in_process() const { return in_process_; }    // degraded remainder
-  int dispatches() const { return dispatches_; }         // dispatch attempts
-  int host_failure_count() const { return host_failures_; }
+  int dispatches() const { return sum_hosts(&HostStats::shards_dispatched); }  // attempts
+  int host_failure_count() const { return sum_hosts(&HostStats::failures); }
   int job_retries() const { return retries_; }           // charged failed attempts
   /// True when any job ran in-process (no hosts, or all retired).
   bool degraded() const { return degraded_; }
@@ -212,6 +210,8 @@ class Farm {
   /// A deterministic job failure; `detail` names the job.
   [[noreturn]] void fail_job(const std::string& detail);
   std::string describe_job(std::size_t index) const;
+  /// Sums one per-host counter over the health tracker (0 before run()).
+  int sum_hosts(int HostStats::*field) const;
   double now_s() const;
 
   FarmOptions options_;
@@ -227,12 +227,9 @@ class Farm {
   std::vector<int> last_failed_host_;     // per job; -1 = none
   std::size_t shard_size_ = 1;
   bool orphaning_ = false;
-  int executed_ = 0;
   int restored_ = 0;
   int recollected_ = 0;
   int in_process_ = 0;
-  int dispatches_ = 0;
-  int host_failures_ = 0;
   int retries_ = 0;
   int since_checkpoint_ = 0;
   bool degraded_ = false;

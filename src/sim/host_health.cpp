@@ -19,28 +19,24 @@ std::uint64_t mix64(std::uint64_t x) {
 double BackoffPolicy::delay_s(int attempt, std::uint64_t key) const {
   if (base_s <= 0.0) return 0.0;
   const int a = std::max(attempt, 0);
-  // ldexp saturates cleanly; cap before jitter so max_s bounds the
-  // deterministic part and max_s * (1 + jitter_frac) bounds the total.
-  const double raw = std::min(std::ldexp(base_s, std::min(a, 60)), max_s);
-  const std::uint64_t h = mix64(seed ^ key ^ static_cast<std::uint64_t>(a));
+  // ldexp saturates cleanly; cap before jitter so kMaxS bounds the
+  // deterministic part and kMaxS * (1 + kJitterFrac) bounds the total.
+  const double raw = std::min(std::ldexp(base_s, std::min(a, 60)), kMaxS);
+  const std::uint64_t h = mix64(kSeed ^ key ^ static_cast<std::uint64_t>(a));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  return raw * (1.0 + jitter_frac * u);
+  return raw * (1.0 + kJitterFrac * u);
 }
 
 const char* host_state_name(HostState state) {
   switch (state) {
     case HostState::kHealthy: return "healthy";
-    case HostState::kQuarantined: return "quarantined";
     case HostState::kRetired: return "retired";
   }
   return "?";
 }
 
-HostHealthTracker::HostHealthTracker(std::vector<std::string> host_ids, int failure_budget,
-                                     int max_quarantines, BackoffPolicy backoff)
-    : failure_budget_(std::max(failure_budget, 1)),
-      max_quarantines_(std::max(max_quarantines, 0)),
-      backoff_(backoff) {
+HostHealthTracker::HostHealthTracker(std::vector<std::string> host_ids, BackoffPolicy backoff)
+    : backoff_(backoff) {
   hosts_.reserve(host_ids.size());
   for (std::string& id : host_ids) {
     HostStats h;
@@ -49,19 +45,14 @@ HostHealthTracker::HostHealthTracker(std::vector<std::string> host_ids, int fail
   }
 }
 
-bool HostHealthTracker::usable(int host, double t_s) {
-  HostStats& h = hosts_[static_cast<std::size_t>(host)];
-  if (h.state == HostState::kQuarantined && t_s >= h.quarantined_until_s) {
-    h.state = HostState::kHealthy;
-    note(t_s, h.id, "readmit", "quarantine expired; budget refreshed");
-  }
+bool HostHealthTracker::usable(int host, double t_s) const {
+  const HostStats& h = hosts_[static_cast<std::size_t>(host)];
   return h.state == HostState::kHealthy && t_s >= h.held_until_s;
 }
 
 double HostHealthTracker::next_available_s() const {
   double t = std::numeric_limits<double>::infinity();
   for (const HostStats& h : hosts_) {
-    if (h.state == HostState::kQuarantined) t = std::min(t, h.quarantined_until_s);
     if (h.state == HostState::kHealthy && h.held_until_s > 0.0) t = std::min(t, h.held_until_s);
   }
   return t;
@@ -70,12 +61,6 @@ double HostHealthTracker::next_available_s() const {
 bool HostHealthTracker::all_retired() const {
   return std::all_of(hosts_.begin(), hosts_.end(),
                      [](const HostStats& h) { return h.state == HostState::kRetired; });
-}
-
-int HostHealthTracker::quarantine_count() const {
-  int n = 0;
-  for (const HostStats& h : hosts_) n += h.quarantines;
-  return n;
 }
 
 void HostHealthTracker::record_dispatch(int host, double t_s, const std::string& shard) {
@@ -100,33 +85,21 @@ HostState HostHealthTracker::record_failure(int host, double t_s, const std::str
   ++h.failures;
   ++h.consecutive_failures;
   h.last_failure = reason;
-  note(t_s, h.id, "failure", reason);
-  // Jitter is keyed on the host id so a fleet never thunders back as
-  // a herd.
-  const std::uint64_t key = farm::fnv1a(h.id);
-  if (h.consecutive_failures < failure_budget_) {
-    // Under budget: hold the host back one backoff step, so a
-    // crash-looping worker is not restarted in a tight loop.
-    h.held_until_s = t_s + backoff_.delay_s(h.consecutive_failures - 1, key);
-    return h.state;
-  }
-  h.consecutive_failures = 0;
-  h.held_until_s = 0.0;
-  if (h.quarantines >= max_quarantines_) {
+  if (h.consecutive_failures >= kRetireAfterFailures) {
     h.state = HostState::kRetired;
+    note(t_s, h.id, "failure", reason);
     note(t_s, h.id, "retire",
-         "burned " + std::to_string(h.quarantines + 1) + " budget(s); out for this run");
+         std::to_string(h.consecutive_failures) + " consecutive failures; out for this run");
     return h.state;
   }
-  // Quarantine length escalates with each burned budget.
-  const double delay = backoff_.delay_s(h.quarantines, key);
-  ++h.quarantines;
-  h.state = HostState::kQuarantined;
-  h.quarantined_until_s = t_s + delay;
+  // Hold the host back one rung of the ladder, so a crash-looping
+  // worker is not restarted in a tight loop.  Jitter is keyed on the
+  // host id so a fleet never thunders back as a herd.
+  const double delay = backoff_.delay_s(h.consecutive_failures - 1, farm::fnv1a(h.id));
+  h.held_until_s = t_s + delay;
   std::ostringstream oss;
-  oss << "budget of " << failure_budget_ << " burned; backing off " << delay << "s (until t="
-      << h.quarantined_until_s << "s)";
-  note(t_s, h.id, "quarantine", oss.str());
+  oss << reason << "; held back " << delay << "s";
+  note(t_s, h.id, "failure", oss.str());
   return h.state;
 }
 
@@ -141,8 +114,7 @@ std::string HostHealthTracker::report() const {
   for (const HostStats& h : hosts_) {
     out << "  host " << h.id << ": " << host_state_name(h.state) << ", dispatched "
         << h.shards_dispatched << ", completed " << h.shards_completed << " shard(s) / "
-        << h.jobs_completed << " job(s), failures " << h.failures << ", quarantines "
-        << h.quarantines;
+        << h.jobs_completed << " job(s), failures " << h.failures;
     if (!h.last_failure.empty()) out << ", last failure: " << h.last_failure;
     out << '\n';
   }

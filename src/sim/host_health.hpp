@@ -2,9 +2,10 @@
 // exponential-backoff schedule.
 //
 // The model follows distributed control middleware (CERN RDA / TANGO
-// device servers): every remote endpoint carries a health record —
-// consecutive-failure budget, quarantine with exponential backoff,
-// permanent retirement after repeated budget burns — and every
+// device servers): every remote endpoint carries a health record and
+// one back-off ladder — the k-th consecutive failure holds the host
+// back delay_s(k - 1), the kRetireAfterFailures-th retires it for the
+// run, and a completed dispatch resets the ladder — and every
 // transition is logged as a structured, human-readable event so an
 // operator can reconstruct *why* the farm degraded, not just that it
 // did.
@@ -30,26 +31,29 @@ std::uint64_t mix64(std::uint64_t x);
 
 /// Exponential backoff with deterministic, seeded jitter.
 ///
-///   delay(attempt) = min(base_s * 2^attempt, max_s)
-///                    * (1 + jitter_frac * u)   with u in [0, 1)
+///   delay(attempt) = min(base_s * 2^attempt, kMaxS)
+///                    * (1 + kJitterFrac * u)   with u in [0, 1)
 ///
-/// where u is derived from mix64(seed ^ key ^ attempt) — `key` is a
-/// stable identity (worker slot, hashed host id), so two hosts never
-/// share a jitter stream but every run of the same config does.
+/// where u is derived from mix64(kSeed ^ key ^ attempt) — `key` is a
+/// stable identity (a hashed host id), so two hosts never share a
+/// jitter stream but every run of the same config does.
 struct BackoffPolicy {
-  double base_s = 0.05;
-  double max_s = 30.0;
-  double jitter_frac = 0.25;
-  std::uint64_t seed = 0x6b796f746f666d0aull;  // "kyotofm\n"
+  static constexpr double kMaxS = 30.0;
+  static constexpr double kJitterFrac = 0.25;
+  static constexpr std::uint64_t kSeed = 0x6b796f746f666d0aull;  // "kyotofm\n"
+
+  double base_s = 0.05;  // <= 0 disables the delay
 
   /// `attempt` is the 0-based count of prior consecutive failures.
   double delay_s(int attempt, std::uint64_t key) const;
 };
 
+/// Consecutive failures that retire a host for the run.
+constexpr int kRetireAfterFailures = 6;
+
 enum class HostState {
-  kHealthy,      // accepting shards
-  kQuarantined,  // backing off; re-admitted when the clock passes quarantined_until_s
-  kRetired,      // burned max_quarantines + 1 budgets; out for this run
+  kHealthy,  // accepting shards once any hold-back has passed
+  kRetired,  // kRetireAfterFailures consecutive failures; out for this run
 };
 
 const char* host_state_name(HostState state);
@@ -61,11 +65,9 @@ struct HostStats {
   int shards_completed = 0;
   int jobs_completed = 0;
   int failures = 0;            // total failed attempts charged to this host
-  int consecutive_failures = 0;
-  int quarantines = 0;
-  double quarantined_until_s = 0.0;
-  /// Hold-back after a failure that did not burn the budget: a healthy
-  /// host is not usable before this instant (0 = no hold-back pending).
+  int consecutive_failures = 0;  // the ladder's rung; a completed shard resets it
+  /// Hold-back after a failure: the host is not usable before this
+  /// instant (0 = no hold-back pending).
   double held_until_s = 0.0;
   std::string last_failure;
 };
@@ -75,7 +77,7 @@ struct HostStats {
 struct FarmEvent {
   double t_s = 0.0;
   std::string host;
-  std::string what;    // "dispatch", "complete", "failure", "quarantine", ...
+  std::string what;    // "dispatch", "complete", "failure", "retire", ...
   std::string detail;
 };
 
@@ -84,35 +86,27 @@ struct FarmEvent {
 /// decides *who is allowed to do it* and remembers every transition.
 class HostHealthTracker {
  public:
-  /// `failure_budget`: consecutive failures tolerated before a
-  /// quarantine (>= 1).  `max_quarantines`: quarantines survived
-  /// before the host is retired (0 = first budget burn retires it).
-  HostHealthTracker(std::vector<std::string> host_ids, int failure_budget,
-                    int max_quarantines, BackoffPolicy backoff);
+  HostHealthTracker(std::vector<std::string> host_ids, BackoffPolicy backoff);
 
   int host_count() const { return static_cast<int>(hosts_.size()); }
   const HostStats& stats(int host) const { return hosts_[static_cast<std::size_t>(host)]; }
   const std::vector<HostStats>& all_stats() const { return hosts_; }
 
-  /// True when the host may take a shard at `t_s`.  Crossing a
-  /// quarantine expiry re-admits the host (state returns to healthy,
-  /// with a "readmit" event) — callers never re-admit manually.  A
-  /// pending hold-back (see record_failure) also blocks the host.
-  bool usable(int host, double t_s);
+  /// True when the host is not retired and its hold-back (see
+  /// record_failure) has passed at `t_s`.
+  bool usable(int host, double t_s) const;
 
-  /// Earliest instant a quarantined or held-back host becomes usable
-  /// again; +inf when there is none (all healthy or all retired).
+  /// Earliest instant a held-back host becomes usable again; +inf when
+  /// there is none.
   double next_available_s() const;
 
   bool all_retired() const;
-  int quarantine_count() const;  // total quarantine transitions this run
 
   void record_dispatch(int host, double t_s, const std::string& shard);
   void record_success(int host, double t_s, const std::string& shard, int jobs);
-  /// Charges one failed attempt.  Under budget, the host is held back
-  /// for delay_s(consecutive_failures - 1); a burned budget
-  /// quarantines it (with the next quarantine delay) or retires it.
-  /// Returns the state after charging.
+  /// Charges one failed attempt: the k-th consecutive failure holds
+  /// the host back delay_s(k - 1), the kRetireAfterFailures-th retires
+  /// it.  Returns the state after charging.
   HostState record_failure(int host, double t_s, const std::string& reason);
 
   /// Coordinator-level event (redistribution, degradation, resume).
@@ -128,8 +122,6 @@ class HostHealthTracker {
  private:
   std::vector<HostStats> hosts_;
   std::vector<FarmEvent> events_;
-  int failure_budget_;
-  int max_quarantines_;
   BackoffPolicy backoff_;
 };
 

@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "kyoto/ks4xen.hpp"
+#include "kyoto/kyoto_scheduler.hpp"
 
 namespace kyoto::sim {
 namespace {
@@ -101,21 +101,6 @@ HvObserver shadow_observer(std::unique_ptr<core::GroundTruthShadow>* slot) {
   return [slot](hv::Hypervisor& hv) {
     *slot = std::make_unique<core::GroundTruthShadow>(hv, core::kyoto_controller(hv.scheduler()));
   };
-}
-
-ShadowRun run_with_shadow(const RunSpec& base, const std::vector<VmPlan>& plans,
-                          const MonitorFactory& monitor) {
-  KYOTO_CHECK_MSG(monitor != nullptr, "run_with_shadow needs a monitor factory");
-  RunSpec spec = base;
-  spec.scheduler = [monitor]() -> std::unique_ptr<hv::Scheduler> {
-    return std::make_unique<core::Ks4Xen>(monitor());
-  };
-  std::unique_ptr<core::GroundTruthShadow> shadow;
-  RunOutcome outcome = run_scenario(spec, plans, shadow_observer(&shadow));
-  ShadowRun run;
-  run.outcome = std::move(outcome);
-  run.series = shadow->samples();
-  return run;
 }
 
 }  // namespace kyoto::sim

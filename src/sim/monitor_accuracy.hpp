@@ -69,26 +69,13 @@ MonitorAccuracy score_monitor_accuracy(
 /// Factory for the estimator under test.
 using MonitorFactory = std::function<std::unique_ptr<core::PollutionMonitor>()>;
 
-/// One instrumented scenario: outcome plus the shadow recordings.
-struct ShadowRun {
-  RunOutcome outcome;
-  std::vector<std::vector<core::GroundTruthShadow::Sample>> series;  // by vm id
-};
-
 /// Builds the canonical shadow-attachment observer: constructs a
 /// GroundTruthShadow into `*slot`, wiring in the run's
 /// PollutionController when the scheduler is a Kyoto one (so the
 /// estimator column records; nullptr controller otherwise).  `slot`
 /// must stay at a fixed address until the job has run — one slot per
-/// job.  Shared by run_with_shadow, the ablation bench and the
-/// conformance suite so controller discovery lives in one place.
+/// job.  Shared by the ablation bench and the conformance suite so
+/// controller discovery lives in one place.
 HvObserver shadow_observer(std::unique_ptr<core::GroundTruthShadow>* slot);
-
-/// Runs `plans` under KS4Xen built around `monitor` (overriding
-/// spec.scheduler), with a ground-truth shadow attached from tick 0.
-/// The shadow records through warm-up too; pass spec.warmup_ticks as
-/// score_monitor_accuracy's skip_ticks to score the window only.
-ShadowRun run_with_shadow(const RunSpec& spec, const std::vector<VmPlan>& plans,
-                          const MonitorFactory& monitor);
 
 }  // namespace kyoto::sim

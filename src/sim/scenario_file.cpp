@@ -98,6 +98,13 @@ int parse_cap(const std::string& v, int line) {
   return static_cast<int>(cap);
 }
 
+/// A pollution permit in misses/ms; 0 means unbooked.
+double parse_llc_cap(const std::string& v, int line) {
+  const double cap = parse_double(v, line);
+  if (!(cap >= 0.0)) fail(line, "llc_cap must be >= 0 (0 = unbooked), got " + v);  // NaN fails
+  return cap;
+}
+
 /// A per-tick Bernoulli probability, as the churn trace draws it (< 1,
 /// so a tick can also see no arrival; NaN fails).
 bool is_probability(double p) { return p >= 0.0 && p < 1.0; }
@@ -324,7 +331,7 @@ Scenario parse_scenario(const std::string& text) {
           }
           if (vm.cores.empty()) fail(line_no, "cores must list at least one core");
         } else if (key == "llc_cap") {
-          vm.config.llc_cap = parse_double(value, line_no);
+          vm.config.llc_cap = parse_llc_cap(value, line_no);
         } else if (key == "weight") {
           vm.config.weight = parse_weight(value, line_no);
         } else if (key == "cap") {
@@ -342,8 +349,10 @@ Scenario parse_scenario(const std::string& text) {
       case Section::kRun: {
         if (key == "warmup_ticks") {
           scenario.spec.warmup_ticks = parse_int(value, line_no);
+          if (scenario.spec.warmup_ticks < 0) fail(line_no, "warmup_ticks must be >= 0");
         } else if (key == "measure_ticks") {
           scenario.spec.measure_ticks = parse_int(value, line_no);
+          if (scenario.spec.measure_ticks < 1) fail(line_no, "measure_ticks must be >= 1");
         } else if (key == "seed") {
           scenario.spec.seed = static_cast<std::uint64_t>(parse_int(value, line_no));
         } else if (key == "threads") {
@@ -366,6 +375,9 @@ Scenario parse_scenario(const std::string& text) {
           }
         } else if (key == "mean_lifetime") {
           churn.config.mean_lifetime_ticks = parse_double(value, line_no);
+          if (!(churn.config.mean_lifetime_ticks >= 0.0)) {  // NaN fails
+            fail(line_no, "mean_lifetime must be >= 0 (0 = tenants never leave), got " + value);
+          }
         } else if (key == "horizon") {
           churn.config.horizon_ticks = parse_int(value, line_no);
           if (churn.config.horizon_ticks < 0) fail(line_no, "horizon must be >= 0");
@@ -398,11 +410,12 @@ Scenario parse_scenario(const std::string& text) {
           if (churn.vcpus < 1) fail(line_no, "vcpus must be >= 1");
         } else if (key == "max_tenants") {
           churn.max_tenants = static_cast<int>(parse_int(value, line_no));
+          if (churn.max_tenants < 0) fail(line_no, "max_tenants must be >= 0 (0 = core-bounded)");
         } else if (key == "defer_queue") {
           churn.defer_queue = static_cast<int>(parse_int(value, line_no));
           if (churn.defer_queue < 0) fail(line_no, "defer_queue must be >= 0");
         } else if (key == "llc_cap") {
-          churn.tenant.llc_cap = parse_double(value, line_no);
+          churn.tenant.llc_cap = parse_llc_cap(value, line_no);
         } else if (key == "weight") {
           churn.tenant.weight = parse_weight(value, line_no);
         } else if (key == "cap") {

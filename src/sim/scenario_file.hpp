@@ -33,8 +33,8 @@
 //   loop = true
 //
 //   [run]
-//   warmup_ticks = 6
-//   measure_ticks = 60
+//   warmup_ticks = 6          # >= 0
+//   measure_ticks = 60        # >= 1
 //   threads = 1               # per-job tick-execution threads (RunSpec::threads)
 //
 //   [churn]                   # optional: tenants churn mid-run
@@ -57,9 +57,10 @@
 // populates the machine); a static one must define at least one.
 //
 // Parsing is strict: unknown sections/keys, malformed or out-of-range
-// values (the [churn] ranges above, a monitor outside the list — the
-// trace kind's own keys are checked against the kind the file names)
-// and unknown applications raise std::logic_error with a line number.
+// values (the ranges above, a negative llc_cap, mean_lifetime or
+// max_tenants, a monitor outside the list — the trace kind's own keys
+// are checked against the kind the file names) and unknown
+// applications raise std::logic_error with a line number.
 #pragma once
 
 #include <iosfwd>

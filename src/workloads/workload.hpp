@@ -95,7 +95,7 @@ class Workload {
 
   /// Fills `out` with the next `n` operations of the stream and
   /// returns `n` — the materialized per-op form, for trace capture
-  /// (PinTracer) and stream tests.  Non-virtual on purpose: one
+  /// and stream tests.  Non-virtual on purpose: one
   /// virtual dispatch per block instead of one per simulated
   /// instruction.  The produced stream is identical to `n` calls of
   /// next().

@@ -21,6 +21,7 @@
 #include "mcsim/replay.hpp"
 #include "mem/patterns.hpp"
 #include "support/per_op_engine.hpp"
+#include "support/pin_tracer.hpp"
 #include "test_util.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/pattern_workload.hpp"
@@ -169,11 +170,11 @@ TEST(PerOpOracle, ReplayMatchesPerOpReplay) {
       const auto live = workloads::make_app(app, mc.mem, 23, stream);
       mcsim::ReplaySimulator sim(mc.mem, mc.freq_khz);
       const Instructions n = 200'003;
-      const auto trace = mcsim::PinTracer::capture(*live, n);
+      const auto trace = test::PinTracer::capture(*live, n);
       const mcsim::ReplayResult want = test::per_op_replay(
           mc.mem, /*seed=*/99, /*warmup_fraction=*/0.25, live->spec(), trace);
       for (const mcsim::ReplayResult& got :
-           {sim.replay_live(*live, n), sim.replay_trace(trace, live->spec())}) {
+           {sim.replay_live(*live, n), test::replay_trace(sim, trace, live->spec())}) {
         EXPECT_EQ(got.instructions, want.instructions) << app;
         EXPECT_EQ(got.cycles, want.cycles) << app;
         EXPECT_EQ(got.llc_references, want.llc_references) << app;

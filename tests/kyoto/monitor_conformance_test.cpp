@@ -47,6 +47,29 @@ namespace {
 
 using core::GroundTruthShadow;
 
+/// One instrumented scenario: outcome plus the shadow recordings.
+struct ShadowRun {
+  sim::RunOutcome outcome;
+  std::vector<std::vector<GroundTruthShadow::Sample>> series;  // by vm id
+};
+
+/// Runs `plans` under KS4Xen built around `monitor` (overriding
+/// spec.scheduler), with a ground-truth shadow attached from tick 0.
+/// The shadow records through warm-up too; pass spec.warmup_ticks as
+/// score_monitor_accuracy's skip_ticks to score the window only.
+ShadowRun run_with_shadow(const sim::RunSpec& base, const std::vector<sim::VmPlan>& plans,
+                          const sim::MonitorFactory& monitor) {
+  sim::RunSpec spec = base;
+  spec.scheduler = [monitor]() -> std::unique_ptr<hv::Scheduler> {
+    return std::make_unique<core::Ks4Xen>(monitor());
+  };
+  std::unique_ptr<GroundTruthShadow> shadow;
+  ShadowRun run;
+  run.outcome = sim::run_scenario(spec, plans, sim::shadow_observer(&shadow));
+  run.series = shadow->samples();
+  return run;
+}
+
 struct MonitorCase {
   std::string name;
   sim::MonitorFactory make;
@@ -241,7 +264,7 @@ TEST(ShadowConformance, ShadowRecordingsIdenticalAcrossThreadCounts) {
     auto run = [&](int threads) {
       sim::RunSpec tspec = spec;
       tspec.threads = threads;
-      return sim::run_with_shadow(tspec, plans, mc.make).series;
+      return run_with_shadow(tspec, plans, mc.make).series;
     };
     const auto serial = run(1);
     ASSERT_FALSE(serial.empty()) << mc.name;
@@ -322,7 +345,7 @@ TEST(MonitorConformance, EveryEstimatorRanksThePolluterFirstWithinBounds) {
 
   std::vector<sim::MonitorAccuracy> scores;
   for (const auto& mc : all_monitors()) {
-    const auto run = sim::run_with_shadow(spec, plans, mc.make);
+    const auto run = run_with_shadow(spec, plans, mc.make);
     const auto accuracy = sim::score_monitor_accuracy(run.series);
     // The oracle itself must identify lbm as the aggressor…
     ASSERT_EQ(accuracy.true_aggressor, static_cast<int>(kPolluterIndex)) << mc.name;
@@ -360,7 +383,7 @@ TEST(MonitorConformance, GroundTruthMonitorMatchesItsOwnShadowExactly) {
   spec.machine = test::test_numa_machine();
   spec.warmup_ticks = 0;
   spec.measure_ticks = 20;
-  const auto run = sim::run_with_shadow(spec, conformance_mix(spec.machine, 25.0), [] {
+  const auto run = run_with_shadow(spec, conformance_mix(spec.machine, 25.0), [] {
     return std::make_unique<core::GroundTruthMonitor>();
   });
   int ran_samples = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/config.hpp"
+#include "support/pin_tracer.hpp"
 #include "test_util.hpp"
 #include "workloads/catalog.hpp"
 
@@ -16,7 +17,7 @@ TEST(PinTracer, CapturesExactFutureStream) {
   const auto live = workloads::make_app("gcc", kMem, 5);
   for (int i = 0; i < 1000; ++i) live->next();  // advance the live app
   const auto clone = live->clone();
-  const auto trace = PinTracer::capture(*live, 500);
+  const auto trace = test::PinTracer::capture(*live, 500);
   ASSERT_EQ(trace.size(), 500u);
   // The trace equals the clone's stream...
   for (const auto& op : trace) {
@@ -33,7 +34,7 @@ TEST(PinTracer, CapturesExactFutureStream) {
 
 TEST(PinTracer, RejectsEmptyTrace) {
   const auto live = workloads::make_app("gcc", kMem, 5);
-  EXPECT_THROW(PinTracer::capture(*live, 0), std::logic_error);
+  EXPECT_THROW(test::PinTracer::capture(*live, 0), std::logic_error);
 }
 
 TEST(ReplaySimulator, DeterministicForSameInput) {
@@ -78,8 +79,8 @@ TEST(ReplaySimulator, TraceAndLiveReplayAgree) {
   for (int i = 0; i < 500; ++i) live->next();
   ReplaySimulator sim(kMem, kFreq);
   const auto from_live = sim.replay_live(*live, 30'000);
-  const auto trace = PinTracer::capture(*live, 30'000);
-  const auto from_trace = sim.replay_trace(trace, live->spec());
+  const auto trace = test::PinTracer::capture(*live, 30'000);
+  const auto from_trace = test::replay_trace(sim, trace, live->spec());
   EXPECT_EQ(from_live.llc_misses, from_trace.llc_misses);
   EXPECT_EQ(from_live.cycles, from_trace.cycles);
   EXPECT_EQ(from_live.llc_references, from_trace.llc_references);
@@ -101,13 +102,13 @@ TEST(ReplaySimulator, MlpReducesCycles) {
   // Same trace replayed under specs differing only in MLP: higher MLP
   // must yield fewer stall cycles.
   const auto live = workloads::make_app("lbm", kMem, 5);
-  const auto trace = PinTracer::capture(*live, 20'000);
+  const auto trace = test::PinTracer::capture(*live, 20'000);
   ReplaySimulator sim(kMem, kFreq);
   workloads::WorkloadSpec spec = live->spec();
   spec.mlp = 1.0;
-  const auto slow = sim.replay_trace(trace, spec);
+  const auto slow = test::replay_trace(sim, trace, spec);
   spec.mlp = 4.0;
-  const auto fast = sim.replay_trace(trace, spec);
+  const auto fast = test::replay_trace(sim, trace, spec);
   EXPECT_LT(fast.cycles, slow.cycles);
   EXPECT_EQ(fast.llc_misses, slow.llc_misses);  // same reference stream
 }

@@ -9,8 +9,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,20 +42,19 @@ TEST(BackoffPolicy, DefaultScheduleIsPinned) {
 TEST(BackoffPolicy, JitterIsBoundedAndDeterministic) {
   BackoffPolicy policy;
   policy.base_s = 0.1;
-  policy.max_s = 5.0;
-  policy.jitter_frac = 0.25;
-  for (int attempt = 0; attempt < 12; ++attempt) {
+  for (int attempt = 0; attempt < 12; ++attempt) {  // 0.1 * 2^9 passes the 30 s cap
     for (const std::uint64_t key :
          {std::uint64_t{0}, std::uint64_t{17}, farm::fnv1a("h"), farm::fnv1a("hh")}) {
-      const double raw = std::min(0.1 * static_cast<double>(1ull << attempt), 5.0);
+      const double raw =
+          std::min(0.1 * static_cast<double>(1ull << attempt), BackoffPolicy::kMaxS);
       const double d = policy.delay_s(attempt, key);
       EXPECT_GE(d, raw) << attempt;
-      EXPECT_LT(d, raw * 1.25) << attempt;
+      EXPECT_LT(d, raw * (1.0 + BackoffPolicy::kJitterFrac)) << attempt;
       EXPECT_DOUBLE_EQ(d, policy.delay_s(attempt, key));  // pure function
     }
   }
-  // Different keys at the same attempt land at different points:
-  // a quarantined fleet never thunders back in lockstep.
+  // Different keys at the same attempt land at different points: a
+  // fleet held back together never thunders back in lockstep.
   EXPECT_NE(policy.delay_s(3, farm::fnv1a("h")), policy.delay_s(3, farm::fnv1a("hh")));
   // base_s <= 0 disables the delay entirely.
   BackoffPolicy off;
@@ -60,48 +62,62 @@ TEST(BackoffPolicy, JitterIsBoundedAndDeterministic) {
   EXPECT_EQ(off.delay_s(5, 42), 0.0);
 }
 
-TEST(HostHealthTracker, BudgetQuarantineReadmitRetireLifecycle) {
+// The ladder on a synthetic clock: the k-th consecutive failure holds
+// the host back exactly delay_s(k - 1), the kRetireAfterFailures-th
+// retires it, and a completed dispatch resets the rung.
+TEST(HostHealthTracker, LadderHoldsBackThenRetires) {
   BackoffPolicy backoff;
   backoff.base_s = 1.0;
-  backoff.jitter_frac = 0.0;  // exact delays for this test
-  HostHealthTracker tracker({"flaky", "solid"}, /*failure_budget=*/2,
-                            /*max_quarantines=*/1, backoff);
+  HostHealthTracker tracker({"flaky", "solid"}, backoff);
+  const std::uint64_t key = farm::fnv1a("flaky");
+  const double never = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(tracker.usable(0, 0.0));
   EXPECT_TRUE(tracker.usable(1, 0.0));
+  EXPECT_EQ(tracker.next_available_s(), never);
 
-  // One failure stays under budget; the second burns it -> quarantine.
-  EXPECT_EQ(tracker.record_failure(0, 1.0, "died"), HostState::kHealthy);
-  EXPECT_EQ(tracker.record_failure(0, 2.0, "died again"), HostState::kQuarantined);
-  EXPECT_FALSE(tracker.usable(0, 2.5));
-  EXPECT_DOUBLE_EQ(tracker.next_available_s(), 3.0);  // 2.0 + base * 2^0
+  // Climbs rung by rung: failure k holds the host until t + delay_s(k - 1).
+  double t = 1.0;
+  const auto climb = [&](int k) {
+    EXPECT_EQ(tracker.record_failure(0, t, "died"), HostState::kHealthy) << k;
+    const double until = t + backoff.delay_s(k - 1, key);
+    EXPECT_EQ(tracker.stats(0).held_until_s, until) << k;
+    EXPECT_EQ(tracker.next_available_s(), until) << k;
+    EXPECT_FALSE(tracker.usable(0, std::nextafter(until, 0.0))) << k;
+    EXPECT_TRUE(tracker.usable(0, until)) << k;
+    EXPECT_TRUE(tracker.usable(1, t)) << k;  // "solid" is never held back
+    t = until + 1.0;
+  };
 
-  // Quarantine expiry re-admits with a refreshed budget...
-  EXPECT_TRUE(tracker.usable(0, 3.5));
-  EXPECT_EQ(tracker.stats(0).quarantines, 1);
-  // ...and a success clears the consecutive-failure streak.
-  tracker.record_failure(0, 4.0, "hiccup");
-  tracker.record_success(0, 5.0, "shard1.jobs.kyfm", 3);
+  // Three rungs, then a completed dispatch resets the ladder...
+  for (int k = 1; k <= 3; ++k) climb(k);
+  tracker.record_success(0, t, "shard1.jobs.kyfm", 3);
   EXPECT_EQ(tracker.stats(0).consecutive_failures, 0);
+  EXPECT_TRUE(tracker.usable(0, t));
+  EXPECT_EQ(tracker.next_available_s(), never);
 
-  // The next burned budget exceeds max_quarantines -> retired for good.
-  tracker.record_failure(0, 6.0, "died");
-  EXPECT_EQ(tracker.record_failure(0, 7.0, "died"), HostState::kRetired);
-  EXPECT_FALSE(tracker.usable(0, 100.0));
+  // ...so the next failure holds it back delay_s(0) again, and five
+  // rungs are climbed before the sixth failure retires it.
+  for (int k = 1; k < kRetireAfterFailures; ++k) climb(k);
+  EXPECT_EQ(tracker.record_failure(0, t, "died"), HostState::kRetired);
+  EXPECT_EQ(tracker.stats(0).failures, 3 + kRetireAfterFailures);
+  EXPECT_FALSE(tracker.usable(0, t));
+  EXPECT_FALSE(tracker.usable(0, 1e9));
+  EXPECT_EQ(tracker.next_available_s(), never);
   EXPECT_FALSE(tracker.all_retired());  // "solid" is still in the game
-  tracker.record_failure(1, 8.0, "died");
-  EXPECT_EQ(tracker.record_failure(1, 8.5, "died"), HostState::kQuarantined);
-  tracker.usable(1, 100.0);
-  tracker.record_failure(1, 101.0, "died");
-  EXPECT_EQ(tracker.record_failure(1, 102.0, "died"), HostState::kRetired);
+
+  for (int k = 1; k < kRetireAfterFailures; ++k) {
+    EXPECT_EQ(tracker.record_failure(1, t, "died"), HostState::kHealthy) << k;
+  }
+  EXPECT_EQ(tracker.record_failure(1, t, "died"), HostState::kRetired);
   EXPECT_TRUE(tracker.all_retired());
 
   // Every transition landed in the structured report.
   const std::string report = tracker.report();
-  EXPECT_NE(report.find("quarantine"), std::string::npos);
-  EXPECT_NE(report.find("readmit"), std::string::npos);
-  EXPECT_NE(report.find("retire"), std::string::npos);
-  EXPECT_NE(report.find("host flaky"), std::string::npos);
-  EXPECT_NE(report.find("host solid"), std::string::npos);
+  EXPECT_NE(report.find("flaky failure: died; held back"), std::string::npos) << report;
+  EXPECT_NE(report.find("flaky retire"), std::string::npos) << report;
+  EXPECT_NE(report.find("solid retire"), std::string::npos) << report;
+  EXPECT_NE(report.find("host flaky: retired"), std::string::npos) << report;
+  EXPECT_EQ(report.find("quarantine"), std::string::npos) << report;
 }
 
 // ---------------------------------------------------------------- Farm
@@ -178,12 +194,20 @@ FarmOptions failing_beside_healthy(const std::string& work_dir) {
 
 TEST(FarmBackoff, FailedHostIsHeldBackByTheSchedule) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
-  const auto jobs = backoff_jobs(12);
+  const auto jobs = backoff_jobs(8);
   const std::string dir = fresh_dir("schedule");
   FarmOptions options = failing_beside_healthy(dir);
-  options.host_failure_budget = 4;  // three hold-backs, then the budget burns
-  options.max_quarantines = 0;      // ...and "bad" retires
-  options.backoff.base_s = 0.02;
+  options.backoff.base_s = 0.02;  // the six holds sum to about 0.62 s
+  // "good" sleeps before each job, so the queue outlasts every rung of
+  // "bad"'s ladder (8 jobs take it at least 2 s).
+  const std::string slow_good = dir + "/slow_worker.sh";
+  {
+    std::ofstream out(slow_good);
+    out << "#!/bin/sh\nsleep 0.25\nexec '"
+        << std::filesystem::absolute(worker_path()).string() << "' \"$@\"\n";
+  }
+  ::chmod(slow_good.c_str(), 0755);
+  options.hosts[1].worker_path = slow_good;
   Farm farm(options);
   for (const auto& [label, text] : jobs) farm.add(text, label);
   const std::vector<RunOutcome> outcomes = farm.run();
@@ -191,9 +215,11 @@ TEST(FarmBackoff, FailedHostIsHeldBackByTheSchedule) {
   EXPECT_FALSE(farm.degraded());
   EXPECT_EQ(farm.job_retries(), 0);  // "bad" never delivered: it charges only itself
 
-  // From the event log: after its k-th consecutive failure (under
-  // budget), "bad" is dispatched again no earlier than the failure's
-  // instant plus delay_s(k - 1), the jitter keyed on its host id.
+  // From the event log: after its k-th consecutive failure, "bad" is
+  // dispatched again no earlier than the failure's instant plus
+  // delay_s(k - 1), the jitter keyed on its host id; its
+  // kRetireAfterFailures-th failure retires it, and it is never
+  // dispatched again.
   const std::uint64_t key = farm::fnv1a("bad");
   int failures = 0;
   int checked = 0;
@@ -202,17 +228,21 @@ TEST(FarmBackoff, FailedHostIsHeldBackByTheSchedule) {
     if (event.host != "bad") continue;
     if (event.what == "failure") {
       ++failures;
-      held_until = failures < options.host_failure_budget
+      held_until = failures < kRetireAfterFailures
                        ? event.t_s + options.backoff.delay_s(failures - 1, key)
                        : -1.0;
+    } else if (event.what == "retire") {
+      EXPECT_EQ(failures, kRetireAfterFailures);
     } else if (event.what == "dispatch" && failures > 0) {
-      ASSERT_GE(held_until, 0.0) << "dispatched after its budget burned";
+      ASSERT_GE(held_until, 0.0) << "dispatched after it retired";
       EXPECT_GE(event.t_s, held_until) << "dispatch after failure " << failures;
       ++checked;
     }
   }
-  EXPECT_GE(failures, 1);
-  EXPECT_GE(checked, 1) << "\"bad\" was never dispatched again:\n" << farm.report();
+  EXPECT_EQ(failures, kRetireAfterFailures) << farm.report();
+  EXPECT_EQ(checked, kRetireAfterFailures - 1) << farm.report();
+  EXPECT_EQ(farm.health()->stats(0).state, HostState::kRetired);
+  EXPECT_EQ(farm.health()->stats(0).shards_dispatched, kRetireAfterFailures);
   std::filesystem::remove_all(dir);
 }
 

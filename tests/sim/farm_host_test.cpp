@@ -1,12 +1,12 @@
 // Multi-host farm gate: the full fault drill.  A batch split across
 // simulated hosts — killed workers, corrupt result files, hangs,
-// garbage — must converge, via per-host budgets, quarantine/backoff
-// and shard redistribution, to outcomes byte-identical to the
-// in-process SweepRunner; when every host is out it must degrade to
-// in-process execution, never hang or drop work.  Owner-aware
-// checkpoints must let a resumed coordinator *re-collect* shards that
-// finished while it was down instead of re-running them (the attempt
-// counters prove which happened).
+// garbage — must converge, via each host's back-off ladder
+// (hold-backs, then retirement) and shard redistribution, to outcomes
+// byte-identical to the in-process SweepRunner; when every host is out
+// it must degrade to in-process execution, never hang or drop work.
+// Owner-aware checkpoints must let a resumed coordinator *re-collect*
+// shards that finished while it was down instead of re-running them
+// (the attempt counters prove which happened).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -92,8 +92,6 @@ FarmOptions base_options(const std::string& work_dir) {
   FarmOptions options;
   options.work_dir = work_dir;
   options.jobs_per_shard = 1;  // fine-grained redistribution
-  options.host_failure_budget = 1;
-  options.max_quarantines = 1;
   options.backoff.base_s = 0.02;
   options.timeout_s = 5.0;
   return options;
@@ -138,7 +136,7 @@ TEST(FarmFileHosts, CleanHostsMatchSweepByteForByte) {
 
 // The acceptance drill: one host killed mid-shard, one emitting
 // corrupt result files, one hung past its budget, one healthy.  The
-// batch must converge through quarantine + redistribution.
+// batch must converge through hold-backs + redistribution.
 TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(6);
@@ -163,10 +161,16 @@ TEST(FarmFileHosts, FaultDrillConvergesByteIdentical) {
   EXPECT_GE(farm.host_failure_count(), 3);  // each faulty host failed at least once
   EXPECT_GT(farm.dispatches(), 6);      // failures forced re-dispatches
   EXPECT_EQ(farm.health()->stats(3).state, HostState::kHealthy);  // h-ok
-  EXPECT_GE(farm.health()->quarantine_count(), 1);
+  // The ladder: a host is retired exactly when it reached
+  // kRetireAfterFailures consecutive failures.
+  for (const HostStats& h : farm.health()->all_stats()) {
+    EXPECT_EQ(h.state == HostState::kRetired, h.consecutive_failures == kRetireAfterFailures)
+        << h.id;
+  }
 
   const std::string report = farm.report();
-  EXPECT_NE(report.find("quarantine"), std::string::npos);
+  EXPECT_NE(report.find("h-kill failure: "), std::string::npos);
+  EXPECT_NE(report.find("; held back "), std::string::npos);  // a failure's hold-back
   EXPECT_NE(report.find("redistribute"), std::string::npos);
   EXPECT_NE(report.find("h-corrupt"), std::string::npos);
   EXPECT_NE(report.find("corrupt result file"), std::string::npos);
@@ -179,7 +183,6 @@ TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
   if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
   const auto jobs = small_batch(4);
   FarmOptions options = base_options(fresh_dir("hostfarm_degrade"));
-  options.max_quarantines = 0;  // first budget burn retires
   options.hosts.push_back(HostSpec{"d0", worker_path(), {"--fault-kill-after", "1"}});
   options.hosts.push_back(HostSpec{"d1", worker_path(), {"--fault-kill-after", "1"}});
   Farm farm(options);
@@ -190,7 +193,15 @@ TEST(FarmFileHosts, AllHostsOutDegradesToInProcess) {
   EXPECT_EQ(farm.jobs_executed(), 0);
   EXPECT_EQ(farm.jobs_in_process(), 4);
   EXPECT_TRUE(farm.health()->all_retired());
-  EXPECT_NE(farm.report().find("degrade"), std::string::npos);
+  // Each host climbed the whole ladder: held back after failures 1-5,
+  // retired at the sixth, never dispatched again.
+  EXPECT_EQ(farm.dispatches(), 2 * kRetireAfterFailures);
+  EXPECT_EQ(farm.host_failure_count(), 2 * kRetireAfterFailures);
+  const std::string report = farm.report();
+  EXPECT_NE(report.find("d0 retire: 6 consecutive failures"), std::string::npos) << report;
+  EXPECT_NE(report.find("d1 retire: 6 consecutive failures"), std::string::npos) << report;
+  EXPECT_NE(report.find("; held back "), std::string::npos) << report;
+  EXPECT_NE(report.find("degrade"), std::string::npos);
 }
 
 // Randomized (but seeded) fault schedules: any mix of kill / corrupt
@@ -203,7 +214,6 @@ TEST(FarmFileHosts, RandomizedFaultSchedulesStayByteIdentical) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     FarmOptions options =
         base_options(fresh_dir("hostfarm_rand" + std::to_string(seed)));
-    options.max_quarantines = 0;  // keep worst-case wall clock bounded
     for (int h = 0; h < 3; ++h) {
       std::vector<std::string> args;
       switch (mix64(seed * 1000 + static_cast<std::uint64_t>(h)) % 4) {

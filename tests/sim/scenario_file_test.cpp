@@ -287,6 +287,49 @@ TEST(ScenarioFile, ChurnValuesTheEngineRejectsAreParseErrorsOnTheirLine) {
   }
 }
 
+// Negative values used to parse and run: measure_ticks = -5 printed
+// an all-zero table and exited 0.  Each is an error on its own line;
+// the documented zeros stay legal.
+TEST(ScenarioFile, NegativeWarmupTicksIsAParseErrorOnItsLine) {
+  expect_parse_error("[vm a]\napp = gcc\n[run]\nwarmup_ticks = -3\n", 4,
+                     "warmup_ticks must be >= 0");
+  EXPECT_EQ(parse_scenario("[vm a]\napp = gcc\n[run]\nwarmup_ticks = 0\n").spec.warmup_ticks, 0);
+}
+
+TEST(ScenarioFile, NonPositiveMeasureTicksIsAParseErrorOnItsLine) {
+  expect_parse_error("[vm a]\napp = gcc\n[run]\nmeasure_ticks = -5\n", 4,
+                     "measure_ticks must be >= 1");
+  expect_parse_error("[vm a]\napp = gcc\n[run]\nmeasure_ticks = 0\n", 4,
+                     "measure_ticks must be >= 1");
+  EXPECT_EQ(parse_scenario("[vm a]\napp = gcc\n[run]\nmeasure_ticks = 1\n").spec.measure_ticks,
+            1);
+}
+
+TEST(ScenarioFile, NegativeVmLlcCapIsAParseErrorOnItsLine) {
+  expect_parse_error("[vm a]\napp = gcc\nllc_cap = -5\n", 3, "llc_cap must be >= 0");
+  expect_parse_error("[vm a]\napp = gcc\nllc_cap = nan\n", 3, "llc_cap must be >= 0");
+  EXPECT_NO_THROW(parse_scenario("[vm a]\napp = gcc\nllc_cap = 0\n"));  // unbooked
+}
+
+TEST(ScenarioFile, NegativeChurnLlcCapIsAParseErrorOnItsLine) {
+  const std::string head = "[vm a]\napp = gcc\n[churn]\napps = gcc\n";  // lines 1-4
+  expect_parse_error(head + "llc_cap = -5\n", 5, "llc_cap must be >= 0");
+  EXPECT_NO_THROW(parse_scenario(head + "llc_cap = 0\n"));
+}
+
+TEST(ScenarioFile, NegativeMeanLifetimeIsAParseErrorOnItsLine) {
+  const std::string head = "[vm a]\napp = gcc\n[churn]\napps = gcc\n";
+  expect_parse_error(head + "mean_lifetime = -10\n", 5, "mean_lifetime must be >= 0");
+  expect_parse_error(head + "mean_lifetime = nan\n", 5, "mean_lifetime must be >= 0");
+  EXPECT_NO_THROW(parse_scenario(head + "mean_lifetime = 0\n"));  // never leave
+}
+
+TEST(ScenarioFile, NegativeMaxTenantsIsAParseErrorOnItsLine) {
+  const std::string head = "[vm a]\napp = gcc\n[churn]\napps = gcc\n";
+  expect_parse_error(head + "max_tenants = -3\n", 5, "max_tenants must be >= 0");
+  EXPECT_NO_THROW(parse_scenario(head + "max_tenants = 0\n"));  // core-bounded
+}
+
 TEST(ScenarioFile, VmCpuKeysAreCheckedOnTheirLine) {
   const std::string head = "[machine]\ntopology = 1x2\n[vm a]\napp = gcc\n";  // lines 1-4
   expect_parse_error(head + "weight = 0\n", 5, "weight must be >= 1");
