@@ -18,8 +18,8 @@
 // Without an argument it writes a demonstration scenario next to the
 // binary, prints it, and runs it — so the example is self-contained.
 // The scenario language covers the machine (topology, scale, optional
-// prefetcher/bus, LLC policy), the scheduler (all six variants, the
-// three monitors, both punish modes) and arbitrarily many VMs.
+// prefetcher/bus, LLC policy), the scheduler (all six variants and
+// the three monitors) and arbitrarily many VMs.
 #include <stdlib.h>
 #include <sys/stat.h>
 
@@ -48,7 +48,8 @@ constexpr const char* kUsage =
     "                       [scenario.kyoto ...]\n";
 
 constexpr const char* kDemoScenario = R"(# Demonstration: a noisy streamer vs two paying tenants, KS4Xen,
-# demote-mode punishment (the paper's "priority OVER" semantics).
+# a punished VM is taken off the processor until its quota recovers
+# (the Fig 5 timeline).
 [machine]
 topology = 1x4
 scale = 64
@@ -57,7 +58,6 @@ llc_replacement = LRU
 [scheduler]
 kind = ks4xen
 monitor = mcsim        # clean attribution via replay simulation
-punish = block         # Fig 5 semantics (demote = work-conserving variant)
 
 [vm web-tier]
 app = gcc
@@ -94,7 +94,6 @@ scale = 64
 [scheduler]
 kind = ks4xen
 monitor = direct
-punish = block
 
 [vm web-tier]
 app = gcc

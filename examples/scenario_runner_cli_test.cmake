@@ -22,7 +22,6 @@ scale = 64
 [scheduler]
 kind = ks4xen
 monitor = direct
-punish = block
 
 [vm tenant]
 app = ${app}

@@ -73,28 +73,21 @@ double CfsScheduler::min_vruntime(int core) const {
 Vcpu* CfsScheduler::pick(int core, Tick /*now*/) {
   if (static_cast<std::size_t>(core) >= runqueue_.size()) return nullptr;
   const auto& queue = runqueue_[static_cast<std::size_t>(core)];
-  // Branch-light running min over (band, vruntime): eligibility and
-  // demotion are 0/1 words, the two band minima advance by select —
-  // strict `<` keeps the first minimum in queue order on ties.
+  // Branch-light running min over vruntime: eligibility is a 0/1
+  // word and the minimum advances by select — strict `<` keeps the
+  // first minimum in queue order on ties.
   int best_id = -1;
   double best_vr = std::numeric_limits<double>::max();
-  int best_dem_id = -1;
-  double best_dem_vr = std::numeric_limits<double>::max();
   for (int qid : queue) {
     const auto id = static_cast<std::size_t>(qid);
     const unsigned elig = (static_cast<unsigned>(done_[id]) ^ 1u) &
                           (static_cast<unsigned>(vm_blocked(vm_id_[id])) ^ 1u);
-    const unsigned dem = static_cast<unsigned>(vm_demoted(vm_id_[id]));
     const double vr = vruntime_[id];
-    const bool take = (elig & (dem ^ 1u)) != 0 && vr < best_vr;
+    const bool take = elig != 0 && vr < best_vr;
     best_vr = take ? vr : best_vr;
     best_id = take ? qid : best_id;
-    const bool take_dem = (elig & dem) != 0 && vr < best_dem_vr;
-    best_dem_vr = take_dem ? vr : best_dem_vr;
-    best_dem_id = take_dem ? qid : best_dem_id;
   }
-  const int chosen = best_id >= 0 ? best_id : best_dem_id;
-  return chosen >= 0 ? vcpu_[static_cast<std::size_t>(chosen)] : nullptr;
+  return best_id >= 0 ? vcpu_[static_cast<std::size_t>(best_id)] : nullptr;
 }
 
 void CfsScheduler::account(Vcpu& vcpu, const RunReport& report) {

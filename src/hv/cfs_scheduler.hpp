@@ -8,11 +8,11 @@
 // way CFS bandwidth control throttles cgroups.
 //
 // Hot per-task state is struct-of-arrays (parallel arrays by vCPU id,
-// sized at admission); pick is a branch-light lexicographic
-// running-min over (band, vruntime) with select arithmetic and
-// mask-tested Kyoto gates.  The pre-rework branchy scan survives only
-// as a frozen test oracle (tests/support/reference_control_plane.hpp),
-// bit-identical by the accounting oracle test.
+// sized at admission); pick is a branch-light running-min over
+// vruntime with select arithmetic and a mask-tested Kyoto gate.  The
+// pre-rework branchy scan survives only as a frozen test oracle
+// (tests/support/reference_control_plane.hpp), bit-identical by the
+// accounting oracle test.
 #pragma once
 
 #include <cstdint>

@@ -91,16 +91,15 @@ Vcpu* CreditScheduler::pick(int core, Tick /*now*/) {
   CoreCursor& cursor = cursors_[static_cast<std::size_t>(core)];
 
   // Slice stickiness: keep the incumbent for up to one full 30 ms
-  // slice while it stays runnable, UNDER and undemoted — evaluated as
-  // one fused 0/1 predicate over the SoA state.
+  // slice while it stays runnable and UNDER — evaluated as one fused
+  // 0/1 predicate over the SoA state.
   if (cursor.current >= 0 && cursor.consecutive < static_cast<int>(kTicksPerSlice)) {
     const auto cid = static_cast<std::size_t>(cursor.current);
     Vcpu* cv = vcpu_[cid];
     if (cv != nullptr) {
       const unsigned keep = static_cast<unsigned>(cv->pinned_core() == core) &
                             runnable_bit(cid) &
-                            static_cast<unsigned>(remain_credit_[cid] > 0) &
-                            (static_cast<unsigned>(vm_demoted(vm_id_[cid])) ^ 1u);
+                            static_cast<unsigned>(remain_credit_[cid] > 0);
       if (keep != 0) {
         ++cursor.consecutive;
         return cv;
@@ -111,42 +110,33 @@ Vcpu* CreditScheduler::pick(int core, Tick /*now*/) {
   cursor.consecutive = 0;
 
   // Band selection over compact runnable bitmasks: one pass builds
-  // UNDER/OVER/DEMOTED masks keyed by queue position (chunks of 64),
-  // then the winner is the lowest set bit of the first non-empty band
-  // — the first runnable vCPU in queue order within that band, with
-  // no per-entry branching.
+  // UNDER/OVER masks keyed by queue position (chunks of 64), then the
+  // winner is the lowest set bit of the first non-empty band — the
+  // first runnable vCPU in queue order within that band, with no
+  // per-entry branching.
   const std::size_t n = queue.size();
   int first_under = -1;
   int first_over = -1;
-  int first_dem = -1;
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t chunk = std::min<std::size_t>(64, n - base);
     std::uint64_t under_m = 0;
     std::uint64_t over_m = 0;
-    std::uint64_t dem_m = 0;
     for (std::size_t j = 0; j < chunk; ++j) {
       const auto id = static_cast<std::size_t>(queue[base + j]);
       const auto run = static_cast<std::uint64_t>(runnable_bit(id));
-      const auto dem = static_cast<std::uint64_t>(vm_demoted(vm_id_[id]));
       const auto under = static_cast<std::uint64_t>(remain_credit_[id] > 0);
-      under_m |= (run & (dem ^ 1u) & under) << j;
-      over_m |= (run & (dem ^ 1u) & (under ^ 1u)) << j;
-      dem_m |= (run & dem) << j;
+      under_m |= (run & under) << j;
+      over_m |= (run & (under ^ 1u)) << j;
     }
     if (first_under < 0 && under_m != 0)
       first_under = static_cast<int>(base) + std::countr_zero(under_m);
     if (first_over < 0 && over_m != 0)
       first_over = static_cast<int>(base) + std::countr_zero(over_m);
-    if (first_dem < 0 && dem_m != 0)
-      first_dem = static_cast<int>(base) + std::countr_zero(dem_m);
-    if (first_under >= 0) break;  // UNDER beats every later band
+    if (first_under >= 0) break;  // UNDER beats OVER
   }
 
-  // Priority UNDER first, then OVER (work conserving), then — only if
-  // the core would otherwise idle — Kyoto-demoted vCPUs.
-  int pos = first_under;
-  pos = pos >= 0 ? pos : first_over;
-  pos = pos >= 0 ? pos : first_dem;
+  // Priority UNDER first, then OVER (work conserving).
+  const int pos = first_under >= 0 ? first_under : first_over;
   if (pos < 0) return nullptr;
 
   // Round-robin: rotate the chosen vCPU to the queue tail.

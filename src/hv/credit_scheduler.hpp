@@ -13,18 +13,19 @@
 //
 // Hot per-vCPU state lives in struct-of-arrays form (parallel arrays
 // by vCPU id, sized at admission), and the default pick/accounting
-// engine is branch-light: runqueue selection builds compact
-// UNDER/OVER/DEMOTED runnable bitmasks and takes the lowest set bit
-// of the first non-empty band; credit burn, cap decrement and the
-// Kyoto gates are mask/select arithmetic.  The pre-rework branchy
+// engine is branch-light: runqueue selection builds compact UNDER
+// and OVER runnable bitmasks and takes the lowest set bit of the
+// first non-empty band; credit burn, cap decrement and the Kyoto
+// gate are mask/select arithmetic.  The pre-rework branchy
 // control flow lives on only as a frozen test oracle
 // (tests/support/reference_control_plane.hpp); the accounting oracle
 // test runs it side by side with this engine and demands
 // bit-identical decisions.
 //
 // KS4Xen (kyoto/ks4xen.hpp) extends this class exactly where the
-// paper patched Xen: the punish gate bitmasks (set_kyoto_gates) and
-// extra slice-end bookkeeping.
+// paper patched Xen: the punish gate bitmask (set_kyoto_gate), which
+// takes a punished VM out of both bands, and extra slice-end
+// bookkeeping.
 #pragma once
 
 #include <cstdint>

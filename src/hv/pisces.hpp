@@ -7,7 +7,7 @@
 // but the LLC is still silicon shared by all enclaves on the socket,
 // which is exactly the residual interference Fig 8 demonstrates and
 // KS4Pisces (kyoto/ks4pisces.hpp) closes by duty-cycling polluting
-// enclaves (punish gates arrive as bitmasks via set_kyoto_gates).
+// enclaves (the punish gate arrives as a bitmask via set_kyoto_gate).
 #pragma once
 
 #include <string>

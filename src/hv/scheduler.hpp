@@ -9,11 +9,11 @@
 // Kyoto gating is wired through compact per-VM bitmasks instead of
 // virtual predicates: the PollutionController maintains a punished
 // bitset (one bit per VM id), and the Ks4* schedulers hand the base
-// scheduler a pointer to it at attach() via set_kyoto_gates.  The hot
+// scheduler a pointer to it at attach() via set_kyoto_gate.  The hot
 // pick/accounting loops then test gate bits with plain word
 // arithmetic — no per-entry virtual dispatch, no data-dependent
-// branches.  A scheduler with no gates wired (the vanilla XCS/CFS/
-// Pisces baselines) sees "never blocked, never demoted".
+// branches.  A scheduler with no gate wired (the vanilla XCS/CFS/
+// Pisces baselines) sees "never blocked".
 #pragma once
 
 #include <cstdint>
@@ -81,16 +81,11 @@ class Scheduler {
   /// Called every kTicksPerSlice ticks, after accounting.
   virtual void slice_end(Tick now) = 0;
 
-  /// Wires the Kyoto punish gates (bit per VM id).  `blocked` bits
-  /// make a VM's vCPUs unschedulable; `demoted` bits rank them below
-  /// every unblocked vCPU.  Either may be null ("no such gate").  The
-  /// vectors stay owned by the controller and may grow — pointees are
+  /// Wires the Kyoto punish gate (bit per VM id): a set bit makes
+  /// the VM's vCPUs unschedulable; null means "no gate".  The vector
+  /// stays owned by the controller and may grow — the pointee is
   /// re-read on every test, so growth is safe.
-  void set_kyoto_gates(const std::vector<std::uint64_t>* blocked,
-                       const std::vector<std::uint64_t>* demoted) {
-    kyoto_blocked_ = blocked;
-    kyoto_demoted_ = demoted;
-  }
+  void set_kyoto_gate(const std::vector<std::uint64_t>* blocked) { kyoto_blocked_ = blocked; }
 
  protected:
   static bool test_vm_bit(const std::vector<std::uint64_t>* words, int vm_id) {
@@ -100,11 +95,9 @@ class Scheduler {
     return (((*words)[w] >> (static_cast<unsigned>(vm_id) & 63u)) & 1u) != 0;
   }
   bool vm_blocked(int vm_id) const { return test_vm_bit(kyoto_blocked_, vm_id); }
-  bool vm_demoted(int vm_id) const { return test_vm_bit(kyoto_demoted_, vm_id); }
 
   Hypervisor* hv_ = nullptr;
   const std::vector<std::uint64_t>* kyoto_blocked_ = nullptr;
-  const std::vector<std::uint64_t>* kyoto_demoted_ = nullptr;
 };
 
 }  // namespace kyoto::hv

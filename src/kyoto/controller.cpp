@@ -6,12 +6,26 @@
 
 namespace kyoto::core {
 
-PollutionController::PollutionController(std::unique_ptr<PollutionMonitor> monitor,
-                                         KyotoParams params)
-    : monitor_(std::move(monitor)), params_(params) {
+namespace {
+
+/// Maximum banked quota, in slices' worth of earning.  A small bank
+/// lets well-behaved VMs absorb periodic reload bursts (a VM whose
+/// lines were evicted while it was descheduled re-misses them at the
+/// next slice — the "zigzag" of Fig 2) without being punished for
+/// pollution they did not initiate.
+constexpr double kBankSlices = 3.0;
+
+/// Quota a freshly booked VM starts with, in slices' worth of
+/// earning.  Covers the one-off data-loading phase ("LLC misses occur
+/// only during the first time slice", Fig 2) so a VM is not punished
+/// merely for starting up.
+constexpr double kInitialBankSlices = 10.0;
+
+}  // namespace
+
+PollutionController::PollutionController(std::unique_ptr<PollutionMonitor> monitor)
+    : monitor_(std::move(monitor)) {
   KYOTO_CHECK(monitor_ != nullptr);
-  KYOTO_CHECK_MSG(params_.bank_slices > 0.0, "quota bank must be positive");
-  KYOTO_CHECK_MSG(params_.initial_bank_slices > 0.0, "initial bank must be positive");
 }
 
 void PollutionController::attach(hv::Hypervisor& hv) {
@@ -54,7 +68,7 @@ PollutionController::VmState& PollutionController::slot(const hv::Vm& vm) {
     st.booked = vm.config().llc_cap;
     // Start-up grace: enough quota to load the working set once.
     st.quota = st.booked * static_cast<double>(kTickMs * kTicksPerSlice) *
-               params_.initial_bank_slices;
+               kInitialBankSlices;
   }
   return st;
 }
@@ -95,34 +109,13 @@ void PollutionController::slice_end() {
       const bool booked = st.booked > 0.0;
       const double earn = booked ? st.booked * slice_ms : 0.0;
       const double replenished = st.quota + earn;
-      const double bank = params_.bank_slices * earn;
+      const double bank = kBankSlices * earn;
       const double clamped = replenished < bank ? replenished : bank;
       st.quota = booked ? clamped : st.quota;
       const bool lift = st.punished & booked & (st.quota >= 0.0);
       set_punished(id, st.punished & !lift);
     }
   }
-}
-
-const char* punish_mode_name(PunishMode mode) {
-  switch (mode) {
-    case PunishMode::kBlock: return "block";
-    case PunishMode::kDemote: return "demote";
-  }
-  return "?";
-}
-
-bool PollutionController::allows(const hv::Vm& vm) const {
-  if (params_.punish_mode == PunishMode::kDemote) return true;
-  const auto id = static_cast<std::size_t>(vm.id());
-  if (id >= states_.size()) return true;
-  return !states_[id].punished;
-}
-
-bool PollutionController::demoted(const hv::Vm& vm) const {
-  const auto id = static_cast<std::size_t>(vm.id());
-  if (id >= states_.size()) return false;
-  return states_[id].punished;
 }
 
 const PollutionController::VmState& PollutionController::state(const hv::Vm& vm) const {

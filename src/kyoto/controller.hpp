@@ -34,35 +34,6 @@
 
 namespace kyoto::core {
 
-/// What "punished" means to the scheduler.
-enum class PunishMode {
-  /// The VM may not run at all until its quota recovers — the
-  /// behaviour the paper's Fig 5 timeline shows ("deprived of the
-  /// processor for long moments").  Default.
-  kBlock,
-  /// The VM is demoted below every unpunished vCPU (the paper's
-  /// literal "priority OVER" wording): it still scavenges cycles the
-  /// core would otherwise idle away.  Work-conserving punishment.
-  kDemote,
-};
-
-const char* punish_mode_name(PunishMode mode);
-
-struct KyotoParams {
-  PunishMode punish_mode = PunishMode::kBlock;
-  /// Maximum banked quota, in slices' worth of earning.  A small bank
-  /// lets well-behaved VMs absorb periodic reload bursts (a VM whose
-  /// lines were evicted while it was descheduled re-misses them at
-  /// the next slice — the "zigzag" of Fig 2) without being punished
-  /// for pollution they did not initiate.
-  double bank_slices = 3.0;
-  /// Quota a freshly booked VM starts with, in slices' worth of
-  /// earning.  Covers the one-off data-loading phase ("LLC misses
-  /// occur only during the first time slice", Fig 2) so a VM is not
-  /// punished merely for starting up.
-  double initial_bank_slices = 10.0;
-};
-
 class PollutionController {
  public:
   struct VmState {
@@ -75,7 +46,7 @@ class PollutionController {
     double debited_total = 0.0;      // lifetime attributed pollution (misses)
   };
 
-  PollutionController(std::unique_ptr<PollutionMonitor> monitor, KyotoParams params);
+  explicit PollutionController(std::unique_ptr<PollutionMonitor> monitor);
 
   /// Wires the controller into the hypervisor: attaches the monitor
   /// and registers the per-tick hook.
@@ -88,29 +59,11 @@ class PollutionController {
   /// punishments lift.
   void slice_end();
 
-  /// Schedulability predicate for the owning scheduler.  In kDemote
-  /// mode punished VMs remain schedulable (demotion is applied via
-  /// demoted() by the scheduler's pick order).
-  bool allows(const hv::Vm& vm) const;
-
-  /// True when the VM is punished; in kDemote mode the scheduler uses
-  /// this to rank punished vCPUs below everyone else.
-  bool demoted(const hv::Vm& vm) const;
-
-  PunishMode punish_mode() const { return params_.punish_mode; }
-
-  /// Punish gates as compact bitmasks (bit per VM id), for the
-  /// schedulers' branch-light pick loops (Scheduler::set_kyoto_gates).
-  /// The bits mirror VmState::punished exactly — every transition
-  /// updates both — and which gate is live depends on the punish
-  /// mode: in kBlock mode punished VMs are unschedulable, in kDemote
-  /// mode they are merely demoted.
-  const std::vector<std::uint64_t>* blocked_gate() const {
-    return params_.punish_mode == PunishMode::kBlock ? &punished_words_ : nullptr;
-  }
-  const std::vector<std::uint64_t>* demoted_gate() const {
-    return params_.punish_mode == PunishMode::kDemote ? &punished_words_ : nullptr;
-  }
+  /// Punish gate as a compact bitmask (bit per VM id), for the
+  /// schedulers' branch-light pick loops (Scheduler::set_kyoto_gate):
+  /// a set bit makes the VM unschedulable.  The bits mirror
+  /// VmState::punished exactly — every transition updates both.
+  const std::vector<std::uint64_t>* punished_gate() const { return &punished_words_; }
 
   const VmState& state(const hv::Vm& vm) const;
   /// Same, by id — valid for departed tenants too (churn metrics read
@@ -130,7 +83,6 @@ class PollutionController {
   void set_punished(std::size_t vm_id, bool punished);
 
   std::unique_ptr<PollutionMonitor> monitor_;
-  KyotoParams params_;
   hv::Hypervisor* hv_ = nullptr;
   std::vector<VmState> states_;  // by vm id
   /// Bit per VM id, set iff states_[id].punished — the schedulers'

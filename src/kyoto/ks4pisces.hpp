@@ -1,6 +1,6 @@
 // KS4Pisces: the Kyoto controller for the Pisces co-kernel.  Enclaves
-// own their cores, so there is no queue to demote a polluter in: a
-// punished enclave's cores idle until its quota recovers.  Fig 8
+// own their cores, so a punished enclave's cores idle until its quota
+// recovers.  Fig 8
 // evaluates it: vanilla Pisces leaves ~24% LLC-contention degradation
 // on the table, KS4Pisces closes it.
 #pragma once

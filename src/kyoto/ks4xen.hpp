@@ -1,7 +1,9 @@
 // KS4Xen: the Kyoto scheduler for Xen (§3.2) — the credit scheduler
-// plus the pollution controller.  A punished VM is forced to
-// "priority OVER" until its quota recovers; weights, caps, UNDER/OVER
-// and work conservation are Xen's, unchanged.
+// plus the pollution controller.  A punished VM cannot use the
+// processor at all until its quota recovers: its vCPUs leave both the
+// UNDER and the OVER band, so its core idles rather than run it.
+// Weights, caps and the UNDER/OVER order among unpunished vCPUs are
+// Xen's, unchanged.
 #pragma once
 
 #include "hv/credit_scheduler.hpp"

@@ -25,19 +25,18 @@ template <class Base, const char* Name>
 class KyotoScheduler final : public Base {
  public:
   explicit KyotoScheduler(std::unique_ptr<PollutionMonitor> monitor =
-                              std::make_unique<DirectPmcMonitor>(),
-                          KyotoParams params = {})
-      : controller_(std::move(monitor), params) {}
+                              std::make_unique<DirectPmcMonitor>())
+      : controller_(std::move(monitor)) {}
 
   std::string name() const override { return Name; }
 
   void attach(hv::Hypervisor& hv) override {
     Base::attach(hv);
     controller_.attach(hv);
-    // Punish gating reaches the base scheduler as bitmasks, not
-    // virtual predicates: the hot pick loop tests controller-owned
+    // Punish gating reaches the base scheduler as a bitmask, not a
+    // virtual predicate: the hot pick loop tests controller-owned
     // punished bits with word arithmetic.
-    this->set_kyoto_gates(controller_.blocked_gate(), controller_.demoted_gate());
+    this->set_kyoto_gate(controller_.punished_gate());
   }
 
   void account(hv::Vcpu& vcpu, const hv::RunReport& report) override {

@@ -141,6 +141,16 @@ std::vector<RunOutcome> Farm::run() {
     if (options_.hosts.empty()) {
       degrade("no hosts configured");
     } else {
+      // A worker that cannot be executed would fail every dispatch:
+      // retire its host before the first one, not after the ladder.
+      for (std::size_t h = 0; h < options_.hosts.size(); ++h) {
+        const std::string& path = options_.hosts[h].worker_path;
+        if (::access(path.c_str(), X_OK) != 0) {
+          const std::string why = std::strerror(errno);
+          health_->retire(static_cast<int>(h), now_s(),
+                          "worker '" + path + "' cannot be executed: " + why);
+        }
+      }
       attempts_.assign(total, 0);
       last_failed_host_.assign(total, -1);
       shard_size_ = options_.jobs_per_shard > 0
@@ -185,9 +195,21 @@ void Farm::dispatch_loop() {
 }
 
 void Farm::assign() {
-  for (std::size_t h = 0; h < slots_.size() && !queue_.empty(); ++h) {
+  // Queued shards go to the healthiest idle hosts first (fewest
+  // consecutive failures, ties in host order): a host back from a
+  // hold-back must not retake a job ahead of an idle host that has
+  // not failed.
+  std::vector<int> idle;
+  for (std::size_t h = 0; h < slots_.size(); ++h) {
     const int host = static_cast<int>(h);
-    if (slots_[h].busy() || !health_->usable(host, now_s())) continue;
+    if (!slots_[h].busy() && health_->usable(host, now_s())) idle.push_back(host);
+  }
+  std::stable_sort(idle.begin(), idle.end(), [this](int a, int b) {
+    return health_->stats(a).consecutive_failures < health_->stats(b).consecutive_failures;
+  });
+  for (const int host : idle) {
+    if (queue_.empty()) return;
+    const auto h = static_cast<std::size_t>(host);
     const std::size_t n = std::min(shard_size_, queue_.size());
     std::vector<std::size_t> jobs(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
     queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));

@@ -37,8 +37,11 @@
 //    consecutive failure holds it back backoff.delay_s(k - 1), the
 //    kRetireAfterFailures-th (6) retires it for the run, and a
 //    completed dispatch resets the ladder.  The dispatch's jobs go
-//    back on the queue for any usable host (a "redistribute" event
-//    when another host takes them).
+//    back on the queue; queued shards are offered to usable idle
+//    hosts in order of consecutive failures, ties in host order (a
+//    "redistribute" event when another host takes them).
+//  * A host whose worker_path cannot be executed is retired before
+//    the first dispatch, charged no failure.
 //  * The failure counts against each job's max_retries only when the
 //    host has completed a dispatch this run: a poisoned job that kills
 //    every worker still fails the batch, naming the job, while a host

@@ -86,10 +86,8 @@ HostState HostHealthTracker::record_failure(int host, double t_s, const std::str
   ++h.consecutive_failures;
   h.last_failure = reason;
   if (h.consecutive_failures >= kRetireAfterFailures) {
-    h.state = HostState::kRetired;
     note(t_s, h.id, "failure", reason);
-    note(t_s, h.id, "retire",
-         std::to_string(h.consecutive_failures) + " consecutive failures; out for this run");
+    retire(host, t_s, std::to_string(h.consecutive_failures) + " consecutive failures");
     return h.state;
   }
   // Hold the host back one rung of the ladder, so a crash-looping
@@ -101,6 +99,12 @@ HostState HostHealthTracker::record_failure(int host, double t_s, const std::str
   oss << reason << "; held back " << delay << "s";
   note(t_s, h.id, "failure", oss.str());
   return h.state;
+}
+
+void HostHealthTracker::retire(int host, double t_s, const std::string& reason) {
+  HostStats& h = hosts_[static_cast<std::size_t>(host)];
+  h.state = HostState::kRetired;
+  note(t_s, h.id, "retire", reason + "; out for this run");
 }
 
 void HostHealthTracker::note(double t_s, const std::string& host, const std::string& what,

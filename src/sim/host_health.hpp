@@ -53,7 +53,8 @@ constexpr int kRetireAfterFailures = 6;
 
 enum class HostState {
   kHealthy,  // accepting shards once any hold-back has passed
-  kRetired,  // kRetireAfterFailures consecutive failures; out for this run
+  kRetired,  // out for this run: kRetireAfterFailures consecutive
+             // failures, or a worker that cannot be executed
 };
 
 const char* host_state_name(HostState state);
@@ -108,6 +109,9 @@ class HostHealthTracker {
   /// the host back delay_s(k - 1), the kRetireAfterFailures-th retires
   /// it.  Returns the state after charging.
   HostState record_failure(int host, double t_s, const std::string& reason);
+  /// Retires the host for the run at once (a "retire" event giving
+  /// `reason`), without charging a failure.
+  void retire(int host, double t_s, const std::string& reason);
 
   /// Coordinator-level event (redistribution, degradation, resume).
   void note(double t_s, const std::string& host, const std::string& what,

@@ -112,7 +112,6 @@ bool is_probability(double p) { return p >= 0.0 && p < 1.0; }
 struct SchedulerChoice {
   std::string kind = "xcs";
   std::string monitor = "direct";
-  core::PunishMode punish = core::PunishMode::kBlock;
   int declared_line = 0;
 };
 
@@ -296,11 +295,6 @@ Scenario parse_scenario(const std::string& text) {
               sched.monitor != "dedication") {
             fail(line_no, "monitor must be direct | mcsim | dedication, got '" + value + "'");
           }
-        } else if (key == "punish") {
-          const std::string s = lower(value);
-          if (s == "block") sched.punish = core::PunishMode::kBlock;
-          else if (s == "demote") sched.punish = core::PunishMode::kDemote;
-          else fail(line_no, "punish must be block or demote");
         } else {
           fail(line_no, "unknown [scheduler] key '" + key + "'");
         }
@@ -453,8 +447,6 @@ Scenario parse_scenario(const std::string& text) {
     if (sched.monitor == "mcsim") return std::make_unique<core::McSimMonitor>();
     return std::make_unique<core::SocketDedicationMonitor>();  // checked at its line
   };
-  core::KyotoParams kyoto_params;
-  kyoto_params.punish_mode = sched.punish;
   const std::string kind = sched.kind;
   if (kind == "xcs") {
     scenario.spec.scheduler = [] { return std::make_unique<hv::CreditScheduler>(); };
@@ -463,16 +455,16 @@ Scenario parse_scenario(const std::string& text) {
   } else if (kind == "pisces") {
     scenario.spec.scheduler = [] { return std::make_unique<hv::PiscesScheduler>(); };
   } else if (kind == "ks4xen") {
-    scenario.spec.scheduler = [monitor_factory, kyoto_params] {
-      return std::make_unique<core::Ks4Xen>(monitor_factory(), kyoto_params);
+    scenario.spec.scheduler = [monitor_factory] {
+      return std::make_unique<core::Ks4Xen>(monitor_factory());
     };
   } else if (kind == "ks4linux") {
-    scenario.spec.scheduler = [monitor_factory, kyoto_params] {
-      return std::make_unique<core::Ks4Linux>(monitor_factory(), kyoto_params);
+    scenario.spec.scheduler = [monitor_factory] {
+      return std::make_unique<core::Ks4Linux>(monitor_factory());
     };
   } else if (kind == "ks4pisces") {
-    scenario.spec.scheduler = [monitor_factory, kyoto_params] {
-      return std::make_unique<core::Ks4Pisces>(monitor_factory(), kyoto_params);
+    scenario.spec.scheduler = [monitor_factory] {
+      return std::make_unique<core::Ks4Pisces>(monitor_factory());
     };
   } else {
     fail(sched.declared_line, "unknown scheduler kind '" + kind + "'");

@@ -18,7 +18,6 @@
 //   [scheduler]
 //   kind = ks4xen             # xcs|cfs|pisces|ks4xen|ks4linux|ks4pisces
 //   monitor = direct          # direct|mcsim|dedication (kyoto kinds only)
-//   punish = block            # block|demote
 //
 //   [workload]
 //   stream = v2               # v1 (default, bit-identical to seed

@@ -7,8 +7,8 @@
 // as self-contained frozen schedulers in
 // tests/support/reference_control_plane.hpp.  This suite runs one
 // hypervisor on the library schedulers and one on the reference
-// schedulers through ~100 randomized tick sequences (random VM mixes,
-// weights, caps, llc_cap bookings, punish modes, migrations, churn
+// schedulers through ~90 randomized tick sequences (random VM mixes,
+// weights, caps, llc_cap bookings, migrations, churn
 // departures and arrivals) and compares the full observable
 // accounting state word-for-word after every step: virtualized
 // counters, sched/idle ticks, credit/vruntime state, cap budgets and
@@ -39,7 +39,7 @@
 namespace kyoto::hv {
 namespace {
 
-enum class Kind { kCredit, kCfs, kKs4Xen, kKs4XenDemote, kKs4Linux, kKs4Pisces };
+enum class Kind { kCredit, kCfs, kKs4Xen, kKs4Linux, kKs4Pisces };
 
 bool is_kyoto(Kind k) { return k != Kind::kCredit && k != Kind::kCfs; }
 bool is_pisces(Kind k) { return k == Kind::kKs4Pisces; }
@@ -52,19 +52,12 @@ std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 template <class Credit, class Cfs, class Xen, class Linux, class Pisces>
 struct Family {
   static std::unique_ptr<Scheduler> make(Kind kind) {
-    core::KyotoParams params;
     switch (kind) {
       case Kind::kCredit: return std::make_unique<Credit>();
       case Kind::kCfs: return std::make_unique<Cfs>();
-      case Kind::kKs4Xen:
-        return std::make_unique<Xen>(std::make_unique<core::DirectPmcMonitor>(), params);
-      case Kind::kKs4XenDemote:
-        params.punish_mode = core::PunishMode::kDemote;
-        return std::make_unique<Xen>(std::make_unique<core::DirectPmcMonitor>(), params);
-      case Kind::kKs4Linux:
-        return std::make_unique<Linux>(std::make_unique<core::DirectPmcMonitor>(), params);
-      case Kind::kKs4Pisces:
-        return std::make_unique<Pisces>(std::make_unique<core::DirectPmcMonitor>(), params);
+      case Kind::kKs4Xen: return std::make_unique<Xen>();
+      case Kind::kKs4Linux: return std::make_unique<Linux>();
+      case Kind::kKs4Pisces: return std::make_unique<Pisces>();
     }
     return nullptr;
   }
@@ -73,7 +66,6 @@ struct Family {
                                                              int vm_id) {
     switch (kind) {
       case Kind::kKs4Xen:
-      case Kind::kKs4XenDemote:
         return &static_cast<Xen&>(hv.scheduler()).kyoto().state_by_id(vm_id);
       case Kind::kKs4Linux:
         return &static_cast<Linux&>(hv.scheduler()).kyoto().state_by_id(vm_id);
@@ -102,8 +94,7 @@ struct Family {
         out.push_back(static_cast<std::uint64_t>(vcpu->cpu_cycles()));
         switch (kind) {
           case Kind::kCredit:
-          case Kind::kKs4Xen:
-          case Kind::kKs4XenDemote: {
+          case Kind::kKs4Xen: {
             const auto& cs = static_cast<const Credit&>(hv.scheduler());
             out.push_back(static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(cs.remain_credit(*vcpu))));
@@ -274,12 +265,6 @@ TEST(AccountingOracle, CfsMatchesFrozenReference) {
 
 TEST(AccountingOracle, Ks4XenBlockMatchesFrozenReference) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) run_round(Kind::kKs4Xen, 0x4E'0000 + seed);
-}
-
-TEST(AccountingOracle, Ks4XenDemoteMatchesFrozenReference) {
-  for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    run_round(Kind::kKs4XenDemote, 0xDE'0000 + seed);
-  }
 }
 
 TEST(AccountingOracle, Ks4LinuxMatchesFrozenReference) {

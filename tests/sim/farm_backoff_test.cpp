@@ -140,7 +140,6 @@ std::string tiny_scenario(const std::string& app, int seed) {
       "[scheduler]\n"
       "kind = ks4xen\n"
       "monitor = direct\n"
-      "punish = block\n"
       "\n"
       "[vm tenant]\n"
       "app = " + app + "\n"
@@ -243,6 +242,25 @@ TEST(FarmBackoff, FailedHostIsHeldBackByTheSchedule) {
   EXPECT_EQ(checked, kRetireAfterFailures - 1) << farm.report();
   EXPECT_EQ(farm.health()->stats(0).state, HostState::kRetired);
   EXPECT_EQ(farm.health()->stats(0).shards_dispatched, kRetireAfterFailures);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FarmBackoff, RequeuedJobGoesToTheHealthiestIdleHost) {
+  if (!worker_available()) GTEST_SKIP() << "sweep_worker binary not found";
+  const auto jobs = backoff_jobs(1);
+  const std::string dir = fresh_dir("healthiest");
+  FarmOptions options = failing_beside_healthy(dir);
+  options.backoff.base_s = 0.0;  // "bad" is usable again at once
+  Farm farm(options);
+  for (const auto& [label, text] : jobs) farm.add(text, label);
+  EXPECT_EQ(farm.run(), sweep_reference(jobs));
+  // "bad" takes the job first (host order breaks the tie) and dies;
+  // the re-queued job then goes to idle "good", which has no failure,
+  // not back to "bad".
+  EXPECT_EQ(farm.health()->stats(0).shards_dispatched, 1) << farm.report();
+  EXPECT_EQ(farm.health()->stats(0).failures, 1);
+  EXPECT_EQ(farm.health()->stats(1).shards_dispatched, 1);
+  EXPECT_EQ(farm.health()->stats(1).jobs_completed, 1);
   std::filesystem::remove_all(dir);
 }
 

@@ -54,7 +54,6 @@ std::string tiny_scenario(const std::string& app, int seed, int measure_ticks) {
       "[scheduler]\n"
       "kind = ks4xen\n"
       "monitor = direct\n"
-      "punish = block\n"
       "\n"
       "[vm tenant]\n"
       "app = " + app + "\n"

@@ -46,7 +46,6 @@ std::string tiny_scenario(const std::string& app, int measure_ticks, int seed) {
       "[scheduler]\n"
       "kind = ks4xen\n"
       "monitor = direct\n"
-      "punish = block\n"
       "\n"
       "[vm tenant]\n"
       "app = " + app + "\n"

@@ -49,7 +49,6 @@ std::string tiny_scenario(const std::string& app, int measure_ticks, int seed) {
       "[scheduler]\n"
       "kind = ks4xen\n"
       "monitor = direct\n"
-      "punish = block\n"
       "\n"
       "[vm tenant]\n"
       "app = " + app + "\n"
@@ -153,7 +152,17 @@ TEST(FarmLocalHosts, MissingWorkerBinaryDegradesGracefully) {
   EXPECT_EQ(outcomes, expected);
   EXPECT_TRUE(farm.degraded());
   EXPECT_FALSE(farm.degrade_reason().empty());
-  EXPECT_TRUE(std::filesystem::is_empty(dir.path)) << "failed dispatches leave no shard files";
+  // The binary is checked before the first dispatch: every host is
+  // retired at once, naming the path, instead of climbing the ladder.
+  EXPECT_EQ(farm.dispatches(), 0);
+  EXPECT_EQ(farm.host_failure_count(), 0);
+  EXPECT_TRUE(farm.health()->all_retired());
+  const std::string report = farm.report();
+  EXPECT_NE(report.find("w0 retire: worker '/nonexistent/path/to/sweep_worker' cannot be "
+                        "executed"),
+            std::string::npos)
+      << report;
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path)) << "no dispatch leaves no shard files";
 }
 
 TEST(FarmLocalHosts, AddRejectsMalformedScenarios) {

@@ -31,7 +31,6 @@ std::string tiny_scenario(const std::string& app, int seed) {
       "[scheduler]\n"
       "kind = ks4xen\n"
       "monitor = direct\n"
-      "punish = block\n"
       "\n"
       "[vm tenant]\n"
       "app = " + app + "\n"

@@ -25,7 +25,6 @@ scale = 64
 [scheduler]
 kind = ks4xen
 monitor = direct
-punish = block
 
 [vm tenant-a]
 app = gcc
@@ -194,7 +193,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"core_out_of_range", "[vm a]\napp = gcc\ncores = 9\n", "out of range"},
         BadCase{"unknown_sched", "[scheduler]\nkind = warp\n[vm a]\napp = gcc\n",
                 "unknown scheduler"},
-        BadCase{"bad_punish", "[scheduler]\npunish = flog\n", "punish"},
+        BadCase{"bad_punish", "[scheduler]\npunish = block\n",
+                "line 2: unknown [scheduler] key"},
         BadCase{"no_vms", "[machine]\ntopology = 1x4\n", "no [vm]"},
         BadCase{"bad_bool", "[vm a]\napp = gcc\nloop = perhaps\n", "boolean"},
         BadCase{"bad_threads", "[vm a]\napp = gcc\n[run]\nthreads = 0\n",

@@ -8,7 +8,7 @@
 // self-contained: each owns its per-vCPU (or per-VM) state and shares
 // no code path with the library engine it checks.  They reuse only
 // what has a single implementation anyway — the monitors, the Pisces
-// scheduler, and the punish-gate bitmasks of hv::Scheduler.
+// scheduler, and the punish-gate bitmask of hv::Scheduler.
 // tests/hv/accounting_oracle_test.cpp runs a hypervisor on these
 // schedulers next to one on the library schedulers and compares the
 // accounting state word for word.
@@ -106,7 +106,7 @@ class ReferenceCreditScheduler : public hv::Scheduler {
       const auto cid = static_cast<std::size_t>(cursor.current);
       hv::Vcpu* cv = vcpu_[cid];
       if (cv != nullptr && cv->pinned_core() == core && runnable(*cv) &&
-          remain_credit_[cid] > 0 && !vm_demoted(vm_id_[cid])) {
+          remain_credit_[cid] > 0) {
         ++cursor.consecutive;
         return cv;
       }
@@ -114,15 +114,14 @@ class ReferenceCreditScheduler : public hv::Scheduler {
     cursor.current = -1;
     cursor.consecutive = 0;
 
-    enum class Band { kUnder, kOver, kDemoted };
+    enum class Band { kUnder, kOver };
     auto select = [&](Band band) -> hv::Vcpu* {
       for (std::size_t i = 0; i < queue.size(); ++i) {
         const auto id = static_cast<std::size_t>(queue[i]);
         KYOTO_DCHECK(vcpu_[id] != nullptr);
         if (!runnable(*vcpu_[id])) continue;
-        const bool demoted = vm_demoted(vm_id_[id]);
         const bool under = remain_credit_[id] > 0;
-        const Band mine = demoted ? Band::kDemoted : (under ? Band::kUnder : Band::kOver);
+        const Band mine = under ? Band::kUnder : Band::kOver;
         if (mine != band) continue;
         const int chosen = queue[i];
         queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
@@ -134,7 +133,6 @@ class ReferenceCreditScheduler : public hv::Scheduler {
 
     hv::Vcpu* chosen = select(Band::kUnder);
     if (chosen == nullptr) chosen = select(Band::kOver);
-    if (chosen == nullptr) chosen = select(Band::kDemoted);
     if (chosen != nullptr) {
       cursor.current = chosen->id();
       cursor.consecutive = 1;
@@ -286,24 +284,15 @@ class ReferenceCfsScheduler : public hv::Scheduler {
     if (static_cast<std::size_t>(core) >= runqueue_.size()) return nullptr;
     hv::Vcpu* best = nullptr;
     double best_vr = std::numeric_limits<double>::max();
-    hv::Vcpu* best_demoted = nullptr;
-    double best_demoted_vr = std::numeric_limits<double>::max();
     for (int qid : runqueue_[static_cast<std::size_t>(core)]) {
       const auto id = static_cast<std::size_t>(qid);
       if (vcpu_[id] == nullptr || vcpu_[id]->done() || vm_blocked(vm_id_[id])) continue;
-      if (vm_demoted(vm_id_[id])) {
-        if (vruntime_[id] < best_demoted_vr) {
-          best_demoted_vr = vruntime_[id];
-          best_demoted = vcpu_[id];
-        }
-        continue;
-      }
       if (vruntime_[id] < best_vr) {
         best_vr = vruntime_[id];
         best = vcpu_[id];
       }
     }
-    return best != nullptr ? best : best_demoted;
+    return best;
   }
 
   void account(hv::Vcpu& vcpu, const hv::RunReport& report) override {
@@ -354,14 +343,17 @@ class ReferenceCfsScheduler : public hv::Scheduler {
 
 /// The Kyoto pollution-quota controller with its pre-rework branchy
 /// debit, earn and punished-tick walks.  Punish state is published
-/// through the same gate bitmasks the schedulers read.
+/// through the same gate bitmask the schedulers read.
 class ReferencePollutionController {
  public:
   using VmState = core::PollutionController::VmState;
+  /// The controller's banks, in slices' worth of earning: the clamp
+  /// on saved quota and a freshly booked VM's start-up grace.
+  static constexpr double kBankSlices = 3.0;
+  static constexpr double kInitialBankSlices = 10.0;
 
-  ReferencePollutionController(std::unique_ptr<core::PollutionMonitor> monitor,
-                               core::KyotoParams params)
-      : monitor_(std::move(monitor)), params_(params) {
+  explicit ReferencePollutionController(std::unique_ptr<core::PollutionMonitor> monitor)
+      : monitor_(std::move(monitor)) {
     KYOTO_CHECK(monitor_ != nullptr);
   }
 
@@ -396,17 +388,12 @@ class ReferencePollutionController {
       VmState& st = states_[id];
       if (st.booked <= 0.0) continue;
       const double earn = st.booked * slice_ms;
-      st.quota = std::min(st.quota + earn, params_.bank_slices * earn);
+      st.quota = std::min(st.quota + earn, kBankSlices * earn);
       if (st.punished && st.quota >= 0.0) set_punished(id, false);
     }
   }
 
-  const std::vector<std::uint64_t>* blocked_gate() const {
-    return params_.punish_mode == core::PunishMode::kBlock ? &punished_words_ : nullptr;
-  }
-  const std::vector<std::uint64_t>* demoted_gate() const {
-    return params_.punish_mode == core::PunishMode::kDemote ? &punished_words_ : nullptr;
-  }
+  const std::vector<std::uint64_t>* punished_gate() const { return &punished_words_; }
 
   const VmState& state_by_id(int vm_id) const {
     static const VmState kEmpty{};
@@ -443,7 +430,7 @@ class ReferencePollutionController {
     if (st.booked == 0.0 && vm.config().llc_cap > 0.0) {
       st.booked = vm.config().llc_cap;
       st.quota = st.booked * static_cast<double>(kTickMs * kTicksPerSlice) *
-                 params_.initial_bank_slices;
+                 kInitialBankSlices;
     }
     return st;
   }
@@ -459,7 +446,6 @@ class ReferencePollutionController {
   }
 
   std::unique_ptr<core::PollutionMonitor> monitor_;
-  core::KyotoParams params_;
   hv::Hypervisor* hv_ = nullptr;
   std::vector<VmState> states_;  // by vm id
   std::vector<bool> live_;       // accounted at least once and not departed
@@ -473,16 +459,15 @@ template <class Base>
 class ReferenceKyotoScheduler final : public Base {
  public:
   explicit ReferenceKyotoScheduler(std::unique_ptr<core::PollutionMonitor> monitor =
-                                       std::make_unique<core::DirectPmcMonitor>(),
-                                   core::KyotoParams params = {})
-      : controller_(std::move(monitor), params) {}
+                                       std::make_unique<core::DirectPmcMonitor>())
+      : controller_(std::move(monitor)) {}
 
   std::string name() const override { return "Kyoto " + Base::name(); }
 
   void attach(hv::Hypervisor& hv) override {
     Base::attach(hv);
     controller_.attach(hv);
-    this->set_kyoto_gates(controller_.blocked_gate(), controller_.demoted_gate());
+    this->set_kyoto_gate(controller_.punished_gate());
   }
 
   void account(hv::Vcpu& vcpu, const hv::RunReport& report) override {
