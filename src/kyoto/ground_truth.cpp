@@ -30,7 +30,7 @@ void GroundTruthMonitor::attach(hv::Hypervisor& hv) {
   hv.machine().memory().observe_ground_truth();
   const auto n = static_cast<std::size_t>(hv.vm_count());
   if (last_intrinsic_.size() < n) last_intrinsic_.resize(n, 0);
-  if (cache_.size() < n) cache_.resize(n, -1.0);
+  sync_vm_slots(cache_);
 }
 
 double GroundTruthMonitor::pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& report) {
@@ -52,11 +52,6 @@ double GroundTruthMonitor::pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& r
                                 report.pmc_delta.get(pmc::Counter::kUnhaltedCycles));
   cache_[idx] = rate;
   return rate;
-}
-
-double GroundTruthMonitor::cached_rate(int vm_id) const {
-  if (vm_id < 0 || static_cast<std::size_t>(vm_id) >= cache_.size()) return -1.0;
-  return cache_[static_cast<std::size_t>(vm_id)];
 }
 
 // --------------------------------------------------------------------

@@ -83,13 +83,8 @@ class GroundTruthMonitor final : public PollutionMonitor {
   void attach(hv::Hypervisor& hv) override;
   double pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& report) override;
 
-  /// Last intrinsic rate computed for a VM (misses/ms); <0 if the VM
-  /// has never been accounted.
-  double cached_rate(int vm_id) const;
-
  private:
   std::vector<std::uint64_t> last_intrinsic_;  // cumulative snapshot by vm id
-  std::vector<double> cache_;                  // last rate by vm id; <0 unset
 };
 
 /// Shadow-mode recorder.  Construct it against a hypervisor before

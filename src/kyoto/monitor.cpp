@@ -14,6 +14,11 @@ constexpr double kEmaAlpha = 0.3;
 
 }  // namespace
 
+double PollutionMonitor::cached_rate(int vm_id) const {
+  if (vm_id < 0 || static_cast<std::size_t>(vm_id) >= cache_.size()) return -1.0;
+  return cache_[static_cast<std::size_t>(vm_id)];
+}
+
 // --------------------------------------------------------------------
 // DirectPmcMonitor
 // --------------------------------------------------------------------
@@ -26,13 +31,6 @@ double DirectPmcMonitor::pollution_rate(hv::Vcpu& /*vcpu*/, const hv::RunReport&
 // --------------------------------------------------------------------
 // McSimMonitor
 // --------------------------------------------------------------------
-
-McSimMonitor::McSimMonitor() : McSimMonitor(Params{}) {}
-
-McSimMonitor::McSimMonitor(Params params) : params_(params) {
-  KYOTO_CHECK_MSG(params_.sample_period_ticks > 0, "sample period must be positive");
-  KYOTO_CHECK_MSG(params_.sample_instructions > 0, "sample length must be positive");
-}
 
 void McSimMonitor::attach(hv::Hypervisor& hv) {
   PollutionMonitor::attach(hv);
@@ -47,7 +45,7 @@ void McSimMonitor::sample_vm(hv::Vm& vm) {
   // each VM is considered" (§3.3).  It attaches at the end of the
   // vCPU's open lookahead block (Vcpu::RefBuffer).
   const auto clone = vm.vcpu(0).clone_at_block_end();
-  const auto result = simulator_->run(*clone, params_.sample_instructions);
+  const auto result = simulator_->run(*clone, kSampleInstructions);
   sync_vm_slots(cache_);
   KYOTO_DCHECK(static_cast<std::size_t>(vm.id()) < cache_.size());
   cache_[static_cast<std::size_t>(vm.id())] = result.llc_cap_act(simulator_->freq_khz());
@@ -64,28 +62,15 @@ double McSimMonitor::pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& /*repor
 
 void McSimMonitor::on_tick(hv::Hypervisor& hv, Tick now) {
   sync_vm_slots(cache_);
-  if (now == 0 || now % params_.sample_period_ticks != 0) return;
+  if (now == 0 || now % kSamplePeriodTicks != 0) return;
   for (hv::Vm* vm : hv.vms()) {
     if (!vm->done()) sample_vm(*vm);
   }
 }
 
-double McSimMonitor::cached_rate(int vm_id) const {
-  if (vm_id < 0 || static_cast<std::size_t>(vm_id) >= cache_.size()) return -1.0;
-  return cache_[static_cast<std::size_t>(vm_id)];
-}
-
 // --------------------------------------------------------------------
 // SocketDedicationMonitor
 // --------------------------------------------------------------------
-
-SocketDedicationMonitor::SocketDedicationMonitor() : SocketDedicationMonitor(Params{}) {}
-
-SocketDedicationMonitor::SocketDedicationMonitor(Params params)
-    : params_(params), rng_(params.seed) {
-  KYOTO_CHECK_MSG(params_.sample_period_ticks > 0, "sample period must be positive");
-  KYOTO_CHECK_MSG(params_.sample_window_ticks > 0, "sample window must be positive");
-}
 
 void SocketDedicationMonitor::attach(hv::Hypervisor& hv) {
   PollutionMonitor::attach(hv);
@@ -94,7 +79,7 @@ void SocketDedicationMonitor::attach(hv::Hypervisor& hv) {
                   "migrated to the other socket during sampling)");
   sync_vm_slots(cache_);
   sync_vm_slots(direct_ema_);
-  next_event_ = params_.sample_period_ticks;
+  next_event_ = kSamplePeriodTicks;
 }
 
 double SocketDedicationMonitor::direct_rate(int vm_id) const {
@@ -125,7 +110,7 @@ double SocketDedicationMonitor::pollution_rate(hv::Vcpu& vcpu, const hv::RunRepo
 void SocketDedicationMonitor::begin_campaign_step(hv::Hypervisor& hv, Tick now) {
   const auto vms = hv.vms();
   if (vms.empty()) {
-    next_event_ = now + params_.sample_period_ticks;
+    next_event_ = now + kSamplePeriodTicks;
     return;
   }
 
@@ -140,7 +125,7 @@ void SocketDedicationMonitor::begin_campaign_step(hv::Hypervisor& hv, Tick now) 
     }
   }
   if (target == nullptr) {
-    next_event_ = now + params_.sample_period_ticks;
+    next_event_ = now + kSamplePeriodTicks;
     return;
   }
 
@@ -150,10 +135,10 @@ void SocketDedicationMonitor::begin_campaign_step(hv::Hypervisor& hv, Tick now) 
 
   // Skip heuristic 1 (Fig 10, first pair of bars): a very quiet vCPU
   // cannot be mis-measured enough to matter.
-  if (own_rate >= 0.0 && own_rate < params_.low_rate_threshold) {
+  if (own_rate >= 0.0 && own_rate < kLowRateThreshold) {
     cache_[static_cast<std::size_t>(target->id())] = own_rate;
     ++skips_;
-    next_event_ = now + params_.sample_period_ticks;
+    next_event_ = now + kSamplePeriodTicks;
     return;
   }
 
@@ -171,25 +156,23 @@ void SocketDedicationMonitor::begin_campaign_step(hv::Hypervisor& hv, Tick now) 
     }
   }
 
-  // Skip heuristic 2 (Fig 10, second pair; Fig 11): quiet co-runners
-  // cannot contaminate the measurement.
-  if (params_.skip_when_corunners_quiet && !corunners.empty()) {
-    const bool all_quiet = std::all_of(corunners.begin(), corunners.end(), [&](hv::Vcpu* v) {
-      const double r = direct_rate(v->vm().id());
-      return r >= 0.0 && r < params_.low_rate_threshold;
-    });
-    if (all_quiet) {
-      if (own_rate >= 0.0) cache_[static_cast<std::size_t>(target->id())] = own_rate;
-      ++skips_;
-      next_event_ = now + params_.sample_period_ticks;
-      return;
-    }
-  }
-
   if (corunners.empty()) {
     // Already alone on the socket: the direct rate is clean.
     if (own_rate >= 0.0) cache_[static_cast<std::size_t>(target->id())] = own_rate;
-    next_event_ = now + params_.sample_period_ticks;
+    next_event_ = now + kSamplePeriodTicks;
+    return;
+  }
+
+  // Skip heuristic 2 (Fig 10, second pair; Fig 11): quiet co-runners
+  // cannot contaminate the measurement.
+  const bool all_quiet = std::all_of(corunners.begin(), corunners.end(), [&](hv::Vcpu* v) {
+    const double r = direct_rate(v->vm().id());
+    return r >= 0.0 && r < kLowRateThreshold;
+  });
+  if (all_quiet) {
+    if (own_rate >= 0.0) cache_[static_cast<std::size_t>(target->id())] = own_rate;
+    ++skips_;
+    next_event_ = now + kSamplePeriodTicks;
     return;
   }
 
@@ -207,7 +190,7 @@ void SocketDedicationMonitor::begin_campaign_step(hv::Hypervisor& hv, Tick now) 
   ++isolations_;
   target_ = target;
   phase_ = Phase::kWarming;
-  next_event_ = now + params_.sample_warm_ticks;
+  next_event_ = now + kWarmTicks;
 }
 
 void SocketDedicationMonitor::finish_window(hv::Hypervisor& hv, Tick now) {
@@ -222,7 +205,7 @@ void SocketDedicationMonitor::finish_window(hv::Hypervisor& hv, Tick now) {
   // "The return migration ... is performed after a random period"
   // (§4.5) — it models the time KS4Xen takes to finish the campaign.
   next_event_ = now + static_cast<Tick>(rng_.below(
-                    static_cast<std::uint64_t>(params_.max_return_delay_ticks) + 1));
+                    static_cast<std::uint64_t>(kMaxReturnDelayTicks) + 1));
 }
 
 void SocketDedicationMonitor::return_displaced(hv::Hypervisor& hv) {
@@ -245,7 +228,7 @@ void SocketDedicationMonitor::on_tick(hv::Hypervisor& hv, Tick now) {
         // Reload burst absorbed; start counting clean.
         window_start_counters_ = target_->counters();
         phase_ = Phase::kSampling;
-        next_event_ = now + params_.sample_window_ticks;
+        next_event_ = now + kWindowTicks;
       }
       break;
     case Phase::kSampling:
@@ -255,7 +238,7 @@ void SocketDedicationMonitor::on_tick(hv::Hypervisor& hv, Tick now) {
       if (now >= next_event_) {
         return_displaced(hv);
         phase_ = Phase::kIdle;
-        next_event_ = now + params_.sample_period_ticks;
+        next_event_ = now + kSamplePeriodTicks;
       }
       break;
   }
@@ -275,11 +258,6 @@ void SocketDedicationMonitor::vm_removed(hv::Vm& vm) {
     target_ = nullptr;
     phase_ = Phase::kIdle;
   }
-}
-
-double SocketDedicationMonitor::cached_rate(int vm_id) const {
-  if (vm_id < 0 || static_cast<std::size_t>(vm_id) >= cache_.size()) return -1.0;
-  return cache_[static_cast<std::size_t>(vm_id)];
 }
 
 }  // namespace kyoto::core

@@ -28,6 +28,14 @@
 //    simulator with a private cache hierarchy on a dedicated host;
 //    the replayed PMCs are intrinsic by construction.
 //
+// Each estimator runs one schedule, the paper's, written as named
+// constants on its class rather than settings: McSim replays 150,000
+// instructions of every live VM each 30 ticks; socket dedication takes
+// one campaign step each 12 ticks (2 warm ticks, a 3-tick counted
+// window, co-runners home 0-3 ticks later) and skips targets, or
+// co-runner sets, below 5 miss/ms.  The rate a monitor stores per VM
+// lives once, in PollutionMonitor (cached_rate()).
+//
 // Threading contract (see README "Threading model"): both monitor
 // entry points run at the hypervisor tick's *merge points*, never
 // inside a socket execution partition — pollution_rate() from the
@@ -79,6 +87,11 @@ class PollutionMonitor {
   /// harmless because ids are never reused.
   virtual void vm_removed(hv::Vm& vm) { (void)vm; }
 
+  /// Last rate this monitor stored for a VM (misses/ms); <0 if it has
+  /// stored none yet — always, for a monitor that stores no rate
+  /// (DirectPmcMonitor).
+  double cached_rate(int vm_id) const;
+
  protected:
   /// Pre-sizes a per-VM slot vector to the hypervisor's VM count
   /// (slots start at -1 = "never sampled").  Called from cold spots —
@@ -92,6 +105,9 @@ class PollutionMonitor {
   }
 
   hv::Hypervisor* hv_ = nullptr;
+  /// Stored rate by vm id (<0 = none yet): the McSim sample, the
+  /// dedicated window's rate, or the ground truth's last charge.
+  std::vector<double> cache_;
 };
 
 /// Raw perfctr attribution: Equation 1 over the burst's PMC delta.
@@ -104,60 +120,44 @@ class DirectPmcMonitor final : public PollutionMonitor {
 /// McSimA+ replay on a dedicated simulation host.
 class McSimMonitor final : public PollutionMonitor {
  public:
-  struct Params {
-    /// Re-sample every VM this often.
-    Tick sample_period_ticks = 30;
-    /// Instructions replayed per sample.
-    Instructions sample_instructions = 150'000;
-  };
-
-  McSimMonitor();
-  explicit McSimMonitor(Params params);
+  /// Re-sample every live VM this often.
+  static constexpr Tick kSamplePeriodTicks = 30;
+  /// Instructions replayed per sample.
+  static constexpr Instructions kSampleInstructions = 150'000;
 
   std::string name() const override { return "mcsim-replay"; }
   void attach(hv::Hypervisor& hv) override;
   double pollution_rate(hv::Vcpu& vcpu, const hv::RunReport& report) override;
   void on_tick(hv::Hypervisor& hv, Tick now) override;
 
-  /// Last intrinsic rate computed for a VM (misses/ms); <0 if never
-  /// sampled.
-  double cached_rate(int vm_id) const;
-
  private:
   void sample_vm(hv::Vm& vm);
 
-  Params params_;
   std::unique_ptr<mcsim::ReplaySimulator> simulator_;
-  std::vector<double> cache_;  // by vm id; <0 = not sampled yet
 };
 
 /// Socket dedication with skip heuristics.
 class SocketDedicationMonitor final : public PollutionMonitor {
  public:
-  struct Params {
-    /// Gap between the end of one sampling campaign step and the next.
-    Tick sample_period_ticks = 12;
-    /// Ticks after the migration before counting starts: the target
-    /// re-loads lines its (now departed) co-runners evicted, and that
-    /// reload burst must not contaminate the "clean" sample.
-    Tick sample_warm_ticks = 2;
-    /// Length of the counted window ("about one billion cycles" on
-    /// the real machine ≈ a few ticks here).
-    Tick sample_window_ticks = 3;
-    /// Return-migration happens a random 0..N ticks after the window
-    /// (the paper returns "after a random period").
-    Tick max_return_delay_ticks = 3;
-    /// Below this direct rate (misses/ms) a vCPU is neither polluter
-    /// nor victim: skip isolating it (Fig 10, first heuristic).
-    double low_rate_threshold = 5.0;
-    /// If every co-runner on the socket is below the threshold, the
-    /// direct measurement is already clean: skip (second heuristic).
-    bool skip_when_corunners_quiet = true;
-    std::uint64_t seed = 7;
-  };
-
-  SocketDedicationMonitor();
-  explicit SocketDedicationMonitor(Params params);
+  /// Gap between the end of one sampling campaign step and the next.
+  static constexpr Tick kSamplePeriodTicks = 12;
+  /// Ticks after the migration before counting starts: the target
+  /// re-loads lines its (now departed) co-runners evicted, and that
+  /// reload burst must not contaminate the "clean" sample.
+  static constexpr Tick kWarmTicks = 2;
+  /// Length of the counted window ("about one billion cycles" on the
+  /// real machine ≈ a few ticks here).
+  static constexpr Tick kWindowTicks = 3;
+  /// Return-migration happens a random 0..N ticks after the window
+  /// (the paper returns "after a random period").
+  static constexpr Tick kMaxReturnDelayTicks = 3;
+  /// Below this direct rate (misses/ms) a vCPU is neither polluter nor
+  /// victim: skip isolating it (Fig 10, first heuristic).  If every
+  /// co-runner on the socket is below it, the direct measurement is
+  /// already clean: skip too (second heuristic).
+  static constexpr double kLowRateThreshold = 5.0;
+  /// Seed of the return-delay draws.
+  static constexpr std::uint64_t kSeed = 7;
 
   std::string name() const override { return "socket-dedication"; }
   void attach(hv::Hypervisor& hv) override;
@@ -169,7 +169,6 @@ class SocketDedicationMonitor final : public PollutionMonitor {
   /// home immediately and the monitor goes idle.
   void vm_removed(hv::Vm& vm) override;
 
-  double cached_rate(int vm_id) const;
   /// Counters for the ablation bench.
   std::int64_t isolations_performed() const { return isolations_; }
   std::int64_t isolations_skipped() const { return skips_; }
@@ -190,8 +189,7 @@ class SocketDedicationMonitor final : public PollutionMonitor {
   void return_displaced(hv::Hypervisor& hv);
   double direct_rate(int vm_id) const;
 
-  Params params_;
-  Rng rng_;
+  Rng rng_{kSeed};
   Phase phase_ = Phase::kIdle;
   Tick next_event_ = 0;
   std::size_t next_target_ = 0;  // round-robin cursor over VMs
@@ -200,8 +198,7 @@ class SocketDedicationMonitor final : public PollutionMonitor {
   pmc::CounterSet window_start_counters_;
   std::vector<Displaced> displaced_;
 
-  std::vector<double> cache_;        // intrinsic rate by vm id; <0 unset
-  std::vector<double> direct_ema_;   // direct-rate EMA by vm id (skip decisions)
+  std::vector<double> direct_ema_;  // direct-rate EMA by vm id (skip decisions)
   std::int64_t isolations_ = 0;
   std::int64_t skips_ = 0;
   std::int64_t migrations_ = 0;

@@ -7,12 +7,9 @@
 
 namespace kyoto::mcsim {
 
-ReplaySimulator::ReplaySimulator(const cache::MemSystemConfig& mem, KHz freq_khz,
-                                 std::uint64_t seed, double warmup_fraction)
-    : mem_config_(mem), freq_khz_(freq_khz), seed_(seed), warmup_fraction_(warmup_fraction) {
+ReplaySimulator::ReplaySimulator(const cache::MemSystemConfig& mem, KHz freq_khz)
+    : mem_config_(mem), freq_khz_(freq_khz) {
   KYOTO_CHECK_MSG(freq_khz > 0, "replay frequency must be positive");
-  KYOTO_CHECK_MSG(warmup_fraction >= 0.0 && warmup_fraction < 1.0,
-                  "warmup fraction must be in [0, 1)");
 }
 
 ReplayResult ReplaySimulator::replay_live(const workloads::Workload& live, Instructions n) {
@@ -38,13 +35,13 @@ constexpr std::size_t kReplayBlock = 256;
 ReplayResult ReplaySimulator::run(workloads::Workload& clone, Instructions n) {
   // A fresh single-core hierarchy per replay: the simulator's caches
   // start cold, exactly like McSimA+ replaying a sampled window.
-  cache::MemorySystem memory(cache::Topology{1, 1}, mem_config_, seed_);
+  cache::MemorySystem memory(cache::Topology{1, 1}, mem_config_, kReplaySeed);
   auto ctx = memory.context(/*core=*/0, /*home_node=*/0, /*vm=*/0);
   const workloads::WorkloadSpec& spec = clone.spec();
   const double inv_mlp = 1.0 / std::max(1.0, spec.mlp);
   const Bytes ws = std::max<Bytes>(spec.working_set, mem::kLineBytes);
   const Instructions warmup = static_cast<Instructions>(
-      warmup_fraction_ * static_cast<double>(n));
+      kReplayWarmupFraction * static_cast<double>(n));
 
   // Counts the post-warmup slice of a pure-compute run covering
   // instruction indices [i, i + len): each costs one cycle.

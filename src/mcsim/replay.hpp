@@ -11,9 +11,13 @@
 // mid-run captures its exact future reference stream.
 // ReplaySimulator runs the clone through a private single-core cache
 // hierarchy with the same geometry as the production machine,
-// consumed as geometric-skip ref batches by one replay loop.
+// consumed as geometric-skip ref batches by one replay loop.  Every
+// replay runs one schedule: a fresh hierarchy seeded kReplaySeed, of
+// which the first kReplayWarmupFraction of the window is executed but
+// not counted.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "cache/config.hpp"
@@ -23,6 +27,14 @@
 #include "workloads/workload.hpp"
 
 namespace kyoto::mcsim {
+
+/// Seed of every replay's fresh private hierarchy.
+inline constexpr std::uint64_t kReplaySeed = 99;
+/// Leading share of each replayed window that warms the cold private
+/// caches and is not counted — otherwise the one-off loading burst
+/// would inflate the intrinsic rate of small-footprint applications
+/// (exactly the kind of VM that must NOT be over-charged).
+inline constexpr double kReplayWarmupFraction = 0.25;
 
 /// Counters returned by a replay ("the simulator ... sends PMCs back
 /// to KS4Xen", §3.3).
@@ -46,13 +58,8 @@ struct ReplayResult {
 class ReplaySimulator {
  public:
   /// A private one-core machine with the production geometry `mem`
-  /// running at `freq_khz`.  The replay starts from cold caches, so
-  /// the first `warmup_fraction` of every replayed window is executed
-  /// but not counted — otherwise the one-off loading burst would
-  /// inflate the intrinsic rate of small-footprint applications
-  /// (exactly the kind of VM that must NOT be over-charged).
-  ReplaySimulator(const cache::MemSystemConfig& mem, KHz freq_khz, std::uint64_t seed = 99,
-                  double warmup_fraction = 0.25);
+  /// running at `freq_khz`.
+  ReplaySimulator(const cache::MemSystemConfig& mem, KHz freq_khz);
 
   /// Clones `live` (pin-attach) and replays its next `n` instructions
   /// from a cold private cache.  The live workload is not modified.
@@ -68,8 +75,6 @@ class ReplaySimulator {
  private:
   cache::MemSystemConfig mem_config_;
   KHz freq_khz_;
-  std::uint64_t seed_;
-  double warmup_fraction_;
 };
 
 }  // namespace kyoto::mcsim

@@ -12,6 +12,9 @@ namespace {
 
 using Sample = core::GroundTruthShadow::Sample;
 
+/// Denominator floor of the relative error (miss/ms).
+constexpr double kRelErrorFloor = 1.0;
+
 /// Index of the largest value; lowest index wins ties (deterministic).
 std::size_t argmax(const std::vector<double>& values) {
   std::size_t best = 0;
@@ -23,8 +26,7 @@ std::size_t argmax(const std::vector<double>& values) {
 
 }  // namespace
 
-MonitorAccuracy score_monitor_accuracy(const std::vector<std::vector<Sample>>& series,
-                                       Tick skip_ticks, double rel_floor) {
+MonitorAccuracy score_monitor_accuracy(const std::vector<std::vector<Sample>>& series) {
   MonitorAccuracy acc;
   const std::size_t vms = series.size();
   if (vms == 0) return acc;
@@ -36,11 +38,11 @@ MonitorAccuracy score_monitor_accuracy(const std::vector<std::vector<Sample>>& s
   }
 
   // Pass 1 — the oracle's verdict: mean intrinsic rate per VM over the
-  // ticks it ran (inside the scoring window).
+  // ticks it ran.
   std::vector<RunningStats> true_stats(vms);
   for (std::size_t vm = 0; vm < vms; ++vm) {
     for (const Sample& s : series[vm]) {
-      if (s.tick >= skip_ticks && s.ran) true_stats[vm].add(s.true_rate);
+      if (s.ran) true_stats[vm].add(s.true_rate);
     }
   }
   acc.true_mean_rate.resize(vms);
@@ -61,15 +63,12 @@ MonitorAccuracy score_monitor_accuracy(const std::vector<std::vector<Sample>>& s
       const Sample& s = series[vm][t];
       if (!s.ran || s.estimator_rate < 0.0) continue;
       est_carry[vm] = s.estimator_rate;
-      if (tick >= skip_ticks) {
-        est_stats[vm].add(s.estimator_rate);
-        const double err = std::abs(s.estimator_rate - s.true_rate);
-        abs_err_sum += err;
-        rel_err_sum += err / std::max(s.true_rate, rel_floor);
-        ++acc.error_samples;
-      }
+      est_stats[vm].add(s.estimator_rate);
+      const double err = std::abs(s.estimator_rate - s.true_rate);
+      abs_err_sum += err;
+      rel_err_sum += err / std::max(s.true_rate, kRelErrorFloor);
+      ++acc.error_samples;
     }
-    if (tick < skip_ticks) continue;
     const bool all_known =
         std::all_of(est_carry.begin(), est_carry.end(), [](double e) { return e >= 0.0; });
     if (!all_known) continue;

@@ -7,8 +7,8 @@
 // the three accuracy dimensions the ablation cares about:
 //
 //  * per-tick error — |charged − true| miss/ms over the ticks the VM
-//    ran (absolute, and relative to the true rate with a floor so
-//    near-zero victims don't blow up the ratio);
+//    ran (absolute, and relative to the true rate floored at 1 miss/ms
+//    so near-zero victims don't blow up the ratio);
 //  * polluter-ranking agreement (à la Fig 4) — does the estimator
 //    rank the true top polluter first, tick by tick (top-1 agreement)
 //    and over the whole window (Kendall's tau between the mean-rate
@@ -16,10 +16,11 @@
 //  * time-to-detect — the first tick at which the estimator's ranking
 //    puts the true aggressor on top.
 //
-// Scoring is pure arithmetic over recorded samples: it never touches
-// the simulator, so it composes with any execution mode (serial,
-// threads>1, SweepRunner lanes — the shadow series are byte-identical
-// across all of them).
+// Every recorded tick is scored, warm-up included (the shadow records
+// from the tick it attaches).  Scoring is pure arithmetic over
+// recorded samples: it never touches the simulator, so it composes
+// with any execution mode (serial, threads>1, SweepRunner lanes — the
+// shadow series are byte-identical across all of them).
 #pragma once
 
 #include <functional>
@@ -58,13 +59,10 @@ struct MonitorAccuracy {
 };
 
 /// Scores one run's shadow series (GroundTruthShadow::samples()).
-/// `skip_ticks` drops the warm-up prefix (compared against
-/// Sample::tick).  `rel_floor` is the denominator floor for the
-/// relative error (miss/ms).  All series must have equal length (VMs
-/// admitted mid-run are not scoreable).
+/// All series must have equal length (VMs admitted mid-run are not
+/// scoreable).
 MonitorAccuracy score_monitor_accuracy(
-    const std::vector<std::vector<core::GroundTruthShadow::Sample>>& series,
-    Tick skip_ticks = 0, double rel_floor = 1.0);
+    const std::vector<std::vector<core::GroundTruthShadow::Sample>>& series);
 
 /// Factory for the estimator under test.
 using MonitorFactory = std::function<std::unique_ptr<core::PollutionMonitor>()>;

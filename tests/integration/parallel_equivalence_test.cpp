@@ -123,6 +123,14 @@ std::vector<std::uint64_t> run_trace(const Scenario& scenario, int threads) {
   });
 
   hv->run_ticks(scenario.ticks);
+  if (controller != nullptr) {
+    // A dedication window must hold two whole campaigns, out and back:
+    // their migrations reshape the partition the engine splits.
+    if (const auto* dedication =
+            dynamic_cast<const core::SocketDedicationMonitor*>(&controller->monitor())) {
+      EXPECT_GE(test::completed_campaigns(*dedication), 2) << "threads=" << threads;
+    }
+  }
 
   // End-of-run cache-engine state: the merge must leave every
   // attribution slot exactly where the serial engine leaves it.
@@ -207,22 +215,19 @@ TEST(ParallelEquivalence, KyotoMonitorsSeeMergedState) {
   struct MonitorCase {
     std::string name;
     std::function<std::unique_ptr<core::PollutionMonitor>()> make;
+    Tick ticks;
   };
   const std::vector<MonitorCase> monitors = {
-      {"direct", [] { return std::make_unique<core::DirectPmcMonitor>(); }},
-      {"dedication",
-       [] {
-         core::SocketDedicationMonitor::Params params;
-         params.sample_period_ticks = 3;  // force several campaigns in-window
-         return std::make_unique<core::SocketDedicationMonitor>(params);
-       }},
-      {"mcsim", [] { return std::make_unique<core::McSimMonitor>(); }},
+      {"direct", [] { return std::make_unique<core::DirectPmcMonitor>(); }, 12},
+      // Long enough for two whole campaigns at the 12-tick period.
+      {"dedication", [] { return std::make_unique<core::SocketDedicationMonitor>(); }, 40},
+      {"mcsim", [] { return std::make_unique<core::McSimMonitor>(); }, 12},
   };
   for (const auto& mc : monitors) {
     Scenario scenario;
     scenario.machine = table1_machine(2);
     scenario.kyoto = true;
-    scenario.ticks = 12;
+    scenario.ticks = mc.ticks;
     auto make = mc.make;
     scenario.scheduler = [make] {
       return std::unique_ptr<hv::Scheduler>(std::make_unique<core::Ks4Xen>(make()));

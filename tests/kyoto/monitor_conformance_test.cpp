@@ -54,9 +54,8 @@ struct ShadowRun {
 };
 
 /// Runs `plans` under KS4Xen built around `monitor` (overriding
-/// spec.scheduler), with a ground-truth shadow attached from tick 0.
-/// The shadow records through warm-up too; pass spec.warmup_ticks as
-/// score_monitor_accuracy's skip_ticks to score the window only.
+/// spec.scheduler), with a ground-truth shadow attached from tick 0
+/// (it records, and score_monitor_accuracy scores, warm-up too).
 ShadowRun run_with_shadow(const sim::RunSpec& base, const std::vector<sim::VmPlan>& plans,
                           const sim::MonitorFactory& monitor) {
   sim::RunSpec spec = base;
@@ -73,6 +72,8 @@ ShadowRun run_with_shadow(const sim::RunSpec& base, const std::vector<sim::VmPla
 struct MonitorCase {
   std::string name;
   sim::MonitorFactory make;
+  /// Length of the traced run (run_trace).
+  Tick trace_ticks = 18;
 };
 
 std::vector<MonitorCase> all_monitors() {
@@ -83,10 +84,9 @@ std::vector<MonitorCase> all_monitors() {
        }},
       {"dedication",
        []() -> std::unique_ptr<core::PollutionMonitor> {
-         core::SocketDedicationMonitor::Params params;
-         params.sample_period_ticks = 5;  // several campaigns in-window
-         return std::make_unique<core::SocketDedicationMonitor>(params);
-       }},
+         return std::make_unique<core::SocketDedicationMonitor>();
+       },
+       40},  // two whole campaigns at the 12-tick period
       {"mcsim",
        []() -> std::unique_ptr<core::PollutionMonitor> {
          return std::make_unique<core::McSimMonitor>();
@@ -129,15 +129,13 @@ struct TraceMode {
   bool oracle = false;   // append the LLCs' per-VM oracle counters (needs observation)
 };
 
-/// Runs the conformance mix under KS4Xen(monitor) and serializes every
-/// scheduler/LLC observable into a flat word blob — optionally with
-/// ground truth observed or a shadow attached, whose presence the
-/// blob must never betray.
-std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, int threads,
-                                     TraceMode mode, Tick ticks = 18) {
+/// Runs the conformance mix under KS4Xen(mc.make()) for mc.trace_ticks
+/// and serializes every scheduler/LLC observable into a flat word blob
+/// — optionally with ground truth observed or a shadow attached, whose
+/// presence the blob must never betray.
+std::vector<std::uint64_t> run_trace(const MonitorCase& mc, int threads, TraceMode mode) {
   const hv::MachineConfig machine = test::test_numa_machine();
-  auto hv = std::make_unique<hv::Hypervisor>(
-      machine, std::make_unique<core::Ks4Xen>(make_monitor()));
+  auto hv = std::make_unique<hv::Hypervisor>(machine, std::make_unique<core::Ks4Xen>(mc.make()));
   hv->set_execution_threads(threads);
   for (auto& plan : conformance_mix(machine, 25.0)) {
     std::vector<std::unique_ptr<workloads::Workload>> workloads;
@@ -169,7 +167,13 @@ std::vector<std::uint64_t> run_trace(const sim::MonitorFactory& make_monitor, in
       append_u64(blob, static_cast<std::uint64_t>(h.idle_ticks(core)));
     }
   });
-  hv->run_ticks(ticks);
+  hv->run_ticks(mc.trace_ticks);
+  // A dedication trace must hold two whole campaigns, out and back:
+  // the migrations are what a shadow or the oracle could perturb.
+  if (const auto* dedication =
+          dynamic_cast<const core::SocketDedicationMonitor*>(&controller.monitor())) {
+    EXPECT_GE(test::completed_campaigns(*dedication), 2);
+  }
 
   // End-of-run LLC state: totals and footprints, plus (mode.oracle)
   // the ground-truth counters — a shadow (or estimator) must never
@@ -224,11 +228,11 @@ TEST(ShadowConformance, ShadowLeavesTracesByteIdenticalAllMonitorsAllThreadCount
   // compare) every LLC oracle counter.
   for (const auto& mc : all_monitors()) {
     const std::vector<std::uint64_t> bare =
-        run_trace(mc.make, 1, {.observe = true, .oracle = true});
+        run_trace(mc, 1, {.observe = true, .oracle = true});
     ASSERT_FALSE(bare.empty()) << mc.name;
     for (const int threads : {1, 2, 4}) {
       const std::vector<std::uint64_t> shadowed =
-          run_trace(mc.make, threads, {.shadow = true, .oracle = true});
+          run_trace(mc, threads, {.shadow = true, .oracle = true});
       expect_same_trace(bare, shadowed,
                         mc.name + " threads=" + std::to_string(threads) +
                             ": shadow perturbed the run");
@@ -242,9 +246,9 @@ TEST(ShadowConformance, ObservingGroundTruthLeavesTracesByteIdentical) {
   // so its "off" run observes too and the case checks determinism.)
   for (const auto& mc : all_monitors()) {
     for (const int threads : {1, 2, 4}) {
-      const std::vector<std::uint64_t> off = run_trace(mc.make, threads, {});
+      const std::vector<std::uint64_t> off = run_trace(mc, threads, {});
       ASSERT_FALSE(off.empty()) << mc.name;
-      const std::vector<std::uint64_t> on = run_trace(mc.make, threads, {.observe = true});
+      const std::vector<std::uint64_t> on = run_trace(mc, threads, {.observe = true});
       expect_same_trace(off, on,
                         mc.name + " threads=" + std::to_string(threads) +
                             ": observing ground truth perturbed the run");

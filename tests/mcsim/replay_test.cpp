@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/config.hpp"
+#include "support/per_op_engine.hpp"
 #include "support/pin_tracer.hpp"
 #include "test_util.hpp"
 #include "workloads/catalog.hpp"
@@ -51,18 +52,14 @@ TEST(ReplaySimulator, DeterministicForSameInput) {
 TEST(ReplaySimulator, WarmupSuppressesColdLoadBias) {
   // For a cache-resident app the cold-loading burst is the ONLY
   // source of misses; with warm-up discarded the measured intrinsic
-  // rate collapses toward its true (near-zero) value.
+  // rate collapses toward its true (near-zero) value.  The cold
+  // reference counts the same trace from its first instruction.
   const auto gcc = workloads::make_app("gcc", kMem, 5);
-  ReplaySimulator no_warmup(kMem, kFreq, 99, 0.0);
-  ReplaySimulator with_warmup(kMem, kFreq, 99, 0.5);
-  const auto cold = no_warmup.replay_live(*gcc, 150'000);
-  const auto warm = with_warmup.replay_live(*gcc, 150'000);
+  const auto trace = test::PinTracer::capture(*gcc, 150'000);
+  const auto cold = test::per_op_replay(kMem, 99, 0.0, gcc->spec(), trace);
+  ReplaySimulator sim(kMem, kFreq);
+  const auto warm = test::replay_trace(sim, trace, gcc->spec());
   EXPECT_LT(warm.llc_cap_act(kFreq), cold.llc_cap_act(kFreq) * 0.6);
-}
-
-TEST(ReplaySimulator, RejectsBadWarmupFraction) {
-  EXPECT_THROW(ReplaySimulator(kMem, kFreq, 99, 1.0), std::logic_error);
-  EXPECT_THROW(ReplaySimulator(kMem, kFreq, 99, -0.1), std::logic_error);
 }
 
 TEST(ReplaySimulator, StreamingMissesFarMoreThanResident) {

@@ -1,9 +1,11 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "hv/machine.hpp"
+#include "kyoto/monitor.hpp"
 #include "sim/experiment.hpp"
 #include "workloads/catalog.hpp"
 
@@ -29,6 +31,12 @@ inline sim::WorkloadFactory app_factory(const std::string& name,
                                         const hv::MachineConfig& machine) {
   const auto mem = machine.mem;
   return [name, mem](std::uint64_t seed) { return workloads::make_app(name, mem, seed); };
+}
+
+/// Socket-dedication campaigns a run completed, out and back: every
+/// isolation begun, less the one still in flight.
+inline std::int64_t completed_campaigns(const core::SocketDedicationMonitor& monitor) {
+  return monitor.isolations_performed() - (monitor.campaign_active() ? 1 : 0);
 }
 
 }  // namespace kyoto::test

@@ -23,7 +23,7 @@ double intrinsic_rate(const std::string& name) {
   static std::map<std::string, double> cache;
   const auto it = cache.find(name);
   if (it != cache.end()) return it->second;
-  mcsim::ReplaySimulator sim(kMem, kFreq, 99, 0.5);
+  mcsim::ReplaySimulator sim(kMem, kFreq);
   const auto app = make_app(name, kMem, 11);
   const double rate = sim.replay_live(*app, 250'000).llc_cap_act(kFreq);
   cache.emplace(name, rate);
@@ -57,7 +57,7 @@ TEST(Calibration, MilcHasTheLargestPerRunMissVolume) {
   // streaming run must dominate every other total.
   std::map<std::string, double> volume;
   for (const auto& name : fig4_apps()) {
-    mcsim::ReplaySimulator sim(kMem, kFreq, 99, 0.5);
+    mcsim::ReplaySimulator sim(kMem, kFreq);
     const auto app = make_app(name, kMem, 11);
     const auto r = sim.replay_live(*app, 150'000);
     const double miss_per_instr =
@@ -89,7 +89,7 @@ TEST(Calibration, SensitiveAppsActuallyUseTheLlc) {
 TEST(Calibration, MicroClassesSeparateCleanly) {
   // The three class representatives must produce clearly distinct
   // pollution levels: C1 ~ none, C2 moderate (fits LLC), C3 heavy.
-  mcsim::ReplaySimulator sim(kMem, kFreq, 99, 0.5);
+  mcsim::ReplaySimulator sim(kMem, kFreq);
   const auto c1 = sim.replay_live(*micro_representative(MicroClass::kC1, kMem, 1), 200'000);
   const auto c3d = sim.replay_live(*micro_disruptive(MicroClass::kC3, kMem, 1), 200'000);
   EXPECT_LT(c1.llc_cap_act(kFreq), 2.0);
